@@ -42,7 +42,6 @@ from .fll_selector import (
 from .local_model import (
     Basis,
     LadderDesign,
-    LocalDesign,
     LocalFit,
     NoiseModel,
     ScaleLadder,

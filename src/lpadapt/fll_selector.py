@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import Dataset
-from .exceptions import ParameterDomainError, ScaleOrderError, SingularDesignError
+from .exceptions import ParameterDomainError, ScaleOrderError
 from .local_model import Basis, LadderDesign, LocalFit, NoiseModel, ScaleLadder
 
 
@@ -148,19 +148,12 @@ def fit_point(
     noise: NoiseModel,
     cv,
 ) -> PointFit:
-    ld = LadderDesign(basis, ladder, data.x, x, noise.sigma_model)
-    if ld.K_eff == 0:
-        return PointFit(
-            x=np.atleast_1d(np.asarray(x, dtype=float)),
-            estimate=None,
-            trace=None,
-            k_eff=0,
-            error="singular design at every scale",
-        )
-    fits = ld.fit(data.y)
-    trace = select_adaptive(fits, cv)
-    est = adaptive_estimate(fits, trace, basis)
-    return PointFit(x=ld.x, estimate=est, trace=trace, k_eff=ld.K_eff)
+    """Adaptive fit at one reference point: the one-row case of fit_curve."""
+    return fit_curve(data, [x], ladder, basis, noise, cv)[0]
+
+
+#: windows start and end on multiples of this many observations (see fit_curve)
+_LANES = 8
 
 
 def fit_curve(
@@ -173,17 +166,49 @@ def fit_curve(
 ) -> list[PointFit]:
     """Independent adaptive fits at each grid point.
 
+    Each point's LadderDesign holds only the observations that can carry
+    weight there.  The data are sorted once by their first coordinate (not
+    at all when already sorted), and two binary searches find the slab
+    |X_i1 - x_1| <= ladder.support, which contains the support of every
+    scale's weights in any dimension.  A curve of G points therefore costs
+    O(n log n + G * window) rather than O(G * n).
+
+    The slab is widened with zero-weight neighbours to a start index and a
+    length that are multiples of _LANES.  BLAS reductions assign terms to
+    accumulator lanes by index, so aligned slabs group the nonzero terms as
+    a fit over all n observations does, and on sorted data the results match
+    that fit bit for bit.
+
     Per-point singular designs are recorded in the returned PointFit rather
     than aborting the grid; results do not depend on evaluation order.
     """
     grid = np.asarray(x_grid, dtype=float)
-    if grid.ndim == 1 and data.d > 1:
+    centres = grid[:, None] if grid.ndim == 1 else grid
+    if centres.ndim != 2 or centres.shape[1] != data.d:
         raise ParameterDomainError("grid dimension does not match data dimension")
-    points = grid[:, None] if grid.ndim == 1 else grid
+    if not np.all(np.isfinite(centres)):
+        raise ParameterDomainError("grid has non-finite entries")
+    sigma = np.asarray(noise.sigma_model, dtype=float)
+    if sigma.shape != (data.n,):
+        raise ParameterDomainError("noise model and data must have equal length")
+
+    xs, y = data.x, data.y
+    key = xs if xs.ndim == 1 else xs[:, 0]
+    if np.any(key[1:] < key[:-1]):
+        order = np.argsort(key, kind="stable")
+        xs, y, sigma, key = xs[order], y[order], sigma[order], key[order]
+    # a few ulps of slack keep boundary points whose weight rounds to positive
+    reach = ladder.support * (1.0 + 1e-9) + 4.0 * np.spacing(np.abs(centres[:, 0]))
+    lo = np.searchsorted(key, centres[:, 0] - reach, side="left") // _LANES * _LANES
+    hi = -(-np.searchsorted(key, centres[:, 0] + reach, side="right") // _LANES) * _LANES
+
     out = []
-    for row in points:
-        try:
-            out.append(fit_point(data, row if data.d > 1 else row[0], ladder, basis, noise, cv))
-        except SingularDesignError as exc:  # pragma: no cover - LadderDesign truncates instead
-            out.append(PointFit(x=row, estimate=None, trace=None, k_eff=0, error=str(exc)))
+    for row, a, b in zip(centres, lo, np.minimum(hi, data.n)):
+        ld = LadderDesign(basis, ladder, xs[a:b], row if data.d > 1 else row[0], sigma[a:b])
+        if ld.K_eff == 0:
+            out.append(PointFit(x=ld.x, estimate=None, trace=None, k_eff=0, error="singular design at every scale"))
+            continue
+        fits = ld.fit(y[a:b])
+        trace = select_adaptive(fits, cv)
+        out.append(PointFit(x=ld.x, estimate=adaptive_estimate(fits, trace, basis), trace=trace, k_eff=ld.K_eff))
     return out

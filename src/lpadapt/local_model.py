@@ -19,11 +19,13 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigvalsh
+from scipy.linalg import cho_factor, cho_solve, eigvalsh, get_lapack_funcs
 
 from .exceptions import ParameterDomainError, SingularDesignError
 
-KERNELS = ("boxcar", "epanechnikov", "truncated_gaussian")
+# LAPACK Cholesky factor and solve, the routines behind scipy's cho_factor and
+# cho_solve, called without the wrappers' per-call checks
+_potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), (np.empty(0),))
 
 #: reject a scale when lambda_min(B) < MIN_EIG_RATIO * lambda_max(B)
 MIN_EIG_RATIO = 1e-10
@@ -60,6 +62,11 @@ def kernel_profile(kind: str, t: np.ndarray) -> np.ndarray:
     if kind == "truncated_gaussian":
         return np.exp(-0.5 * t * t) * (t <= 3.0)
     raise ParameterDomainError(f"unknown kernel {kind!r}; choose one of {KERNELS}")
+
+
+#: largest scaled distance t at which each kernel profile can be positive
+KERNEL_RADIUS = {"boxcar": 1.0, "epanechnikov": 1.0, "truncated_gaussian": 3.0}
+KERNELS = tuple(KERNEL_RADIUS)
 
 
 @dataclass(frozen=True)
@@ -106,7 +113,7 @@ class Basis:
 
         def evaluate(offsets: np.ndarray) -> np.ndarray:
             cols = [np.asarray(func(o), dtype=float).reshape(p) for o in offsets]
-            return np.array(cols).T
+            return np.array(cols).reshape(len(cols), p).T
 
         return cls(kind="custom", p=p, dim=dim, _evaluate=evaluate)
 
@@ -155,6 +162,11 @@ class ScaleLadder:
     @property
     def K(self) -> int:
         return len(self.bandwidths)
+
+    @property
+    def support(self) -> float:
+        """Distance from x beyond which every scale's weight is zero: h_K times the kernel radius."""
+        return self.bandwidths[-1] * KERNEL_RADIUS[self.kernel]
 
 
 def build_weights(ladder: ScaleLadder, design_points, x, k: int) -> np.ndarray:
@@ -213,17 +225,6 @@ class NoiseModel:
 
 
 @dataclass
-class LocalDesign:
-    """Assembled design for one scale at one reference point."""
-
-    x: np.ndarray
-    k: int
-    weights: np.ndarray
-    B: np.ndarray
-    active_count: int
-
-
-@dataclass
 class LocalFit:
     """Coefficient vector for one scale, with the information matrix used."""
 
@@ -246,30 +247,46 @@ def _weighted_info(basis: Basis, weights, sigma_model, design_points, x):
     return psi, wsig, 0.5 * (B + B.T)
 
 
+def _conditioned(B: np.ndarray, active, p: int, min_eig_ratio: float) -> np.ndarray:
+    """Conditioning gate for stacked information matrices (K, p, p).
+
+    Scale k passes when at least p points carry positive weight and
+    lambda_min(B_k) > min_eig_ratio * lambda_max(B_k).
+    """
+    if not np.all(np.isfinite(B)):
+        raise ParameterDomainError("information matrix is not finite; design points and sigma_model must be finite")
+    eigs = np.linalg.eigvalsh(B)
+    return (active >= p) & (eigs[:, 0] > min_eig_ratio * np.maximum(eigs[:, -1], 0.0))
+
+
+def _checked_info(basis: Basis, weights, sigma_model, design_points, x, min_eig_ratio: float = MIN_EIG_RATIO):
+    """_weighted_info for one scale, raising SingularDesignError when B fails the gate."""
+    psi, wsig, B = _weighted_info(basis, weights, sigma_model, design_points, x)
+    active = int(np.count_nonzero(np.asarray(weights, dtype=float) > 0))
+    if not _conditioned(B[None], active, basis.p, min_eig_ratio)[0]:
+        raise SingularDesignError(
+            f"design fails the conditioning gate: {active} active points for p={basis.p}, "
+            f"or lambda_min(B) <= {min_eig_ratio:g} lambda_max(B)"
+        )
+    return psi, wsig, B
+
+
 def build_B(basis: Basis, weights, sigma_model, design_points, x, min_eig_ratio: float = MIN_EIG_RATIO) -> np.ndarray:
     """Weighted information matrix sum_i Psi_i Psi_i^T w_i / sigma_i^2.
 
     Raises SingularDesignError when fewer than p points carry positive
     weight or when lambda_min(B) <= min_eig_ratio * lambda_max(B).
     """
-    _, wsig, B = _weighted_info(basis, weights, sigma_model, design_points, x)
-    active = int(np.count_nonzero(np.asarray(weights, dtype=float) > 0))
-    if active < basis.p:
-        raise SingularDesignError(f"{active} active points < p={basis.p}")
-    eigs = eigvalsh(B)
-    if eigs[0] <= min_eig_ratio * max(eigs[-1], 0.0):
-        raise SingularDesignError(f"ill-conditioned design: eig range [{eigs[0]:.3e}, {eigs[-1]:.3e}]")
-    return B
+    return _checked_info(basis, weights, sigma_model, design_points, x, min_eig_ratio)[2]
 
 
 def qmle(basis: Basis, weights, sigma_model, design_points, x, y, scale: int = 1) -> LocalFit:
     """Weighted least-squares coefficients solving B theta = Psi W y.
 
     The estimator is linear in y; the solve uses a Cholesky factorization
-    of B.  Propagates SingularDesignError from build_B.
+    of B.  Propagates SingularDesignError from the conditioning gate.
     """
-    B = build_B(basis, weights, sigma_model, design_points, x)
-    psi, wsig, _ = _weighted_info(basis, weights, sigma_model, design_points, x)
+    psi, wsig, B = _checked_info(basis, weights, sigma_model, design_points, x)
     rhs = psi @ (wsig * np.asarray(y, dtype=float))
     theta = cho_solve(cho_factor(B, lower=True), rhs)
     return LocalFit(theta=theta, B=B, k=scale)
@@ -282,8 +299,7 @@ def pseudo_true_parameter(basis: Basis, weights, sigma_model, design_points, x, 
 
 def propagator(basis: Basis, weights, sigma_model, design_points, x) -> np.ndarray:
     """Linear map D = B^{-1} Psi W taking observations to coefficients; shape (p, n)."""
-    B = build_B(basis, weights, sigma_model, design_points, x)
-    psi, wsig, _ = _weighted_info(basis, weights, sigma_model, design_points, x)
+    psi, wsig, B = _checked_info(basis, weights, sigma_model, design_points, x)
     return cho_solve(cho_factor(B, lower=True), psi * wsig)
 
 
@@ -318,6 +334,10 @@ class LadderDesign:
     propagators D_k = B_k^{-1} Psi W_k for k = 1..K.  Scales are accepted in
     order and the ladder is truncated at the first scale that fails the
     conditioning gate, so selection indices stay contiguous.
+
+    All K scales are evaluated together: the weights as one (K, n) array, the
+    B_k as one stacked product and the gate as one batched eigenvalue call.
+    Only the accepted scales are factored and solved.
     """
 
     def __init__(
@@ -334,30 +354,33 @@ class LadderDesign:
         self.points = _as_points(design_points)
         self.x = _as_point(x, self.points.shape[1])
         self.sigma_model = np.asarray(sigma_model, dtype=float)
+        if self.sigma_model.shape != (self.points.shape[0],):
+            raise ParameterDomainError("sigma_model and design_points must have equal length")
+        if np.any(self.sigma_model <= 0):
+            raise ParameterDomainError("sigma_model entries must be positive")
         self.psi = basis.design_matrix(self.points, self.x)
 
-        self.weights_list: list[np.ndarray] = []
-        self.designs: list[LocalDesign] = []
-        self.B_list: list[np.ndarray] = []
-        self.D_list: list[np.ndarray] = []
-        self._chol: list = []
-        self.truncated_at: int | None = None  # first rejected 1-indexed scale
+        dist = np.linalg.norm(self.points - self.x, axis=1)
+        W = kernel_profile(ladder.kernel, dist / np.asarray(ladder.bandwidths)[:, None])  # (K, n)
+        PW = self.psi * (W / self.sigma_model**2)[:, None, :]  # (K, p, n): Psi W_k / sigma^2
+        B = PW @ self.psi.T
+        B = 0.5 * (B + B.transpose(0, 2, 1))
+        passed = _conditioned(B, np.count_nonzero(W > 0, axis=1), basis.p, min_eig_ratio)
 
-        for k in range(1, ladder.K + 1):
-            w = build_weights(ladder, self.points, self.x, k)
-            try:
-                B = build_B(basis, w, self.sigma_model, self.points, self.x, min_eig_ratio)
-            except SingularDesignError:
-                self.truncated_at = k
+        self._chol: list[np.ndarray] = []
+        self.D_list: list[np.ndarray] = []
+        for k in range(ladder.K):
+            if not passed[k]:
                 break
-            cf = cho_factor(B, lower=True)
-            self.weights_list.append(w)
-            self.B_list.append(B)
-            self._chol.append(cf)
-            self.D_list.append(cho_solve(cf, self.psi * (w / self.sigma_model**2)))
-            self.designs.append(
-                LocalDesign(x=self.x, k=k, weights=w, B=B, active_count=int(np.count_nonzero(w > 0)))
-            )
+            c, info = _potrf(B[k], lower=True, clean=False)
+            if info != 0:  # not positive definite after all: the scale fails
+                break
+            self._chol.append(c)
+            self.D_list.append(_potrs(c, PW[k], lower=True)[0])
+        K_eff = len(self.D_list)
+        self.truncated_at: int | None = K_eff + 1 if K_eff < ladder.K else None  # first rejected 1-indexed scale
+        self.weights_list: list[np.ndarray] = list(W[:K_eff])
+        self.B_list: list[np.ndarray] = list(B[:K_eff])
 
     @property
     def K_eff(self) -> int:
@@ -391,8 +414,8 @@ class LadderDesign:
         gap, a cheap structural self-check.
         """
         gap = 0.0
-        for D, cf in zip(self.D_list, self._chol):
+        for D, c in zip(self.D_list, self._chol):
             V = (D * self.sigma_model**2) @ D.T
-            Binv = cho_solve(cf, np.eye(self.basis.p))
+            Binv = _potrs(c, np.eye(self.basis.p), lower=True)[0]
             gap = max(gap, float(np.max(np.abs(V - Binv))))
         return gap
