@@ -142,10 +142,31 @@ def replicate_noise(seed: int, replicate: int, n: int) -> np.ndarray:
     """Standard-normal draws for one replicate, seeded by (seed, replicate).
 
     Every stochastic loop in the package derives its noise this way, so
-    results are bit-identical regardless of batching or scheduling.
+    results are bit-identical regardless of batching or scheduling.  The
+    generator fills its output in order, so a shorter draw is a prefix of a
+    longer one: replicate_noise(s, j, m) equals replicate_noise(s, j, n)[:m]
+    bit for bit for every m <= n.  noise_matrix relies on this.
     """
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(replicate)]))
     return rng.standard_normal(n)
+
+
+def noise_matrix(seed: int, rows: int, n: int, cols) -> np.ndarray:
+    """Noise of replicates 0..rows-1 on the columns cols of an n-point design.
+
+    Row j equals replicate_noise(seed, j, n)[cols] bit for bit, but only the
+    first cols[-1] + 1 values of each replicate are drawn.  cols must be
+    strictly increasing indices in [0, n).  Returns shape (rows, len(cols)).
+    """
+    cols = np.asarray(cols, dtype=np.intp)
+    if cols.ndim != 1 or (cols.size and (cols[0] < 0 or cols[-1] >= n or np.any(np.diff(cols) <= 0))):
+        raise ParameterDomainError(f"noise columns must be strictly increasing indices in [0, {n})")
+    out = np.empty((int(rows), cols.size))
+    if cols.size:
+        m = int(cols[-1]) + 1
+        for j in range(int(rows)):
+            out[j] = replicate_noise(seed, j, m)[cols]
+    return out
 
 
 class SelectionEnsemble:
@@ -177,18 +198,28 @@ class SelectionEnsemble:
                 self.T_large[b, a] = np.maximum(np.einsum("ri,ij,rj->r", diff, ld.B_list[b], diff), 0.0)
 
     @classmethod
+    def draw(cls, ld: LadderDesign, mc_size: int, seed: int, sd, mean=None) -> "SelectionEnsemble":
+        """Ensemble of the observations mean + sd * eps with eps from noise_matrix.
+
+        sd and mean are given at all n design points.  Every D_k is zero
+        outside ld.support, so only those columns are drawn and stored: the
+        ensemble holds mc_size x len(support) observations, whatever n is.
+        """
+        cols = ld.support
+        Y = noise_matrix(seed, mc_size, ld.points.shape[0], cols) * np.asarray(sd, dtype=float)[cols]
+        if mean is not None:
+            Y += np.asarray(mean, dtype=float)[cols]
+        return cls(ld.restrict(cols), Y)
+
+    @classmethod
     def pure_noise(cls, ld: LadderDesign, mc_size: int, seed: int, theta: np.ndarray | None = None) -> "SelectionEnsemble":
         """Ensemble under the calibration measure N(Psi^T theta, Sigma_model).
 
         The mean shift is optional; by pivotality it changes no statistic,
         which tests exercise directly.
         """
-        n = ld.points.shape[0]
-        mean = np.zeros(n) if theta is None else ld.psi.T @ np.asarray(theta, dtype=float)
-        Y = np.empty((int(mc_size), n))
-        for j in range(int(mc_size)):
-            Y[j] = mean + replicate_noise(seed, j, n) * ld.sigma_model
-        return cls(ld, Y)
+        mean = None if theta is None else ld.psi.T @ np.asarray(theta, dtype=float)
+        return cls.draw(ld, mc_size, seed, ld.sigma_model, mean)
 
     def k_hat(self, z: np.ndarray) -> np.ndarray:
         """Selected index per replicate under thresholds z (length >= K-1)."""

@@ -130,26 +130,38 @@ def _basis_from_config(cfg: dict, dim: int = 1) -> Basis:
     return Basis.polynomial(degree, dim=dim)
 
 
-def _ladder_from_config(cfg: dict, data: Dataset | None, p: int, args) -> ScaleLadder:
+def _ladder_from_config(cfg: dict, p: int, args, span: float = 1.0, n: int = 200, default_K: int | None = None) -> ScaleLadder:
+    """The one ladder rule of every command.
+
+    Explicit "bandwidths" win.  Otherwise the ladder is geometric from h1
+    (default span * max(4p, 8) / (2n)) with K from --K, the config, then
+    default_K, and when none of these is given, as many scales as fit in
+    half the span, between 2 and 8.
+    """
     lcfg = dict(cfg.get("ladder", {}))
     kernel = lcfg.get("kernel", "boxcar")
     if "bandwidths" in lcfg:
         return ScaleLadder(tuple(float(h) for h in lcfg["bandwidths"]), kernel=kernel)
     growth = float(args.u if args.u is not None else lcfg.get("growth", 1.25))
-    if data is not None:
-        xs = np.atleast_2d(np.asarray(data.x, dtype=float).T).T
-        span = float(np.max(xs[:, 0]) - np.min(xs[:, 0]))
-        n = data.n
-    else:
-        span, n = 1.0, int(cfg.get("n", 200))
     h1 = float(lcfg.get("h1", span * max(4 * p, 8) / (2.0 * n)))
     if args.K is not None:
         K = int(args.K)
     elif "K" in lcfg:
         K = int(lcfg["K"])
+    elif default_K is not None:
+        K = default_K
     else:
         K = max(2, min(8, int(math.floor(math.log(max(span / 2.0 / h1, growth)) / math.log(growth))) + 1))
     return ScaleLadder.geometric(h1, K, growth=growth, kernel=kernel)
+
+
+def _data_ladder(cfg: dict, data: Dataset | None, p: int, args) -> ScaleLadder:
+    """Ladder for a dataset, spanning its first coordinate; without data, the unit interval with cfg's n."""
+    if data is None:
+        return _ladder_from_config(cfg, p, args, n=int(cfg.get("n", 200)))
+    xs = np.atleast_2d(np.asarray(data.x, dtype=float).T).T
+    span = float(np.max(xs[:, 0]) - np.min(xs[:, 0]))
+    return _ladder_from_config(cfg, p, args, span=span, n=data.n)
 
 
 def _sigma_spec(cfg) -> SigmaSpec:
@@ -204,7 +216,7 @@ def cmd_calibrate(args) -> int:
         data = None
 
     basis = _basis_from_config(cfg, dim=1 if data is None or data.d == 1 else data.d)
-    ladder = _ladder_from_config(cfg, data, basis.p, args)
+    ladder = _data_ladder(cfg, data, basis.p, args)
 
     if method == "theoretical":
         ld = LadderDesign(basis, ladder, points, x_ref, sigma)
@@ -232,7 +244,7 @@ def cmd_fit(args) -> int:
         raise ParameterDomainError("fit requires --data")
     data = ingest_csv(args.data)
     basis = _basis_from_config(cfg, dim=data.d)
-    ladder = _ladder_from_config(cfg, data, basis.p, args)
+    ladder = _data_ladder(cfg, data, basis.p, args)
     noise = data.noise_model(delta=cfg.get("delta"))
 
     if args.cv:
@@ -285,13 +297,7 @@ def cmd_simulate(args) -> int:
         raise ParameterDomainError("simulate requires --config with a scenario")
     scene = _scene_from_config(cfg)
     basis = _basis_from_config(cfg)
-    ladder = _ladder_from_config(cfg, None, basis.p, args)
-    # the synthetic design lives on [0, 1]; override the span-based default n
-    if "ladder" not in cfg or ("h1" not in cfg.get("ladder", {}) and "bandwidths" not in cfg.get("ladder", {})):
-        h1 = max(4 * basis.p, 8) / (2.0 * scene.n)
-        growth = float(args.u if args.u is not None else cfg.get("ladder", {}).get("growth", 1.25))
-        K = int(args.K if args.K is not None else cfg.get("ladder", {}).get("K", 4))
-        ladder = ScaleLadder.geometric(h1, K, growth=growth, kernel=cfg.get("ladder", {}).get("kernel", "boxcar"))
+    ladder = _ladder_from_config(cfg, basis.p, args, n=scene.n, default_K=4)  # the scene lives on [0, 1]
     alpha = float(args.alpha if args.alpha is not None else cfg.get("alpha", 1.0))
     r = float(args.r if args.r is not None else cfg.get("r", 0.5))
     replicates = int(cfg.get("replicates", 2000))
@@ -340,11 +346,7 @@ def cmd_diagnose(args) -> int:
         raise ParameterDomainError("diagnose requires --config with a scene")
     scene = _scene_from_config(cfg)
     basis = _basis_from_config(cfg)
-    ladder_cfg = cfg.get("ladder", {})
-    h1 = float(ladder_cfg.get("h1", max(4 * basis.p, 8) / (2.0 * scene.n)))
-    K = int(args.K if args.K is not None else ladder_cfg.get("K", 4))
-    growth = float(args.u if args.u is not None else ladder_cfg.get("growth", 1.25))
-    ladder = ScaleLadder.geometric(h1, K, growth=growth, kernel=ladder_cfg.get("kernel", "boxcar"))
+    ladder = _ladder_from_config(cfg, basis.p, args, n=scene.n, default_K=4)  # the scene lives on [0, 1]
     x_ref = float(cfg.get("x", 0.5))
     r = float(args.r if args.r is not None else cfg.get("r", 0.5))
     alpha = float(args.alpha if args.alpha is not None else cfg.get("alpha", 1.0))

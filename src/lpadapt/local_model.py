@@ -13,6 +13,7 @@ formed outside of test oracles.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from dataclasses import dataclass
@@ -385,6 +386,30 @@ class LadderDesign:
     @property
     def K_eff(self) -> int:
         return len(self.B_list)
+
+    @property
+    def support(self) -> np.ndarray:
+        """Indices of the points where the largest accepted scale has positive weight.
+
+        The profiles are nonincreasing, so every w_k and D_k is zero outside it.
+        """
+        if not self.weights_list:
+            return np.arange(0)
+        return np.flatnonzero(self.weights_list[-1] > 0)
+
+    def restrict(self, cols) -> "LadderDesign":
+        """The same design on the points cols only, sharing B_k and their factors.
+
+        Fits of the restricted design equal those of the full one when cols
+        covers the support.
+        """
+        sub = copy.copy(self)
+        sub.points = self.points[cols]
+        sub.sigma_model = self.sigma_model[cols]
+        sub.psi = self.psi[:, cols]
+        sub.weights_list = [w[cols] for w in self.weights_list]
+        sub.D_list = [D[:, cols] for D in self.D_list]
+        return sub
 
     def fit(self, y) -> list[LocalFit]:
         yv = np.asarray(y, dtype=float)

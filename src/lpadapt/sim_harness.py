@@ -121,16 +121,6 @@ def generate(scene: Scene, replicate: int) -> Dataset:
     return Dataset(x=t, y=y, sigma=scene.sigma_model_values(), sigma_true=scene.sigma_true_values())
 
 
-def _observation_matrix(scene: Scene, replicates: int) -> np.ndarray:
-    t = scene.design_points()
-    f = scene.f_values()
-    s0 = scene.sigma_true_values()
-    Y = np.empty((replicates, t.size))
-    for j in range(replicates):
-        Y[j] = f + s0 * replicate_noise(scene.seed, j, t.size)
-    return Y
-
-
 @dataclass
 class RiskRow:
     scene: str
@@ -202,7 +192,7 @@ def risk_experiment(
     k_star = oracle_index(deltas, delta_budget)
     k_star_j = [oracle_index(delta_j[:, j], delta_budget) for j in range(p)]
 
-    ens = SelectionEnsemble(ld, _observation_matrix(scene, replicates))
+    ens = SelectionEnsemble.draw(ld, replicates, scene.seed, sig0, mean=scene.f_values())
     z = np.asarray(cv.z, dtype=float)
     khat = ens.k_hat(z)
     gaps = ens.gap_forms(z)

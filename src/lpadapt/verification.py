@@ -18,7 +18,7 @@ from scipy.stats import chi2
 from .calibration import (
     SelectionEnsemble,
     chi_square_moment,
-    replicate_noise,
+    noise_matrix,
     theoretical_cv,
     validate_pc,
 )
@@ -91,11 +91,9 @@ def check_covariance_sandwich(seed: int = 12, trials: int = 12, tol: float = 1e-
 
 def _wilks_forms(ld: LadderDesign, sigma_true: np.ndarray, k: int, replicates: int, seed: int) -> np.ndarray:
     """MC draws of the quadratic form (theta_k - theta_bar_k)^T B_k (...)."""
-    A = ld.D_list[k - 1] * sigma_true  # (p, n); maps standard normals to theta - theta_bar
-    eps = np.empty((replicates, ld.points.shape[0]))
-    for j in range(replicates):
-        eps[j] = replicate_noise(seed, j, ld.points.shape[0])
-    g = eps @ A.T
+    cols = ld.support
+    A = ld.D_list[k - 1][:, cols] * sigma_true[cols]  # maps standard normals to theta - theta_bar
+    g = noise_matrix(seed, replicates, ld.points.shape[0], cols) @ A.T
     return np.maximum(np.einsum("ri,ij,rj->r", g, ld.B_list[k - 1], g), 0.0)
 
 
@@ -242,10 +240,7 @@ def check_pair_tail_bounds(
     ld = LadderDesign(basis, ladder, pts, 0.5, sigma)
     K = ld.K_eff
     u0_hat, u_hat = ld.growth_bounds()
-    Y = np.empty((replicates, n))
-    for j in range(replicates):
-        Y[j] = sigma0 * replicate_noise(seed, j, n)
-    ens = SelectionEnsemble(ld, Y)
+    ens = SelectionEnsemble.draw(ld, replicates, seed, sigma0)
     worst = -1.0
     for l in range(1, K):
         for k in range(l + 1, K + 1):
@@ -277,10 +272,7 @@ def check_pair_moment_bounds(
     ld = LadderDesign(basis, ladder, pts, 0.5, sigma)
     K = ld.K_eff
     u0_hat, u_hat = ld.growth_bounds()
-    Y = np.empty((replicates, n))
-    for j in range(replicates):
-        Y[j] = sigma0 * replicate_noise(seed, j, n)
-    ens = SelectionEnsemble(ld, Y)
+    ens = SelectionEnsemble.draw(ld, replicates, seed, sigma0)
     worst = -math.inf
     for l in range(1, K):
         for k in range(l + 1, K + 1):
@@ -312,10 +304,9 @@ def check_stacked_covariance(
     sigma0 = np.sqrt(1.0 + delta * np.sin(2.0 * np.pi * pts + 0.5))
     ld = LadderDesign(basis, ladder, pts, 0.5, sigma)
     S0 = joint_covariance(ld.D_list, sigma0**2)
-    draws = np.empty((replicates, ld.K_eff * p))
-    for j in range(replicates):
-        eps = replicate_noise(seed, j, n)
-        draws[j] = np.concatenate([D @ (sigma0 * eps) for D in ld.D_list])
+    cols = ld.support
+    eps = noise_matrix(seed, replicates, n, cols)
+    draws = ld.restrict(cols).fit_stacked(eps * sigma0[cols]).reshape(replicates, -1)  # rows (theta_1, ..., theta_K)
     emp = np.cov(draws, rowvar=False)
     dg = np.diag(S0)
     se = np.sqrt((np.outer(dg, dg) + S0**2) / replicates)

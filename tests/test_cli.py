@@ -181,6 +181,25 @@ class TestSimulateDiagnose:
         assert rep["boxcar_determinant_check"]["rel_err"] < 1e-8
         assert all(row["within"] for row in rep["kl"])
 
+    @pytest.mark.parametrize("command", ["simulate", "diagnose"])
+    def test_explicit_bandwidths_honoured(self, tmp_path, command):
+        bandwidths = [0.03, 0.045, 0.07, 0.1, 0.15]
+        cfg = tmp_path / "scene.json"
+        cfg.write_text(json.dumps({
+            "f": "jump", "n": 150, "x": 0.47,
+            "sigma_model": {"pattern": "constant", "level": 0.25},
+            "seed": 5, "replicates": 400, "mc_size": 2000,
+            "ladder": {"bandwidths": bandwidths, "K": 3}, "basis": {"degree": 0},
+        }), encoding="utf-8")
+        out = tmp_path / "out.json"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        rep = json.loads(out.read_text())
+        if command == "diagnose":
+            assert rep["K"] == len(bandwidths)
+            assert len(rep["pc_validation"]) == len(bandwidths) - 1
+        else:
+            assert max(row["k"] or 0 for row in rep["rows"]) == len(bandwidths)
+
     def test_simulate_requires_config(self):
         assert main(["simulate"]) == EXIT_CONFIG
 
