@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import gammaln
 
-from .exceptions import CalibrationFailedError, ParameterDomainError
+from .exceptions import CalibrationFailedError, LpAdaptError, ParameterDomainError
 from .local_model import Basis, LadderDesign, ScaleLadder
 
 DEFAULT_MU = 0.125
@@ -138,34 +138,130 @@ def theoretical_cv(
     return CriticalValues(z=tuple(float(v) for v in zs), method="theoretical", alpha=alpha, r=r, p=p, K=K, mu=mu)
 
 
+def _check_index(name: str, value) -> int:
+    """value as a Python int; ParameterDomainError unless it is an integer >= 0."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ParameterDomainError(f"{name} must be a non-negative integer, got {value!r}")
+    return int(value)
+
+
 def replicate_noise(seed: int, replicate: int, n: int) -> np.ndarray:
     """Standard-normal draws for one replicate, seeded by (seed, replicate).
 
-    Every stochastic loop in the package derives its noise this way, so
-    results are bit-identical regardless of batching or scheduling.  The
-    generator fills its output in order, so a shorter draw is a prefix of a
-    longer one: replicate_noise(s, j, m) equals replicate_noise(s, j, n)[:m]
-    bit for bit for every m <= n.  noise_matrix relies on this.
+    This defines the package's noise stream: replicate j of seed s is the
+    standard-normal stream of default_rng(SeedSequence([s, j])), so results
+    are bit-identical regardless of batching or scheduling.  noise_matrix
+    produces the same rows in bulk.  The generator fills its output in
+    order, so a shorter draw is a prefix of a longer one:
+    replicate_noise(s, j, m) equals replicate_noise(s, j, n)[:m] bit for bit
+    for every m <= n.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(replicate)]))
-    return rng.standard_normal(n)
+    words = [_check_index("seed", seed), _check_index("replicate", replicate)]
+    return np.random.default_rng(np.random.SeedSequence(words)).standard_normal(_check_index("n", n))
+
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and the
+# PCG64 multiplier (numpy/random/src/pcg64/pcg64.h)
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_STATE_CHUNK = 2048  # rows whose generator states are computed together
+
+
+def _uint32_words(value: int) -> list[int]:
+    """The uint32 words SeedSequence takes from a non-negative int, low word first."""
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _hasher(h: int, mult: int):
+    """SeedSequence's hashmix on uint32 arrays, with its running constant h."""
+
+    def hashmix(value):
+        nonlocal h
+        value = value ^ np.uint32(h)
+        h = h * mult & _MASK32
+        value = value * np.uint32(h)
+        return value ^ (value >> np.uint32(16))
+
+    return hashmix
+
+
+def _mix(x, y):
+    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return result ^ (result >> np.uint32(16))
+
+
+def _pcg64_states(seed_words: list[int], rows: np.ndarray) -> list[dict]:
+    """PCG64(SeedSequence([seed, j])).state["state"] for each row j < 2**32.
+
+    Replays SeedSequence's pool mixing and generate_state(4, uint64) on
+    uint32 arrays, one element per row (the hash constants never depend on
+    the data), then PCG64's two-step set_seed in 128-bit Python ints.
+    """
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    entropy = [np.full(rows.size, w, dtype=np.uint32) for w in seed_words] + [rows.astype(np.uint32)]
+    zero = np.zeros(rows.size, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+
+    # generate_state(4, uint64): 8 uint32 words cycling over the pool, paired little-endian
+    hash_out = _hasher(_INIT_B, _MULT_B)
+    w32 = [hash_out(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
+    words64 = np.stack([lo | (hi << np.uint64(32)) for lo, hi in zip(w32[::2], w32[1::2])], axis=1)
+
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in words64.tolist():
+        inc = (((i_hi << 64) | i_lo) << 1 | 1) & _MASK128
+        states.append({"state": (inc + ((s_hi << 64) | s_lo)) * _PCG64_MULT + inc & _MASK128, "inc": inc})
+    return states
 
 
 def noise_matrix(seed: int, rows: int, n: int, cols) -> np.ndarray:
     """Noise of replicates 0..rows-1 on the columns cols of an n-point design.
 
     Row j equals replicate_noise(seed, j, n)[cols] bit for bit, but only the
-    first cols[-1] + 1 values of each replicate are drawn.  cols must be
-    strictly increasing indices in [0, n).  Returns shape (rows, len(cols)).
+    first cols[-1] + 1 values of each replicate are drawn.  The generator
+    states of up to _STATE_CHUNK rows are computed together and set in turn
+    on one reused generator, which draws into one reused buffer; no numpy
+    seeding object is built per row.  cols must be strictly increasing
+    indices in [0, n).  Returns shape (rows, len(cols)).
     """
+    seed, rows = _check_index("seed", seed), _check_index("rows", rows)
     cols = np.asarray(cols, dtype=np.intp)
     if cols.ndim != 1 or (cols.size and (cols[0] < 0 or cols[-1] >= n or np.any(np.diff(cols) <= 0))):
         raise ParameterDomainError(f"noise columns must be strictly increasing indices in [0, {n})")
-    out = np.empty((int(rows), cols.size))
-    if cols.size:
-        m = int(cols[-1]) + 1
-        for j in range(int(rows)):
-            out[j] = replicate_noise(seed, j, m)[cols]
+    out = np.empty((rows, cols.size))
+    if not cols.size:
+        return out
+    bitgen = np.random.PCG64()
+    gen = np.random.Generator(bitgen)
+    spec = {"bit_generator": "PCG64", "state": None, "has_uint32": 0, "uinteger": 0}
+    buf = np.empty(int(cols[-1]) + 1)
+    seed_words = _uint32_words(seed)
+    for a in range(0, rows, _STATE_CHUNK):
+        states = _pcg64_states(seed_words, np.arange(a, min(a + _STATE_CHUNK, rows)))
+        # numpy's own seeding of the chunk's first row must agree, or a numpy
+        # change would silently alter every seeded output
+        if np.random.PCG64(np.random.SeedSequence([seed, a])).state["state"] != states[0]:
+            raise LpAdaptError("numpy's SeedSequence/PCG64 seeding differs from the replicated one")
+        for j, state in enumerate(states, start=a):
+            spec["state"] = state
+            bitgen.state = spec
+            gen.standard_normal(out=buf)
+            buf.take(cols, out=out[j])
     return out
 
 

@@ -142,6 +142,13 @@ class TestCalibrateFit:
                      "--out", str(tmp_path / "cv.json")])
         assert code == 3
 
+    def test_negative_seed_exit_code(self, tmp_path, capsys):
+        data = _write_dataset(tmp_path / "d.csv")
+        code = main(["calibrate", "--data", str(data), "--mc", "1000", "--seed", "-3", "--out", str(tmp_path / "cv.json")])
+        assert code == EXIT_CONFIG
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
+        assert not (tmp_path / "cv.json").exists()
+
     def test_bad_csv_exit_code(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("x,y,sigma\n0,nan,1\n", encoding="utf-8")
@@ -199,6 +206,18 @@ class TestSimulateDiagnose:
             assert len(rep["pc_validation"]) == len(bandwidths) - 1
         else:
             assert max(row["k"] or 0 for row in rep["rows"]) == len(bandwidths)
+
+    def test_simulate_negative_seed_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps({
+            "f": "jump", "n": 150, "x": 0.47,
+            "sigma_model": {"pattern": "constant", "level": 0.25},
+            "seed": 5, "replicates": 400, "mc_size": 1000,
+            "ladder": {"K": 4, "growth": 1.5}, "basis": {"degree": 0},
+        }), encoding="utf-8")
+        code = main(["simulate", "--config", str(cfg), "--seed", "-3", "--out", str(tmp_path / "sim.json")])
+        assert code == EXIT_CONFIG
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
 
     def test_simulate_requires_config(self):
         assert main(["simulate"]) == EXIT_CONFIG

@@ -11,7 +11,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import lpadapt.calibration as calibration
 from lpadapt.calibration import SelectionEnsemble, noise_matrix, replicate_noise
 from lpadapt.exceptions import ParameterDomainError
 from lpadapt.local_model import KERNELS, Basis, LadderDesign, ScaleLadder
@@ -58,6 +57,21 @@ def one_d_ld(kernel="boxcar", degree=1, n=500, x=0.43, K=4, shuffle=False):
     return LadderDesign(Basis.polynomial(degree), ladder, pts, x, sigma)
 
 
+@pytest.fixture
+def draw_sizes(monkeypatch):
+    """Sizes of the standard-normal draws made through np.random.Generator, one per call."""
+    sizes = []
+
+    class Recording(np.random.Generator):
+        def standard_normal(self, *args, **kwargs):
+            result = super().standard_normal(*args, **kwargs)
+            sizes.append(np.size(result))
+            return result
+
+    monkeypatch.setattr(np.random, "Generator", Recording)
+    return sizes
+
+
 class TestNoisePrefix:
     @pytest.mark.parametrize("seed", [0, 7, 2024])
     def test_shorter_draw_is_prefix(self, seed):
@@ -76,16 +90,9 @@ class TestNoisePrefix:
         want = np.stack([replicate_noise(11, j, n) for j in range(rows)])
         assert np.array_equal(got, want[:, cols])
 
-    def test_draws_stop_at_last_column(self, monkeypatch):
-        sizes = []
-
-        def recording(seed, replicate, n):
-            sizes.append(n)
-            return replicate_noise(seed, replicate, n)
-
-        monkeypatch.setattr(calibration, "replicate_noise", recording)
+    def test_draws_stop_at_last_column(self, draw_sizes):
         noise_matrix(3, 10, 1000, np.arange(100, 161))
-        assert sizes == [161] * 10
+        assert draw_sizes == [161] * 10
 
     @pytest.mark.parametrize("cols", [np.array([5, 4]), np.array([3, 3]), np.array([-1, 2]), np.array([2, 200])])
     def test_bad_columns_rejected(self, cols):
@@ -140,19 +147,12 @@ class TestWindowedEnsemble:
         assert np.array_equal(win.k_hat(Z), full.k_hat(Z))
 
 
-def test_ensemble_holds_support_columns_only(monkeypatch):
+def test_ensemble_holds_support_columns_only(draw_sizes):
     n, mc = 2000, 2000
     ld = one_d_ld("boxcar", 1, n=n, x=0.5, K=6)
     support = ld.support
     assert support.size < 100
 
-    sizes = []
-
-    def recording(seed, replicate, m):
-        sizes.append(m)
-        return replicate_noise(seed, replicate, m)
-
-    monkeypatch.setattr(calibration, "replicate_noise", recording)
     tracemalloc.start()
     try:
         ens = SelectionEnsemble.pure_noise(ld, mc, 1)
@@ -161,6 +161,6 @@ def test_ensemble_holds_support_columns_only(monkeypatch):
         tracemalloc.stop()
     assert ens.ld.points.shape[0] == support.size
     assert all(D.shape == (ld.basis.p, support.size) for D in ens.ld.D_list)
-    assert max(sizes) == support[-1] + 1 < n
+    assert max(draw_sizes) == support[-1] + 1 < n
     # mc x n float64 alone would be 32 MB; the windowed ensemble needs about 3 MB
     assert peak < 8 * 2**20, peak
