@@ -27,6 +27,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .exceptions import CalibrationFailedError, LpAdaptError, ParameterDomainError
+from .fll_selector import selection_sweep
 from .local_model import Basis, LadderDesign, ScaleLadder
 
 DEFAULT_MU = 0.125
@@ -318,18 +319,8 @@ class SelectionEnsemble:
         return cls.draw(ld, mc_size, seed, ld.sigma_model, mean)
 
     def k_hat(self, z: np.ndarray) -> np.ndarray:
-        """Selected index per replicate under thresholds z (length >= K-1)."""
-        z = np.asarray(z, dtype=float)
-        khat = np.full(self.mc, self.K, dtype=int)
-        alive = np.ones(self.mc, dtype=bool)
-        for m in range(2, self.K + 1):
-            viol = np.zeros(self.mc, dtype=bool)
-            for l in range(1, m):
-                viol |= self.T_small[l - 1, m - 1] > z[l - 1]
-            newly = alive & viol
-            khat[newly] = m - 1
-            alive &= ~viol
-        return khat
+        """Selected index per replicate under thresholds z (length >= K-1): selection_sweep on T_small."""
+        return selection_sweep(self.T_small, z)[0]
 
     def gap_forms(self, z: np.ndarray) -> np.ndarray:
         """(K, mc) quadratic forms (theta_k - theta_hat_k)^T B_k (...); zero row for k=1."""

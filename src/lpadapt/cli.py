@@ -15,7 +15,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -239,10 +239,14 @@ def _load_cv(path: str) -> CriticalValues:
 
 
 def cmd_fit(args) -> int:
+    if args.grid is not None and args.grid < 1:
+        raise ParameterDomainError(f"--grid must be a positive number of points, got {args.grid}")
     cfg = _load_config(args.config)
     if not args.data:
         raise ParameterDomainError("fit requires --data")
     data = ingest_csv(args.data)
+    if args.grid and data.d > 1:
+        raise ParameterDomainError("--grid needs one-dimensional data")
     basis = _basis_from_config(cfg, dim=data.d)
     ladder = _data_ladder(cfg, data, basis.p, args)
     noise = data.noise_model(delta=cfg.get("delta"))
@@ -264,13 +268,14 @@ def cmd_fit(args) -> int:
         "k_eff",
     ] + [f"theta_{j + 1}" for j in range(basis.p)] + ["error"]
     lines = [_provenance_line(cfg, cv.seed), ",".join(header_cols)]
-    for pf in points:
-        xcells = [repr(float(v)) for v in np.atleast_1d(pf.x)]
-        if pf.ok:
-            cells = xcells + [repr(pf.estimate.fitted_value), str(pf.estimate.k_hat), str(pf.k_eff)]
-            cells += [repr(float(v)) for v in pf.estimate.theta_hat] + [""]
+    columns = zip(points.x.tolist(), points.fitted_values.tolist(), points.k_hat.tolist(),
+                  points.k_eff.tolist(), points.theta_hat.tolist())
+    for i, (x, f_hat, k_hat, k_eff, theta) in enumerate(columns):
+        cells = [repr(v) for v in x]
+        if k_eff:
+            cells += [repr(f_hat), str(k_hat), str(k_eff)] + [repr(v) for v in theta] + [""]
         else:
-            cells = xcells + ["", "", str(pf.k_eff)] + [""] * basis.p + [pf.error or "failed"]
+            cells += ["", "", "0"] + [""] * basis.p + [points[i].error]
         lines.append(",".join(cells))
     _write_text(args.out, "\n".join(lines) + "\n")
 
@@ -279,15 +284,12 @@ def cmd_fit(args) -> int:
         grid = np.linspace(float(xs.min()), float(xs.max()), int(args.grid))
         gpoints = fit_curve(data, grid, ladder, basis, noise, cv)
         glines = [_provenance_line(cfg, cv.seed), "x,f_hat,k_hat"]
-        for pf in gpoints:
-            if pf.ok:
-                glines.append(f"{float(pf.x[0])!r},{pf.estimate.fitted_value!r},{pf.estimate.k_hat}")
-            else:
-                glines.append(f"{float(pf.x[0])!r},,")
+        columns = zip(gpoints.x[:, 0].tolist(), gpoints.fitted_values.tolist(), gpoints.k_hat.tolist(),
+                      gpoints.k_eff.tolist())
+        glines += [f"{x!r},{f_hat!r},{k_hat}" if k_eff else f"{x!r},," for x, f_hat, k_hat, k_eff in columns]
         gpath = (os.path.splitext(args.out)[0] + "_grid.csv") if args.out else None
         _write_text(gpath, "\n".join(glines) + "\n")
-    n_failed = sum(0 if pf.ok else 1 for pf in points)
-    log.info("fit %d points (%d failed)", len(points), n_failed)
+    log.info("fit %d points (%d failed)", len(points), int(np.count_nonzero(points.k_eff == 0)))
     return EXIT_OK
 
 
@@ -296,12 +298,14 @@ def cmd_simulate(args) -> int:
     if not cfg:
         raise ParameterDomainError("simulate requires --config with a scenario")
     scene = _scene_from_config(cfg)
+    if args.seed is not None:  # seeds the replicates as well as the inline calibration
+        scene = replace(scene, seed=args.seed)
     basis = _basis_from_config(cfg)
     ladder = _ladder_from_config(cfg, basis.p, args, n=scene.n, default_K=4)  # the scene lives on [0, 1]
     alpha = float(args.alpha if args.alpha is not None else cfg.get("alpha", 1.0))
     r = float(args.r if args.r is not None else cfg.get("r", 0.5))
     replicates = int(cfg.get("replicates", 2000))
-    seed = int(args.seed if args.seed is not None else scene.seed)
+    seed = scene.seed
     mc = int(args.mc if args.mc is not None else cfg.get("mc_size", 5000))
     x_ref = float(cfg.get("x", 0.5))
 

@@ -249,7 +249,7 @@ def _weighted_info(basis: Basis, weights, sigma_model, design_points, x):
 
 
 def _conditioned(B: np.ndarray, active, p: int, min_eig_ratio: float) -> np.ndarray:
-    """Conditioning gate for stacked information matrices (K, p, p).
+    """Conditioning gate for stacked information matrices (..., p, p).
 
     Scale k passes when at least p points carry positive weight and
     lambda_min(B_k) > min_eig_ratio * lambda_max(B_k).
@@ -257,7 +257,7 @@ def _conditioned(B: np.ndarray, active, p: int, min_eig_ratio: float) -> np.ndar
     if not np.all(np.isfinite(B)):
         raise ParameterDomainError("information matrix is not finite; design points and sigma_model must be finite")
     eigs = np.linalg.eigvalsh(B)
-    return (active >= p) & (eigs[:, 0] > min_eig_ratio * np.maximum(eigs[:, -1], 0.0))
+    return (active >= p) & (eigs[..., 0] > min_eig_ratio * np.maximum(eigs[..., -1], 0.0))
 
 
 def _checked_info(basis: Basis, weights, sigma_model, design_points, x, min_eig_ratio: float = MIN_EIG_RATIO):
@@ -328,6 +328,44 @@ def is_nested_binary(weights_list: Sequence[np.ndarray], tol: float = 1e-12) -> 
     return True
 
 
+def stacked_designs(basis: Basis, ladder: ScaleLadder, points, centres, sigma, min_eig_ratio: float = MIN_EIG_RATIO):
+    """All K scales' design objects at G reference points, each on its own slab of L points.
+
+    points (G, L, d) holds each reference point's design points, centres
+    (G, d) the reference points and sigma (G, L) the model standard
+    deviations.  Returns psi (G, p, L), the weights W (G, K, L), PW (G, K, p, L)
+    with PW_k = Psi W_k / sigma^2, the symmetrised B_k = PW_k Psi^T (G, K, p, p)
+    as one stacked product, and per reference point the number of leading
+    scales that pass the conditioning gate (one batched eigenvalue call).
+    Each slab's arithmetic is the same whatever G is, so the results for
+    a reference point do not depend on the others.
+    """
+    G, L, d = points.shape
+    if d != basis.dim:
+        raise ParameterDomainError(f"basis has dim={basis.dim}, points have dim={d}")
+    offsets = points - centres[:, None, :]
+    psi = np.ascontiguousarray(basis._evaluate(offsets.reshape(G * L, d)).reshape(basis.p, G, L).transpose(1, 0, 2))
+    dist = np.linalg.norm(offsets, axis=-1)
+    W = kernel_profile(ladder.kernel, dist[:, None, :] / np.asarray(ladder.bandwidths)[:, None])
+    PW = psi[:, None] * (W / sigma[:, None, :] ** 2)[:, :, None, :]
+    B = PW @ psi.transpose(0, 2, 1)[:, None]
+    B = 0.5 * (B + B.swapaxes(-1, -2))
+    passed = _conditioned(B, np.count_nonzero(W > 0, axis=-1), basis.p, min_eig_ratio)
+    return psi, W, PW, B, np.where(passed.all(axis=-1), ladder.K, passed.argmin(axis=-1))
+
+
+def factor_solve(B_k: np.ndarray, PW_k: np.ndarray):
+    """Cholesky factor c of B_k and D_k = B_k^{-1} PW_k, by direct LAPACK calls.
+
+    D_k comes back in Fortran order.  Returns None when B_k is not positive
+    definite after all; the scale then fails.
+    """
+    c, info = _potrf(B_k, lower=True, clean=False)
+    if info != 0:
+        return None
+    return c, _potrs(c, PW_k, lower=True)[0]
+
+
 class LadderDesign:
     """All per-scale design objects for one reference point.
 
@@ -336,9 +374,9 @@ class LadderDesign:
     order and the ladder is truncated at the first scale that fails the
     conditioning gate, so selection indices stay contiguous.
 
-    All K scales are evaluated together: the weights as one (K, n) array, the
-    B_k as one stacked product and the gate as one batched eigenvalue call.
-    Only the accepted scales are factored and solved.
+    The design is stacked_designs with a batch of one, the builder that
+    fit_curve runs on whole chunks of grid points; only the accepted scales
+    are factored and solved.
     """
 
     def __init__(
@@ -359,29 +397,23 @@ class LadderDesign:
             raise ParameterDomainError("sigma_model and design_points must have equal length")
         if np.any(self.sigma_model <= 0):
             raise ParameterDomainError("sigma_model entries must be positive")
-        self.psi = basis.design_matrix(self.points, self.x)
-
-        dist = np.linalg.norm(self.points - self.x, axis=1)
-        W = kernel_profile(ladder.kernel, dist / np.asarray(ladder.bandwidths)[:, None])  # (K, n)
-        PW = self.psi * (W / self.sigma_model**2)[:, None, :]  # (K, p, n): Psi W_k / sigma^2
-        B = PW @ self.psi.T
-        B = 0.5 * (B + B.transpose(0, 2, 1))
-        passed = _conditioned(B, np.count_nonzero(W > 0, axis=1), basis.p, min_eig_ratio)
+        psi, W, PW, B, k_gate = stacked_designs(
+            basis, ladder, self.points[None], self.x[None], self.sigma_model[None], min_eig_ratio
+        )
+        self.psi = psi[0]
 
         self._chol: list[np.ndarray] = []
         self.D_list: list[np.ndarray] = []
-        for k in range(ladder.K):
-            if not passed[k]:
+        for k in range(k_gate[0]):
+            solved = factor_solve(B[0, k], PW[0, k])
+            if solved is None:
                 break
-            c, info = _potrf(B[k], lower=True, clean=False)
-            if info != 0:  # not positive definite after all: the scale fails
-                break
-            self._chol.append(c)
-            self.D_list.append(_potrs(c, PW[k], lower=True)[0])
+            self._chol.append(solved[0])
+            self.D_list.append(solved[1])
         K_eff = len(self.D_list)
         self.truncated_at: int | None = K_eff + 1 if K_eff < ladder.K else None  # first rejected 1-indexed scale
-        self.weights_list: list[np.ndarray] = list(W[:K_eff])
-        self.B_list: list[np.ndarray] = list(B[:K_eff])
+        self.weights_list: list[np.ndarray] = list(W[0, :K_eff])
+        self.B_list: list[np.ndarray] = list(B[0, :K_eff])
 
     @property
     def K_eff(self) -> int:

@@ -109,6 +109,29 @@ class TestCalibrateFit:
         assert grid[1] == "x,f_hat,k_hat"
         assert len(grid) == 13  # provenance + header + 11 rows
 
+    @pytest.mark.parametrize("grid", ["-5", "0"])
+    def test_nonpositive_grid_rejected_before_output(self, tmp_path, capsys, grid):
+        data = _write_dataset(tmp_path / "d.csv")
+        out = tmp_path / "fit.csv"
+        code = main(["fit", "--data", str(data), "--mc", "1000", "--K", "3", "--grid", grid, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "--grid must be a positive number of points" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "fit_grid.csv").exists()
+
+    def test_grid_on_two_dimensional_data_rejected_before_output(self, tmp_path, capsys):
+        p = tmp_path / "d.csv"
+        rng = np.random.default_rng(2)
+        rows = "".join(f"{a!r},{b!r},{a + 0.1 * e!r},0.1\n" for a, b, e in rng.uniform(0.0, 1.0, (60, 3)).tolist())
+        p.write_text("x1,x2,y,sigma\n" + rows, encoding="utf-8")
+        cv = tmp_path / "cv.json"
+        cv.write_text(json.dumps({"z": [3.0, 3.0], "method": "fixed", "alpha": 1.0, "r": 0.5, "p": 3, "K": 3}),
+                      encoding="utf-8")
+        out = tmp_path / "fit.csv"
+        code = main(["fit", "--data", str(p), "--cv", str(cv), "--K", "3", "--grid", "5", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "--grid needs one-dimensional data" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seeded_jump_fit_matches_golden(self, tmp_path):
         # frozen run: dataset, thresholds and expected output live in tests/data
         import pathlib
@@ -216,6 +239,30 @@ class TestSimulateDiagnose:
             "ladder": {"K": 4, "growth": 1.5}, "basis": {"degree": 0},
         }), encoding="utf-8")
         code = main(["simulate", "--config", str(cfg), "--seed", "-3", "--out", str(tmp_path / "sim.json")])
+        assert code == EXIT_CONFIG
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
+
+    def _simulate_with_cv(self, tmp_path, *flags):
+        cfg, cv = tmp_path / "scenario.json", tmp_path / "cv.json"
+        cfg.write_text(json.dumps({
+            "f": "jump", "n": 150, "x": 0.47,
+            "sigma_model": {"pattern": "constant", "level": 0.25},
+            "seed": 5, "replicates": 400,
+            "ladder": {"K": 4, "growth": 1.5}, "basis": {"degree": 0},
+        }), encoding="utf-8")
+        cv.write_text(json.dumps({"z": [4.0, 4.0, 4.0], "method": "fixed", "alpha": 1.0, "r": 0.5, "p": 1, "K": 4}),
+                      encoding="utf-8")
+        out = tmp_path / "sim.json"
+        out.unlink(missing_ok=True)
+        code = main(["simulate", "--config", str(cfg), "--cv", str(cv), "--out", str(out), *flags])
+        return code, json.loads(out.read_text())["rows"] if code == EXIT_OK else None
+
+    def test_simulate_seed_seeds_replicates_with_cv(self, tmp_path, capsys):
+        _, default = self._simulate_with_cv(tmp_path)
+        assert self._simulate_with_cv(tmp_path, "--seed", "5") == (EXIT_OK, default)  # the scene's seed
+        code, other = self._simulate_with_cv(tmp_path, "--seed", "6")
+        assert code == EXIT_OK and other != default
+        code, _ = self._simulate_with_cv(tmp_path, "--seed", "-3")
         assert code == EXIT_CONFIG
         assert "seed must be a non-negative integer" in capsys.readouterr().err
 

@@ -1,9 +1,9 @@
 """fit_curve fits each point on the observations of its largest window only.
 
 The windowed fits are compared with the same fits built over all n
-observations, and a structural check bounds the size of every design that
-fit_curve builds, so a regression to O(n) work per point fails without any
-timing.
+observations, and structural checks bound the slab of every design that
+fit_curve builds and the memory of a whole curve, so a regression to O(n)
+work per point or to whole-grid stacks fails without any timing.
 """
 
 import numpy as np
@@ -12,7 +12,7 @@ import pytest
 import lpadapt.fll_selector as fll
 from lpadapt.dataset import Dataset
 from lpadapt.fll_selector import adaptive_estimate, fit_curve, select_adaptive
-from lpadapt.local_model import KERNELS, Basis, LadderDesign, NoiseModel, ScaleLadder, kernel_profile
+from lpadapt.local_model import KERNELS, Basis, LadderDesign, NoiseModel, ScaleLadder, kernel_profile, stacked_designs
 
 Z = np.full(3, 3.0)  # low enough that some points stop early
 
@@ -104,7 +104,7 @@ def test_sorted_degree_one_is_bitwise_equal():
 
 
 def test_designs_hold_only_their_window(monkeypatch):
-    """Every design fit_curve builds holds its window's support plus at most 14 padding columns."""
+    """Every slab fit_curve hands the design builder holds its window's support plus at most 14 padding columns."""
     n = 2000
     rng = np.random.default_rng(5)
     x = np.sort(rng.uniform(0.0, 1.0, n))
@@ -112,19 +112,42 @@ def test_designs_hold_only_their_window(monkeypatch):
     ladder = ScaleLadder.geometric(4.0 / n, 5, growth=1.5)
     sizes = []
 
-    class RecordingDesign(LadderDesign):
-        def __init__(self, basis, ladder, design_points, x, sigma_model, *args, **kwargs):
-            super().__init__(basis, ladder, design_points, x, sigma_model, *args, **kwargs)
-            dist = np.abs(self.points[:, 0] - self.x[0])
-            support = int(np.count_nonzero(kernel_profile(ladder.kernel, dist / ladder.bandwidths[-1]) > 0))
-            sizes.append((self.points.shape[0], support))
+    def recording_designs(basis, ladder, points, centres, sigma, *args, **kwargs):
+        dist = np.abs(points[:, :, 0] - centres[:, :1])
+        support = np.count_nonzero(kernel_profile(ladder.kernel, dist / ladder.bandwidths[-1]) > 0, axis=1)
+        sizes.extend((points.shape[1], int(s)) for s in support)
+        return stacked_designs(basis, ladder, points, centres, sigma, *args, **kwargs)
 
-    monkeypatch.setattr(fll, "LadderDesign", RecordingDesign)
+    monkeypatch.setattr(fll, "stacked_designs", recording_designs)
     out = fit_curve(data, x, ladder, Basis.polynomial(1), NoiseModel(sigma_model=data.sigma), np.full(4, 4.0))
     assert all(pf.ok for pf in out)
     assert len(sizes) == n
     assert all(size <= support + 14 for size, support in sizes)
     assert max(size for size, _ in sizes) < n // 10
+
+
+def test_curve_memory_stays_at_chunk_size():
+    """fit_curve stacks one chunk of designs at a time, never the whole grid.
+
+    At n = 6000 with six scales of a local-linear fit, PW alone for every grid
+    point at once would take about 41 MB.
+    """
+    import tracemalloc
+
+    n = 6000
+    rng = np.random.default_rng(1)
+    x = np.linspace(0.0, 1.0, n)
+    sigma = 0.25 * (1.0 + 0.5 * x)
+    data = Dataset(x=x, y=(x >= 0.5) + sigma * rng.standard_normal(n), sigma=sigma)
+    ladder = ScaleLadder.geometric(8.0 / (2 * n), 6, growth=1.5)
+    tracemalloc.start()
+    try:
+        out = fit_curve(data, x, ladder, Basis.polynomial(1), NoiseModel(sigma_model=sigma), np.full(5, 4.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out) == n and np.all(out.k_eff == 6)
+    assert peak < 12e6
 
 
 def test_fit_point_is_one_row_of_fit_curve():
