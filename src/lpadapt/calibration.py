@@ -88,10 +88,16 @@ class CriticalValues:
 
     @classmethod
     def from_json(cls, text: str) -> "CriticalValues":
-        obj = json.loads(text)
-        fields = {k: obj[k] for k in ("z", "method", "alpha", "r", "p", "K", "mu", "seed", "mc_size") if k in obj}
-        fields["z"] = tuple(float(v) for v in fields["z"])
-        return cls(**fields)
+        """Parse to_json output; unknown keys are ignored, malformed input raises ParameterDomainError."""
+        try:
+            obj = json.loads(text)
+            fields = {k: obj[k] for k in ("z", "method", "alpha", "r", "p", "K", "mu", "seed", "mc_size") if k in obj}
+            fields["z"] = tuple(float(v) for v in fields["z"])
+            return cls(**fields)
+        except ParameterDomainError:
+            raise
+        except (ValueError, KeyError, TypeError) as exc:  # bad JSON, a missing field or a non-numeric z
+            raise ParameterDomainError(f"malformed critical values: {type(exc).__name__}: {exc}") from exc
 
 
 def _cv_terms(p: int, r: float, K: int, alpha: float, u: float, mu: float) -> tuple[np.ndarray, float]:

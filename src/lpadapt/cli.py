@@ -22,15 +22,7 @@ import numpy as np
 from . import __version__
 from .calibration import CriticalValues, mc_calibrate, theoretical_cv, validate_pc
 from .dataset import Dataset
-from .exceptions import (
-    CalibrationFailedError,
-    LpAdaptError,
-    MissingColumnError,
-    ParameterDomainError,
-    ParseError,
-    SingularDesignError,
-    SingularJointCovarianceError,
-)
+from .exceptions import LpAdaptError, MissingColumnError, ParameterDomainError, ParseError
 from .fll_selector import fit_curve
 from .local_model import Basis, LadderDesign, ScaleLadder
 from .oracle_diagnostics import build_oracle_report
@@ -202,6 +194,8 @@ def cmd_calibrate(args) -> int:
     seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
     mc = int(args.mc if args.mc is not None else cfg.get("mc_size", 20000))
     method = cfg.get("method", "monte_carlo")
+    if method not in ("monte_carlo", "theoretical"):
+        raise ParameterDomainError(f"unknown calibration method {method!r}; choose monte_carlo or theoretical")
 
     if args.data:
         data = ingest_csv(args.data)
@@ -425,7 +419,7 @@ def main(argv=None) -> int:
         log.error("configuration error: %s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SingularDesignError, SingularJointCovarianceError, CalibrationFailedError, LpAdaptError) as exc:
+    except LpAdaptError as exc:  # every other package error is a numeric failure
         log.error("numeric failure: %s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -5,14 +5,6 @@ class LpAdaptError(Exception):
     """Base class for all package-specific errors."""
 
 
-class SingularDesignError(LpAdaptError):
-    """Local design matrix is rank-deficient or too ill-conditioned to use."""
-
-
-class ScaleOrderError(LpAdaptError, ValueError):
-    """Pairwise statistic requested with indices out of order (l >= m)."""
-
-
 class SingularJointCovarianceError(LpAdaptError):
     """Stacked covariance matrix cannot be factorized."""
 

@@ -19,16 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .exceptions import ParameterDomainError, ScaleOrderError
+from .exceptions import ParameterDomainError
 from .local_model import Basis, LocalFit, NoiseModel, ScaleLadder, factor_solve, stacked_designs
-
-
-def fll_statistic(fit_l: LocalFit, fit_m: LocalFit) -> float:
-    """Quadratic-form statistic between two fits, weighted by the smaller-scale B."""
-    if fit_l.k >= fit_m.k:
-        raise ScaleOrderError(f"need l < m, got l={fit_l.k}, m={fit_m.k}")
-    d = fit_l.theta - fit_m.theta
-    return max(float(d @ fit_l.B @ d), 0.0)
 
 
 def pair_statistics(theta: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -124,15 +116,8 @@ class AdaptiveEstimate:
     psi0: np.ndarray  # basis at zero offset, for the fitted value
 
     @property
-    def p(self) -> int:
-        return self.theta_hat.size
-
-    @property
     def fitted_value(self) -> float:
         return float(self.theta_hat @ self.psi0)
-
-    def component(self, j: int) -> float:
-        return componentwise(self, j)
 
 
 def adaptive_estimate(fits: Sequence[LocalFit], trace: SelectionTrace, basis: Basis) -> AdaptiveEstimate:
@@ -143,14 +128,6 @@ def adaptive_estimate(fits: Sequence[LocalFit], trace: SelectionTrace, basis: Ba
         stepwise=steps,
         psi0=basis.evaluate(np.zeros(basis.dim)),
     )
-
-
-def componentwise(estimate: AdaptiveEstimate, j: int) -> float:
-    """j-th coefficient (1-indexed); for the polynomial basis in d=1 this is
-    the estimate of the (j-1)-th derivative at the reference point."""
-    if not 1 <= j <= estimate.p:
-        raise IndexError(f"component {j} outside 1..{estimate.p}")
-    return float(estimate.theta_hat[j - 1])
 
 
 @dataclass

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigvalsh, get_lapack_funcs
+from scipy.linalg import eigvalsh, get_lapack_funcs
 
-from .exceptions import ParameterDomainError, SingularDesignError
+from .exceptions import ParameterDomainError
 
 # LAPACK Cholesky factor and solve, the routines behind scipy's cho_factor and
 # cho_solve, called without the wrappers' per-call checks
@@ -131,10 +131,6 @@ class Basis:
             raise ParameterDomainError(f"basis has dim={self.dim}, points have dim={pts.shape[1]}")
         return self._evaluate(pts - xv)
 
-    def fitted_value(self, theta: np.ndarray) -> float:
-        """sum_j theta_j psi_j(0); first coefficient for the polynomial kind."""
-        return float(np.dot(np.asarray(theta, dtype=float), self.evaluate(np.zeros(self.dim))))
-
 
 @dataclass(frozen=True)
 class ScaleLadder:
@@ -234,20 +230,6 @@ class LocalFit:
     k: int
 
 
-def _weighted_info(basis: Basis, weights, sigma_model, design_points, x):
-    """Return (Psi, wsig, B) with wsig = w_i / sigma_i^2 and B = Psi diag(wsig) Psi^T."""
-    w = np.asarray(weights, dtype=float)
-    sig = np.asarray(sigma_model, dtype=float)
-    psi = basis.design_matrix(design_points, x)
-    if not (w.shape[0] == sig.shape[0] == psi.shape[1]):
-        raise ParameterDomainError("weights, sigma_model and design_points must have equal length")
-    if np.any(sig <= 0):
-        raise ParameterDomainError("sigma_model entries must be positive")
-    wsig = w / sig**2
-    B = (psi * wsig) @ psi.T
-    return psi, wsig, 0.5 * (B + B.T)
-
-
 def _conditioned(B: np.ndarray, active, p: int, min_eig_ratio: float) -> np.ndarray:
     """Conditioning gate for stacked information matrices (..., p, p).
 
@@ -258,50 +240,6 @@ def _conditioned(B: np.ndarray, active, p: int, min_eig_ratio: float) -> np.ndar
         raise ParameterDomainError("information matrix is not finite; design points and sigma_model must be finite")
     eigs = np.linalg.eigvalsh(B)
     return (active >= p) & (eigs[..., 0] > min_eig_ratio * np.maximum(eigs[..., -1], 0.0))
-
-
-def _checked_info(basis: Basis, weights, sigma_model, design_points, x, min_eig_ratio: float = MIN_EIG_RATIO):
-    """_weighted_info for one scale, raising SingularDesignError when B fails the gate."""
-    psi, wsig, B = _weighted_info(basis, weights, sigma_model, design_points, x)
-    active = int(np.count_nonzero(np.asarray(weights, dtype=float) > 0))
-    if not _conditioned(B[None], active, basis.p, min_eig_ratio)[0]:
-        raise SingularDesignError(
-            f"design fails the conditioning gate: {active} active points for p={basis.p}, "
-            f"or lambda_min(B) <= {min_eig_ratio:g} lambda_max(B)"
-        )
-    return psi, wsig, B
-
-
-def build_B(basis: Basis, weights, sigma_model, design_points, x, min_eig_ratio: float = MIN_EIG_RATIO) -> np.ndarray:
-    """Weighted information matrix sum_i Psi_i Psi_i^T w_i / sigma_i^2.
-
-    Raises SingularDesignError when fewer than p points carry positive
-    weight or when lambda_min(B) <= min_eig_ratio * lambda_max(B).
-    """
-    return _checked_info(basis, weights, sigma_model, design_points, x, min_eig_ratio)[2]
-
-
-def qmle(basis: Basis, weights, sigma_model, design_points, x, y, scale: int = 1) -> LocalFit:
-    """Weighted least-squares coefficients solving B theta = Psi W y.
-
-    The estimator is linear in y; the solve uses a Cholesky factorization
-    of B.  Propagates SingularDesignError from the conditioning gate.
-    """
-    psi, wsig, B = _checked_info(basis, weights, sigma_model, design_points, x)
-    rhs = psi @ (wsig * np.asarray(y, dtype=float))
-    theta = cho_solve(cho_factor(B, lower=True), rhs)
-    return LocalFit(theta=theta, B=B, k=scale)
-
-
-def pseudo_true_parameter(basis: Basis, weights, sigma_model, design_points, x, f_values, scale: int = 1) -> np.ndarray:
-    """Best local approximation coefficients: the fit applied to noiseless data."""
-    return qmle(basis, weights, sigma_model, design_points, x, f_values, scale=scale).theta
-
-
-def propagator(basis: Basis, weights, sigma_model, design_points, x) -> np.ndarray:
-    """Linear map D = B^{-1} Psi W taking observations to coefficients; shape (p, n)."""
-    psi, wsig, B = _checked_info(basis, weights, sigma_model, design_points, x)
-    return cho_solve(cho_factor(B, lower=True), psi * wsig)
 
 
 def growth_bounds(B_list: Sequence[np.ndarray]) -> tuple[float, float]:

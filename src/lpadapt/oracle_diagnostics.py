@@ -25,7 +25,7 @@ from .exceptions import (
     ParameterDomainError,
     SingularJointCovarianceError,
 )
-from .local_model import Basis, LadderDesign, NoiseModel, build_B, is_nested_binary
+from .local_model import Basis, LadderDesign, NoiseModel, is_nested_binary
 
 
 def joint_covariance(d_blocks: Sequence[np.ndarray], variances) -> np.ndarray:
@@ -281,35 +281,26 @@ def tightest_sj(Sigma_full: np.ndarray, p: int, j: int) -> float:
     return best
 
 
-def wilks_spectrum(
-    basis: Basis,
-    weights,
-    sigma_model,
-    sigma_true,
-    design_points,
-    x,
-    tol: float = 1e-8,
-) -> np.ndarray:
-    """Nonzero eigenvalues of S = Sigma0^{1/2} W Psi^T B^{-1} Psi W Sigma0^{1/2}.
+def wilks_spectrum(ld: LadderDesign, k: int, sigma_true, tol: float = 1e-8) -> np.ndarray:
+    """Nonzero eigenvalues of S = Sigma0^{1/2} W_k Psi^T B_k^{-1} Psi W_k Sigma0^{1/2} at scale k of ld.
 
     Computed on the p x p similarity B^{-1/2} (Psi W Sigma0 W Psi^T) B^{-1/2}
-    to avoid the n x n eigenproblem.  Guards that the projector trace equals
-    p and that the largest eigenvalue respects the 1 + delta cap.
+    to avoid the n x n eigenproblem.  Guards that the projector trace
+    tr(D_k Psi^T) equals p and that the largest eigenvalue respects the
+    1 + delta cap.
     """
-    w = np.asarray(weights, dtype=float)
-    sig = np.asarray(sigma_model, dtype=float)
+    B, psi, w, sig = ld.B_list[k - 1], ld.psi, ld.weights_list[k - 1], ld.sigma_model
     sig0 = np.asarray(sigma_true, dtype=float)
-    B = build_B(basis, w, sig, design_points, x)
-    psi = basis.design_matrix(design_points, x)
 
     evals_B, vecs = eigh(B)
     B_inv_half = vecs @ np.diag(evals_B**-0.5) @ vecs.T
     M = (psi * (w**2 * sig0**2 / sig**4)) @ psi.T
     lam = eigvalsh(B_inv_half @ M @ B_inv_half)[::-1]
 
-    proj_trace = float(np.trace(cho_solve(cho_factor(B, lower=True), (psi * (w / sig**2)) @ psi.T)))
-    if abs(proj_trace - basis.p) > tol * max(1.0, basis.p):
-        raise LpAdaptError(f"projector trace {proj_trace} != p={basis.p}")
+    p = ld.basis.p
+    proj_trace = float(np.trace(ld.D_list[k - 1] @ psi.T))
+    if abs(proj_trace - p) > tol * max(1.0, p):
+        raise LpAdaptError(f"projector trace {proj_trace} != p={p}")
     delta = float(np.max(np.abs((sig0 / sig) ** 2 - 1.0)))
     if lam[0] > (1.0 + delta) * (1.0 + tol) + tol:
         raise LpAdaptError(f"largest eigenvalue {lam[0]:.6g} exceeds 1 + delta = {1 + delta:.6g}")

@@ -178,6 +178,8 @@ def risk_experiment(
     across replicates, so no replicate can fail; the exclusion counter is
     kept for the output contract.
     """
+    if replicates < 1:
+        raise ParameterDomainError(f"replicates must be >= 1, got {replicates}")
     ld = LadderDesign(basis, ladder, scene.design_points(), x, scene.sigma_model_values())
     K, p = ld.K_eff, basis.p
     if K < 2:

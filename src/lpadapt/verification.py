@@ -26,6 +26,7 @@ from .dataset import Dataset
 from .exceptions import LpAdaptError, ParameterDomainError
 from .local_model import Basis, LadderDesign, ScaleLadder
 from .oracle_diagnostics import boxcar_determinant, joint_covariance, kl_joint, wilks_spectrum
+from .sim_harness import ladder_for
 
 
 @dataclass
@@ -52,6 +53,13 @@ def _random_boxcar_scene(rng: np.random.Generator, p: int, k: int, n: int = 60):
     ladder = ScaleLadder(tuple(bands), kernel="boxcar")
     basis = Basis.polynomial(p - 1, dim=1)
     return basis, ladder, pts, x, sigma
+
+
+def _unit_design(p: int, n: int, K: int, growth: float, kernel: str = "boxcar"):
+    """n equidistant points on [0, 1] with unit model noise, and their ladder design at 0.5."""
+    pts = np.linspace(0.0, 1.0, n)
+    ladder = ladder_for(n, p, K, growth=growth, kernel=kernel)
+    return LadderDesign(Basis.polynomial(p - 1, dim=1), ladder, pts, 0.5, np.ones(n)), pts
 
 
 def check_determinant_identity(seed: int = 11, trials: int = 20, tol: float = 1e-8) -> CheckResult:
@@ -106,13 +114,9 @@ def check_wilks(
 ) -> CheckResult:
     """Known noise, boxcar: spectrum is p ones and the MC mean of the
     likelihood-ratio form matches its trace within 4 standard errors."""
-    basis = Basis.polynomial(p - 1, dim=1)
-    pts = np.linspace(0.0, 1.0, n)
-    ladder = ScaleLadder.geometric(max(4 * p, 8) / (2.0 * n), 3, growth=1.6, kernel=kernel)
-    sigma = np.ones(n)
-    ld = LadderDesign(basis, ladder, pts, 0.5, sigma)
-    k = ld.K_eff
-    lam = wilks_spectrum(basis, ld.weights_list[k - 1], sigma, sigma, pts, 0.5)
+    ld, _ = _unit_design(p, n, 3, 1.6, kernel)
+    k, sigma = ld.K_eff, ld.sigma_model
+    lam = wilks_spectrum(ld, k, sigma)
     spectrum_ok = bool(np.max(np.abs(lam - 1.0)) <= 1e-10) if kernel == "boxcar" else bool(lam[0] <= 1.0 + 1e-10)
     forms = _wilks_forms(ld, sigma, k, replicates, seed)
     se = forms.std(ddof=1) / math.sqrt(replicates)
@@ -133,13 +137,8 @@ def check_domination(
     z_grid=(1.0, 2.0, 4.0, 8.0, 16.0),
 ) -> CheckResult:
     """P{form >= z} <= P{chi^2_p >= z/(1+delta)} + 3 SE on the z grid."""
-    basis = Basis.polynomial(p - 1, dim=1)
-    pts = np.linspace(0.0, 1.0, n)
-    ladder = ScaleLadder.geometric(max(4 * p, 8) / (2.0 * n), 3, growth=1.6, kernel="boxcar")
-    sigma = np.ones(n)
-    var0 = 1.0 + delta * np.sin(2.0 * np.pi * pts + 0.3)
-    sigma0 = np.sqrt(var0)
-    ld = LadderDesign(basis, ladder, pts, 0.5, sigma)
+    ld, pts = _unit_design(p, n, 3, 1.6)
+    sigma0 = np.sqrt(1.0 + delta * np.sin(2.0 * np.pi * pts + 0.3))
     forms = _wilks_forms(ld, sigma0, ld.K_eff, replicates, seed)
     worst = -1.0
     for z in z_grid:
@@ -159,12 +158,8 @@ def check_quasi_parametric_moment(
     seed: int = 15,
 ) -> CheckResult:
     """E|form|^r <= (1+delta)^r C(p,r) within 3 relative standard errors."""
-    basis = Basis.polynomial(p - 1, dim=1)
-    pts = np.linspace(0.0, 1.0, n)
-    ladder = ScaleLadder.geometric(max(4 * p, 8) / (2.0 * n), 3, growth=1.6, kernel="boxcar")
-    sigma = np.ones(n)
+    ld, pts = _unit_design(p, n, 3, 1.6)
     sigma0 = np.sqrt(1.0 + delta * np.sin(2.0 * np.pi * pts))
-    ld = LadderDesign(basis, ladder, pts, 0.5, sigma)
     powered = _wilks_forms(ld, sigma0, ld.K_eff, replicates, seed) ** r
     mean = powered.mean()
     rel_se = powered.std(ddof=1) / math.sqrt(replicates) / mean
@@ -211,14 +206,10 @@ def check_pc_theoretical(
     seed: int = 17,
 ) -> CheckResult:
     """Analytic thresholds satisfy the empirical moment conditions."""
-    basis = Basis.polynomial(p - 1, dim=1)
-    pts = np.linspace(0.0, 1.0, n)
-    ladder = ScaleLadder.geometric(max(4 * p, 8) / (2.0 * n), K, growth=1.5, kernel="boxcar")
-    sigma = np.ones(n)
-    ld = LadderDesign(basis, ladder, pts, 0.5, sigma)
+    ld, pts = _unit_design(p, n, K, 1.5)
     _, u_hat = ld.growth_bounds()
     cv = theoretical_cv(p, r, ld.K_eff, alpha, u_hat)
-    report = validate_pc(cv, basis, ladder, sigma, pts, 0.5, mc_size, seed)
+    report = validate_pc(cv, ld.basis, ld.ladder, ld.sigma_model, pts, 0.5, mc_size, seed)
     detail = "; ".join(f"k={e.k}: {e.moment:.4f}<= {e.bound:.4f}" for e in report.entries)
     return _result("pc_theoretical", report.passed, detail)
 
@@ -232,12 +223,8 @@ def check_pair_tail_bounds(
     z_grid=(2.0, 4.0, 8.0, 16.0),
 ) -> CheckResult:
     """Pairwise-statistic tails dominated by chi^2 at the growth-bound scales."""
-    basis = Basis.polynomial(p - 1, dim=1)
-    pts = np.linspace(0.0, 1.0, n)
-    ladder = ScaleLadder.geometric(max(4 * p, 8) / (2.0 * n), 4, growth=1.5, kernel="boxcar")
-    sigma = np.ones(n)
+    ld, pts = _unit_design(p, n, 4, 1.5)
     sigma0 = np.sqrt(1.0 + delta * np.sin(2.0 * np.pi * pts))
-    ld = LadderDesign(basis, ladder, pts, 0.5, sigma)
     K = ld.K_eff
     u0_hat, u_hat = ld.growth_bounds()
     ens = SelectionEnsemble.draw(ld, replicates, seed, sigma0)
@@ -264,12 +251,8 @@ def check_pair_moment_bounds(
     seed: int = 19,
 ) -> CheckResult:
     """Exponential and polynomial moment bounds for the pairwise statistics."""
-    basis = Basis.polynomial(p - 1, dim=1)
-    pts = np.linspace(0.0, 1.0, n)
-    ladder = ScaleLadder.geometric(max(4 * p, 8) / (2.0 * n), 4, growth=1.5, kernel="boxcar")
-    sigma = np.ones(n)
+    ld, pts = _unit_design(p, n, 4, 1.5)
     sigma0 = np.sqrt(1.0 + delta * np.sin(2.0 * np.pi * pts))
-    ld = LadderDesign(basis, ladder, pts, 0.5, sigma)
     K = ld.K_eff
     u0_hat, u_hat = ld.growth_bounds()
     ens = SelectionEnsemble.draw(ld, replicates, seed, sigma0)
@@ -297,12 +280,8 @@ def check_stacked_covariance(
     seed: int = 20,
 ) -> CheckResult:
     """Empirical covariance of the stacked estimators matches the joint law."""
-    basis = Basis.polynomial(p - 1, dim=1)
-    pts = np.linspace(0.0, 1.0, n)
-    ladder = ScaleLadder.geometric(max(4 * p, 8) / (2.0 * n), 3, growth=1.6, kernel="boxcar")
-    sigma = np.ones(n)
+    ld, pts = _unit_design(p, n, 3, 1.6)
     sigma0 = np.sqrt(1.0 + delta * np.sin(2.0 * np.pi * pts + 0.5))
-    ld = LadderDesign(basis, ladder, pts, 0.5, sigma)
     S0 = joint_covariance(ld.D_list, sigma0**2)
     cols = ld.support
     eps = noise_matrix(seed, replicates, n, cols)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -26,14 +28,19 @@ def standard_ladder_design(standard_scene):
     return LadderDesign(basis, ladder, points, 0.5, sigma)
 
 
-def random_design(rng, n=40, p=2, kernel="boxcar", K=3):
-    """Small random scene usable by several suites."""
-    pts = np.sort(rng.uniform(0.0, 1.0, n))
-    x = float(rng.uniform(0.4, 0.6))
-    sigma = rng.uniform(0.5, 1.5, n)
-    dist = np.sort(np.abs(pts - x))
-    counts = [min(max(3 * p, 4) * 2**j, n - 1) for j in range(K)]
-    bands = tuple(float(0.5 * (dist[c - 1] + dist[c])) for c in counts)
-    ladder = ScaleLadder(bands, kernel=kernel)
-    basis = Basis.polynomial(p - 1, dim=1)
-    return basis, ladder, pts, x, sigma
+def poly_design(pts, x, degree):
+    """(n, degree + 1) design with columns (t - x)^j / j!, built without lpadapt."""
+    u = np.asarray(pts, dtype=float) - x
+    return np.column_stack([u**j / math.factorial(j) for j in range(degree + 1)])
+
+
+def dense_wls(A, w, sigma, y):
+    """Weighted least squares from first principles, as perfbench/checks.py dense_fit does.
+
+    Solves min sum_i w_i (y_i - A_i theta)^2 / sigma_i^2 with numpy lstsq over
+    the rows of positive weight.  Returns theta and B = sum_i A_i A_i^T w_i / sigma_i^2.
+    """
+    keep = np.asarray(w) > 0
+    root = np.sqrt(w[keep]) / sigma[keep]
+    Aw = A[keep] * root[:, None]
+    return np.linalg.lstsq(Aw, np.asarray(y, dtype=float)[keep] * root, rcond=None)[0], Aw.T @ Aw

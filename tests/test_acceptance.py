@@ -31,8 +31,6 @@ from lpadapt.oracle_diagnostics import (
 from lpadapt.sim_harness import Scene, SigmaSpec, delta_sweep, ladder_for, risk_experiment
 from lpadapt.verification import _random_boxcar_scene, _wilks_forms
 
-from conftest import random_design
-
 
 def _report(tag: str, passed: bool, detail: str):
     print(f"[{tag}] {'PASS' if passed else 'FAIL'}: {detail}")
@@ -85,7 +83,7 @@ def test_A3_wilks_identity():
         sigma = np.ones(n)
         ld = LadderDesign(basis, ladder, pts, 0.5, sigma)
         k = ld.K_eff
-        lam = wilks_spectrum(basis, ld.weights_list[k - 1], sigma, sigma, pts, 0.5)
+        lam = wilks_spectrum(ld, k, sigma)
         gap = float(np.max(np.abs(lam - 1.0)))
         worst_gap = max(worst_gap, gap)
         assert lam.size == p
@@ -182,7 +180,7 @@ def test_A7_kl_sandwich():
     for trial in range(100):
         p = int(rng.integers(1, 3))
         k = int(rng.integers(2, 5))
-        basis, ladder, pts, x, sigma = random_design(rng, n=60, p=p, K=k)
+        basis, ladder, pts, x, sigma = _random_boxcar_scene(rng, p, k, n=60)
         delta = float(rng.uniform(0.0, 0.3))
         sigma0 = sigma * np.sqrt(1.0 + delta * rng.uniform(-1.0, 1.0, sigma.size))
         ld = LadderDesign(basis, ladder, pts, x, sigma)

@@ -107,6 +107,19 @@ class TestCriticalValuesType:
         cv = CriticalValues.from_json(json.dumps(obj))
         assert cv.z == (2.0,)
 
+    @pytest.mark.parametrize("text", [
+        "{not json",
+        "[4.0, 4.0]",
+        '{"method": "fixed", "alpha": 1.0, "r": 0.5, "p": 1, "K": 3}',
+        '{"z": [4.0, "high"], "method": "fixed", "alpha": 1.0, "r": 0.5, "p": 1, "K": 3}',
+        '{"z": 4.0, "method": "fixed", "alpha": 1.0, "r": 0.5, "p": 1, "K": 2}',
+        '{"z": [4.0, 4.0], "method": "fixed", "alpha": 1.0, "r": 0.5, "p": 1}',
+        '{"z": [4.0, 4.0], "alpha": 1.0, "r": 0.5, "p": 1, "K": 3}',
+    ], ids=["not_json", "json_list", "no_z", "text_in_z", "scalar_z", "no_K", "no_method"])
+    def test_malformed_json_rejected(self, text):
+        with pytest.raises(ParameterDomainError, match="malformed critical values"):
+            CriticalValues.from_json(text)
+
     def test_validation(self):
         with pytest.raises(ParameterDomainError):
             CriticalValues(z=(1.0,), method="monte_carlo", alpha=1.0, r=0.5, p=1, K=3)

@@ -172,6 +172,32 @@ class TestCalibrateFit:
         assert "seed must be a non-negative integer" in capsys.readouterr().err
         assert not (tmp_path / "cv.json").exists()
 
+    @pytest.mark.parametrize("cv_text", [
+        "{not json",
+        '{"method": "fixed", "alpha": 1.0, "r": 0.5, "p": 2, "K": 3}',
+        '{"z": [3.0, 3.0], "alpha": 1.0, "r": 0.5, "p": 2, "K": 3}',
+        '{"z": [3.0, 3.0], "method": "fixed", "r": 0.5, "p": 2}',
+    ], ids=["not_json", "no_z", "no_method", "no_alpha_K"])
+    def test_malformed_cv_file_exit_code(self, tmp_path, capsys, cv_text):
+        data = _write_dataset(tmp_path / "d.csv")
+        cv = tmp_path / "cv.json"
+        cv.write_text(cv_text, encoding="utf-8")
+        out = tmp_path / "fit.csv"
+        assert main(["fit", "--data", str(data), "--cv", str(cv), "--K", "3", "--out", str(out)]) == EXIT_CONFIG
+        errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+        assert len(errors) == 1 and "malformed critical values" in errors[0]
+        assert not out.exists()
+
+    def test_unknown_calibration_method_exit_code(self, tmp_path, capsys):
+        data = _write_dataset(tmp_path / "d.csv")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"method": "theoretic"}), encoding="utf-8")
+        out = tmp_path / "cv.json"
+        code = main(["calibrate", "--data", str(data), "--config", str(cfg), "--mc", "1000", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "unknown calibration method 'theoretic'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_csv_exit_code(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("x,y,sigma\n0,nan,1\n", encoding="utf-8")
@@ -265,6 +291,21 @@ class TestSimulateDiagnose:
         code, _ = self._simulate_with_cv(tmp_path, "--seed", "-3")
         assert code == EXIT_CONFIG
         assert "seed must be a non-negative integer" in capsys.readouterr().err
+
+    def test_simulate_zero_replicates_exit_code(self, tmp_path, capsys):
+        cfg, cv = tmp_path / "scenario.json", tmp_path / "cv.json"
+        cfg.write_text(json.dumps({
+            "f": "jump", "n": 150, "x": 0.47,
+            "sigma_model": {"pattern": "constant", "level": 0.25},
+            "seed": 5, "replicates": 0,
+            "ladder": {"K": 4, "growth": 1.5}, "basis": {"degree": 0},
+        }), encoding="utf-8")
+        cv.write_text(json.dumps({"z": [4.0, 4.0, 4.0], "method": "fixed", "alpha": 1.0, "r": 0.5, "p": 1, "K": 4}),
+                      encoding="utf-8")
+        out = tmp_path / "sim.json"
+        assert main(["simulate", "--config", str(cfg), "--cv", str(cv), "--out", str(out)]) == EXIT_CONFIG
+        assert "replicates must be >= 1" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "sim.csv").exists()
 
     def test_simulate_requires_config(self):
         assert main(["simulate"]) == EXIT_CONFIG

@@ -2,19 +2,17 @@ import numpy as np
 import pytest
 
 from lpadapt.dataset import Dataset
-from lpadapt.exceptions import ScaleOrderError
 from lpadapt.fll_selector import (
-    AdaptiveEstimate,
     adaptive_estimate,
-    componentwise,
     fit_curve,
     fit_point,
-    fll_statistic,
+    pair_statistics,
     select_adaptive,
 )
 from lpadapt.local_model import Basis, LadderDesign, LocalFit, NoiseModel, ScaleLadder
+from lpadapt.verification import _random_boxcar_scene
 
-from conftest import random_design
+from conftest import dense_wls
 
 
 def _fits_from_thetas(thetas, B=None):
@@ -25,28 +23,24 @@ def _fits_from_thetas(thetas, B=None):
 
 class TestFllStatistic:
     def test_zero_difference(self):
-        fits = _fits_from_thetas([[1.0, 2.0], [1.0, 2.0]])
-        assert fll_statistic(fits[0], fits[1]) == 0.0
+        T = pair_statistics(np.array([[[1.0, 2.0], [1.0, 2.0]]]), np.stack([np.eye(2)] * 2)[None])
+        assert T[0, 1, 0] == 0.0
 
     def test_scalar_case(self):
-        fl = LocalFit(theta=np.array([1.0]), B=np.array([[4.0]]), k=1)
-        fm = LocalFit(theta=np.array([0.5]), B=np.array([[9.0]]), k=2)
-        assert fll_statistic(fl, fm) == pytest.approx(1.0)  # 4 * 0.25, B from the smaller scale
-
-    def test_order_enforced(self):
-        fits = _fits_from_thetas([[0.0], [1.0]])
-        with pytest.raises(ScaleOrderError):
-            fll_statistic(fits[1], fits[0])
-        with pytest.raises(ScaleOrderError):
-            fll_statistic(fits[0], fits[0])
+        T = pair_statistics(np.array([[[1.0], [0.5]]]), np.array([[[[4.0]], [[9.0]]]]))
+        assert T[0, 1, 0] == pytest.approx(1.0)  # 4 * 0.25, B from the smaller scale
 
     def test_matches_direct_likelihood_difference(self, rng):
-        # oracle: T = 2 (L(W_l, theta_l) - L(W_l, theta_m)) evaluated from raw data
-        basis, ladder, pts, x, sigma = random_design(rng, n=45, p=3, K=3)
+        # oracle: T = 2 (L(W_l, theta_l) - L(W_l, theta_m)) evaluated from raw data,
+        # with each theta_k refitted by dense weighted least squares
+        basis, ladder, pts, x, sigma = _random_boxcar_scene(rng, 3, 3, n=45)
         ld = LadderDesign(basis, ladder, pts, x, sigma)
         y = np.sin(4 * pts) + 0.3 * rng.standard_normal(pts.size)
-        fits = ld.fit(y)
         psi = basis.design_matrix(pts, x)
+        thetas = [dense_wls(psi.T, w, sigma, y)[0] for w in ld.weights_list]
+        T = pair_statistics(ld.fit_stacked(y[None]), np.stack(ld.B_list)[None])[..., 0]
+        data, noise = Dataset(x=pts, y=y, sigma=sigma), NoiseModel(sigma_model=sigma)
+        T_curve = fit_curve(data, np.array([x]), ladder, basis, noise, np.full(2, np.inf)).T[..., 0]
 
         def loglik(k, theta):
             resid = y - psi.T @ theta
@@ -54,9 +48,9 @@ class TestFllStatistic:
 
         for l in range(1, 4):
             for m in range(l + 1, 4):
-                t = fll_statistic(fits[l - 1], fits[m - 1])
-                oracle = 2.0 * (loglik(l, fits[l - 1].theta) - loglik(l, fits[m - 1].theta))
-                assert t == pytest.approx(oracle, abs=1e-8)
+                oracle = 2.0 * (loglik(l, thetas[l - 1]) - loglik(l, thetas[m - 1]))
+                assert T[l - 1, m - 1] == pytest.approx(oracle, abs=1e-8)
+                assert T_curve[l - 1, m - 1] == pytest.approx(oracle, abs=1e-8)
 
 
 class TestSelectAdaptive:
@@ -111,17 +105,6 @@ class TestSelectAdaptive:
 
 
 class TestComponentwise:
-    def test_trivial(self):
-        est = AdaptiveEstimate(
-            theta_hat=np.array([2.0, 3.0]), k_hat=1, stepwise=np.array([[2.0, 3.0]]), psi0=np.array([1.0, 0.0])
-        )
-        assert componentwise(est, 1) == 2.0
-        assert componentwise(est, 2) == 3.0
-        with pytest.raises(IndexError):
-            componentwise(est, 3)
-        with pytest.raises(IndexError):
-            componentwise(est, 0)
-
     def test_second_derivative_of_quadratic(self):
         # noiseless quadratic: third coefficient is f''(x) for the degree-2 basis
         basis = Basis.polynomial(2)
@@ -133,13 +116,13 @@ class TestComponentwise:
         data = Dataset(x=pts, y=f, sigma=np.ones(60))
         pf = fit_point(data, x, ladder, basis, NoiseModel(sigma_model=np.ones(60)), np.full(2, 1.0))
         assert pf.estimate.k_hat == 3  # all statistics vanish on noiseless in-model data
-        assert componentwise(pf.estimate, 3) == pytest.approx(2.0 * c, abs=1e-8)
+        assert pf.estimate.theta_hat[2] == pytest.approx(2.0 * c, abs=1e-8)
         assert pf.estimate.fitted_value == pytest.approx(a, abs=1e-9)
 
 
 class TestPivotality:
     def test_shift_leaves_statistics_invariant(self, rng):
-        basis, ladder, pts, x, sigma = random_design(rng, n=50, p=2, K=4)
+        basis, ladder, pts, x, sigma = _random_boxcar_scene(rng, 2, 4, n=50)
         ld = LadderDesign(basis, ladder, pts, x, sigma)
         psi = basis.design_matrix(pts, x)
         z = np.array([3.0, 2.0, 1.0])
@@ -168,7 +151,7 @@ class TestFitCurve:
             assert pf.estimate.k_hat == pf.k_eff  # all statistics vanish
 
     def test_single_point_matches_manual(self, rng):
-        basis, ladder, pts, x, sigma = random_design(rng, n=50, p=2, K=3)
+        basis, ladder, pts, x, sigma = _random_boxcar_scene(rng, 2, 3, n=50)
         y = np.cos(3 * pts) + 0.2 * rng.standard_normal(50)
         data = Dataset(x=pts, y=y, sigma=sigma)
         noise = NoiseModel(sigma_model=sigma)

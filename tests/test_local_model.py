@@ -3,21 +3,33 @@ import math
 import numpy as np
 import pytest
 
-from lpadapt.exceptions import ParameterDomainError, SingularDesignError
+from lpadapt.dataset import Dataset
+from lpadapt.exceptions import ParameterDomainError
+from lpadapt.fll_selector import fit_curve
 from lpadapt.local_model import (
     Basis,
     LadderDesign,
     NoiseModel,
     ScaleLadder,
-    build_B,
     build_weights,
     growth_bounds,
     is_nested_binary,
-    pseudo_true_parameter,
-    qmle,
 )
+from lpadapt.verification import _random_boxcar_scene
 
-from conftest import random_design
+from conftest import dense_wls, poly_design
+
+#: one boxcar scale wide enough to give every point of [-1, 1] weight 1 around x = 0
+WIDE = ScaleLadder((2.0,), kernel="boxcar")
+
+
+def _one_scale_fit(basis, ladder, pts, x, sigma, y):
+    """theta of the single scale from LadderDesign.fit, after checking fit_curve returns the same bits."""
+    ld = LadderDesign(basis, ladder, pts, x, sigma)
+    theta = ld.fit(y)[0].theta
+    curve = fit_curve(Dataset(x=pts, y=y, sigma=sigma), np.array([x]), ladder, basis, NoiseModel(sigma), [])
+    assert np.array_equal(curve.theta_hat[0], theta)  # sorted data: the windowed fit equals the full one
+    return ld, theta
 
 
 class TestKernelsAndWeights:
@@ -108,57 +120,66 @@ class TestBasis:
         x = np.array([0.1, -0.2])
         y = 0.7 + 1.5 * (pts[:, 0] - x[0]) - 2.0 * (pts[:, 1] - x[1])
         ladder = ScaleLadder((0.8,), kernel="boxcar")
-        w = build_weights(ladder, pts, x, 1)
+        ld = LadderDesign(b, ladder, pts, x, np.ones(80))
+        w = ld.weights_list[0]
         assert 0 < w.sum() < 80  # the window genuinely localizes
-        fit = qmle(b, w, np.ones(80), pts, x, y)
-        assert fit.theta == pytest.approx([0.7, 1.5, -2.0], abs=1e-10)
+        theta = ld.fit(y)[0].theta
+        assert theta == pytest.approx([0.7, 1.5, -2.0], abs=1e-10)
+        oracle, _ = dense_wls(np.column_stack([np.ones(80), pts - x]), w, np.ones(80), y)
+        assert theta == pytest.approx(oracle, abs=1e-10)
+        curve = fit_curve(Dataset(x=pts, y=y, sigma=np.ones(80)), x[None], ladder, b, NoiseModel(np.ones(80)), [])
+        assert curve.theta_hat[0] == pytest.approx(oracle, abs=1e-10)
 
 
 class TestBuildB:
     def test_constant_basis_sum(self):
         b = Basis.polynomial(0)
         pts = np.arange(5.0)
-        B = build_B(b, np.ones(5), np.ones(5), pts, 2.0)
-        assert B == pytest.approx(np.array([[5.0]]))
+        ld = LadderDesign(b, ScaleLadder((10.0,), kernel="boxcar"), pts, 2.0, np.ones(5))
+        assert ld.B_list[0] == pytest.approx(np.array([[5.0]]))
 
     def test_symmetric_three_points(self):
         b = Basis.polynomial(1)
         pts = np.array([-1.0, 0.0, 1.0])
-        ladder = ScaleLadder((2.0,), kernel="boxcar")
-        w = build_weights(ladder, pts, 0.0, 1)
-        B = build_B(b, w, np.ones(3), pts, 0.0)
-        assert B == pytest.approx(np.array([[3.0, 0.0], [0.0, 2.0]]))
+        ld = LadderDesign(b, WIDE, pts, 0.0, np.ones(3))
+        assert ld.B_list[0] == pytest.approx(np.array([[3.0, 0.0], [0.0, 2.0]]))
 
     def test_brute_force_accumulation(self, rng):
-        # oracle: explicit triple loop over i, a, b
+        # oracle: explicit triple loop over i, a, b, with the kernel's own weights
         n, p = 7, 3
         b = Basis.polynomial(p - 1)
         pts = rng.normal(size=n)
-        w = rng.uniform(0.2, 1.0, n)
         sig = rng.uniform(0.5, 2.0, n)
         x = 0.3
-        B = build_B(b, w, sig, pts, x)
+        ld = LadderDesign(b, ScaleLadder((1.5,), kernel="truncated_gaussian"), pts, x, sig)
+        w = ld.weights_list[0]
+        assert np.all(w > 0) and np.ptp(w) > 0.1  # every point counts, with unequal weights
         expected = np.zeros((p, p))
         for i in range(n):
             psi_i = np.array([1.0, pts[i] - x, (pts[i] - x) ** 2 / 2.0])
             for a in range(p):
                 for c in range(p):
                     expected[a, c] += psi_i[a] * psi_i[c] * w[i] / sig[i] ** 2
-        assert B == pytest.approx(expected, rel=1e-12)
+        assert ld.B_list[0] == pytest.approx(expected, rel=1e-12)
+        assert ld.B_list[0] == pytest.approx(dense_wls(poly_design(pts, x, 2), w, sig, np.zeros(n))[1], rel=1e-12)
 
     def test_too_few_active_points(self):
         b = Basis.polynomial(2)
         pts = np.linspace(0, 1, 10)
-        w = np.zeros(10)
-        w[3] = w[4] = 1.0  # 2 active < p = 3
-        with pytest.raises(SingularDesignError):
-            build_B(b, w, np.ones(10), pts, 0.4)
+        # the first window holds 2 points (1/3 and 4/9) < p = 3; the second holds all 10
+        ladder = ScaleLadder((0.08, 1.0), kernel="boxcar")
+        ld = LadderDesign(b, ladder, pts, 0.4, np.ones(10))
+        assert np.count_nonzero(build_weights(ladder, pts, 0.4, 1)) == 2
+        assert ld.K_eff == 0 and ld.truncated_at == 1
+        data = Dataset(x=pts, y=np.zeros(10), sigma=np.ones(10))
+        curve = fit_curve(data, np.array([0.4]), ladder, b, NoiseModel(np.ones(10)), [1.0])
+        assert curve.k_eff.tolist() == [0] and not curve[0].ok
 
     def test_degenerate_design_rejected(self):
         b = Basis.polynomial(1)
         pts = np.full(6, 0.5)  # all points identical: no slope information
-        with pytest.raises(SingularDesignError):
-            build_B(b, np.ones(6), np.ones(6), pts, 0.5)
+        ld = LadderDesign(b, ScaleLadder((1.0,), kernel="boxcar"), pts, 0.5, np.ones(6))
+        assert ld.K_eff == 0 and ld.truncated_at == 1
 
 
 class TestQmle:
@@ -166,69 +187,72 @@ class TestQmle:
         b = Basis.polynomial(1)
         pts = np.linspace(-1, 1, 9)
         y = 2.0 + 3.0 * pts
-        fit = qmle(b, np.ones(9), np.ones(9), pts, 0.0, y)
-        assert fit.theta == pytest.approx([2.0, 3.0], abs=1e-12)
+        _, theta = _one_scale_fit(b, WIDE, pts, 0.0, np.ones(9), y)
+        assert theta == pytest.approx([2.0, 3.0], abs=1e-12)
 
     def test_zero_data(self):
         b = Basis.polynomial(2)
         pts = np.linspace(-1, 1, 9)
-        fit = qmle(b, np.ones(9), np.ones(9), pts, 0.0, np.zeros(9))
-        assert fit.theta == pytest.approx(np.zeros(3), abs=1e-15)
+        _, theta = _one_scale_fit(b, WIDE, pts, 0.0, np.ones(9), np.zeros(9))
+        assert theta == pytest.approx(np.zeros(3), abs=1e-15)
 
     def test_dense_inverse_oracle(self, rng):
         n, p = 25, 3
         b = Basis.polynomial(p - 1)
         pts = np.sort(rng.uniform(-1, 1, n))
-        w = rng.uniform(0.1, 1.0, n)
         sig = rng.uniform(0.5, 2.0, n)
         y = rng.normal(size=n)
         x = 0.1
-        fit = qmle(b, w, sig, pts, x, y)
-        psi = b.design_matrix(pts, x)
+        ld, theta = _one_scale_fit(b, ScaleLadder((1.5,), kernel="epanechnikov"), pts, x, sig, y)
+        w = ld.weights_list[0]
+        assert np.all(w > 0) and np.ptp(w) > 0.1
+        psi = poly_design(pts, x, p - 1).T
         B = (psi * (w / sig**2)) @ psi.T
         expected = np.linalg.inv(B) @ (psi @ (w / sig**2 * y))
-        assert fit.theta == pytest.approx(expected, rel=1e-10)
+        assert theta == pytest.approx(expected, rel=1e-10)
+        assert theta == pytest.approx(dense_wls(psi.T, w, sig, y)[0], rel=1e-10)
 
     def test_linearity_in_y(self, rng):
         b = Basis.polynomial(1)
         pts = np.linspace(-1, 1, 15)
-        w = np.ones(15)
         sig = np.ones(15)
         y1, y2 = rng.normal(size=15), rng.normal(size=15)
-        t1 = qmle(b, w, sig, pts, 0.0, y1).theta
-        t2 = qmle(b, w, sig, pts, 0.0, y2).theta
-        t12 = qmle(b, w, sig, pts, 0.0, 2.0 * y1 - 0.5 * y2).theta
+        t1 = _one_scale_fit(b, WIDE, pts, 0.0, sig, y1)[1]
+        t2 = _one_scale_fit(b, WIDE, pts, 0.0, sig, y2)[1]
+        t12 = _one_scale_fit(b, WIDE, pts, 0.0, sig, 2.0 * y1 - 0.5 * y2)[1]
         assert t12 == pytest.approx(2.0 * t1 - 0.5 * t2, rel=1e-10, abs=1e-12)
 
     def test_shift_equivariance(self, rng):
         # adding a model-space shift moves the estimate by exactly that shift
         b = Basis.polynomial(2)
         pts = np.sort(rng.uniform(-1, 1, 30))
-        w = rng.uniform(0.2, 1.0, 30)
         sig = rng.uniform(0.5, 1.5, 30)
         y = rng.normal(size=30)
         theta = np.array([0.7, -1.2, 2.0])
+        ladder = ScaleLadder((1.5,), kernel="epanechnikov")  # unequal weights
         psi = b.design_matrix(pts, 0.0)
-        base = qmle(b, w, sig, pts, 0.0, y).theta
-        shifted = qmle(b, w, sig, pts, 0.0, y + psi.T @ theta).theta
+        base = _one_scale_fit(b, ladder, pts, 0.0, sig, y)[1]
+        shifted = _one_scale_fit(b, ladder, pts, 0.0, sig, y + psi.T @ theta)[1]
         assert shifted == pytest.approx(base + theta, abs=1e-9)
 
 
 class TestPseudoTrue:
     def test_parametric_case_every_scale(self, rng):
-        basis, ladder, pts, x, sigma = random_design(rng, n=50, p=2, K=3)
+        basis, ladder, pts, x, sigma = _random_boxcar_scene(rng, 2, 3, n=50)
         theta = np.array([1.5, -0.8])
         psi = basis.design_matrix(pts, x)
         f = psi.T @ theta
+        ld = LadderDesign(basis, ladder, pts, x, sigma)
+        assert ld.K_eff == 3
+        bars = ld.pseudo_true(f)
         for k in range(1, 4):
-            w = build_weights(ladder, pts, x, k)
-            bar = pseudo_true_parameter(basis, w, sigma, pts, x, f)
-            assert bar == pytest.approx(theta, abs=1e-10)
+            assert bars[k - 1] == pytest.approx(theta, abs=1e-10)
+            assert bars[k - 1] == pytest.approx(dense_wls(psi.T, ld.weights_list[k - 1], sigma, f)[0], abs=1e-10)
 
     def test_zero_function(self):
         b = Basis.polynomial(0)
         pts = np.linspace(-1, 1, 7)
-        bar = pseudo_true_parameter(b, np.ones(7), np.ones(7), pts, 0.0, np.zeros(7))
+        bar = LadderDesign(b, WIDE, pts, 0.0, np.ones(7)).pseudo_true(np.zeros(7))[0]
         assert bar == pytest.approx([0.0], abs=1e-15)
 
     def test_weighted_mean_oracle(self):
@@ -236,17 +260,16 @@ class TestPseudoTrue:
         b = Basis.polynomial(0)
         pts = np.array([-1.0, 0.0, 1.0])
         f = pts**2
-        w = build_weights(ScaleLadder((2.0,), kernel="boxcar"), pts, 0.0, 1)
-        bar = pseudo_true_parameter(b, w, np.ones(3), pts, 0.0, f)
+        bar = LadderDesign(b, WIDE, pts, 0.0, np.ones(3)).pseudo_true(f)[0]
         assert bar == pytest.approx([2.0 / 3.0], rel=1e-14)
 
     def test_matches_qmle_on_noiseless(self, rng):
-        basis, ladder, pts, x, sigma = random_design(rng, n=40, p=3, K=2)
+        basis, ladder, pts, x, sigma = _random_boxcar_scene(rng, 3, 2, n=40)
         f = np.sin(3 * pts)
-        w = build_weights(ladder, pts, x, 2)
-        assert pseudo_true_parameter(basis, w, sigma, pts, x, f) == pytest.approx(
-            qmle(basis, w, sigma, pts, x, f).theta
-        )
+        ld = LadderDesign(basis, ladder, pts, x, sigma)
+        bar = ld.pseudo_true(f)[1]
+        assert bar == pytest.approx(ld.fit(f)[1].theta)
+        assert bar == pytest.approx(dense_wls(poly_design(pts, x, 2), ld.weights_list[1], sigma, f)[0])
 
 
 class TestNoiseModel:
@@ -273,14 +296,14 @@ class TestNoiseModel:
 
 class TestLadderDesign:
     def test_monotone_information(self, rng):
-        basis, ladder, pts, x, sigma = random_design(rng, n=60, p=2, K=4)
+        basis, ladder, pts, x, sigma = _random_boxcar_scene(rng, 2, 4, n=60)
         ld = LadderDesign(basis, ladder, pts, x, sigma)
         for gamma in rng.normal(size=(10, basis.p)):
             vals = [gamma @ B @ gamma for B in ld.B_list]
             assert all(v2 >= v1 - 1e-10 for v1, v2 in zip(vals, vals[1:]))
 
     def test_growth_bounds_definition(self, rng):
-        basis, ladder, pts, x, sigma = random_design(rng, n=60, p=2, K=4)
+        basis, ladder, pts, x, sigma = _random_boxcar_scene(rng, 2, 4, n=60)
         ld = LadderDesign(basis, ladder, pts, x, sigma)
         u0, u = growth_bounds(ld.B_list)
         assert 1.0 < u0 <= u

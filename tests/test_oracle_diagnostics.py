@@ -10,7 +10,7 @@ from lpadapt.exceptions import (
     ParameterDomainError,
     SingularJointCovarianceError,
 )
-from lpadapt.local_model import Basis, LadderDesign, NoiseModel, ScaleLadder, build_weights
+from lpadapt.local_model import Basis, LadderDesign, NoiseModel, ScaleLadder
 from lpadapt.oracle_diagnostics import (
     bias_profile,
     boxcar_determinant,
@@ -32,18 +32,17 @@ from lpadapt.oracle_diagnostics import (
     z_moment_bounds,
     z_second_moment_homogeneous,
 )
-
-from conftest import random_design
+from lpadapt.verification import _random_boxcar_scene
 
 
 def _nested_boxcar(n=60, K=3, p=1, seed=5):
     rng = np.random.default_rng(seed)
-    return random_design(rng, n=n, p=p, K=K)
+    return _random_boxcar_scene(rng, p, K, n=n)
 
 
 class TestJointCovariance:
     def test_single_scale_is_estimator_variance(self, rng):
-        basis, ladder, pts, x, sigma = random_design(rng, n=40, p=2, K=2)
+        basis, ladder, pts, x, sigma = _random_boxcar_scene(rng, 2, 2, n=40)
         ld = LadderDesign(basis, ladder, pts, x, sigma)
         S1 = joint_covariance(ld.D_list[:1], sigma**2)
         oracle = ld.D_list[0] @ np.diag(sigma**2) @ ld.D_list[0].T
@@ -63,7 +62,7 @@ class TestJointCovariance:
         from scipy.linalg import eigvalsh
 
         for _ in range(10):
-            basis, ladder, pts, x, sigma = random_design(rng, n=50, p=2, K=3)
+            basis, ladder, pts, x, sigma = _random_boxcar_scene(rng, 2, 3, n=50)
             delta = float(rng.uniform(0.0, 0.35))
             sigma0 = sigma * np.sqrt(1.0 + delta * rng.uniform(-1.0, 1.0, sigma.size))
             ld = LadderDesign(basis, ladder, pts, x, sigma)
@@ -98,7 +97,7 @@ class TestBoxcarDeterminant:
 
 class TestModelingBias:
     def test_zero_bias(self, rng):
-        basis, ladder, pts, x, sigma = random_design(rng, n=40, p=2, K=3)
+        basis, ladder, pts, x, sigma = _random_boxcar_scene(rng, 2, 3, n=40)
         ld = LadderDesign(basis, ladder, pts, x, sigma)
         S = joint_covariance(ld.D_list, sigma**2)
         theta = np.array([1.0, -2.0])
@@ -116,7 +115,7 @@ class TestModelingBias:
         assert mb.delta_total == pytest.approx(B1 * 0.7**2, rel=1e-9)
 
     def test_dense_inverse_oracle(self, rng):
-        basis, ladder, pts, x, sigma = random_design(rng, n=50, p=2, K=3)
+        basis, ladder, pts, x, sigma = _random_boxcar_scene(rng, 2, 3, n=50)
         ld = LadderDesign(basis, ladder, pts, x, sigma)
         S = joint_covariance(ld.D_list, sigma**2)
         bars = rng.normal(size=(3, 2))
@@ -159,7 +158,7 @@ class TestOracleIndex:
 
 class TestKl:
     def test_identical_laws_zero(self, rng):
-        basis, ladder, pts, x, sigma = random_design(rng, n=40, p=1, K=3)
+        basis, ladder, pts, x, sigma = _random_boxcar_scene(rng, 1, 3, n=40)
         ld = LadderDesign(basis, ladder, pts, x, sigma)
         S = joint_covariance(ld.D_list, sigma**2)
         res = kl_joint(S, S.copy(), 0.0, 1, 3, 0.0)
@@ -186,7 +185,7 @@ class TestKl:
 
     def test_sandwich_on_random_scenes(self, rng):
         for _ in range(15):
-            basis, ladder, pts, x, sigma = random_design(rng, n=50, p=1, K=3)
+            basis, ladder, pts, x, sigma = _random_boxcar_scene(rng, 1, 3, n=50)
             delta = float(rng.uniform(0.0, 0.3))
             sigma0 = sigma * np.sqrt(1.0 + delta * rng.uniform(-1.0, 1.0, sigma.size))
             ld = LadderDesign(basis, ladder, pts, x, sigma)
@@ -263,24 +262,23 @@ class TestBounds:
 class TestWilksSpectrum:
     def test_boxcar_known_noise_all_ones(self):
         basis, ladder, pts, x, sigma = _nested_boxcar(p=2, K=2, seed=8)
-        w = build_weights(ladder, pts, x, 2)
-        lam = wilks_spectrum(basis, w, sigma, sigma, pts, x)
+        lam = wilks_spectrum(LadderDesign(basis, ladder, pts, x, sigma), 2, sigma)
         assert lam.shape == (2,)
         assert np.max(np.abs(lam - 1.0)) <= 1e-10
 
     def test_epanechnikov_bounded_by_one(self, rng):
-        basis, ladder, pts, x, sigma = random_design(rng, n=60, p=2, kernel="epanechnikov", K=2)
-        w = build_weights(ladder, pts, x, 2)
-        lam = wilks_spectrum(basis, w, sigma, sigma, pts, x)
+        basis, ladder, pts, x, sigma = _random_boxcar_scene(rng, 2, 2, n=60)
+        ld = LadderDesign(basis, ScaleLadder(ladder.bandwidths, kernel="epanechnikov"), pts, x, sigma)
+        lam = wilks_spectrum(ld, 2, sigma)
         assert np.all(lam <= 1.0 + 1e-10)
         assert np.all(lam > 0)
 
     def test_homogeneous_inflation_scales_exactly(self):
         basis, ladder, pts, x, sigma = _nested_boxcar(p=2, K=2, seed=9)
-        w = build_weights(ladder, pts, x, 2)
-        base = wilks_spectrum(basis, w, sigma, sigma, pts, x)
+        ld = LadderDesign(basis, ladder, pts, x, sigma)
+        base = wilks_spectrum(ld, 2, sigma)
         delta = 0.2
-        lam = wilks_spectrum(basis, w, sigma, np.sqrt(1 + delta) * sigma, pts, x)
+        lam = wilks_spectrum(ld, 2, np.sqrt(1 + delta) * sigma)
         assert lam == pytest.approx((1 + delta) * base, rel=1e-10)
 
 
@@ -321,7 +319,7 @@ class TestOracleReport:
         assert obj["phi"] == pytest.approx(phi_factor(noise.delta, homogeneous=True), rel=1e-12)
 
     def test_lambda0_and_sj_estimates(self, rng):
-        basis, ladder, pts, x, sigma = random_design(rng, n=60, p=2, K=3)
+        basis, ladder, pts, x, sigma = _random_boxcar_scene(rng, 2, 3, n=60)
         ld = LadderDesign(basis, ladder, pts, x, sigma)
         smax = [float(np.max(sigma[w > 0] ** 2)) for w in ld.weights_list]
         lam0 = lambda0_estimate(ld.B_list, ladder.bandwidths, pts.size, 1, smax)
@@ -335,7 +333,7 @@ class TestOracleReport:
     def test_componentwise_difference_scaling(self, rng):
         # scaled coefficient gaps are dominated by the B-weighted norm of the
         # full gap, with the scale built from the lambda0 estimate
-        basis, ladder, pts, x, sigma = random_design(rng, n=70, p=2, K=3)
+        basis, ladder, pts, x, sigma = _random_boxcar_scene(rng, 2, 3, n=70)
         ld = LadderDesign(basis, ladder, pts, x, sigma)
         n = pts.size
         smax = [float(np.max(sigma[w > 0] ** 2)) for w in ld.weights_list]

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import lpadapt.fll_selector as fll
 from lpadapt.calibration import SelectionEnsemble
 from lpadapt.dataset import Dataset
-from lpadapt.fll_selector import fit_curve, fit_point, fll_statistic, select_adaptive, selection_sweep
+from lpadapt.fll_selector import fit_curve, fit_point, select_adaptive, selection_sweep
 from lpadapt.local_model import KERNEL_RADIUS, KERNELS, Basis, LadderDesign, LocalFit, NoiseModel, ScaleLadder
 
 SETTINGS = settings(max_examples=30, deadline=None, derandomize=True)
@@ -142,7 +142,8 @@ def test_select_adaptive_is_the_sweep_on_one_column(seed, K, p):
     trace = select_adaptive(fits, z)
     assert (trace.k_hat, trace.first_violation) == literal_rule(trace.statistics, z, K)
     for l, m in zip(*np.triu_indices(K, 1)):
-        assert trace.statistics[l, m] == fll_statistic(fits[l], fits[m])  # the stacked forms, bit for bit
+        d = fits[l].theta - fits[m].theta
+        assert trace.statistics[l, m] == max(float(d @ fits[l].B @ d), 0.0)  # the stacked forms, bit for bit
 
 
 @SETTINGS

@@ -101,6 +101,12 @@ class TestRiskExperiment:
         assert adaptive < max(fixed)
         assert max(fixed) == fixed[-1]  # largest window carries the jump bias
 
+    @pytest.mark.parametrize("replicates", [0, -3])
+    def test_rejects_fewer_than_one_replicate(self, parametric_setup, replicates):
+        basis, scene, ladder, cv = parametric_setup
+        with pytest.raises(ParameterDomainError, match="replicates must be >= 1"):
+            risk_experiment(scene, ladder, basis, cv, 0.5, replicates, x=0.5)
+
     def test_csv_round_trip(self, parametric_setup):
         import csv
         import io
