@@ -21,13 +21,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.special import gammaln
 
 from .exceptions import CalibrationFailedError, LpAdaptError, ParameterDomainError
-from .fll_selector import selection_sweep
+from .fll_selector import pair_statistics, selection_sweep
 from .local_model import Basis, LadderDesign, ScaleLadder
 
 DEFAULT_MU = 0.125
@@ -273,12 +272,12 @@ def noise_matrix(seed: int, rows: int, n: int, cols) -> np.ndarray:
 
 
 class SelectionEnsemble:
-    """Per-scale fits and pairwise statistics for a batch of observation rows.
+    """Per-scale fits and the pairwise table T for a batch of observation rows.
 
-    Precomputes both quadratic-form tables for every pair l < m: the
-    selection statistics (weighted by the smaller-scale B) and the
-    moment-condition forms (weighted by the larger-scale B); selection under
-    any thresholds is then a cheap sweep.
+    T is the pair_statistics table of every replicate: its upper triangle
+    holds the selection statistics (weighted by the smaller-scale B), its
+    lower triangle the moment-condition forms (weighted by the larger-scale
+    B).  Selection under any thresholds is then a cheap sweep.
     """
 
     def __init__(self, ld: LadderDesign, Y: np.ndarray):
@@ -286,19 +285,13 @@ class SelectionEnsemble:
             raise CalibrationFailedError("no usable scale at the calibration point")
         self.ld = ld
         self.K = ld.K_eff
-        self.p = ld.basis.p
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
         self.mc = Y.shape[0]
 
         self.theta_tilde = ld.fit_stacked(Y)  # (mc, K, p)
-        K = self.K
-        self.T_small = np.full((K, K, self.mc), np.nan)  # B_l-weighted, selection statistics
-        self.T_large = np.full((K, K, self.mc), np.nan)  # B_m-weighted, moment-condition forms
-        for a in range(K):
-            for b in range(a + 1, K):
-                diff = self.theta_tilde[:, a, :] - self.theta_tilde[:, b, :]
-                self.T_small[a, b] = np.maximum(np.einsum("ri,ij,rj->r", diff, ld.B_list[a], diff), 0.0)
-                self.T_large[b, a] = np.maximum(np.einsum("ri,ij,rj->r", diff, ld.B_list[b], diff), 0.0)
+        self.T = pair_statistics(self.theta_tilde, np.stack(ld.B_list)[None])  # (K, K, mc)
+        # the two names perfbench/tracing.py reads; both are the one table
+        self.T_small = self.T_large = self.T
 
     @classmethod
     def draw(cls, ld: LadderDesign, mc_size: int, seed: int, sd, mean=None) -> "SelectionEnsemble":
@@ -325,20 +318,18 @@ class SelectionEnsemble:
         return cls.draw(ld, mc_size, seed, ld.sigma_model, mean)
 
     def k_hat(self, z: np.ndarray) -> np.ndarray:
-        """Selected index per replicate under thresholds z (length >= K-1): selection_sweep on T_small."""
-        return selection_sweep(self.T_small, z)[0]
+        """Selected index per replicate under thresholds z (length >= K-1): selection_sweep on T."""
+        return selection_sweep(self.T, z)[0]
 
     def gap_forms(self, z: np.ndarray) -> np.ndarray:
-        """(K, mc) quadratic forms (theta_k - theta_hat_k)^T B_k (...); zero row for k=1."""
+        """(K, mc) quadratic forms (theta_k - theta_hat_k)^T B_k (...); zero row for k=1.
+
+        Row k-1 is T[k-1, k_hat-1] where k_hat < k, and 0 where the sweep
+        went on to scale k, so that theta_hat_k = theta_k.
+        """
         khat = self.k_hat(z)
-        vals = np.zeros((self.K, self.mc))
-        for k in range(2, self.K + 1):
-            mstep = np.minimum(k, khat)
-            for m in range(1, k):
-                idx = mstep == m
-                if np.any(idx):
-                    vals[k - 1, idx] = self.T_large[k - 1, m - 1, idx]
-        return vals
+        k = np.arange(self.K)[:, None]
+        return np.where(khat > k, 0.0, self.T[k, np.minimum(k, khat - 1), np.arange(self.mc)])
 
     def pc_moments(self, z: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
         """Empirical moments E|gap|^r and their standard errors for k = 1..K."""

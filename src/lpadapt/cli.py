@@ -24,7 +24,7 @@ from .calibration import CriticalValues, mc_calibrate, theoretical_cv, validate_
 from .dataset import Dataset
 from .exceptions import LpAdaptError, MissingColumnError, ParameterDomainError, ParseError
 from .fll_selector import fit_curve
-from .local_model import Basis, LadderDesign, ScaleLadder
+from .local_model import Basis, LadderDesign, ScaleLadder, default_h1
 from .oracle_diagnostics import build_oracle_report
 from .sim_harness import Scene, SigmaSpec, risk_experiment
 from .verification import run_all
@@ -98,11 +98,17 @@ def ingest_csv(path: str) -> Dataset:
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    try:
-        with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh:
+        try:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParameterDomainError(f"cannot read config {path}: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ParameterDomainError(f"cannot read config {path}: {exc}") from exc
+
+
+def _option(args, cfg: dict, name: str, default, cast=float, key: str | None = None):
+    """The --name flag when given, else the config key (name by default), else default."""
+    value = getattr(args, name)
+    return cast(value if value is not None else cfg.get(key or name, default))
 
 
 def _config_hash(cfg: dict) -> str:
@@ -135,7 +141,7 @@ def _ladder_from_config(cfg: dict, p: int, args, span: float = 1.0, n: int = 200
     if "bandwidths" in lcfg:
         return ScaleLadder(tuple(float(h) for h in lcfg["bandwidths"]), kernel=kernel)
     growth = float(args.u if args.u is not None else lcfg.get("growth", 1.25))
-    h1 = float(lcfg.get("h1", span * max(4 * p, 8) / (2.0 * n)))
+    h1 = float(lcfg.get("h1", default_h1(n, p, span)))
     if args.K is not None:
         K = int(args.K)
     elif "K" in lcfg:
@@ -189,10 +195,9 @@ def _write_text(path: str | None, text: str):
 
 def cmd_calibrate(args) -> int:
     cfg = _load_config(args.config)
-    alpha = float(args.alpha if args.alpha is not None else cfg.get("alpha", 1.0))
-    r = float(args.r if args.r is not None else cfg.get("r", 0.5))
-    seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
-    mc = int(args.mc if args.mc is not None else cfg.get("mc_size", 20000))
+    alpha, r = _option(args, cfg, "alpha", 1.0), _option(args, cfg, "r", 0.5)
+    seed = _option(args, cfg, "seed", 0, int)
+    mc = _option(args, cfg, "mc", 20000, int, key="mc_size")
     method = cfg.get("method", "monte_carlo")
     if method not in ("monte_carlo", "theoretical"):
         raise ParameterDomainError(f"unknown calibration method {method!r}; choose monte_carlo or theoretical")
@@ -215,8 +220,7 @@ def cmd_calibrate(args) -> int:
     if method == "theoretical":
         ld = LadderDesign(basis, ladder, points, x_ref, sigma)
         u_hat = ld.growth_bounds()[1] if ld.K_eff > 1 else 1.25
-        mu = float(args.mu if args.mu is not None else cfg.get("mu", 0.125))
-        cv = theoretical_cv(basis.p, r, ld.K_eff, alpha, u_hat, mu=mu)
+        cv = theoretical_cv(basis.p, r, ld.K_eff, alpha, u_hat, mu=_option(args, cfg, "mu", 0.125))
     else:
         cv = mc_calibrate(basis, ladder, sigma, points, x_ref, alpha, r, mc, seed)
     payload = asdict(cv)
@@ -227,9 +231,13 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-def _load_cv(path: str) -> CriticalValues:
-    with open(path, encoding="utf-8") as fh:
-        return CriticalValues.from_json(fh.read())
+def _critical_values(args, cfg: dict, basis: Basis, ladder: ScaleLadder, sigma, points, x_ref, seed: int) -> CriticalValues:
+    """The thresholds of the --cv file, or else calibrated inline at x_ref (mc_size 5000 by default)."""
+    if args.cv:
+        with open(args.cv, encoding="utf-8") as fh:
+            return CriticalValues.from_json(fh.read())
+    alpha, r = _option(args, cfg, "alpha", 1.0), _option(args, cfg, "r", 0.5)
+    return mc_calibrate(basis, ladder, sigma, points, x_ref, alpha, r, _option(args, cfg, "mc", 5000, int, key="mc_size"), seed)
 
 
 def cmd_fit(args) -> int:
@@ -245,15 +253,8 @@ def cmd_fit(args) -> int:
     ladder = _data_ladder(cfg, data, basis.p, args)
     noise = data.noise_model(delta=cfg.get("delta"))
 
-    if args.cv:
-        cv = _load_cv(args.cv)
-    else:
-        alpha = float(args.alpha if args.alpha is not None else cfg.get("alpha", 1.0))
-        r = float(args.r if args.r is not None else cfg.get("r", 0.5))
-        seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
-        mc = int(args.mc if args.mc is not None else cfg.get("mc_size", 5000))
-        x_ref = float(np.median(np.atleast_2d(np.asarray(data.x, dtype=float).T).T[:, 0]))
-        cv = mc_calibrate(basis, ladder, data.sigma, data.x, x_ref, alpha, r, mc, seed)
+    x_ref = float(np.median(np.atleast_2d(np.asarray(data.x, dtype=float).T).T[:, 0]))
+    cv = _critical_values(args, cfg, basis, ladder, data.sigma, data.x, x_ref, _option(args, cfg, "seed", 0, int))
 
     points = fit_curve(data, data.x, ladder, basis, noise, cv)
     header_cols = (["x"] if data.d == 1 else [f"x{i + 1}" for i in range(data.d)]) + [
@@ -296,19 +297,12 @@ def cmd_simulate(args) -> int:
         scene = replace(scene, seed=args.seed)
     basis = _basis_from_config(cfg)
     ladder = _ladder_from_config(cfg, basis.p, args, n=scene.n, default_K=4)  # the scene lives on [0, 1]
-    alpha = float(args.alpha if args.alpha is not None else cfg.get("alpha", 1.0))
-    r = float(args.r if args.r is not None else cfg.get("r", 0.5))
+    r = _option(args, cfg, "r", 0.5)
     replicates = int(cfg.get("replicates", 2000))
     seed = scene.seed
-    mc = int(args.mc if args.mc is not None else cfg.get("mc_size", 5000))
     x_ref = float(cfg.get("x", 0.5))
 
-    if args.cv:
-        cv = _load_cv(args.cv)
-    else:
-        cv = mc_calibrate(
-            basis, ladder, scene.sigma_model_values(), scene.design_points(), x_ref, alpha, r, mc, seed
-        )
+    cv = _critical_values(args, cfg, basis, ladder, scene.sigma_model_values(), scene.design_points(), x_ref, seed)
     table = risk_experiment(scene, ladder, basis, cv, r, replicates, x=x_ref, delta_budget=float(cfg.get("delta_budget", 1.0)))
     report = {
         "provenance": _provenance(cfg, seed),
@@ -325,7 +319,7 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     cfg = _load_config(args.config)
     dataset = ingest_csv(args.data) if args.data else None
-    seed = int(args.seed if args.seed is not None else cfg.get("seed", 2024))
+    seed = _option(args, cfg, "seed", 2024, int)
     results = run_all(quick=bool(args.quick), seed=seed, dataset=dataset, delta_declared=cfg.get("delta"))
     payload = {
         "provenance": _provenance(cfg, seed),
@@ -346,15 +340,9 @@ def cmd_diagnose(args) -> int:
     basis = _basis_from_config(cfg)
     ladder = _ladder_from_config(cfg, basis.p, args, n=scene.n, default_K=4)  # the scene lives on [0, 1]
     x_ref = float(cfg.get("x", 0.5))
-    r = float(args.r if args.r is not None else cfg.get("r", 0.5))
-    alpha = float(args.alpha if args.alpha is not None else cfg.get("alpha", 1.0))
     seed = int(args.seed if args.seed is not None else scene.seed)
-
-    mc = int(args.mc if args.mc is not None else cfg.get("mc_size", 5000))
-    if args.cv:
-        cv = _load_cv(args.cv)
-    else:
-        cv = mc_calibrate(basis, ladder, scene.sigma_model_values(), scene.design_points(), x_ref, alpha, r, mc, seed)
+    mc = _option(args, cfg, "mc", 5000, int, key="mc_size")
+    cv = _critical_values(args, cfg, basis, ladder, scene.sigma_model_values(), scene.design_points(), x_ref, seed)
     report = build_oracle_report(
         basis,
         ladder,
@@ -415,7 +403,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ParseError, MissingColumnError, ParameterDomainError, FileNotFoundError) as exc:
+    except (ParseError, MissingColumnError, ParameterDomainError, OSError, UnicodeDecodeError) as exc:
         log.error("configuration error: %s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

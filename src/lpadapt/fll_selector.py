@@ -24,18 +24,25 @@ from .local_model import Basis, LocalFit, NoiseModel, ScaleLadder, factor_solve,
 
 
 def pair_statistics(theta: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """All T_lm for l < m from fits theta (N, K, p) and matrices B (N, K, p, p).
+    """Every pairwise form from fits theta (N, K, p) and matrices B (N or 1, K, p, p).
 
     Returns (K, K, N) with T[l-1, m-1] = max(d^T B_l d, 0), d = theta_l - theta_m,
-    and NaN for l >= m.  The forms are stacked matrix products, bit for bit
-    the d @ B_l @ d of a single pair.
+    for every l != m, and NaN on the diagonal: the selection statistics above
+    it (B of the smaller scale), the moment-condition forms below it (B of
+    the larger scale).  Each form is the double sum of d_i B_ij d_j over i,
+    then j, from 0, in elementwise arithmetic, so it rounds the same for any
+    N and for a shared (N = 1) or a stacked B.
     """
-    N, K, _ = theta.shape
-    ls, ms = np.triu_indices(K, 1)
-    d = theta[:, ls] - theta[:, ms]  # (N, pairs, p)
-    forms = (d[:, :, None, :] @ B[:, ls]) @ d[..., None]
-    T = np.full((K, K, N), np.nan)
-    T[ls, ms] = np.maximum(forms[..., 0, 0].T, 0.0)
+    N, K, p = theta.shape
+    T = np.empty((K, K, N))
+    for l in range(K):  # row by row, so temporaries stay (N, K) whatever the batch
+        d = theta[:, l : l + 1] - theta  # (N, K, p), d_m = theta_l - theta_m
+        forms = np.zeros((N, K))
+        for i in range(p):
+            for j in range(p):
+                forms += d[..., i] * B[:, l, i, j, None] * d[..., j]
+        T[l] = np.maximum(forms, 0.0).T
+    T[np.arange(K), np.arange(K)] = np.nan
     return T
 
 
@@ -51,7 +58,7 @@ class SelectionTrace:
     """Outcome of the selection sweep at one reference point."""
 
     k_hat: int
-    statistics: np.ndarray  # (K, K), T[l-1, m-1] for l < m
+    statistics: np.ndarray  # (K, K) pair_statistics table: T[l-1, m-1] for l != m, NaN diagonal
     thresholds: np.ndarray
     first_violation: tuple[int, int] | None  # 1-indexed (l, m), None if fully accepted
 
@@ -160,7 +167,7 @@ class CurveFit(Sequence):
         self.x = x  # (G, d) grid points
         self.theta = theta  # (G, K, p) per-scale fits, NaN beyond k_eff
         self.k_eff = k_eff  # (G,)
-        self.T = T  # (K, K, G) pairwise statistics, NaN outside each point's ladder
+        self.T = T  # (K, K, G) pair_statistics tables, NaN on the diagonal and outside each point's ladder
         self.k_hat = k_hat  # (G,)
         self.first = first  # (G, 2) first violated pair, (0, 0) where none
         self.z, self.psi0 = z, psi0

@@ -166,6 +166,11 @@ class ScaleLadder:
         return self.bandwidths[-1] * KERNEL_RADIUS[self.kernel]
 
 
+def default_h1(n: int, p: int, span: float = 1.0) -> float:
+    """The default smallest bandwidth: about max(4p, 8) of n points spread evenly over span fall in its window."""
+    return span * max(4 * p, 8) / (2.0 * n)
+
+
 def build_weights(ladder: ScaleLadder, design_points, x, k: int) -> np.ndarray:
     """Kernel weights w_{k,i}(x) in [0, 1] for scale k (1-indexed).
 

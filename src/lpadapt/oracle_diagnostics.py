@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh, eigvalsh
@@ -136,6 +136,36 @@ def oracle_index(delta_sequence, delta_budget: float) -> int:
     return int(ok[-1] + 1)
 
 
+class PointOracle(NamedTuple):
+    """The oracle objects of one point's ladder, shared by diagnose and simulate."""
+
+    bars: np.ndarray  # (K, p) pseudo-true vectors
+    theta_ref: np.ndarray
+    Sigma: np.ndarray  # joint covariance under the model variances
+    deltas: np.ndarray  # Delta(k), k = 1..K
+    delta_j: np.ndarray  # (K, p) componentwise indices
+    k_star: int
+    sigma_bar_max: np.ndarray  # running max over k of the active sigma_max^2
+    lambda0: float
+
+
+def oracle_diagnostics(ld: LadderDesign, f_values, delta_budget: float, theta_ref=None) -> PointOracle:
+    """Bias indices, oracle index and Lambda_0 of ld against the mean f_values.
+
+    The reference parameter defaults to the smallest-window pseudo-true
+    vector, which makes Delta(1) = 0 and every oracle index well defined.
+    """
+    bars = ld.pseudo_true(f_values)
+    ref = bars[0] if theta_ref is None else np.asarray(theta_ref, dtype=float)
+    Sigma = joint_covariance(ld.D_list, ld.sigma_model**2)
+    deltas, delta_j = bias_profile(bars, ref, Sigma)
+    active_sig_max = np.array([float(np.max(ld.sigma_model[w > 0] ** 2)) for w in ld.weights_list])
+    n, d = ld.points.shape
+    lambda0 = lambda0_estimate(ld.B_list, ld.ladder.bandwidths[: ld.K_eff], n, d, active_sig_max)
+    return PointOracle(bars, ref, Sigma, deltas, delta_j, oracle_index(deltas, delta_budget),
+                       np.maximum.accumulate(active_sig_max), lambda0)
+
+
 @dataclass
 class KlResult:
     kl: float
@@ -223,35 +253,6 @@ def componentwise_scale(n: int, h: float, d: int, lambda0: float, sigma_max_sq: 
     if min(n, h, lambda0, sigma_max_sq) <= 0:
         raise ParameterDomainError("scale inputs must be positive")
     return float((n * h**d * lambda0 / sigma_max_sq) ** (r / 2.0))
-
-
-@dataclass
-class ComponentRiskBound:
-    bound: float
-    scale: float
-
-
-def oracle_risk_bound_componentwise(
-    z_kstar_j: float,
-    p: int,
-    kstar_j: int,
-    delta: float,
-    Delta_j: float,
-    r: float,
-    alpha: float,
-    n: int,
-    h_kstar_j: float,
-    d: int,
-    lambda0: float,
-    sigma_max_sq: float,
-    homogeneous: bool = False,
-) -> ComponentRiskBound:
-    """Same bound shape for a single coefficient, with the design scaling that
-    multiplies the left-hand risk."""
-    return ComponentRiskBound(
-        bound=oracle_risk_bound(z_kstar_j, p, kstar_j, delta, Delta_j, r, alpha, homogeneous),
-        scale=componentwise_scale(n, h_kstar_j, d, lambda0, sigma_max_sq, r),
-    )
 
 
 def lambda0_estimate(B_list: Sequence[np.ndarray], bandwidths, n: int, d: int, sigma_max_sq) -> float:
@@ -423,8 +424,7 @@ def build_oracle_report(
 ) -> OracleReport:
     """Evaluate the full diagnostics stack for one scene at one point.
 
-    The reference parameter defaults to the smallest-window pseudo-true
-    vector, which makes Delta(1) = 0 and every oracle index well defined.
+    The reference parameter is that of oracle_diagnostics.
     """
     ld = LadderDesign(basis, ladder, design_points, x, noise.sigma_model)
     if ld.K_eff < 1:
@@ -435,14 +435,10 @@ def build_oracle_report(
     delta = noise.delta
     homogeneous = float(np.ptp(sig)) < 1e-12 and float(np.ptp(np.asarray(sig0))) < 1e-12
 
-    bars = ld.pseudo_true(f_values)
-    ref = bars[0] if theta_ref is None else np.asarray(theta_ref, dtype=float)
-    Sigma = joint_covariance(ld.D_list, sig**2)
+    bars, ref, Sigma, deltas, delta_j, k_star, sigma_bar_max, lambda0 = oracle_diagnostics(ld, f_values, delta_budget, theta_ref)
     Sigma0 = joint_covariance(ld.D_list, np.asarray(sig0) ** 2)
-    deltas, delta_j = bias_profile(bars, ref, Sigma)
     monotone = bool(np.all(np.diff(deltas) >= -1e-8 * np.maximum(deltas[:-1], 1.0)))
 
-    k_star = oracle_index(deltas, delta_budget)
     z_vec = np.asarray(cv.z, dtype=float)
     z_kstar = float(z_vec[min(k_star, K - 1) - 1]) if K > 1 else float("nan")
     phi = phi_factor(delta, homogeneous)
@@ -466,9 +462,6 @@ def build_oracle_report(
         z2_rows.append({"k": k, "lower": lo, "upper": hi})
 
     u0_hat, u_hat = ld.growth_bounds() if K > 1 else (float("inf"), 1.0)
-    active_sig_max = np.array([float(np.max(sig[w > 0] ** 2)) for w in ld.weights_list])
-    sigma_bar_max = np.maximum.accumulate(active_sig_max)
-    lambda0 = lambda0_estimate(ld.B_list, ladder.bandwidths[:K], ld.points.shape[0], ld.points.shape[1], active_sig_max)
 
     components = []
     for j in range(1, p + 1):
@@ -496,14 +489,9 @@ def build_oracle_report(
             "z": z_j,
         }
         if K > 1:
-            crb = oracle_risk_bound_componentwise(
-                z_j, p, k_star_j, delta, budget_eff, cv.r, cv.alpha,
-                n=ld.points.shape[0], h_kstar_j=float(ladder.bandwidths[k_star_j - 1]),
-                d=ld.points.shape[1], lambda0=lambda0,
-                sigma_max_sq=float(sigma_bar_max[k_star_j - 1]), homogeneous=homogeneous,
-            )
-            comp["bound"] = crb.bound
-            comp["scale"] = crb.scale
+            comp["bound"] = oracle_risk_bound(z_j, p, k_star_j, delta, budget_eff, cv.r, cv.alpha, homogeneous)
+            comp["scale"] = componentwise_scale(ld.points.shape[0], float(ladder.bandwidths[k_star_j - 1]),
+                                                ld.points.shape[1], lambda0, float(sigma_bar_max[k_star_j - 1]), cv.r)
         components.append(comp)
 
     det_check = None

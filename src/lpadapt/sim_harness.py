@@ -19,14 +19,13 @@ import numpy as np
 from .calibration import CriticalValues, SelectionEnsemble, replicate_noise
 from .dataset import Dataset
 from .exceptions import ParameterDomainError
-from .local_model import Basis, LadderDesign, NoiseModel, ScaleLadder
+from .local_model import Basis, LadderDesign, NoiseModel, ScaleLadder, default_h1
 from .oracle_diagnostics import (
-    bias_profile,
-    joint_covariance,
-    lambda0_estimate,
+    componentwise_scale,
+    oracle_diagnostics,
     oracle_index,
-    phi_factor,
     propagation_bound,
+    z_moment_bounds,
 )
 
 TEST_FUNCTIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
@@ -184,17 +183,10 @@ def risk_experiment(
     K, p = ld.K_eff, basis.p
     if K < 2:
         raise ParameterDomainError("risk experiment needs at least two usable scales")
-    sig0 = scene.sigma_true_values()
-    delta = scene.delta
-
-    bars = ld.pseudo_true(scene.f_values())
-    theta_ref = bars[0]
-    Sigma = joint_covariance(ld.D_list, ld.sigma_model**2)
-    deltas, delta_j = bias_profile(bars, theta_ref, Sigma)
-    k_star = oracle_index(deltas, delta_budget)
+    _, theta_ref, _, deltas, delta_j, k_star, sigma_bar_max, lambda0 = oracle_diagnostics(ld, scene.f_values(), delta_budget)
     k_star_j = [oracle_index(delta_j[:, j], delta_budget) for j in range(p)]
 
-    ens = SelectionEnsemble.draw(ld, replicates, scene.seed, sig0, mean=scene.f_values())
+    ens = SelectionEnsemble.draw(ld, replicates, scene.seed, scene.sigma_true_values(), mean=scene.f_values())
     z = np.asarray(cv.z, dtype=float)
     khat = ens.k_hat(z)
     gaps = ens.gap_forms(z)
@@ -207,14 +199,8 @@ def risk_experiment(
         rows.append(_moment_row(scene.f, k, "adaptive_gap_pow_r", gaps[k - 1] ** r, replicates))
         rows.append(_moment_row(scene.f, k, "adaptive_gap_pow_r2", gaps[k - 1] ** (r / 2.0), replicates))
 
-    # oracle comparison: quadratic form between scales k_star and k_hat, B from k_star
-    oracle_vals = np.zeros(replicates)
-    for m in range(1, K + 1):
-        idx = khat == m
-        if not np.any(idx) or m == k_star:
-            continue
-        table = ens.T_small if k_star < m else ens.T_large
-        oracle_vals[idx] = table[k_star - 1, m - 1, idx]
+    # oracle comparison: quadratic form between scales k_star and k_hat, B from k_star (the row of T)
+    oracle_vals = np.where(khat == k_star, 0.0, ens.T[k_star - 1, khat - 1, np.arange(replicates)])
     rows.append(_moment_row(scene.f, k_star, "oracle_gap_pow_r2", oracle_vals ** (r / 2.0), replicates))
 
     for k in range(1, K + 1):
@@ -229,20 +215,17 @@ def risk_experiment(
     truth_form = np.maximum(np.einsum("ri,ij,rj->r", dref, ld.B_list[K - 1], dref), 0.0)
     rows.append(_moment_row(scene.f, K, "adaptive_truth_pow_r2", truth_form ** (r / 2.0), replicates))
 
-    active_sig_max = np.array([float(np.max(ld.sigma_model[w > 0] ** 2)) for w in ld.weights_list])
-    sigma_bar_max = np.maximum.accumulate(active_sig_max)
-    lambda0 = lambda0_estimate(ld.B_list, ladder.bandwidths[:K], ld.points.shape[0], ld.points.shape[1], active_sig_max)
     for j in range(1, p + 1):
         kj = k_star_j[j - 1]
-        scale = (ld.points.shape[0] * float(ladder.bandwidths[kj - 1]) ** ld.points.shape[1] * lambda0
-                 / float(sigma_bar_max[kj - 1])) ** (r / 2.0)
+        scale = componentwise_scale(ld.points.shape[0], float(ladder.bandwidths[kj - 1]), ld.points.shape[1], lambda0,
+                                    float(sigma_bar_max[kj - 1]), r)
         comp = np.abs(ens.theta_tilde[:, kj - 1, j - 1] - theta_hat[:, j - 1]) ** r * scale
         rows.append(_moment_row(scene.f, kj, f"component_{j}_gap_pow_r_scaled", comp, replicates))
 
     meta = {
         "scene": scene.f,
         "x": x,
-        "delta": delta,
+        "delta": scene.delta,
         "delta_budget": delta_budget,
         "delta_seq": deltas.tolist(),
         "k_star": k_star,
@@ -258,12 +241,6 @@ def risk_experiment(
         "excluded": 0,
     }
     return RiskTable(rows=rows, meta=meta)
-
-
-def ladder_for(n: int, p: int, K: int, growth: float = 1.5, kernel: str = "boxcar") -> ScaleLadder:
-    """Geometric ladder sized so the smallest window holds ~max(4p, 8) points."""
-    h1 = max(4 * p, 8) / (2.0 * n)
-    return ScaleLadder.geometric(h1, K, growth=growth, kernel=kernel)
 
 
 @dataclass
@@ -310,7 +287,7 @@ def delta_sweep(
         deltas = [0.0] + [d for d in deltas if d != 0.0]
     cells: list[SweepCell] = []
     for n in ns:
-        ladder = ladder_for(n, basis.p, K)
+        ladder = ScaleLadder.geometric(default_h1(n, basis.p), K, growth=1.5)
         grid = np.linspace(0.0, 1.0, n)
         sig_model = np.ones(n)
         cv = mc_calibrate(basis, ladder, sig_model, grid, x, alpha, r, mc_size, seed)
@@ -333,7 +310,7 @@ def delta_sweep(
                 propagation_bound(p, Keff, d, 0.0, r, alpha, homogeneous=True)
                 / propagation_bound(p, Keff, 0.0, 0.0, r, alpha, homogeneous=True)
             )
-            z2_upper = ((1.0 + d) / (1.0 - d) ** 3) ** (p * Keff / 2.0) if d < 1 else float("inf")
+            z2_upper = z_moment_bounds(p, Keff, d, 0.0, homogeneous=True)[1]
             cells.append(
                 SweepCell(
                     n=n,

@@ -24,9 +24,8 @@ from .calibration import (
 )
 from .dataset import Dataset
 from .exceptions import LpAdaptError, ParameterDomainError
-from .local_model import Basis, LadderDesign, ScaleLadder
+from .local_model import Basis, LadderDesign, ScaleLadder, default_h1
 from .oracle_diagnostics import boxcar_determinant, joint_covariance, kl_joint, wilks_spectrum
-from .sim_harness import ladder_for
 
 
 @dataclass
@@ -58,7 +57,7 @@ def _random_boxcar_scene(rng: np.random.Generator, p: int, k: int, n: int = 60):
 def _unit_design(p: int, n: int, K: int, growth: float, kernel: str = "boxcar"):
     """n equidistant points on [0, 1] with unit model noise, and their ladder design at 0.5."""
     pts = np.linspace(0.0, 1.0, n)
-    ladder = ladder_for(n, p, K, growth=growth, kernel=kernel)
+    ladder = ScaleLadder.geometric(default_h1(n, p), K, growth=growth, kernel=kernel)
     return LadderDesign(Basis.polynomial(p - 1, dim=1), ladder, pts, 0.5, np.ones(n)), pts
 
 
@@ -233,7 +232,7 @@ def check_pair_tail_bounds(
         for k in range(l + 1, K + 1):
             t0 = 2.0 * (1.0 + delta) * (1.0 + u0_hat ** (-(k - l)))
             t1 = 2.0 * (1.0 + delta) * (1.0 + u_hat ** (k - l))
-            for table, t in ((ens.T_small[l - 1, k - 1], t0), (ens.T_large[k - 1, l - 1], t1)):
+            for table, t in ((ens.T[l - 1, k - 1], t0), (ens.T[k - 1, l - 1], t1)):
                 for z in z_grid:
                     emp = float(np.mean(table >= z))
                     bound = float(chi2.sf(z / t, p))
@@ -262,10 +261,10 @@ def check_pair_moment_bounds(
             t0 = 2.0 * (1.0 + delta) * (1.0 + u0_hat ** (-(k - l)))
             t1 = 2.0 * (1.0 + delta) * (1.0 + u_hat ** (k - l))
             mu0 = 0.5 / t0
-            vals = np.exp(0.5 * mu0 * ens.T_small[l - 1, k - 1])
+            vals = np.exp(0.5 * mu0 * ens.T[l - 1, k - 1])
             se = vals.std(ddof=1) / math.sqrt(replicates)
             worst = max(worst, float(vals.mean()) - (1.0 - mu0 * t0) ** (-p / 2.0) - 3.0 * se)
-            for table, t in ((ens.T_small[l - 1, k - 1], t0), (ens.T_large[k - 1, l - 1], t1)):
+            for table, t in ((ens.T[l - 1, k - 1], t0), (ens.T[k - 1, l - 1], t1)):
                 powered = table**r
                 se = powered.std(ddof=1) / math.sqrt(replicates)
                 worst = max(worst, float(powered.mean()) - t**r * chi_square_moment(p, r) - 3.0 * se)

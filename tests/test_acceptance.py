@@ -18,17 +18,16 @@ from lpadapt.calibration import (
     theoretical_cv,
     validate_pc,
 )
-from lpadapt.local_model import Basis, LadderDesign, ScaleLadder
+from lpadapt.local_model import Basis, LadderDesign, ScaleLadder, default_h1
 from lpadapt.oracle_diagnostics import (
     boxcar_determinant,
     joint_covariance,
     kl_joint,
     bias_profile,
     oracle_risk_bound,
-    oracle_risk_bound_componentwise,
     wilks_spectrum,
 )
-from lpadapt.sim_harness import Scene, SigmaSpec, delta_sweep, ladder_for, risk_experiment
+from lpadapt.sim_harness import Scene, SigmaSpec, delta_sweep, risk_experiment
 from lpadapt.verification import _random_boxcar_scene, _wilks_forms
 
 
@@ -79,7 +78,7 @@ def test_A3_wilks_identity():
     for p in (1, 2, 3):
         basis = Basis.polynomial(p - 1)
         pts = np.linspace(0.0, 1.0, n)
-        ladder = ScaleLadder.geometric(max(4 * p, 8) / (2.0 * n), 3, growth=1.6, kernel="boxcar")
+        ladder = ScaleLadder.geometric(default_h1(n, p), 3, growth=1.6, kernel="boxcar")
         sigma = np.ones(n)
         ld = LadderDesign(basis, ladder, pts, 0.5, sigma)
         k = ld.K_eff
@@ -102,7 +101,7 @@ def test_A4_chi_square_domination():
     for p in (1, 2):
         basis = Basis.polynomial(p - 1)
         pts = np.linspace(0.0, 1.0, n)
-        ladder = ScaleLadder.geometric(max(4 * p, 8) / (2.0 * n), 3, growth=1.6, kernel="boxcar")
+        ladder = ScaleLadder.geometric(default_h1(n, p), 3, growth=1.6, kernel="boxcar")
         sigma = np.ones(n)
         ld = LadderDesign(basis, ladder, pts, 0.5, sigma)
         for delta in (0.05, 0.2):
@@ -121,7 +120,7 @@ def jump_setup():
     n, p, K, alpha, r, x = 200, 1, 6, 1.0, 0.5, 0.45
     basis = Basis.polynomial(p - 1)
     scene = Scene(f="jump", n=n, sigma_model=SigmaSpec("constant", 0.25), seed=5)
-    ladder = ladder_for(n, p, K)
+    ladder = ScaleLadder.geometric(default_h1(n, p), K, growth=1.5)
     cv = mc_calibrate(basis, ladder, scene.sigma_model_values(), scene.design_points(), x, alpha, r, 20000, seed=3)
     table = risk_experiment(scene, ladder, basis, cv, r, replicates=10000, x=x, delta_budget=1.0)
     return basis, scene, ladder, cv, table, x, r, alpha
@@ -140,18 +139,13 @@ def test_A5_oracle_bound_domination(jump_setup):
     k_star_j = table.meta["k_star_j"][j - 1]
     comp = table.lookup(f"component_{j}_gap_pow_r_scaled", k_star_j)
     z_star_j = cv.z[min(k_star_j, K - 1) - 1]
-    crb = oracle_risk_bound_componentwise(
-        z_star_j, p, k_star_j, 0.0, 1.0, r, alpha,
-        n=scene.n, h_kstar_j=float(ladder.bandwidths[k_star_j - 1]), d=1,
-        lambda0=table.meta["lambda0"], sigma_max_sq=table.meta["sigma_bar_max"][k_star_j - 1],
-        homogeneous=True,
-    )
-    ok_comp = comp.estimate <= crb.bound
+    bound_j = oracle_risk_bound(z_star_j, p, k_star_j, 0.0, 1.0, r, alpha, homogeneous=True)
+    ok_comp = comp.estimate <= bound_j
     _report(
         "A5",
         ok_total and ok_comp,
         f"oracle risk {emp.estimate:.4f} <= {bound:.4f} at k*={k_star}; "
-        f"componentwise scaled {comp.estimate:.4f} <= {crb.bound:.4f} at k*(1)={k_star_j} (10000 replicates)",
+        f"componentwise scaled {comp.estimate:.4f} <= {bound_j:.4f} at k*(1)={k_star_j} (10000 replicates)",
     )
 
 
@@ -203,7 +197,7 @@ def test_A8_pivotality():
     n, p, K = 120, 2, 4
     basis = Basis.polynomial(p - 1)
     pts = np.linspace(0.0, 1.0, n)
-    ladder = ScaleLadder.geometric(max(4 * p, 8) / (2.0 * n), K, growth=1.5, kernel="boxcar")
+    ladder = ScaleLadder.geometric(default_h1(n, p), K, growth=1.5, kernel="boxcar")
     sigma = np.ones(n)
     ld = LadderDesign(basis, ladder, pts, 0.5, sigma)
     rng = np.random.default_rng(808)
@@ -213,9 +207,8 @@ def test_A8_pivotality():
         theta = rng.normal(size=p) * 5.0
         base = SelectionEnsemble.pure_noise(ld, 50, seed=trial)
         shifted = SelectionEnsemble.pure_noise(ld, 50, seed=trial, theta=theta)
-        for tab_b, tab_s in ((base.T_small, shifted.T_small), (base.T_large, shifted.T_large)):
-            mask = ~np.isnan(tab_b)
-            worst_stat = max(worst_stat, float(np.max(np.abs(tab_b[mask] - tab_s[mask]))))
+        mask = ~np.isnan(base.T)
+        worst_stat = max(worst_stat, float(np.max(np.abs(base.T[mask] - shifted.T[mask]))))
         if not np.array_equal(base.k_hat(z), shifted.k_hat(z)):
             khat_mismatch += 1
         mb, _ = base.pc_moments(z, 0.5)

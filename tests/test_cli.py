@@ -204,6 +204,30 @@ class TestCalibrateFit:
         assert main(["fit", "--data", str(p)]) == EXIT_CONFIG
 
 
+class TestUnreadableInput:
+    """A directory or a non-UTF-8 file given as an input is a configuration error, exit 2."""
+
+    @pytest.mark.parametrize("kind", ["directory", "non_utf8"])
+    @pytest.mark.parametrize("command,flag", [
+        ("fit", "--data"), ("calibrate", "--data"), ("verify", "--data"),
+        ("fit", "--cv"), ("simulate", "--config"), ("diagnose", "--config"),
+    ])
+    def test_unreadable_input_exit_code(self, tmp_path, capsys, command, flag, kind):
+        bad = tmp_path / "bad"
+        if kind == "directory":
+            bad.mkdir()
+        else:
+            bad.write_bytes(b"x,y,sigma\n\xff\xfe,1,1\n")
+        argv = [command, flag, str(bad)]
+        if flag == "--cv":
+            argv += ["--data", str(_write_dataset(tmp_path / "d.csv")), "--K", "3"]
+        out = tmp_path / "out.json"
+        assert main(argv + ["--mc", "1000", "--out", str(out)]) == EXIT_CONFIG
+        errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+        assert len(errors) == 1
+        assert not out.exists() and not (tmp_path / "out.csv").exists()
+
+
 class TestSimulateDiagnose:
     def test_simulate_writes_report_and_csv(self, tmp_path):
         cfg = tmp_path / "scenario.json"

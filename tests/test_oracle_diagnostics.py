@@ -22,8 +22,8 @@ from lpadapt.oracle_diagnostics import (
     lambda0_estimate,
     modeling_bias,
     oracle_index,
+    componentwise_scale,
     oracle_risk_bound,
-    oracle_risk_bound_componentwise,
     phi_factor,
     propagation_bound,
     smb_from_tradeoff,
@@ -234,11 +234,9 @@ class TestBounds:
         )
 
     def test_componentwise_scale(self):
-        res = oracle_risk_bound_componentwise(
-            4.0, 1, 2, 0.0, 0.0, 1.0, 1.0, n=100, h_kstar_j=0.1, d=1, lambda0=0.5, sigma_max_sq=2.0
-        )
-        assert res.scale == pytest.approx((100 * 0.1 * 0.5 / 2.0) ** 0.5, rel=1e-12)
-        assert res.bound == pytest.approx(2.0 + 1.0, rel=1e-12)  # z^{1/2} + sqrt(C(1,1))
+        scale = componentwise_scale(n=100, h=0.1, d=1, lambda0=0.5, sigma_max_sq=2.0, r=1.0)
+        assert scale == pytest.approx((100 * 0.1 * 0.5 / 2.0) ** 0.5, rel=1e-12)
+        assert oracle_risk_bound(4.0, 1, 2, 0.0, 0.0, 1.0, 1.0) == pytest.approx(2.0 + 1.0, rel=1e-12)  # z^{1/2} + sqrt(C(1,1))
 
     def test_z_moment_bounds_contain_exact_homogeneous(self):
         for delta in (0.05, 0.2, 0.4):

@@ -4,7 +4,10 @@ fit_curve builds grid points in stacked chunks; each point's result must be
 the one-point fit bit for bit, whatever else is in its chunk and in whatever
 order the grid comes.  The selection sweep shared by single points and by
 Monte-Carlo ensembles must follow the literal rule: stop at the first m with
-a pair T_lm > z_l, accepting on equality.
+a pair T_lm > z_l, accepting on equality.  pair_statistics, the one place a
+pairwise form is computed, must be the written-out double sum in both
+triangles, for any batch, and the ensembles' gathers from its table must
+equal the loops over scales they replace.
 """
 
 from unittest import mock
@@ -14,10 +17,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lpadapt.fll_selector as fll
-from lpadapt.calibration import SelectionEnsemble
+import lpadapt.sim_harness as sim_harness
+from lpadapt.calibration import CriticalValues, SelectionEnsemble
 from lpadapt.dataset import Dataset
-from lpadapt.fll_selector import fit_curve, fit_point, select_adaptive, selection_sweep
-from lpadapt.local_model import KERNEL_RADIUS, KERNELS, Basis, LadderDesign, LocalFit, NoiseModel, ScaleLadder
+from lpadapt.fll_selector import fit_curve, fit_point, pair_statistics, select_adaptive, selection_sweep
+from lpadapt.local_model import (
+    KERNEL_RADIUS,
+    KERNELS,
+    Basis,
+    LadderDesign,
+    LocalFit,
+    NoiseModel,
+    ScaleLadder,
+    default_h1,
+)
+from lpadapt.sim_harness import Scene, SigmaSpec, risk_experiment
 
 SETTINGS = settings(max_examples=30, deadline=None, derandomize=True)
 
@@ -128,6 +142,110 @@ def test_sweep_follows_the_literal_rule(table):
         assert (tuple(first[i]) if first[i, 1] else None) == expected_first
 
 
+def double_sum(d, B):
+    """max(d^T B d, 0) written out: the sum of d_i B_ij d_j over i, then j, from 0."""
+    acc = 0.0
+    for i in range(len(d)):
+        for j in range(len(d)):
+            acc += d[i] * B[i, j] * d[j]
+    return max(acc, 0.0)
+
+
+@st.composite
+def fit_batches(draw):
+    """Fits (N, K, p) from a few values, so equal fits and zero differences occur, and B (N or 1, K, p, p).
+
+    Some B are indefinite, so negative forms reach the clamp at 0.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    N, K, p = draw(st.integers(1, 12)), draw(st.integers(1, 6)), draw(st.sampled_from([1, 2, 3, 6]))
+    theta = rng.choice([-1.0, 0.0, 0.5, 1.0], (N, K, p)) * rng.choice([1.0, 1e-3, 7.0], (N, 1, 1))
+    A = rng.standard_normal((N, K, p, p))
+    B = A @ A.swapaxes(-1, -2) + (np.eye(p) if draw(st.booleans()) else -0.5 * p * np.eye(p))
+    return theta, B[:1] if draw(st.booleans()) else B
+
+
+@SETTINGS
+@given(fit_batches())
+def test_pair_statistics_is_the_double_sum_in_both_triangles(batch):
+    theta, B = batch
+    N, K, _ = theta.shape
+    T = pair_statistics(theta, B)
+    assert T.shape == (K, K, N)
+    for g in range(N):
+        Bg = B[g % B.shape[0]]
+        for l in range(K):
+            assert np.isnan(T[l, l, g])
+            for m in range(K):
+                if l != m:
+                    assert T[l, m, g] == double_sum(theta[g, l] - theta[g, m], Bg[l])
+
+
+@SETTINGS
+@given(fit_batches())
+def test_pair_statistics_of_a_batch_are_those_of_its_items(batch):
+    theta, B = batch
+    T = pair_statistics(theta, B)
+    for g in range(theta.shape[0]):
+        one = pair_statistics(theta[g : g + 1], B if B.shape[0] == 1 else B[g : g + 1])
+        assert same(T[..., g : g + 1], one)
+
+
+def scale_loop_gap_forms(ens, khat):
+    """SelectionEnsemble.gap_forms as a loop over the scales, reading the lower triangle of T."""
+    vals = np.zeros((ens.K, ens.mc))
+    for k in range(2, ens.K + 1):
+        mstep = np.minimum(k, khat)
+        for m in range(1, k):
+            idx = mstep == m
+            if np.any(idx):
+                vals[k - 1, idx] = ens.T[k - 1, m - 1, idx]
+    return vals
+
+
+def scale_loop_oracle_gaps(T, khat, k_star):
+    """risk_experiment's oracle comparison as a loop over the selected scales: B from k_star, in either triangle."""
+    vals = np.zeros(khat.size)
+    for m in range(1, T.shape[0] + 1):
+        idx = khat == m
+        if np.any(idx) and m != k_star:
+            vals[idx] = T[k_star - 1, m - 1, idx]
+    return vals
+
+
+@st.composite
+def risk_scenes(draw):
+    n = draw(st.integers(60, 200))
+    degree = draw(st.integers(0, 1))
+    scene = Scene(f=draw(st.sampled_from(["jump", "kink", "sin_bump"])), n=n, sigma_model=SigmaSpec("constant", 0.25),
+                  sigma_true=SigmaSpec("sine", 0.25, 0.1), seed=draw(st.integers(0, 1000)))
+    ladder = ScaleLadder.geometric(default_h1(n, degree + 1), draw(st.integers(2, 5)), growth=draw(st.floats(1.3, 1.8)))
+    return scene, ladder, Basis.polynomial(degree), draw(st.floats(0.3, 0.7)), draw(st.sampled_from([0.01, 1.0, 1e6]))
+
+
+@SETTINGS
+@given(risk_scenes(), st.integers(0, 2**32 - 1))
+def test_gathers_equal_the_scale_loops(problem, seed):
+    scene, ladder, basis, x, budget = problem
+    ld = LadderDesign(basis, ladder, scene.design_points(), x, scene.sigma_model_values())
+    reps, r = 80, 0.5
+    ens = SelectionEnsemble.draw(ld, reps, scene.seed, scene.sigma_true_values(), mean=scene.f_values())
+    upper = ens.T[np.triu_indices(ens.K, 1)].ravel()
+    # realised statistics as thresholds: ties for some replicates
+    z = np.random.default_rng(seed).choice(upper[upper > 0], ens.K - 1)
+    khat = ens.k_hat(z)
+    assert same(ens.gap_forms(z), scale_loop_gap_forms(ens, khat))
+
+    cv = CriticalValues(z=tuple(z.tolist()), method="fixed", alpha=1.0, r=r, p=basis.p, K=ens.K)
+    rows = {}
+    with mock.patch.object(sim_harness, "_moment_row", wraps=sim_harness._moment_row) as spy:
+        table = risk_experiment(scene, ladder, basis, cv, r, reps, x=x, delta_budget=budget)
+        for call in spy.call_args_list:
+            rows[call.args[2]] = call.args[3]
+    expected = scale_loop_oracle_gaps(ens.T, khat, table.meta["k_star"]) ** (r / 2.0)
+    assert same(rows["oracle_gap_pow_r2"], expected)
+
+
 @SETTINGS
 @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 3))
 def test_select_adaptive_is_the_sweep_on_one_column(seed, K, p):
@@ -137,13 +255,12 @@ def test_select_adaptive_is_the_sweep_on_one_column(seed, K, p):
     fits = [LocalFit(theta=t, B=A @ A.T + np.eye(p), k=k + 1) for k, t in enumerate(thetas)]
     T = select_adaptive(fits, np.full(max(K - 1, 0), np.inf)).statistics
     # thresholds equal to realised statistics, so T == z ties occur
-    pool = np.append(T[~np.isnan(T)], [0.5, 2.0])
+    pool = np.append(T[np.triu_indices(K, 1)], [0.5, 2.0])
     z = rng.choice(pool, max(K - 1, 0))
     trace = select_adaptive(fits, z)
     assert (trace.k_hat, trace.first_violation) == literal_rule(trace.statistics, z, K)
-    for l, m in zip(*np.triu_indices(K, 1)):
-        d = fits[l].theta - fits[m].theta
-        assert trace.statistics[l, m] == max(float(d @ fits[l].B @ d), 0.0)  # the stacked forms, bit for bit
+    for l, m in zip(*np.nonzero(~np.eye(K, dtype=bool))):
+        assert trace.statistics[l, m] == double_sum(fits[l].theta - fits[m].theta, fits[l].B)  # bit for bit
 
 
 @SETTINGS
@@ -155,8 +272,8 @@ def test_ensemble_selection_is_the_literal_rule(seed, degree):
     sigma = rng.uniform(0.2, 1.0, n)
     ld = LadderDesign(Basis.polynomial(degree), ScaleLadder.geometric(0.06, 4, growth=1.5), points, 0.5, sigma)
     ens = SelectionEnsemble.pure_noise(ld, 60, seed % 1000)
-    T = ens.T_small
-    z = rng.choice(T[~np.isnan(T)], ens.K - 1)  # realised statistics: ties for some replicates
+    T = ens.T
+    z = rng.choice(T[np.triu_indices(ens.K, 1)].ravel(), ens.K - 1)  # realised statistics: ties for some replicates
     k_hat = ens.k_hat(z)
     assert [literal_rule(T[:, :, j], z, ens.K)[0] for j in range(ens.mc)] == k_hat.tolist()
 

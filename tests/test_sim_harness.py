@@ -5,13 +5,12 @@ import pytest
 
 from lpadapt.calibration import CriticalValues, chi_square_moment, mc_calibrate
 from lpadapt.exceptions import ParameterDomainError
-from lpadapt.local_model import Basis
+from lpadapt.local_model import Basis, ScaleLadder, default_h1
 from lpadapt.sim_harness import (
     Scene,
     SigmaSpec,
     delta_sweep,
     generate,
-    ladder_for,
     risk_experiment,
 )
 
@@ -63,7 +62,7 @@ class TestSceneAndGenerate:
 def parametric_setup():
     basis = Basis.polynomial(0)
     scene = Scene(f="constant", n=200, sigma_model=SigmaSpec("constant", 1.0), seed=31)
-    ladder = ladder_for(200, 1, 4)
+    ladder = ScaleLadder.geometric(default_h1(200, 1), 4, growth=1.5)
     cv = mc_calibrate(basis, ladder, scene.sigma_model_values(), scene.design_points(), 0.5, 1.0, 0.5, 4000, 17)
     return basis, scene, ladder, cv
 
@@ -93,7 +92,7 @@ class TestRiskExperiment:
         # worst fixed-scale error (the largest window smooths across the jump)
         basis = Basis.polynomial(0)
         scene = Scene(f="jump", n=200, sigma_model=SigmaSpec("constant", 0.25), seed=5)
-        ladder = ladder_for(200, 1, 6)
+        ladder = ScaleLadder.geometric(default_h1(200, 1), 6, growth=1.5)
         cv = mc_calibrate(basis, ladder, scene.sigma_model_values(), scene.design_points(), 0.47, 1.0, 0.5, 4000, 3)
         table = risk_experiment(scene, ladder, basis, cv, 0.5, 3000, x=0.47)
         fixed = [table.lookup("fit_sqerr_fixed", k).estimate for k in range(1, 7)]

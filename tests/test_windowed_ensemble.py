@@ -13,7 +13,7 @@ import pytest
 
 from lpadapt.calibration import SelectionEnsemble, noise_matrix, replicate_noise
 from lpadapt.exceptions import ParameterDomainError
-from lpadapt.local_model import KERNELS, Basis, LadderDesign, ScaleLadder
+from lpadapt.local_model import KERNELS, Basis, LadderDesign, ScaleLadder, default_h1
 
 Z = np.array([3.0, 2.0, 1.5])  # low enough that many replicates stop early
 MC = 400
@@ -36,9 +36,8 @@ def assert_matches_full_n(ld, seed, theta=None):
     assert win.ld.points.shape[0] == ld.support.size < ld.points.shape[0]
     scale = np.max(np.abs(full.theta_tilde), axis=0)  # (K, p)
     assert np.all(np.abs(win.theta_tilde - full.theta_tilde) <= 1e-11 * scale)
-    for got, want in ((win.T_small, full.T_small), (win.T_large, full.T_large)):
-        assert np.array_equal(np.isnan(got), np.isnan(want))
-        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-10)
+    assert np.array_equal(np.isnan(win.T), np.isnan(full.T))
+    np.testing.assert_allclose(win.T, full.T, rtol=1e-9, atol=1e-10)
     khat = win.k_hat(Z)
     assert np.array_equal(khat, full.k_hat(Z))
     assert 1 < len(np.unique(khat))  # the thresholds exercise both stopping and passing
@@ -53,7 +52,7 @@ def one_d_ld(kernel="boxcar", degree=1, n=500, x=0.43, K=4, shuffle=False):
     if shuffle:
         perm = np.random.default_rng(n).permutation(n)
         pts, sigma = pts[perm], sigma[perm]
-    ladder = ScaleLadder.geometric(max(4 * (degree + 1), 8) / (2.0 * n), K, growth=1.5, kernel=kernel)
+    ladder = ScaleLadder.geometric(default_h1(n, degree + 1), K, growth=1.5, kernel=kernel)
     return LadderDesign(Basis.polynomial(degree), ladder, pts, x, sigma)
 
 
