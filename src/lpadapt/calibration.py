@@ -157,8 +157,11 @@ def replicate_noise(seed: int, replicate: int, n: int) -> np.ndarray:
     This defines the package's noise stream: replicate j of seed s is the
     standard-normal stream of default_rng(SeedSequence([s, j])), so results
     are bit-identical regardless of batching or scheduling.  noise_matrix
-    produces the same rows in bulk.  The generator fills its output in
-    order, so a shorter draw is a prefix of a longer one:
+    produces the same rows in bulk.  Value i of the stream belongs to design
+    index i in every Monte-Carlo loop except mc_calibrate, which puts it on
+    the i-th point of the largest window (window coordinates).  The
+    generator fills its output in order, so a shorter draw is a prefix of a
+    longer one:
     replicate_noise(s, j, m) equals replicate_noise(s, j, n)[:m] bit for bit
     for every m <= n.
     """
@@ -360,11 +363,23 @@ def mc_calibrate(
     bisection against max_k E|gap_k|^r <= alpha C(p, r).  Raises
     CalibrationFailedError when even the analytic offset fails empirically
     (MC size too small or a misconfigured ladder).
+
+    Only the m points of the largest accepted window (LadderDesign.support)
+    enter: the design is rebuilt on them, in increasing design index, and
+    the pure-noise ensemble is drawn in window coordinates.  Replicate j is
+    replicate_noise(seed, j, m), its i-th value on the i-th window point,
+    times sigma_model there.  Cost and result therefore do not depend on n
+    or on any point outside the window.  Every other Monte-Carlo loop
+    (validate_pc, SelectionEnsemble.draw, risk_experiment, verification)
+    draws on design indices, so validate_pc checks the thresholds on
+    different noise.
     """
     _check_alpha_r(alpha, r)
     if mc_size < 1000:
         raise ParameterDomainError("mc_size must be >= 1000 for a usable calibration")
     ld = LadderDesign(basis, ladder, design_points, x, sigma_model)
+    # rebuilt on the largest window's points, in design order, so no point outside it enters the B_k sums
+    ld = LadderDesign(basis, ladder, ld.points[ld.support], x, ld.sigma_model[ld.support])
     if ld.K_eff < 2:
         raise CalibrationFailedError(f"need at least 2 usable scales, got {ld.K_eff}")
     K, p = ld.K_eff, basis.p
@@ -374,7 +389,11 @@ def mc_calibrate(
             f"windows do not strictly grow (u0_hat={u0_hat:.4f}); refine the ladder"
         )
 
-    ens = SelectionEnsemble.pure_noise(ld, mc_size, seed, theta=theta)
+    m = ld.points.shape[0]
+    Y = noise_matrix(seed, mc_size, m, np.arange(m)) * ld.sigma_model
+    if theta is not None:
+        Y += ld.psi.T @ np.asarray(theta, dtype=float)
+    ens = SelectionEnsemble(ld, Y)
     target = alpha * chi_square_moment(p, r)
     offsets, c_analytic = _cv_terms(p, r, K, alpha, u_hat, mu0)
 

@@ -8,6 +8,7 @@ LPADAPT_LOG (logging level name).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
@@ -37,13 +38,23 @@ EXIT_NUMERIC = 3
 EXIT_VERIFY = 4
 
 
+@contextlib.contextmanager
+def _open_utf8(path: str, newline: str | None = None):
+    """path opened as UTF-8 text; a decoding error while it is read names the file."""
+    with open(path, newline=newline, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ParameterDomainError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def ingest_csv(path: str) -> Dataset:
     """Read a UTF-8 CSV with columns x (or x1..xd), y, sigma[, sigma_true].
 
     Non-finite or unparseable cells raise ParseError with the 1-based data
     row number; absent required columns raise MissingColumnError.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _open_utf8(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -98,7 +109,7 @@ def ingest_csv(path: str) -> Dataset:
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    with open(path, encoding="utf-8") as fh:
+    with _open_utf8(path) as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
@@ -234,7 +245,7 @@ def cmd_calibrate(args) -> int:
 def _critical_values(args, cfg: dict, basis: Basis, ladder: ScaleLadder, sigma, points, x_ref, seed: int) -> CriticalValues:
     """The thresholds of the --cv file, or else calibrated inline at x_ref (mc_size 5000 by default)."""
     if args.cv:
-        with open(args.cv, encoding="utf-8") as fh:
+        with _open_utf8(args.cv) as fh:
             return CriticalValues.from_json(fh.read())
     alpha, r = _option(args, cfg, "alpha", 1.0), _option(args, cfg, "r", 0.5)
     return mc_calibrate(basis, ladder, sigma, points, x_ref, alpha, r, _option(args, cfg, "mc", 5000, int, key="mc_size"), seed)
@@ -403,12 +414,12 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ParseError, MissingColumnError, ParameterDomainError, OSError, UnicodeDecodeError) as exc:
-        log.error("configuration error: %s", exc)
+    except (ParseError, MissingColumnError, ParameterDomainError, OSError) as exc:
+        log.debug("configuration error: %s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except LpAdaptError as exc:  # every other package error is a numeric failure
-        log.error("numeric failure: %s", exc)
+        log.debug("numeric failure: %s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

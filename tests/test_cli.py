@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -225,7 +229,22 @@ class TestUnreadableInput:
         assert main(argv + ["--mc", "1000", "--out", str(out)]) == EXIT_CONFIG
         errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
         assert len(errors) == 1
+        if kind == "non_utf8":  # the decoding error alone does not say which input it was
+            assert str(bad) in errors[0]
         assert not out.exists() and not (tmp_path / "out.csv").exists()
+
+    def test_error_is_printed_once(self, tmp_path):
+        # a fresh process, so logging writes to the real stderr at its default level
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {k: v for k, v in os.environ.items() if k != "LPADAPT_LOG"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "lpadapt.cli", "fit", "--data", str(bad)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == EXIT_CONFIG
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and str(bad) in lines[0], proc.stderr
 
 
 class TestSimulateDiagnose:

@@ -7,7 +7,9 @@ Monte-Carlo ensembles must follow the literal rule: stop at the first m with
 a pair T_lm > z_l, accepting on equality.  pair_statistics, the one place a
 pairwise form is computed, must be the written-out double sum in both
 triangles, for any batch, and the ensembles' gathers from its table must
-equal the loops over scales they replace.
+equal the loops over scales they replace.  mc_calibrate draws its noise in
+window coordinates, so design points outside the largest window leave its
+thresholds unchanged.
 """
 
 from unittest import mock
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 
 import lpadapt.fll_selector as fll
 import lpadapt.sim_harness as sim_harness
-from lpadapt.calibration import CriticalValues, SelectionEnsemble
+from lpadapt.calibration import CriticalValues, SelectionEnsemble, mc_calibrate
 from lpadapt.dataset import Dataset
 from lpadapt.fll_selector import fit_curve, fit_point, pair_statistics, select_adaptive, selection_sweep
 from lpadapt.local_model import (
@@ -286,3 +288,33 @@ def test_tie_cases_from_the_selector_suite():
     T = np.array([[np.nan, 4.0], [np.nan, np.nan]])[..., None]
     assert selection_sweep(T, [4.0])[0].tolist() == [2]
     assert selection_sweep(T, [np.nextafter(4.0, 0.0)])[1].tolist() == [[1, 2]]
+
+
+@st.composite
+def calibration_problems(draw):
+    """A 1-D design and a calibration whose thresholds depend on the noise (small alpha and r)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(80, 300))
+    points = rng.uniform(0.0, 1.0, n)
+    if draw(st.booleans()):
+        points = np.sort(points)
+    sigma = rng.uniform(0.2, 1.0, n)
+    kernel = draw(st.sampled_from(KERNELS))
+    degree = draw(st.integers(0, 1))
+    h1 = 4.0 * default_h1(n, degree + 1) / KERNEL_RADIUS[kernel]
+    ladder = ScaleLadder.geometric(h1, draw(st.integers(3, 5)), growth=draw(st.floats(1.25, 1.6)), kernel=kernel)
+    return Basis.polynomial(degree), ladder, points, sigma, draw(st.sampled_from([0.05, 0.1, 0.2]))
+
+
+@SETTINGS
+@given(calibration_problems(), st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_points_outside_the_window_leave_the_calibration_unchanged(problem, m, seed):
+    basis, ladder, points, sigma, alpha = problem
+    rng = np.random.default_rng(seed)
+    # m far points at random indices, so some come before the window and shift its design indices
+    at = rng.integers(0, points.size + 1, m)
+    more_points = np.insert(points, at, rng.uniform(-12.0, -10.0, m))
+    more_sigma = np.insert(sigma, at, rng.uniform(0.2, 1.0, m))
+    calibration = (0.5, alpha, 0.1, 1000, seed)
+    want = mc_calibrate(basis, ladder, sigma, points, *calibration)
+    assert mc_calibrate(basis, ladder, more_sigma, more_points, *calibration).z == want.z

@@ -4,14 +4,19 @@ The windowed SelectionEnsemble is compared with an ensemble built from the
 same noise over all n observations, the noise itself is checked bit for bit
 against full-length draws, and a structural check bounds what an ensemble
 holds, so a regression to mc x n storage fails without any timing.
+mc_calibrate draws in window coordinates instead: replicate j's first
+len(support) values, whatever n is, which a count of its draws and a bit
+for bit oracle pin down.
 """
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from lpadapt.calibration import SelectionEnsemble, noise_matrix, replicate_noise
+from lpadapt import calibration
+from lpadapt.calibration import SelectionEnsemble, mc_calibrate, noise_matrix, replicate_noise
 from lpadapt.exceptions import ParameterDomainError
 from lpadapt.local_model import KERNELS, Basis, LadderDesign, ScaleLadder, default_h1
 
@@ -163,3 +168,38 @@ def test_ensemble_holds_support_columns_only(draw_sizes):
     assert max(draw_sizes) == support[-1] + 1 < n
     # mc x n float64 alone would be 32 MB; the windowed ensemble needs about 3 MB
     assert peak < 8 * 2**20, peak
+
+
+class TestCalibrationWindow:
+    """mc_calibrate draws replicate j's first len(support) values, on the support in design order."""
+
+    @staticmethod
+    def calibrate(ld, seed=0, theta=None):
+        return mc_calibrate(ld.basis, ld.ladder, ld.sigma_model, ld.points, ld.x, 1.0, 0.5, 1000, seed, theta=theta)
+
+    @pytest.mark.parametrize("n", [400, 32000])
+    def test_draws_do_not_grow_with_n(self, draw_sizes, n):
+        ld = one_d_ld("boxcar", 1, n=n, x=0.5, K=6)
+        self.calibrate(ld)
+        assert draw_sizes == [ld.support.size] * 1000
+        assert ld.support.size < 100 < ld.support[-1]
+
+    @pytest.mark.parametrize("theta", [None, np.array([3.0, -20.0])])
+    def test_rows_are_replicate_prefixes_on_the_support(self, theta):
+        ld = one_d_ld("epanechnikov", 1, shuffle=True)
+        support, seed = ld.support, 9
+        built = []
+
+        class Spy(SelectionEnsemble):
+            def __init__(self, design, Y):
+                built.append((design, np.array(Y)))
+                super().__init__(design, Y)
+
+        with mock.patch.object(calibration, "SelectionEnsemble", Spy):
+            self.calibrate(ld, seed=seed, theta=theta)
+        (design, Y), = built
+        assert np.array_equal(design.points, ld.points[support])
+        mean = 0.0 if theta is None else ld.psi[:, support].T @ theta
+        for j in range(Y.shape[0]):
+            want = replicate_noise(seed, j, support.size) * ld.sigma_model[support]
+            assert np.array_equal(Y[j], want + mean)
