@@ -365,11 +365,12 @@ def mc_calibrate(
     (MC size too small or a misconfigured ladder).
 
     Only the m points of the largest accepted window (LadderDesign.support)
-    enter: the design is rebuilt on them, in increasing design index, and
-    the pure-noise ensemble is drawn in window coordinates.  Replicate j is
-    replicate_noise(seed, j, m), its i-th value on the i-th window point,
-    times sigma_model there.  Cost and result therefore do not depend on n
-    or on any point outside the window.  Every other Monte-Carlo loop
+    enter: the design is rebuilt on them with the accepted scales only, in
+    increasing design index, and the pure-noise ensemble is drawn in window
+    coordinates.  Replicate j is replicate_noise(seed, j, m), its i-th value
+    on the i-th window point, times sigma_model there.  Cost therefore does
+    not depend on n, and a point outside the window enters only through the
+    scales the full design accepts.  Every other Monte-Carlo loop
     (validate_pc, SelectionEnsemble.draw, risk_experiment, verification)
     draws on design indices, so validate_pc checks the thresholds on
     different noise.
@@ -378,10 +379,12 @@ def mc_calibrate(
     if mc_size < 1000:
         raise ParameterDomainError("mc_size must be >= 1000 for a usable calibration")
     ld = LadderDesign(basis, ladder, design_points, x, sigma_model)
-    # rebuilt on the largest window's points, in design order, so no point outside it enters the B_k sums
-    ld = LadderDesign(basis, ladder, ld.points[ld.support], x, ld.sigma_model[ld.support])
     if ld.K_eff < 2:
         raise CalibrationFailedError(f"need at least 2 usable scales, got {ld.K_eff}")
+    # rebuilt on the accepted scales and the largest window's points, in design order, so no point
+    # outside it enters the B_k sums and no scale it rejected is gated again on the window alone
+    accepted = ScaleLadder(ladder.bandwidths[: ld.K_eff], kernel=ladder.kernel)
+    ld = LadderDesign(basis, accepted, ld.points[ld.support], x, ld.sigma_model[ld.support])
     K, p = ld.K_eff, basis.p
     u0_hat, u_hat = ld.growth_bounds()
     if u0_hat <= 1.0:
@@ -389,11 +392,8 @@ def mc_calibrate(
             f"windows do not strictly grow (u0_hat={u0_hat:.4f}); refine the ladder"
         )
 
-    m = ld.points.shape[0]
-    Y = noise_matrix(seed, mc_size, m, np.arange(m)) * ld.sigma_model
-    if theta is not None:
-        Y += ld.psi.T @ np.asarray(theta, dtype=float)
-    ens = SelectionEnsemble(ld, Y)
+    # every rebuilt point is in the support, so the draw is replicate j's first m values
+    ens = SelectionEnsemble.pure_noise(ld, mc_size, seed, theta=theta)
     target = alpha * chi_square_moment(p, r)
     offsets, c_analytic = _cv_terms(p, r, K, alpha, u_hat, mu0)
 

@@ -203,3 +203,14 @@ class TestCalibrationWindow:
         for j in range(Y.shape[0]):
             want = replicate_noise(seed, j, support.size) * ld.sigma_model[support]
             assert np.array_equal(Y[j], want + mean)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_truncated_ladder_keeps_the_accepted_scales(self, kernel):
+        # the far point fails scale 5 on the full design; on the window alone it would pass again
+        n = 400
+        pts = np.concatenate([np.linspace(0.0, 1.0, n - 1), [1e4]])
+        ladder = ScaleLadder((0.03, 0.05, 0.08, 0.13, 2e4), kernel=kernel)
+        ld = LadderDesign(Basis.polynomial(2), ladder, pts, 0.5, np.full(n, 0.3))
+        assert ld.K_eff == 4 and ld.truncated_at == 5
+        cv = self.calibrate(ld)
+        assert cv.K == ld.K_eff == 4 and len(cv.z) == 3
