@@ -11,9 +11,9 @@ which provably satisfy the moment conditions
         <= alpha C(p, r),   k = 2..K,
 
 with C(p,r) the r-th moment of chi^2_p.  The Monte-Carlo calibrator keeps
-the same l-shape with one free offset, z_l(c) = c + 4 r (K-l) log(u) / mu0,
-and bisects on the minimal offset c for which all empirical moment
-conditions hold on a simulated pure-noise ensemble.
+the same l-shape with one free offset, z_l(c) = c + 4 r (K-l) log(u) / mu0
+with mu0 = DEFAULT_MU, and bisects on the minimal offset c for which all
+empirical moment conditions hold on a simulated pure-noise ensemble.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ from .fll_selector import pair_statistics, selection_sweep
 from .local_model import Basis, LadderDesign, ScaleLadder
 
 DEFAULT_MU = 0.125
+#: bisection steps of mc_calibrate's offset search
+_BISECT_ITERS = 12
 
 
 def chi_square_moment(p: int, r: float) -> float:
@@ -125,23 +127,10 @@ def theoretical_cv(
     alpha: float,
     u: float,
     mu: float = DEFAULT_MU,
-    optimize_mu: bool = False,
 ) -> CriticalValues:
-    """Analytic thresholds; finite for any mu in (0, 1/4) and u > 1.
-
-    With optimize_mu the first threshold z_1 is minimized over a mu grid
-    and the minimizing mu is used for the whole vector.
-    """
-
-    def z_vec(m: float) -> np.ndarray:
-        offsets, c0 = _cv_terms(p, r, K, alpha, u, m)
-        return offsets + c0
-
-    if optimize_mu:
-        grid = np.arange(0.01, 0.25, 0.01)
-        mu = float(min(grid, key=lambda m: z_vec(float(m))[0] if K > 1 else _cv_terms(p, r, K, alpha, u, float(m))[1]))
-    zs = z_vec(mu)
-    return CriticalValues(z=tuple(float(v) for v in zs), method="theoretical", alpha=alpha, r=r, p=p, K=K, mu=mu)
+    """Analytic thresholds for growth bound u; finite for any mu in (0, 1/4) and u > 1."""
+    offsets, c0 = _cv_terms(p, r, K, alpha, u, mu)
+    return CriticalValues(z=tuple(float(v) for v in offsets + c0), method="theoretical", alpha=alpha, r=r, p=p, K=K, mu=mu)
 
 
 def _check_index(name: str, value) -> int:
@@ -353,14 +342,13 @@ def mc_calibrate(
     mc_size: int,
     seed: int,
     theta: np.ndarray | None = None,
-    mu0: float = DEFAULT_MU,
-    bisect_iters: int = 12,
 ) -> CriticalValues:
     """Minimal-offset thresholds satisfying the empirical moment conditions.
 
-    The candidate family is z_l(c) = c + 4 r (K-l) log(u_hat) / mu0 with
-    u_hat estimated from the realized information matrices, and c found by
-    bisection against max_k E|gap_k|^r <= alpha C(p, r).  Raises
+    The candidate family is z_l(c) = c + 4 r (K-l) log(u_hat) / DEFAULT_MU
+    with u_hat estimated from the realized information matrices, and c found
+    by _BISECT_ITERS (12) bisection steps against max_k E|gap_k|^r <= alpha C(p, r).
+    theta, when given, shifts the noise mean by Psi^T theta.  Raises
     CalibrationFailedError when even the analytic offset fails empirically
     (MC size too small or a misconfigured ladder).
 
@@ -395,7 +383,7 @@ def mc_calibrate(
     # every rebuilt point is in the support, so the draw is replicate j's first m values
     ens = SelectionEnsemble.pure_noise(ld, mc_size, seed, theta=theta)
     target = alpha * chi_square_moment(p, r)
-    offsets, c_analytic = _cv_terms(p, r, K, alpha, u_hat, mu0)
+    offsets, c_analytic = _cv_terms(p, r, K, alpha, u_hat, DEFAULT_MU)
 
     def max_moment(c: float) -> float:
         mom, _ = ens.pc_moments(c + offsets, r)
@@ -409,7 +397,7 @@ def mc_calibrate(
             "increase mc_size or check the ladder"
         )
     lo, hi = 0.0, c_analytic
-    for _ in range(bisect_iters):
+    for _ in range(_BISECT_ITERS):
         mid = 0.5 * (lo + hi)
         if max_moment(mid) <= target:
             hi = mid

@@ -21,7 +21,7 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import __version__
-from .calibration import CriticalValues, mc_calibrate, theoretical_cv, validate_pc
+from .calibration import DEFAULT_MU, CriticalValues, mc_calibrate, theoretical_cv, validate_pc
 from .dataset import Dataset
 from .exceptions import LpAdaptError, MissingColumnError, ParameterDomainError, ParseError
 from .fll_selector import fit_curve
@@ -111,15 +111,49 @@ def _load_config(path: str | None) -> dict:
         return {}
     with _open_utf8(path) as fh:
         try:
-            return json.load(fh)
+            cfg = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParameterDomainError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ParameterDomainError(f"config {path} must be a JSON object, got {type(cfg).__name__}")
+    return cfg
 
 
-def _option(args, cfg: dict, name: str, default, cast=float, key: str | None = None):
-    """The --name flag when given, else the config key (name by default), else default."""
-    value = getattr(args, name)
-    return cast(value if value is not None else cfg.get(key or name, default))
+def _section(cfg: dict, key: str) -> dict:
+    """The sub-object cfg[key], {} when absent or null."""
+    value = cfg.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ParameterDomainError(f"config key {key!r} must be a JSON object, got {value!r}")
+    return value
+
+
+def _option(cfg: dict, key: str, default, cast=float, flag=None):
+    """The flag's value when given, else cfg[key] unless null, else default; None stays None.
+
+    A value that cast rejects is a configuration error naming the key.
+    """
+    value = flag if flag is not None else cfg.get(key)
+    if value is None:
+        value = default
+    if value is None:
+        return None
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as exc:
+        raise ParameterDomainError(f"config key {key!r} has invalid value {value!r}: {exc}") from exc
+
+
+def _numbers(value) -> tuple[float, ...]:
+    if not isinstance(value, list):
+        raise TypeError("expected a list of numbers")
+    return tuple(float(v) for v in value)
+
+
+def _design(data: Dataset) -> np.ndarray:
+    """The data's design points as an (n, d) array."""
+    return data.x.reshape(data.n, data.d)
 
 
 def _config_hash(cfg: dict) -> str:
@@ -135,8 +169,7 @@ def _provenance_line(cfg: dict, seed) -> str:
 
 
 def _basis_from_config(cfg: dict, dim: int = 1) -> Basis:
-    degree = int(cfg.get("basis", {}).get("degree", 1))
-    return Basis.polynomial(degree, dim=dim)
+    return Basis.polynomial(_option(_section(cfg, "basis"), "degree", 1, int), dim=dim)
 
 
 def _ladder_from_config(cfg: dict, p: int, args, span: float = 1.0, n: int = 200, default_K: int | None = None) -> ScaleLadder:
@@ -147,19 +180,15 @@ def _ladder_from_config(cfg: dict, p: int, args, span: float = 1.0, n: int = 200
     default_K, and when none of these is given, as many scales as fit in
     half the span, between 2 and 8.
     """
-    lcfg = dict(cfg.get("ladder", {}))
-    kernel = lcfg.get("kernel", "boxcar")
-    if "bandwidths" in lcfg:
-        return ScaleLadder(tuple(float(h) for h in lcfg["bandwidths"]), kernel=kernel)
-    growth = float(args.u if args.u is not None else lcfg.get("growth", 1.25))
-    h1 = float(lcfg.get("h1", default_h1(n, p, span)))
-    if args.K is not None:
-        K = int(args.K)
-    elif "K" in lcfg:
-        K = int(lcfg["K"])
-    elif default_K is not None:
-        K = default_K
-    else:
+    lcfg = _section(cfg, "ladder")
+    kernel = _option(lcfg, "kernel", "boxcar", str)
+    bandwidths = _option(lcfg, "bandwidths", None, _numbers)
+    if bandwidths is not None:
+        return ScaleLadder(bandwidths, kernel=kernel)
+    growth = _option(lcfg, "growth", 1.25, flag=args.u)
+    h1 = _option(lcfg, "h1", default_h1(n, p, span))
+    K = _option(lcfg, "K", default_K, int, args.K)
+    if K is None:
         K = max(2, min(8, int(math.floor(math.log(max(span / 2.0 / h1, growth)) / math.log(growth))) + 1))
     return ScaleLadder.geometric(h1, K, growth=growth, kernel=kernel)
 
@@ -167,32 +196,30 @@ def _ladder_from_config(cfg: dict, p: int, args, span: float = 1.0, n: int = 200
 def _data_ladder(cfg: dict, data: Dataset | None, p: int, args) -> ScaleLadder:
     """Ladder for a dataset, spanning its first coordinate; without data, the unit interval with cfg's n."""
     if data is None:
-        return _ladder_from_config(cfg, p, args, n=int(cfg.get("n", 200)))
-    xs = np.atleast_2d(np.asarray(data.x, dtype=float).T).T
-    span = float(np.max(xs[:, 0]) - np.min(xs[:, 0]))
-    return _ladder_from_config(cfg, p, args, span=span, n=data.n)
+        return _ladder_from_config(cfg, p, args, n=_option(cfg, "n", 200, int))
+    x1 = _design(data)[:, 0]
+    return _ladder_from_config(cfg, p, args, span=float(np.max(x1) - np.min(x1)), n=data.n)
 
 
-def _sigma_spec(cfg) -> SigmaSpec:
-    if cfg is None:
-        return SigmaSpec()
+def _sigma_spec(spec: dict) -> SigmaSpec:
     return SigmaSpec(
-        pattern=cfg.get("pattern", "constant"),
-        level=float(cfg.get("level", 1.0)),
-        amplitude=float(cfg.get("amplitude", 0.0)),
-        phase=float(cfg.get("phase", 0.0)),
+        pattern=_option(spec, "pattern", "constant", str),
+        level=_option(spec, "level", 1.0),
+        amplitude=_option(spec, "amplitude", 0.0),
+        phase=_option(spec, "phase", 0.0),
     )
 
 
 def _scene_from_config(cfg: dict) -> Scene:
+    sigma_true = _section(cfg, "sigma_true")
     return Scene(
-        f=cfg.get("f", "constant"),
-        n=int(cfg.get("n", 200)),
-        sigma_model=_sigma_spec(cfg.get("sigma_model")),
-        sigma_true=_sigma_spec(cfg.get("sigma_true")) if cfg.get("sigma_true") else None,
-        seed=int(cfg.get("seed", 0)),
-        f_scale=float(cfg.get("f_scale", 1.0)),
-        design=tuple(cfg["design"]) if isinstance(cfg.get("design"), list) else None,
+        f=_option(cfg, "f", "constant", str),
+        n=_option(cfg, "n", 200, int),
+        sigma_model=_sigma_spec(_section(cfg, "sigma_model")),
+        sigma_true=_sigma_spec(sigma_true) if sigma_true else None,
+        seed=_option(cfg, "seed", 0, int),
+        f_scale=_option(cfg, "f_scale", 1.0),
+        design=_option(cfg, "design", None, _numbers),
     )
 
 
@@ -206,32 +233,30 @@ def _write_text(path: str | None, text: str):
 
 def cmd_calibrate(args) -> int:
     cfg = _load_config(args.config)
-    alpha, r = _option(args, cfg, "alpha", 1.0), _option(args, cfg, "r", 0.5)
-    seed = _option(args, cfg, "seed", 0, int)
-    mc = _option(args, cfg, "mc", 20000, int, key="mc_size")
-    method = cfg.get("method", "monte_carlo")
+    alpha, r = _option(cfg, "alpha", 1.0, flag=args.alpha), _option(cfg, "r", 0.5, flag=args.r)
+    seed = _option(cfg, "seed", 0, int, args.seed)
+    mc = _option(cfg, "mc_size", 20000, int, args.mc)
+    method = _option(cfg, "method", "monte_carlo", str)
     if method not in ("monte_carlo", "theoretical"):
         raise ParameterDomainError(f"unknown calibration method {method!r}; choose monte_carlo or theoretical")
 
     if args.data:
         data = ingest_csv(args.data)
-        points = data.x
-        sigma = data.sigma
-        x_ref = cfg.get("x", float(np.median(np.atleast_2d(np.asarray(points, dtype=float).T).T[:, 0])))
+        points, sigma, dim = data.x, data.sigma, data.d
+        x_ref = _option(cfg, "x", np.median(_design(data), axis=0), lambda v: np.asarray(v, dtype=float))
     else:
-        n = int(cfg.get("n", 200))
-        points = np.linspace(0.0, 1.0, n)
-        sigma = np.full(n, float(cfg.get("sigma", 1.0)))
-        x_ref = float(cfg.get("x", 0.5))
         data = None
+        n = _option(cfg, "n", 200, int)
+        points, sigma, dim = np.linspace(0.0, 1.0, n), np.full(n, _option(cfg, "sigma", 1.0)), 1
+        x_ref = _option(cfg, "x", 0.5)
 
-    basis = _basis_from_config(cfg, dim=1 if data is None or data.d == 1 else data.d)
+    basis = _basis_from_config(cfg, dim=dim)
     ladder = _data_ladder(cfg, data, basis.p, args)
 
     if method == "theoretical":
         ld = LadderDesign(basis, ladder, points, x_ref, sigma)
         u_hat = ld.growth_bounds()[1] if ld.K_eff > 1 else 1.25
-        cv = theoretical_cv(basis.p, r, ld.K_eff, alpha, u_hat, mu=_option(args, cfg, "mu", 0.125))
+        cv = theoretical_cv(basis.p, r, ld.K_eff, alpha, u_hat, mu=_option(cfg, "mu", DEFAULT_MU, flag=args.mu))
     else:
         cv = mc_calibrate(basis, ladder, sigma, points, x_ref, alpha, r, mc, seed)
     payload = asdict(cv)
@@ -247,8 +272,8 @@ def _critical_values(args, cfg: dict, basis: Basis, ladder: ScaleLadder, sigma, 
     if args.cv:
         with _open_utf8(args.cv) as fh:
             return CriticalValues.from_json(fh.read())
-    alpha, r = _option(args, cfg, "alpha", 1.0), _option(args, cfg, "r", 0.5)
-    return mc_calibrate(basis, ladder, sigma, points, x_ref, alpha, r, _option(args, cfg, "mc", 5000, int, key="mc_size"), seed)
+    alpha, r = _option(cfg, "alpha", 1.0, flag=args.alpha), _option(cfg, "r", 0.5, flag=args.r)
+    return mc_calibrate(basis, ladder, sigma, points, x_ref, alpha, r, _option(cfg, "mc_size", 5000, int, args.mc), seed)
 
 
 def cmd_fit(args) -> int:
@@ -262,10 +287,10 @@ def cmd_fit(args) -> int:
         raise ParameterDomainError("--grid needs one-dimensional data")
     basis = _basis_from_config(cfg, dim=data.d)
     ladder = _data_ladder(cfg, data, basis.p, args)
-    noise = data.noise_model(delta=cfg.get("delta"))
+    noise = data.noise_model(delta=_option(cfg, "delta", None))
 
-    x_ref = float(np.median(np.atleast_2d(np.asarray(data.x, dtype=float).T).T[:, 0]))
-    cv = _critical_values(args, cfg, basis, ladder, data.sigma, data.x, x_ref, _option(args, cfg, "seed", 0, int))
+    x_ref = np.median(_design(data), axis=0)  # coordinatewise median
+    cv = _critical_values(args, cfg, basis, ladder, data.sigma, data.x, x_ref, _option(cfg, "seed", 0, int, args.seed))
 
     points = fit_curve(data, data.x, ladder, basis, noise, cv)
     header_cols = (["x"] if data.d == 1 else [f"x{i + 1}" for i in range(data.d)]) + [
@@ -285,9 +310,8 @@ def cmd_fit(args) -> int:
         lines.append(",".join(cells))
     _write_text(args.out, "\n".join(lines) + "\n")
 
-    if args.grid:
-        xs = np.atleast_2d(np.asarray(data.x, dtype=float).T).T[:, 0]
-        grid = np.linspace(float(xs.min()), float(xs.max()), int(args.grid))
+    if args.grid:  # one-dimensional data, checked above
+        grid = np.linspace(float(data.x.min()), float(data.x.max()), args.grid)
         gpoints = fit_curve(data, grid, ladder, basis, noise, cv)
         glines = [_provenance_line(cfg, cv.seed), "x,f_hat,k_hat"]
         columns = zip(gpoints.x[:, 0].tolist(), gpoints.fitted_values.tolist(), gpoints.k_hat.tolist(),
@@ -308,13 +332,14 @@ def cmd_simulate(args) -> int:
         scene = replace(scene, seed=args.seed)
     basis = _basis_from_config(cfg)
     ladder = _ladder_from_config(cfg, basis.p, args, n=scene.n, default_K=4)  # the scene lives on [0, 1]
-    r = _option(args, cfg, "r", 0.5)
-    replicates = int(cfg.get("replicates", 2000))
+    r = _option(cfg, "r", 0.5, flag=args.r)
+    replicates = _option(cfg, "replicates", 2000, int)
     seed = scene.seed
-    x_ref = float(cfg.get("x", 0.5))
+    x_ref = _option(cfg, "x", 0.5)
 
     cv = _critical_values(args, cfg, basis, ladder, scene.sigma_model_values(), scene.design_points(), x_ref, seed)
-    table = risk_experiment(scene, ladder, basis, cv, r, replicates, x=x_ref, delta_budget=float(cfg.get("delta_budget", 1.0)))
+    table = risk_experiment(scene, ladder, basis, cv, r, replicates, x=x_ref,
+                            delta_budget=_option(cfg, "delta_budget", 1.0))
     report = {
         "provenance": _provenance(cfg, seed),
         "meta": table.meta,
@@ -330,8 +355,8 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     cfg = _load_config(args.config)
     dataset = ingest_csv(args.data) if args.data else None
-    seed = _option(args, cfg, "seed", 2024, int)
-    results = run_all(quick=bool(args.quick), seed=seed, dataset=dataset, delta_declared=cfg.get("delta"))
+    seed = _option(cfg, "seed", 2024, int, args.seed)
+    results = run_all(quick=args.quick, seed=seed, dataset=dataset, delta_declared=_option(cfg, "delta", None))
     payload = {
         "provenance": _provenance(cfg, seed),
         "passed": all(rr.passed for rr in results),
@@ -350,9 +375,9 @@ def cmd_diagnose(args) -> int:
     scene = _scene_from_config(cfg)
     basis = _basis_from_config(cfg)
     ladder = _ladder_from_config(cfg, basis.p, args, n=scene.n, default_K=4)  # the scene lives on [0, 1]
-    x_ref = float(cfg.get("x", 0.5))
-    seed = int(args.seed if args.seed is not None else scene.seed)
-    mc = _option(args, cfg, "mc", 5000, int, key="mc_size")
+    x_ref = _option(cfg, "x", 0.5)
+    seed = args.seed if args.seed is not None else scene.seed
+    mc = _option(cfg, "mc_size", 5000, int, args.mc)
     cv = _critical_values(args, cfg, basis, ladder, scene.sigma_model_values(), scene.design_points(), x_ref, seed)
     report = build_oracle_report(
         basis,
@@ -362,8 +387,8 @@ def cmd_diagnose(args) -> int:
         scene.noise_model(),
         scene.f_values(),
         cv,
-        delta_budget=float(cfg.get("delta_budget", 1.0)),
-        C_j=float(cfg.get("C_j", 1.0)),
+        delta_budget=_option(cfg, "delta_budget", 1.0),
+        C_j=_option(cfg, "C_j", 1.0),
     )
     obj = json.loads(report.to_json())
     pc = validate_pc(cv, basis, ladder, scene.sigma_model_values(), scene.design_points(), x_ref,
@@ -377,30 +402,38 @@ def cmd_diagnose(args) -> int:
     return EXIT_OK
 
 
+#: every flag, and the flags each subcommand reads; any other flag is an argparse error (exit 2)
+_FLAGS = {
+    "config": {"help": "JSON configuration file"},
+    "data": {"help": "input CSV (columns x|x1..xd, y, sigma[, sigma_true])"},
+    "cv": {"help": "critical values JSON produced by calibrate"},
+    "out": {"help": "output path (stdout when omitted)"},
+    "alpha": {"type": float, "help": "moment-condition level in (0, 1]"},
+    "r": {"type": float, "help": "risk power r > 0"},
+    "K": {"type": int, "help": "number of scales"},
+    "u": {"type": float, "help": "geometric bandwidth growth factor"},
+    "mu": {"type": float, "help": "analytic-threshold parameter in (0, 1/4)"},
+    "mc": {"type": int, "help": "Monte-Carlo size"},
+    "seed": {"type": int, "help": "base seed"},
+    "grid": {"type": int, "help": "emit plot data on an N-point grid"},
+    "quick": {"action": "store_true", "help": "reduced MC sizes"},
+}
+_COMMANDS = {
+    "calibrate": (cmd_calibrate, ("config", "data", "out", "alpha", "r", "K", "u", "mu", "mc", "seed")),
+    "fit": (cmd_fit, ("config", "data", "cv", "out", "alpha", "r", "K", "u", "mc", "seed", "grid")),
+    "simulate": (cmd_simulate, ("config", "cv", "out", "alpha", "r", "K", "u", "mc", "seed")),
+    "verify": (cmd_verify, ("config", "data", "out", "seed", "quick")),
+    "diagnose": (cmd_diagnose, ("config", "cv", "out", "alpha", "r", "K", "u", "mc", "seed", "quick")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lpadapt", description="Adaptive local polynomial regression with calibrated scale selection")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (
-        ("calibrate", cmd_calibrate),
-        ("fit", cmd_fit),
-        ("simulate", cmd_simulate),
-        ("verify", cmd_verify),
-        ("diagnose", cmd_diagnose),
-    ):
+    for name, (fn, flags) in _COMMANDS.items():
         sp = sub.add_parser(name)
-        sp.add_argument("--config", help="JSON configuration file")
-        sp.add_argument("--data", help="input CSV (columns x|x1..xd, y, sigma[, sigma_true])")
-        sp.add_argument("--cv", help="critical values JSON produced by calibrate")
-        sp.add_argument("--out", help="output path (stdout when omitted)")
-        sp.add_argument("--alpha", type=float, help="moment-condition level in (0, 1]")
-        sp.add_argument("--r", type=float, help="risk power r > 0")
-        sp.add_argument("--K", type=int, help="number of scales")
-        sp.add_argument("--u", type=float, help="geometric bandwidth growth factor")
-        sp.add_argument("--mu", type=float, help="analytic-threshold parameter in (0, 1/4)")
-        sp.add_argument("--mc", type=int, help="Monte-Carlo size")
-        sp.add_argument("--seed", type=int, help="base seed")
-        sp.add_argument("--grid", type=int, help="emit plot data on an N-point grid")
-        sp.add_argument("--quick", action="store_true", help="reduced MC sizes")
+        for flag in flags:
+            sp.add_argument(f"--{flag}", **_FLAGS[flag])
         sp.set_defaults(func=fn)
     return parser
 

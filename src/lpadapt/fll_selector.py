@@ -201,18 +201,6 @@ class CurveFit(Sequence):
         return PointFit(x=self.x[i], estimate=est, trace=trace, k_eff=K)
 
 
-def fit_point(
-    data: Dataset,
-    x,
-    ladder: ScaleLadder,
-    basis: Basis,
-    noise: NoiseModel,
-    cv,
-) -> PointFit:
-    """Adaptive fit at one reference point: the one-row case of fit_curve."""
-    return fit_curve(data, [x], ladder, basis, noise, cv)[0]
-
-
 #: windows start and end on multiples of this many observations (see fit_curve)
 _LANES = 8
 #: grid points whose designs fit_curve builds in one stack; bounds its temporaries

@@ -235,16 +235,16 @@ class LocalFit:
     k: int
 
 
-def _conditioned(B: np.ndarray, active, p: int, min_eig_ratio: float) -> np.ndarray:
+def _conditioned(B: np.ndarray, active, p: int) -> np.ndarray:
     """Conditioning gate for stacked information matrices (..., p, p).
 
     Scale k passes when at least p points carry positive weight and
-    lambda_min(B_k) > min_eig_ratio * lambda_max(B_k).
+    lambda_min(B_k) > MIN_EIG_RATIO * lambda_max(B_k).
     """
     if not np.all(np.isfinite(B)):
         raise ParameterDomainError("information matrix is not finite; design points and sigma_model must be finite")
     eigs = np.linalg.eigvalsh(B)
-    return (active >= p) & (eigs[..., 0] > min_eig_ratio * np.maximum(eigs[..., -1], 0.0))
+    return (active >= p) & (eigs[..., 0] > MIN_EIG_RATIO * np.maximum(eigs[..., -1], 0.0))
 
 
 def growth_bounds(B_list: Sequence[np.ndarray]) -> tuple[float, float]:
@@ -261,17 +261,17 @@ def growth_bounds(B_list: Sequence[np.ndarray]) -> tuple[float, float]:
     return lo, hi
 
 
-def is_nested_binary(weights_list: Sequence[np.ndarray], tol: float = 1e-12) -> bool:
-    """Check w_{l,i} w_{m,i} = w_{l,i} for all l <= m (0/1 nested windows)."""
+def is_nested_binary(weights_list: Sequence[np.ndarray]) -> bool:
+    """Check w_{l,i} w_{m,i} = w_{l,i} for all l <= m (0/1 nested windows), to within 1e-12."""
     ws = [np.asarray(w, dtype=float) for w in weights_list]
     for l, wl in enumerate(ws):
         for wm in ws[l:]:
-            if np.max(np.abs(wl * wm - wl)) > tol:
+            if np.max(np.abs(wl * wm - wl)) > 1e-12:
                 return False
     return True
 
 
-def stacked_designs(basis: Basis, ladder: ScaleLadder, points, centres, sigma, min_eig_ratio: float = MIN_EIG_RATIO):
+def stacked_designs(basis: Basis, ladder: ScaleLadder, points, centres, sigma):
     """All K scales' design objects at G reference points, each on its own slab of L points.
 
     points (G, L, d) holds each reference point's design points, centres
@@ -293,7 +293,7 @@ def stacked_designs(basis: Basis, ladder: ScaleLadder, points, centres, sigma, m
     PW = psi[:, None] * (W / sigma[:, None, :] ** 2)[:, :, None, :]
     B = PW @ psi.transpose(0, 2, 1)[:, None]
     B = 0.5 * (B + B.swapaxes(-1, -2))
-    passed = _conditioned(B, np.count_nonzero(W > 0, axis=-1), basis.p, min_eig_ratio)
+    passed = _conditioned(B, np.count_nonzero(W > 0, axis=-1), basis.p)
     return psi, W, PW, B, np.where(passed.all(axis=-1), ladder.K, passed.argmin(axis=-1))
 
 
@@ -315,22 +315,15 @@ class LadderDesign:
     Builds weights, information matrices B_k, their Cholesky factors and the
     propagators D_k = B_k^{-1} Psi W_k for k = 1..K.  Scales are accepted in
     order and the ladder is truncated at the first scale that fails the
-    conditioning gate, so selection indices stay contiguous.
+    conditioning gate (at least p weighted points and lambda_min(B_k) >
+    MIN_EIG_RATIO lambda_max(B_k)), so selection indices stay contiguous.
 
     The design is stacked_designs with a batch of one, the builder that
     fit_curve runs on whole chunks of grid points; only the accepted scales
     are factored and solved.
     """
 
-    def __init__(
-        self,
-        basis: Basis,
-        ladder: ScaleLadder,
-        design_points,
-        x,
-        sigma_model,
-        min_eig_ratio: float = MIN_EIG_RATIO,
-    ):
+    def __init__(self, basis: Basis, ladder: ScaleLadder, design_points, x, sigma_model):
         self.basis = basis
         self.ladder = ladder
         self.points = _as_points(design_points)
@@ -340,9 +333,7 @@ class LadderDesign:
             raise ParameterDomainError("sigma_model and design_points must have equal length")
         if np.any(self.sigma_model <= 0):
             raise ParameterDomainError("sigma_model entries must be positive")
-        psi, W, PW, B, k_gate = stacked_designs(
-            basis, ladder, self.points[None], self.x[None], self.sigma_model[None], min_eig_ratio
-        )
+        psi, W, PW, B, k_gate = stacked_designs(basis, ladder, self.points[None], self.x[None], self.sigma_model[None])
         self.psi = psi[0]
 
         self._chol: list[np.ndarray] = []

@@ -149,14 +149,14 @@ class PointOracle(NamedTuple):
     lambda0: float
 
 
-def oracle_diagnostics(ld: LadderDesign, f_values, delta_budget: float, theta_ref=None) -> PointOracle:
+def oracle_diagnostics(ld: LadderDesign, f_values, delta_budget: float) -> PointOracle:
     """Bias indices, oracle index and Lambda_0 of ld against the mean f_values.
 
-    The reference parameter defaults to the smallest-window pseudo-true
-    vector, which makes Delta(1) = 0 and every oracle index well defined.
+    The reference parameter is the smallest-window pseudo-true vector, which
+    makes Delta(1) = 0 and every oracle index well defined.
     """
     bars = ld.pseudo_true(f_values)
-    ref = bars[0] if theta_ref is None else np.asarray(theta_ref, dtype=float)
+    ref = bars[0]
     Sigma = joint_covariance(ld.D_list, ld.sigma_model**2)
     deltas, delta_j = bias_profile(bars, ref, Sigma)
     active_sig_max = np.array([float(np.max(ld.sigma_model[w > 0] ** 2)) for w in ld.weights_list])
@@ -282,7 +282,11 @@ def tightest_sj(Sigma_full: np.ndarray, p: int, j: int) -> float:
     return best
 
 
-def wilks_spectrum(ld: LadderDesign, k: int, sigma_true, tol: float = 1e-8) -> np.ndarray:
+#: relative tolerance of wilks_spectrum's projector-trace and eigenvalue-cap guards
+_WILKS_TOL = 1e-8
+
+
+def wilks_spectrum(ld: LadderDesign, k: int, sigma_true) -> np.ndarray:
     """Nonzero eigenvalues of S = Sigma0^{1/2} W_k Psi^T B_k^{-1} Psi W_k Sigma0^{1/2} at scale k of ld.
 
     Computed on the p x p similarity B^{-1/2} (Psi W Sigma0 W Psi^T) B^{-1/2}
@@ -300,10 +304,10 @@ def wilks_spectrum(ld: LadderDesign, k: int, sigma_true, tol: float = 1e-8) -> n
 
     p = ld.basis.p
     proj_trace = float(np.trace(ld.D_list[k - 1] @ psi.T))
-    if abs(proj_trace - p) > tol * max(1.0, p):
+    if abs(proj_trace - p) > _WILKS_TOL * max(1.0, p):
         raise LpAdaptError(f"projector trace {proj_trace} != p={p}")
     delta = float(np.max(np.abs((sig0 / sig) ** 2 - 1.0)))
-    if lam[0] > (1.0 + delta) * (1.0 + tol) + tol:
+    if lam[0] > (1.0 + delta) * (1.0 + _WILKS_TOL) + _WILKS_TOL:
         raise LpAdaptError(f"largest eigenvalue {lam[0]:.6g} exceeds 1 + delta = {1 + delta:.6g}")
     return np.maximum(lam, 0.0)
 
@@ -420,11 +424,11 @@ def build_oracle_report(
     cv: CriticalValues,
     delta_budget: float = 1.0,
     C_j: float = 1.0,
-    theta_ref: np.ndarray | None = None,
 ) -> OracleReport:
     """Evaluate the full diagnostics stack for one scene at one point.
 
-    The reference parameter is that of oracle_diagnostics.
+    The reference parameter is that of oracle_diagnostics, the
+    smallest-window pseudo-true vector.
     """
     ld = LadderDesign(basis, ladder, design_points, x, noise.sigma_model)
     if ld.K_eff < 1:
@@ -435,7 +439,7 @@ def build_oracle_report(
     delta = noise.delta
     homogeneous = float(np.ptp(sig)) < 1e-12 and float(np.ptp(np.asarray(sig0))) < 1e-12
 
-    bars, ref, Sigma, deltas, delta_j, k_star, sigma_bar_max, lambda0 = oracle_diagnostics(ld, f_values, delta_budget, theta_ref)
+    bars, ref, Sigma, deltas, delta_j, k_star, sigma_bar_max, lambda0 = oracle_diagnostics(ld, f_values, delta_budget)
     Sigma0 = joint_covariance(ld.D_list, np.asarray(sig0) ** 2)
     monotone = bool(np.all(np.diff(deltas) >= -1e-8 * np.maximum(deltas[:-1], 1.0)))
 

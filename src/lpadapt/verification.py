@@ -61,7 +61,7 @@ def _unit_design(p: int, n: int, K: int, growth: float, kernel: str = "boxcar"):
     return LadderDesign(Basis.polynomial(p - 1, dim=1), ladder, pts, 0.5, np.ones(n)), pts
 
 
-def check_determinant_identity(seed: int = 11, trials: int = 20, tol: float = 1e-8) -> CheckResult:
+def check_determinant_identity(seed: int = 11, trials: int = 20) -> CheckResult:
     """Product formula for the stacked determinant vs the dense determinant."""
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -75,10 +75,10 @@ def check_determinant_identity(seed: int = 11, trials: int = 20, tol: float = 1e
         formula = boxcar_determinant(ld.B_list, ld.weights_list)
         dense = float(np.linalg.det(joint_covariance(ld.D_list, sigma**2)))
         worst = max(worst, abs(formula - dense) / abs(dense))
-    return _result("determinant_identity", worst <= tol, f"worst relative error {worst:.3e} (tol {tol:g})")
+    return _result("determinant_identity", worst <= 1e-8, f"worst relative error {worst:.3e} (tol 1e-08)")
 
 
-def check_covariance_sandwich(seed: int = 12, trials: int = 12, tol: float = 1e-9) -> CheckResult:
+def check_covariance_sandwich(seed: int = 12, trials: int = 12) -> CheckResult:
     """(1-delta) Sigma_k <= Sigma_k0 <= (1+delta) Sigma_k via generalized eigenvalues."""
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -93,7 +93,7 @@ def check_covariance_sandwich(seed: int = 12, trials: int = 12, tol: float = 1e-
         S0 = joint_covariance(ld.D_list, sigma0**2)
         vals = eigvalsh(S0, S)
         worst = max(worst, max(1.0 - delta - vals[0], vals[-1] - (1.0 + delta), 0.0))
-    return _result("covariance_sandwich", worst <= tol, f"worst sandwich violation {worst:.3e}")
+    return _result("covariance_sandwich", worst <= 1e-9, f"worst sandwich violation {worst:.3e}")
 
 
 def _wilks_forms(ld: LadderDesign, sigma_true: np.ndarray, k: int, replicates: int, seed: int) -> np.ndarray:
@@ -104,16 +104,10 @@ def _wilks_forms(ld: LadderDesign, sigma_true: np.ndarray, k: int, replicates: i
     return np.maximum(np.einsum("ri,ij,rj->r", g, ld.B_list[k - 1], g), 0.0)
 
 
-def check_wilks(
-    p: int = 2,
-    n: int = 120,
-    replicates: int = 20000,
-    seed: int = 13,
-    kernel: str = "boxcar",
-) -> CheckResult:
+def check_wilks(p: int = 2, replicates: int = 20000, seed: int = 13, kernel: str = "boxcar") -> CheckResult:
     """Known noise, boxcar: spectrum is p ones and the MC mean of the
     likelihood-ratio form matches its trace within 4 standard errors."""
-    ld, _ = _unit_design(p, n, 3, 1.6, kernel)
+    ld, _ = _unit_design(p, 120, 3, 1.6, kernel)
     k, sigma = ld.K_eff, ld.sigma_model
     lam = wilks_spectrum(ld, k, sigma)
     spectrum_ok = bool(np.max(np.abs(lam - 1.0)) <= 1e-10) if kernel == "boxcar" else bool(lam[0] <= 1.0 + 1e-10)
@@ -127,20 +121,14 @@ def check_wilks(
     )
 
 
-def check_domination(
-    delta: float = 0.2,
-    p: int = 1,
-    n: int = 150,
-    replicates: int = 20000,
-    seed: int = 14,
-    z_grid=(1.0, 2.0, 4.0, 8.0, 16.0),
-) -> CheckResult:
-    """P{form >= z} <= P{chi^2_p >= z/(1+delta)} + 3 SE on the z grid."""
-    ld, pts = _unit_design(p, n, 3, 1.6)
+def check_domination(delta: float = 0.2, replicates: int = 20000, seed: int = 14) -> CheckResult:
+    """P{form >= z} <= P{chi^2_1 >= z/(1+delta)} + 3 SE for z = 1, 2, 4, 8, 16."""
+    p = 1
+    ld, pts = _unit_design(p, 150, 3, 1.6)
     sigma0 = np.sqrt(1.0 + delta * np.sin(2.0 * np.pi * pts + 0.3))
     forms = _wilks_forms(ld, sigma0, ld.K_eff, replicates, seed)
     worst = -1.0
-    for z in z_grid:
+    for z in (1.0, 2.0, 4.0, 8.0, 16.0):
         emp = float(np.mean(forms >= z))
         bound = float(chi2.sf(z / (1.0 + delta), p))
         se = math.sqrt(max(bound * (1.0 - bound), 1e-12) / replicates)
@@ -148,16 +136,10 @@ def check_domination(
     return _result(f"chi2_domination_d{delta:g}", worst <= 0.0, f"worst excess over bound {worst:.3e}")
 
 
-def check_quasi_parametric_moment(
-    delta: float = 0.2,
-    p: int = 2,
-    r: float = 1.0,
-    n: int = 150,
-    replicates: int = 20000,
-    seed: int = 15,
-) -> CheckResult:
-    """E|form|^r <= (1+delta)^r C(p,r) within 3 relative standard errors."""
-    ld, pts = _unit_design(p, n, 3, 1.6)
+def check_quasi_parametric_moment(replicates: int = 20000, seed: int = 15) -> CheckResult:
+    """E|form|^r <= (1+delta)^r C(p,r) within 3 relative standard errors (delta 0.2, p 2, r 1)."""
+    delta, p, r = 0.2, 2, 1.0
+    ld, pts = _unit_design(p, 150, 3, 1.6)
     sigma0 = np.sqrt(1.0 + delta * np.sin(2.0 * np.pi * pts))
     powered = _wilks_forms(ld, sigma0, ld.K_eff, replicates, seed) ** r
     mean = powered.mean()
@@ -195,34 +177,20 @@ def check_kl_sandwich(seed: int = 16, trials: int = 40) -> CheckResult:
     return _result("kl_sandwich", worst <= 1e-8, f"worst interval violation {worst:.3e}")
 
 
-def check_pc_theoretical(
-    p: int = 1,
-    K: int = 4,
-    alpha: float = 1.0,
-    r: float = 0.5,
-    n: int = 200,
-    mc_size: int = 10000,
-    seed: int = 17,
-) -> CheckResult:
-    """Analytic thresholds satisfy the empirical moment conditions."""
-    ld, pts = _unit_design(p, n, K, 1.5)
+def check_pc_theoretical(mc_size: int = 10000, seed: int = 17) -> CheckResult:
+    """Analytic thresholds satisfy the empirical moment conditions (p 1, K 4, alpha 1, r 0.5)."""
+    ld, pts = _unit_design(1, 200, 4, 1.5)
     _, u_hat = ld.growth_bounds()
-    cv = theoretical_cv(p, r, ld.K_eff, alpha, u_hat)
+    cv = theoretical_cv(1, 0.5, ld.K_eff, 1.0, u_hat)
     report = validate_pc(cv, ld.basis, ld.ladder, ld.sigma_model, pts, 0.5, mc_size, seed)
     detail = "; ".join(f"k={e.k}: {e.moment:.4f}<= {e.bound:.4f}" for e in report.entries)
     return _result("pc_theoretical", report.passed, detail)
 
 
-def check_pair_tail_bounds(
-    delta: float = 0.1,
-    p: int = 1,
-    n: int = 150,
-    replicates: int = 20000,
-    seed: int = 18,
-    z_grid=(2.0, 4.0, 8.0, 16.0),
-) -> CheckResult:
-    """Pairwise-statistic tails dominated by chi^2 at the growth-bound scales."""
-    ld, pts = _unit_design(p, n, 4, 1.5)
+def check_pair_tail_bounds(replicates: int = 20000, seed: int = 18) -> CheckResult:
+    """Pairwise-statistic tails dominated by chi^2 at the growth-bound scales (delta 0.1, p 1, z = 2, 4, 8, 16)."""
+    delta, p = 0.1, 1
+    ld, pts = _unit_design(p, 150, 4, 1.5)
     sigma0 = np.sqrt(1.0 + delta * np.sin(2.0 * np.pi * pts))
     K = ld.K_eff
     u0_hat, u_hat = ld.growth_bounds()
@@ -233,7 +201,7 @@ def check_pair_tail_bounds(
             t0 = 2.0 * (1.0 + delta) * (1.0 + u0_hat ** (-(k - l)))
             t1 = 2.0 * (1.0 + delta) * (1.0 + u_hat ** (k - l))
             for table, t in ((ens.T[l - 1, k - 1], t0), (ens.T[k - 1, l - 1], t1)):
-                for z in z_grid:
+                for z in (2.0, 4.0, 8.0, 16.0):
                     emp = float(np.mean(table >= z))
                     bound = float(chi2.sf(z / t, p))
                     se = math.sqrt(max(bound * (1.0 - bound), 1e-12) / replicates)
@@ -241,16 +209,10 @@ def check_pair_tail_bounds(
     return _result("pair_tail_bounds", worst <= 0.0, f"worst excess over bound {worst:.3e}")
 
 
-def check_pair_moment_bounds(
-    delta: float = 0.1,
-    p: int = 1,
-    r: float = 1.0,
-    n: int = 150,
-    replicates: int = 20000,
-    seed: int = 19,
-) -> CheckResult:
-    """Exponential and polynomial moment bounds for the pairwise statistics."""
-    ld, pts = _unit_design(p, n, 4, 1.5)
+def check_pair_moment_bounds(replicates: int = 20000, seed: int = 19) -> CheckResult:
+    """Exponential and polynomial moment bounds for the pairwise statistics (delta 0.1, p 1, r 1)."""
+    delta, p, r = 0.1, 1, 1.0
+    ld, pts = _unit_design(p, 150, 4, 1.5)
     sigma0 = np.sqrt(1.0 + delta * np.sin(2.0 * np.pi * pts))
     K = ld.K_eff
     u0_hat, u_hat = ld.growth_bounds()
@@ -271,15 +233,10 @@ def check_pair_moment_bounds(
     return _result("pair_moment_bounds", worst <= 0.0, f"worst excess over bound {worst:.3e}")
 
 
-def check_stacked_covariance(
-    delta: float = 0.15,
-    p: int = 2,
-    n: int = 120,
-    replicates: int = 20000,
-    seed: int = 20,
-) -> CheckResult:
-    """Empirical covariance of the stacked estimators matches the joint law."""
-    ld, pts = _unit_design(p, n, 3, 1.6)
+def check_stacked_covariance(replicates: int = 20000, seed: int = 20) -> CheckResult:
+    """Empirical covariance of the stacked estimators matches the joint law (delta 0.15, p 2, n 120)."""
+    delta, n = 0.15, 120
+    ld, pts = _unit_design(2, n, 3, 1.6)
     sigma0 = np.sqrt(1.0 + delta * np.sin(2.0 * np.pi * pts + 0.5))
     S0 = joint_covariance(ld.D_list, sigma0**2)
     cols = ld.support

@@ -78,12 +78,6 @@ class TestTheoreticalCv:
         z = theoretical_cv(2, 0.5, 5, 1.0, 1.3).z
         assert all(a > b for a, b in zip(z, z[1:]))
 
-    def test_optimize_mu(self):
-        base = theoretical_cv(1, 0.5, 4, 1.0, 1.5)
-        opt = theoretical_cv(1, 0.5, 4, 1.0, 1.5, optimize_mu=True)
-        assert 0.0 < opt.mu < 0.25
-        assert opt.z[0] <= base.z[0] + 1e-9
-
     def test_domain_errors(self):
         with pytest.raises(ParameterDomainError):
             theoretical_cv(1, 0.5, 3, 1.0, 1.5, mu=0.3)

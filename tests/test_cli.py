@@ -157,6 +157,26 @@ class TestCalibrateFit:
             for gv, fv in zip((g[0], g[1], g[4]), (f[0], f[1], f[4])):
                 assert float(fv) == pytest.approx(float(gv), rel=1e-12, abs=1e-15)
 
+    @pytest.mark.parametrize("command", ["calibrate", "fit"])
+    def test_two_dimensional_data_calibrates_at_the_coordinatewise_median(self, tmp_path, command):
+        p = tmp_path / "d.csv"
+        rng = np.random.default_rng(2)
+        x = rng.uniform(0.0, 1.0, (400, 2))
+        y = x[:, 0] + 0.1 * rng.standard_normal(400)
+        p.write_text("x1,x2,y,sigma\n" + "".join(f"{a!r},{b!r},{c!r},0.1\n" for (a, b), c in zip(x.tolist(), y.tolist())),
+                     encoding="utf-8")
+        bandwidths = [0.2, 0.3, 0.45]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"ladder": {"bandwidths": bandwidths}}), encoding="utf-8")
+        out = tmp_path / "out"
+        argv = [command, "--data", str(p), "--config", str(cfg), "--mc", "2000", "--seed", "0", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        if command == "calibrate":
+            assert len(json.loads(out.read_text())["z"]) == len(bandwidths) - 1
+        else:
+            rows = [ln.split(",") for ln in out.read_text().splitlines()[2:]]
+            assert len(rows) == 400 and all(row[4] == "3" for row in rows)  # k_eff
+
     def test_missing_data_flag(self):
         assert main(["fit"]) == EXIT_CONFIG
 
@@ -225,8 +245,10 @@ class TestUnreadableInput:
         argv = [command, flag, str(bad)]
         if flag == "--cv":
             argv += ["--data", str(_write_dataset(tmp_path / "d.csv")), "--K", "3"]
+        if command != "verify":  # verify takes no --mc
+            argv += ["--mc", "1000"]
         out = tmp_path / "out.json"
-        assert main(argv + ["--mc", "1000", "--out", str(out)]) == EXIT_CONFIG
+        assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
         errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
         assert len(errors) == 1
         if kind == "non_utf8":  # the decoding error alone does not say which input it was
@@ -379,3 +401,104 @@ class TestVerify:
         out = tmp_path / "verify.json"
         # realized delta ~ 0.138 exceeds the declared 0.01 budget
         assert main(["verify", "--quick", "--data", str(data), "--config", str(cfg), "--out", str(out)]) == EXIT_VERIFY
+
+
+class TestConfigValues:
+    """A config value of the wrong type is a configuration error naming its key, not a traceback."""
+
+    SCENE = {"f": "jump", "n": 150, "x": 0.47, "seed": 5, "replicates": 400, "mc_size": 2000,
+             "sigma_model": {"pattern": "constant", "level": 0.25}, "basis": {"degree": 0}}
+
+    @pytest.mark.parametrize("command,cfg,named", [
+        ("verify", {"seed": "abc"}, "'seed'"),
+        ("calibrate", [1, 2], "JSON object"),
+        ("diagnose", {**SCENE, "ladder": "x"}, "'ladder'"),
+        ("simulate", {**SCENE, "n": "many"}, "'n'"),
+    ], ids=["verify_seed", "calibrate_list", "diagnose_ladder", "simulate_n"])
+    def test_malformed_value_exit_code(self, tmp_path, capsys, command, cfg, named):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        out = tmp_path / "out.json"
+        assert main([command, "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+        assert len(errors) == 1 and named in errors[0], errors
+        assert not out.exists()
+
+
+# The flags each subcommand reads.
+KEPT = {
+    "calibrate": ["config", "data", "out", "alpha", "r", "K", "u", "mu", "mc", "seed"],
+    "fit": ["config", "data", "cv", "out", "alpha", "r", "K", "u", "mc", "seed", "grid"],
+    "simulate": ["config", "cv", "out", "alpha", "r", "K", "u", "mc", "seed"],
+    "verify": ["config", "data", "out", "seed", "quick"],
+    "diagnose": ["config", "cv", "out", "alpha", "r", "K", "u", "mc", "seed", "quick"],
+}
+ALL_FLAGS = ["config", "data", "cv", "out", "alpha", "r", "K", "u", "mu", "mc", "seed", "grid", "quick"]
+DROPPED = [(command, flag) for command, kept in KEPT.items() for flag in ALL_FLAGS if flag not in kept]
+
+
+@pytest.fixture
+def small_inputs(tmp_path):
+    """Flag values for a small run of each subcommand: {flag: value}, config per subcommand."""
+    scene = {"f": "jump", "n": 150, "x": 0.47, "seed": 5, "replicates": 400, "mc_size": 1000,
+             "sigma_model": {"pattern": "constant", "level": 0.25}, "basis": {"degree": 0}}
+    configs = {
+        "calibrate": {"method": "theoretical"},  # the branch that reads --mu; --mc and --seed are read before it
+        "fit": {"basis": {"degree": 1}},
+        "simulate": scene,
+        "verify": {"delta": 0.5},
+        "diagnose": scene,
+    }
+    for command, cfg in configs.items():
+        (tmp_path / f"{command}.json").write_text(json.dumps(cfg), encoding="utf-8")
+    cv = tmp_path / "cv.json"
+    cv.write_text(json.dumps({"z": [4.0, 4.0], "method": "fixed", "alpha": 1.0, "r": 0.5, "p": 2, "K": 3}),
+                  encoding="utf-8")
+    values = {"data": str(_write_dataset(tmp_path / "d.csv")), "cv": str(cv), "out": str(tmp_path / "out.csv"),
+              "alpha": "1.0", "r": "0.5", "K": "3", "u": "1.5", "mu": "0.1", "mc": "1000", "seed": "1", "grid": "5"}
+    return tmp_path, values
+
+
+class TestFlags:
+    def test_each_subcommand_registers_only_the_flags_it_reads(self):
+        from lpadapt.cli import build_parser
+
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        registered = {name: sorted(a.dest for a in sp._actions if a.dest != "help") for name, sp in sub.choices.items()}
+        assert registered == {name: sorted(flags) for name, flags in KEPT.items()}
+        assert sum(map(len, KEPT.values())) == 45
+
+    @pytest.mark.parametrize("command,flag", DROPPED, ids=[f"{c}-{f}" for c, f in DROPPED])
+    def test_dropped_flag_exits_2(self, small_inputs, capsys, command, flag):
+        tmp_path, values = small_inputs
+        # a run that succeeds without the flag
+        base = {
+            "calibrate": ["--mc", "1000", "--K", "3"],
+            "fit": ["--data", values["data"], "--cv", values["cv"], "--K", "3"],
+            "simulate": ["--config", str(tmp_path / "simulate.json"), "--cv", values["cv"], "--K", "3"],
+            "verify": ["--quick"],
+            "diagnose": ["--config", str(tmp_path / "diagnose.json"), "--cv", values["cv"], "--K", "3", "--quick"],
+        }[command]
+        out = tmp_path / "out.json"
+        extra = [f"--{flag}"] + ([] if flag == "quick" else ["5"])
+        assert main([command, *base, *extra, "--out", str(out)]) == EXIT_CONFIG
+        assert f"unrecognized arguments: --{flag}" in capsys.readouterr().err
+        assert not out.exists()
+
+    # without --cv, fit, simulate and diagnose also read --alpha, --r and --mc to calibrate inline
+    RUNS = [(command, True) for command in KEPT] + [(command, False) for command in KEPT if "cv" in KEPT[command]]
+
+    @pytest.mark.parametrize("command,with_cv", RUNS, ids=[f"{c}-{'cv' if w else 'inline'}" for c, w in RUNS])
+    def test_every_kept_flag_runs(self, small_inputs, command, with_cv):
+        # a helper reading a flag its subcommand does not register raises AttributeError here
+        tmp_path, values = small_inputs
+        argv = [command]
+        for flag in KEPT[command]:
+            if flag == "config":
+                argv += ["--config", str(tmp_path / f"{command}.json")]
+            elif flag == "quick":
+                argv += ["--quick"]
+            elif flag != "cv" or with_cv:
+                argv += [f"--{flag}", values[flag]]
+        assert main(argv) == EXIT_OK
+        assert (tmp_path / "out.csv").exists()

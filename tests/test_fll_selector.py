@@ -5,7 +5,6 @@ from lpadapt.dataset import Dataset
 from lpadapt.fll_selector import (
     adaptive_estimate,
     fit_curve,
-    fit_point,
     pair_statistics,
     select_adaptive,
 )
@@ -114,7 +113,7 @@ class TestComponentwise:
         f = a + b_ * (pts - x) + c * (pts - x) ** 2
         ladder = ScaleLadder.geometric(0.1, 3, growth=1.5)
         data = Dataset(x=pts, y=f, sigma=np.ones(60))
-        pf = fit_point(data, x, ladder, basis, NoiseModel(sigma_model=np.ones(60)), np.full(2, 1.0))
+        pf = fit_curve(data, [x], ladder, basis, NoiseModel(sigma_model=np.ones(60)), np.full(2, 1.0))[0]
         assert pf.estimate.k_hat == 3  # all statistics vanish on noiseless in-model data
         assert pf.estimate.theta_hat[2] == pytest.approx(2.0 * c, abs=1e-8)
         assert pf.estimate.fitted_value == pytest.approx(a, abs=1e-9)
@@ -157,7 +156,7 @@ class TestFitCurve:
         noise = NoiseModel(sigma_model=sigma)
         z = np.array([4.0, 3.0])
         grid_fit = fit_curve(data, np.array([x]), ladder, basis, noise, z)[0]
-        manual = fit_point(data, x, ladder, basis, noise, z)
+        manual = fit_curve(data, [x], ladder, basis, noise, z)[0]
         assert grid_fit.estimate.theta_hat == pytest.approx(manual.estimate.theta_hat)
         assert grid_fit.estimate.k_hat == manual.estimate.k_hat
 

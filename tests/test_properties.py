@@ -22,7 +22,7 @@ import lpadapt.fll_selector as fll
 import lpadapt.sim_harness as sim_harness
 from lpadapt.calibration import CriticalValues, SelectionEnsemble, mc_calibrate
 from lpadapt.dataset import Dataset
-from lpadapt.fll_selector import fit_curve, fit_point, pair_statistics, select_adaptive, selection_sweep
+from lpadapt.fll_selector import fit_curve, pair_statistics, select_adaptive, selection_sweep
 from lpadapt.local_model import (
     KERNEL_RADIUS,
     KERNELS,
@@ -88,7 +88,7 @@ def test_curve_rows_equal_one_point_fits(problem, chunk):
     assert len(curve) == len(grid)
     for i, x in enumerate(grid):
         pf = curve[i]
-        assert_same_point(pf, fit_point(data, x, ladder, basis, noise, z))
+        assert_same_point(pf, fit_curve(data, [x], ladder, basis, noise, z)[0])
         assert pf.k_eff == curve.k_eff[i] <= ladder.K
         if pf.ok:
             assert 1 <= pf.estimate.k_hat <= pf.k_eff

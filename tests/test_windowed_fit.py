@@ -150,19 +150,6 @@ def test_curve_memory_stays_at_chunk_size():
     assert peak < 12e6
 
 
-def test_fit_point_is_one_row_of_fit_curve():
-    x, y, sigma = one_d_scene(seed=3)
-    data = Dataset(x=x, y=y, sigma=sigma)
-    ladder = ScaleLadder.geometric(0.012, 4, growth=1.5)
-    basis, noise = Basis.polynomial(1), NoiseModel(sigma_model=sigma)
-    for x0 in (0.2, 0.5, 0.8):
-        one = fll.fit_point(data, x0, ladder, basis, noise, Z)
-        row = fit_curve(data, [x0], ladder, basis, noise, Z)[0]
-        assert one.k_eff == row.k_eff and one.error == row.error
-        if one.ok:
-            assert np.array_equal(one.estimate.theta_hat, row.estimate.theta_hat)
-
-
 def test_grid_dimension_checked():
     data = Dataset(x=np.linspace(0.0, 1.0, 20), y=np.zeros(20), sigma=np.ones(20))
     ladder = ScaleLadder.geometric(0.2, 2)
