@@ -172,11 +172,12 @@ def _basis_from_config(cfg: dict, dim: int = 1) -> Basis:
     return Basis.polynomial(_option(_section(cfg, "basis"), "degree", 1, int), dim=dim)
 
 
-def _ladder_from_config(cfg: dict, p: int, args, span: float = 1.0, n: int = 200, default_K: int | None = None) -> ScaleLadder:
+def _ladder_from_config(cfg: dict, p: int, args, span: float = 1.0, n: int = 200, default_K: int | None = None,
+                        d: int = 1) -> ScaleLadder:
     """The one ladder rule of every command.
 
     Explicit "bandwidths" win.  Otherwise the ladder is geometric from h1
-    (default span * max(4p, 8) / (2n)) with K from --K, the config, then
+    (default default_h1(n, p, span, d)) with K from --K, the config, then
     default_K, and when none of these is given, as many scales as fit in
     half the span, between 2 and 8.
     """
@@ -186,7 +187,7 @@ def _ladder_from_config(cfg: dict, p: int, args, span: float = 1.0, n: int = 200
     if bandwidths is not None:
         return ScaleLadder(bandwidths, kernel=kernel)
     growth = _option(lcfg, "growth", 1.25, flag=args.u)
-    h1 = _option(lcfg, "h1", default_h1(n, p, span))
+    h1 = _option(lcfg, "h1", default_h1(n, p, span, d))
     K = _option(lcfg, "K", default_K, int, args.K)
     if K is None:
         K = max(2, min(8, int(math.floor(math.log(max(span / 2.0 / h1, growth)) / math.log(growth))) + 1))
@@ -194,11 +195,11 @@ def _ladder_from_config(cfg: dict, p: int, args, span: float = 1.0, n: int = 200
 
 
 def _data_ladder(cfg: dict, data: Dataset | None, p: int, args) -> ScaleLadder:
-    """Ladder for a dataset, spanning its first coordinate; without data, the unit interval with cfg's n."""
+    """Ladder for a dataset, from its n, its dimension and the range of its first coordinate; without data, the unit interval with cfg's n."""
     if data is None:
         return _ladder_from_config(cfg, p, args, n=_option(cfg, "n", 200, int))
     x1 = _design(data)[:, 0]
-    return _ladder_from_config(cfg, p, args, span=float(np.max(x1) - np.min(x1)), n=data.n)
+    return _ladder_from_config(cfg, p, args, span=float(np.max(x1) - np.min(x1)), n=data.n, d=data.d)
 
 
 def _sigma_spec(spec: dict) -> SigmaSpec:
@@ -439,7 +440,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("LPADAPT_LOG", "WARNING").upper(), format="%(message)s")
+    level = os.environ.get("LPADAPT_LOG", "WARNING")
+    if not isinstance(logging.getLevelName(level.upper()), int):
+        print(f"error: LPADAPT_LOG={level!r} is not a log level (DEBUG, INFO, WARNING, ERROR or CRITICAL)", file=sys.stderr)
+        return EXIT_CONFIG
+    logging.basicConfig(level=level.upper(), format="%(message)s")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -166,9 +166,18 @@ class ScaleLadder:
         return self.bandwidths[-1] * KERNEL_RADIUS[self.kernel]
 
 
-def default_h1(n: int, p: int, span: float = 1.0) -> float:
-    """The default smallest bandwidth: about max(4p, 8) of n points spread evenly over span fall in its window."""
-    return span * max(4 * p, 8) / (2.0 * n)
+def default_h1(n: int, p: int, span: float = 1.0, d: int = 1) -> float:
+    """The default smallest bandwidth: about max(4p, 8) of n points spread evenly over [0, span]^d fall in its window.
+
+    The window is the ball of radius h1, of volume V_d h1^d with V_d the volume
+    of the d-dimensional unit ball, so h1 = span (max(4p, 8) / (n V_d))^(1/d);
+    in d = 1 (V_1 = 2) this is span max(4p, 8) / (2n).
+    """
+    m = max(4 * p, 8)
+    if d == 1:  # the general expression rounds differently; d = 1 keeps its value to the last bit
+        return span * m / (2.0 * n)
+    unit_ball = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
+    return span * (m / (n * unit_ball)) ** (1.0 / d)
 
 
 def build_weights(ladder: ScaleLadder, design_points, x, k: int) -> np.ndarray:

@@ -26,6 +26,25 @@ def _write_dataset(path, n=120, noise=0.3, seed=3, sigma_true=None):
     return path
 
 
+def _write_2d_dataset(path, n=400):
+    """n uniform points in [0, 1]^2 with y = x1 + noise."""
+    rng = np.random.default_rng(2)
+    x = rng.uniform(0.0, 1.0, (n, 2))
+    y = x[:, 0] + 0.1 * rng.standard_normal(n)
+    path.write_text("x1,x2,y,sigma\n" + "".join(f"{a!r},{b!r},{c!r},0.1\n" for (a, b), c in zip(x.tolist(), y.tolist())),
+                    encoding="utf-8")
+    return path
+
+
+def _run_fresh(args, **env_vars):
+    """Run python with args in a fresh interpreter that imports lpadapt from this checkout, without LPADAPT_LOG."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "LPADAPT_LOG"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.update(env_vars)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+
+
 class TestIngest:
     def test_basic(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -159,12 +178,7 @@ class TestCalibrateFit:
 
     @pytest.mark.parametrize("command", ["calibrate", "fit"])
     def test_two_dimensional_data_calibrates_at_the_coordinatewise_median(self, tmp_path, command):
-        p = tmp_path / "d.csv"
-        rng = np.random.default_rng(2)
-        x = rng.uniform(0.0, 1.0, (400, 2))
-        y = x[:, 0] + 0.1 * rng.standard_normal(400)
-        p.write_text("x1,x2,y,sigma\n" + "".join(f"{a!r},{b!r},{c!r},0.1\n" for (a, b), c in zip(x.tolist(), y.tolist())),
-                     encoding="utf-8")
+        p = _write_2d_dataset(tmp_path / "d.csv")
         bandwidths = [0.2, 0.3, 0.45]
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"ladder": {"bandwidths": bandwidths}}), encoding="utf-8")
@@ -176,6 +190,18 @@ class TestCalibrateFit:
         else:
             rows = [ln.split(",") for ln in out.read_text().splitlines()[2:]]
             assert len(rows) == 400 and all(row[4] == "3" for row in rows)  # k_eff
+
+    @pytest.mark.parametrize("command", ["calibrate", "fit"])
+    def test_two_dimensional_data_default_ladder(self, tmp_path, command):
+        # default_h1 in d = 2: the smallest ball holds about max(4p, 8) = 12 of the 400 points
+        p = _write_2d_dataset(tmp_path / "d.csv")
+        out = tmp_path / "out"
+        assert main([command, "--data", str(p), "--mc", "2000", "--seed", "0", "--out", str(out)]) == EXIT_OK
+        if command == "calibrate":
+            assert len(json.loads(out.read_text())["z"]) >= 1
+        else:
+            rows = [ln.split(",") for ln in out.read_text().splitlines()[2:]]
+            assert len(rows) == 400 and all(int(row[4]) >= 2 for row in rows)  # k_eff
 
     def test_missing_data_flag(self):
         assert main(["fit"]) == EXIT_CONFIG
@@ -259,14 +285,29 @@ class TestUnreadableInput:
         # a fresh process, so logging writes to the real stderr at its default level
         bad = tmp_path / "bad"
         bad.mkdir()
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {k: v for k, v in os.environ.items() if k != "LPADAPT_LOG"}
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-m", "lpadapt.cli", "fit", "--data", str(bad)],
-                              capture_output=True, text=True, env=env, timeout=120)
+        proc = _run_fresh(["-m", "lpadapt.cli", "fit", "--data", str(bad)])
         assert proc.returncode == EXIT_CONFIG
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:") and str(bad) in lines[0], proc.stderr
+
+
+class TestFreshProcess:
+    def test_cli_import_loads_no_scipy_stats(self):
+        # a fresh process: pytest itself may already have imported scipy.stats
+        code = ("import sys, lpadapt, lpadapt.cli; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy.') and m.count('.') == 1)); "
+                "sys.exit('scipy.stats' in sys.modules)")
+        proc = _run_fresh(["-c", code])
+        print("scipy subpackages loaded:", proc.stdout.strip())
+        assert proc.returncode == 0, f"lpadapt.cli loaded scipy.stats; scipy subpackages: {proc.stdout.strip()}"
+
+    def test_unknown_log_level_exit_code(self, tmp_path):
+        # a fresh process: in-process, logging.basicConfig does nothing once pytest has installed handlers
+        proc = _run_fresh(["-m", "lpadapt.cli", "verify", "--quick", "--out", str(tmp_path / "v.json")], LPADAPT_LOG="verbose")
+        assert proc.returncode == EXIT_CONFIG
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and "LPADAPT_LOG" in lines[0], proc.stderr
+        assert not (tmp_path / "v.json").exists()
 
 
 class TestSimulateDiagnose:

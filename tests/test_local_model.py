@@ -12,6 +12,7 @@ from lpadapt.local_model import (
     NoiseModel,
     ScaleLadder,
     build_weights,
+    default_h1,
     growth_bounds,
     is_nested_binary,
 )
@@ -30,6 +31,23 @@ def _one_scale_fit(basis, ladder, pts, x, sigma, y):
     curve = fit_curve(Dataset(x=pts, y=y, sigma=sigma), np.array([x]), ladder, basis, NoiseModel(sigma), [])
     assert np.array_equal(curve.theta_hat[0], theta)  # sorted data: the windowed fit equals the full one
     return ld, theta
+
+
+class TestDefaultH1:
+    @pytest.mark.parametrize("n,p,span", [(200, 1, 1.0), (400, 3, 0.37), (6000, 2, 1.0), (57, 5, 12.5)])
+    def test_one_dimensional_rule_unchanged(self, n, p, span):
+        assert default_h1(n, p, span) == default_h1(n, p, span, d=1) == span * max(4 * p, 8) / (2.0 * n)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_smallest_ball_holds_max_4p_8_evenly_spread_points(self, d):
+        grid = np.stack(np.meshgrid(*[(np.arange(25) + 0.5) / 25] * d), axis=-1).reshape(-1, d)
+        n, p = grid.shape[0], d + 1
+        h1 = default_h1(n, p, 1.0, d)
+        unit_ball = math.pi ** (d / 2) / math.gamma(d / 2 + 1)
+        assert n * unit_ball * h1**d == pytest.approx(max(4 * p, 8), rel=1e-12)
+        centers = np.random.default_rng(d).uniform(0.3, 0.7, (200, d))  # averages out the lattice
+        inside = np.mean([np.sum(np.linalg.norm(grid - c, axis=1) <= h1) for c in centers])
+        assert inside == pytest.approx(max(4 * p, 8), rel=0.1)
 
 
 class TestKernelsAndWeights:

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from scipy.special import chdtrc
+from scipy.stats import chi2
 
 from lpadapt.dataset import Dataset
 from lpadapt.verification import (
+    _unit_design,
     check_covariance_sandwich,
     check_determinant_identity,
     check_domination,
@@ -41,6 +44,17 @@ from lpadapt.verification import (
 def test_individual_checks_pass(check, kwargs):
     result = check(**kwargs)
     assert result.passed, f"{result.name}: {result.detail}"
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_chi_square_tail_is_bit_identical_to_scipy_stats(p):
+    """chdtrc(p, x) is the value chi2.sf(x, p) returns, at every argument the tail checks pass."""
+    ld, _ = _unit_design(1, 150, 4, 1.5)  # the design of check_pair_tail_bounds
+    u0_hat, u_hat = ld.growth_bounds()
+    pair_t = [2.0 * (1.0 + 0.1) * (1.0 + u) for m in range(1, 4) for u in (u0_hat ** -m, u_hat**m)]
+    divisors = np.concatenate([[1.05, 1.2], pair_t, np.linspace(1.0, 10.0, 181)])
+    x = (np.array([1.0, 2.0, 4.0, 8.0, 16.0])[:, None] / divisors[None, :]).ravel()
+    assert np.array_equal(chdtrc(p, x), chi2.sf(x, p))
 
 
 def test_noise_model_check_flags_violation():
