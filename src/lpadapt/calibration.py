@@ -18,6 +18,7 @@ empirical moment conditions hold on a simulated pure-noise ensemble.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -167,6 +168,7 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
 _STATE_CHUNK = 2048  # rows whose generator states are computed together
+_BLOCK_BYTES = 2**19  # cap on the rows drawn in full before their columns are taken
 
 
 def _uint32_words(value: int) -> list[int]:
@@ -196,12 +198,13 @@ def _mix(x, y):
     return result ^ (result >> np.uint32(16))
 
 
-def _pcg64_states(seed_words: list[int], rows: np.ndarray) -> list[dict]:
-    """PCG64(SeedSequence([seed, j])).state["state"] for each row j < 2**32.
+def _pcg64_states(seed_words: list[int], rows: np.ndarray) -> bytes:
+    """PCG64(SeedSequence([seed, j]))'s state for each row j < 2**32, 32 bytes per row.
 
     Replays SeedSequence's pool mixing and generate_state(4, uint64) on
     uint32 arrays, one element per row (the hash constants never depend on
-    the data), then PCG64's two-step set_seed in 128-bit Python ints.
+    the data), then PCG64's two-step set_seed in 128-bit Python ints, laid
+    out as in the generator's memory: little-endian state, then inc.
     """
     hashmix = _hasher(_INIT_A, _MULT_A)
     entropy = [np.full(rows.size, w, dtype=np.uint32) for w in seed_words] + [rows.astype(np.uint32)]
@@ -223,21 +226,33 @@ def _pcg64_states(seed_words: list[int], rows: np.ndarray) -> list[dict]:
     states = []
     for s_hi, s_lo, i_hi, i_lo in words64.tolist():
         inc = (((i_hi << 64) | i_lo) << 1 | 1) & _MASK128
-        states.append({"state": (inc + ((s_hi << 64) | s_lo)) * _PCG64_MULT + inc & _MASK128, "inc": inc})
-    return states
+        state = (inc + ((s_hi << 64) | s_lo)) * _PCG64_MULT + inc & _MASK128
+        states.append((state | inc << 128).to_bytes(32, "little"))
+    return b"".join(states)
+
+
+def _state_memory(bitgen: np.random.PCG64) -> memoryview:
+    """Writable view of a PCG64's state and inc (the pointer stored first in its state struct)."""
+    view = (ctypes.c_ubyte * 32).from_address(ctypes.c_void_p.from_address(bitgen.ctypes.state_address).value)
+    view.owner = bitgen  # the memory lives as long as the view
+    return memoryview(view).cast("B")
 
 
 def noise_matrix(seed: int, rows: int, n: int, cols) -> np.ndarray:
     """Noise of replicates 0..rows-1 on the columns cols of an n-point design.
 
     Row j equals replicate_noise(seed, j, n)[cols] bit for bit, but only the
-    first cols[-1] + 1 values of each replicate are drawn.  The generator
-    states of up to _STATE_CHUNK rows are computed together and set in turn
-    on one reused generator, which draws into one reused buffer; no numpy
-    seeding object is built per row.  cols must be strictly increasing
-    indices in [0, n).  Returns shape (rows, len(cols)).
+    first cols[-1] + 1 values of each replicate are drawn, into a reused
+    block of at most _BLOCK_BYTES (or one row).  The generator states of up
+    to _STATE_CHUNK rows are computed together, checked read-only against
+    the memory of numpy's own seeding of the first, and written in turn
+    into one reused generator; no numpy seeding object is built per row.
+    cols must be strictly increasing indices in [0, n), rows at most 2**32.
+    Returns shape (rows, len(cols)).
     """
     seed, rows = _check_index("seed", seed), _check_index("rows", rows)
+    if rows > 2**32:
+        raise ParameterDomainError(f"rows must be at most 2**32, got {rows}")
     cols = np.asarray(cols, dtype=np.intp)
     if cols.ndim != 1 or (cols.size and (cols[0] < 0 or cols[-1] >= n or np.any(np.diff(cols) <= 0))):
         raise ParameterDomainError(f"noise columns must be strictly increasing indices in [0, {n})")
@@ -246,20 +261,23 @@ def noise_matrix(seed: int, rows: int, n: int, cols) -> np.ndarray:
         return out
     bitgen = np.random.PCG64()
     gen = np.random.Generator(bitgen)
-    spec = {"bit_generator": "PCG64", "state": None, "has_uint32": 0, "uinteger": 0}
-    buf = np.empty(int(cols[-1]) + 1)
+    memory = _state_memory(bitgen)
+    width = int(cols[-1]) + 1
+    block = np.empty((max(1, _BLOCK_BYTES // (8 * width)), width))
     seed_words = _uint32_words(seed)
     for a in range(0, rows, _STATE_CHUNK):
-        states = _pcg64_states(seed_words, np.arange(a, min(a + _STATE_CHUNK, rows)))
-        # numpy's own seeding of the chunk's first row must agree, or a numpy
-        # change would silently alter every seeded output
-        if np.random.PCG64(np.random.SeedSequence([seed, a])).state["state"] != states[0]:
+        stop = min(a + _STATE_CHUNK, rows)
+        states = _pcg64_states(seed_words, np.arange(a, stop))
+        # numpy's own seeding of the chunk's first row, read before any write,
+        # checks both the replicated seeding and the memory layout written to
+        if _state_memory(np.random.PCG64(np.random.SeedSequence([seed, a]))) != states[:32]:
             raise LpAdaptError("numpy's SeedSequence/PCG64 seeding differs from the replicated one")
-        for j, state in enumerate(states, start=a):
-            spec["state"] = state
-            bitgen.state = spec
-            gen.standard_normal(out=buf)
-            buf.take(cols, out=out[j])
+        for b in range(a, stop, len(block)):
+            e = min(b + len(block), stop)
+            for row, k in zip(block, range(32 * (b - a), 32 * (e - a), 32)):
+                memory[:] = states[k : k + 32]
+                gen.standard_normal(out=row)
+            block[: e - b].take(cols, axis=1, out=out[b:e])
     return out
 
 

@@ -1,12 +1,15 @@
 """noise_matrix seeds its replicates in batches and must still match numpy's own seeding.
 
 Every row is checked bit for bit against a generator built directly from
-numpy, a structural check bounds how many seeding objects a call builds, a
-changed seeding rule must fail loudly, and bad seeds fail with
+numpy.  Structural checks bound how many seeding objects a call builds and
+forbid numpy's per-row state setter; a changed seeding rule or state layout
+must fail loudly before anything is written; the scratch memory does not
+grow with the row count; bad seeds and row counts fail with
 ParameterDomainError.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ COLS = {
     "single": np.array([37]),
     "contiguous": np.arange(10, 60),
     "scattered": np.array([0, 3, 4, 41, 59]),
+    "prefix": np.arange(60),  # the window-coordinate shape mc_calibrate draws
 }
 
 
@@ -75,6 +79,78 @@ def test_changed_seeding_fails_loudly(monkeypatch):
     monkeypatch.setattr(calibration, "_PCG64_MULT", calibration._PCG64_MULT + 2)
     with pytest.raises(LpAdaptError, match="seeding"):
         noise_matrix(0, 3, 10, np.arange(10))
+
+
+def test_no_per_row_state_setter(monkeypatch):
+    # a return to numpy's dict setter for every row fails here without any timing
+    assigned = []
+    real = np.random.PCG64
+
+    class PCG64(real):  # the same name, as numpy's state setter checks it
+        @property
+        def state(self):
+            return real.state.__get__(self)
+
+        @state.setter
+        def state(self, value):
+            assigned.append(value)
+            real.state.__set__(self, value)
+
+    monkeypatch.setattr(np.random, "PCG64", PCG64)
+    got = noise_matrix(0, 5000, 200, np.arange(150, 200))
+    assert assigned == []
+    monkeypatch.undo()
+    check = [0, CHUNK, 4999]
+    assert np.array_equal(got[check], numpy_rows(0, check, 200, np.arange(150, 200)))
+
+
+def test_changed_layout_fails_before_any_write(monkeypatch):
+    # swapping each row's state and inc halves stands for a numpy release that moves the struct
+    real = calibration._pcg64_states
+
+    def swapped(seed_words, rows):
+        states = real(seed_words, rows)
+        return b"".join(states[k + 16 : k + 32] + states[k : k + 16] for k in range(0, len(states), 32))
+
+    drawn = []
+
+    class Recording(np.random.Generator):
+        def standard_normal(self, *args, **kwargs):
+            drawn.append(1)
+            return super().standard_normal(*args, **kwargs)
+
+    monkeypatch.setattr(calibration, "_pcg64_states", swapped)
+    monkeypatch.setattr(np.random, "Generator", Recording)
+    with pytest.raises(LpAdaptError, match="seeding"):
+        noise_matrix(0, 3, 10, np.arange(10))
+    assert drawn == []
+    monkeypatch.undo()
+    cols = COLS["scattered"]
+    assert np.array_equal(noise_matrix(0, 3, 60, cols), numpy_rows(0, range(3), 60, cols))
+
+
+def test_scratch_memory_does_not_grow_with_rows():
+    noise_matrix(0, 2, 5000, [4999])  # first-call imports and caches stay out of the peak
+    tracemalloc.start()
+    try:
+        out = noise_matrix(0, 3 * CHUNK, 5000, [4999])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one chunk's generator states take about 1 MB and the draw block at most
+    # _BLOCK_BYTES; a CHUNK x 5000 block would take 80 MB
+    assert peak < out.nbytes + 2 * 2**20, peak
+
+
+def test_rows_past_two_to_the_32_rejected_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterDomainError, match="rows"):
+            noise_matrix(0, 2**32 + 1, 10, [0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 @pytest.mark.parametrize("seed", [-3, 1.5, 2.0, np.float64(4.0), "5", True])
