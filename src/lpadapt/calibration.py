@@ -231,9 +231,29 @@ def _pcg64_states(seed_words: list[int], rows: np.ndarray) -> bytes:
     return b"".join(states)
 
 
-def _state_memory(bitgen: np.random.PCG64) -> memoryview:
-    """Writable view of a PCG64's state and inc (the pointer stored first in its state struct)."""
-    view = (ctypes.c_ubyte * 32).from_address(ctypes.c_void_p.from_address(bitgen.ctypes.state_address).value)
+def _hilo_words(states: bytes) -> bytes:
+    """The states as native uint64 words, high first: an emulated pcg128_t (MSVC), or any big-endian host."""
+    return np.frombuffer(states, "<u8").reshape(-1, 2)[:, ::-1].astype(np.uint64).tobytes()
+
+
+_LAYOUTS = (bytes, _hilo_words)  # numpy's pcg128_t layouts; the first is __uint128_t, little-endian
+
+
+def _state_spec(row: bytes) -> dict:
+    """numpy's bitgen.state for one row of _pcg64_states."""
+    state, inc = int.from_bytes(row[:16], "little"), int.from_bytes(row[16:], "little")
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+
+
+def _state_memory(bitgen: np.random.PCG64) -> memoryview | None:
+    """Writable view of a PCG64's state and inc, at the pointer that starts its pcg64_state struct.
+
+    numpy points it into the generator object; None if it points elsewhere.
+    """
+    address = ctypes.c_void_p.from_address(bitgen.ctypes.state_address).value or 0
+    if not id(bitgen) <= address <= id(bitgen) + type(bitgen).__basicsize__ - 32:
+        return None
+    view = (ctypes.c_ubyte * 32).from_address(address)
     view.owner = bitgen  # the memory lives as long as the view
     return memoryview(view).cast("B")
 
@@ -243,10 +263,12 @@ def noise_matrix(seed: int, rows: int, n: int, cols) -> np.ndarray:
 
     Row j equals replicate_noise(seed, j, n)[cols] bit for bit, but only the
     first cols[-1] + 1 values of each replicate are drawn, into a reused
-    block of at most _BLOCK_BYTES (or one row).  The generator states of up
-    to _STATE_CHUNK rows are computed together, checked read-only against
-    the memory of numpy's own seeding of the first, and written in turn
-    into one reused generator; no numpy seeding object is built per row.
+    block of at most _BLOCK_BYTES (or one row) whose columns are taken at
+    once.  The generator states of up to _STATE_CHUNK rows are computed
+    together and written in turn into the memory of one reused generator,
+    after a read-only check against the memory of numpy's own seeding of the
+    first that also picks the layout to write (numpy's state setter if none
+    matches).  No numpy seeding object is built per row.
     cols must be strictly increasing indices in [0, n), rows at most 2**32.
     Returns shape (rows, len(cols)).
     """
@@ -261,7 +283,7 @@ def noise_matrix(seed: int, rows: int, n: int, cols) -> np.ndarray:
         return out
     bitgen = np.random.PCG64()
     gen = np.random.Generator(bitgen)
-    memory = _state_memory(bitgen)
+    memory = _state_memory(bitgen)  # its has_uint32 stays 0: it only draws doubles
     width = int(cols[-1]) + 1
     block = np.empty((max(1, _BLOCK_BYTES // (8 * width)), width))
     seed_words = _uint32_words(seed)
@@ -269,13 +291,19 @@ def noise_matrix(seed: int, rows: int, n: int, cols) -> np.ndarray:
         stop = min(a + _STATE_CHUNK, rows)
         states = _pcg64_states(seed_words, np.arange(a, stop))
         # numpy's own seeding of the chunk's first row, read before any write,
-        # checks both the replicated seeding and the memory layout written to
-        if _state_memory(np.random.PCG64(np.random.SeedSequence([seed, a]))) != states[:32]:
+        # checks the replicated seeding and picks the layout written in
+        seeded = np.random.PCG64(np.random.SeedSequence([seed, a]))
+        layout = next((f for f in _LAYOUTS if _state_memory(seeded) == f(states[:32])), None)
+        if layout is None and seeded.state != _state_spec(states[:32]):
             raise LpAdaptError("numpy's SeedSequence/PCG64 seeding differs from the replicated one")
+        states = layout(states) if layout else states
         for b in range(a, stop, len(block)):
             e = min(b + len(block), stop)
             for row, k in zip(block, range(32 * (b - a), 32 * (e - a), 32)):
-                memory[:] = states[k : k + 32]
+                if layout:
+                    memory[:] = states[k : k + 32]
+                else:
+                    bitgen.state = _state_spec(states[k : k + 32])
                 gen.standard_normal(out=row)
             block[: e - b].take(cols, axis=1, out=out[b:e])
     return out

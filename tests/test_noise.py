@@ -2,14 +2,18 @@
 
 Every row is checked bit for bit against a generator built directly from
 numpy.  Structural checks bound how many seeding objects a call builds and
-forbid numpy's per-row state setter; a changed seeding rule or state layout
-must fail loudly before anything is written; the scratch memory does not
-grow with the row count; bad seeds and row counts fail with
-ParameterDomainError.
+forbid numpy's per-row state setter; the state layout written follows the
+memory of numpy's own seeding, with numpy's setter when none matches; a
+changed seeding rule must fail loudly before anything is written; the
+scratch memory does not grow with the row count; bad seeds and row counts
+fail with ParameterDomainError.
 """
 
+import ctypes
 import math
+import struct
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -81,9 +85,10 @@ def test_changed_seeding_fails_loudly(monkeypatch):
         noise_matrix(0, 3, 10, np.arange(10))
 
 
-def test_no_per_row_state_setter(monkeypatch):
-    # a return to numpy's dict setter for every row fails here without any timing
-    assigned = []
+@pytest.fixture
+def assigned(monkeypatch):
+    """np.random.PCG64 swapped for a subclass recording every state assignment."""
+    values = []
     real = np.random.PCG64
 
     class PCG64(real):  # the same name, as numpy's state setter checks it
@@ -93,10 +98,15 @@ def test_no_per_row_state_setter(monkeypatch):
 
         @state.setter
         def state(self, value):
-            assigned.append(value)
+            values.append(value)
             real.state.__set__(self, value)
 
     monkeypatch.setattr(np.random, "PCG64", PCG64)
+    return values
+
+
+def test_no_per_row_state_setter(monkeypatch, assigned):
+    # a return to numpy's dict setter for every row fails here without any timing
     got = noise_matrix(0, 5000, 200, np.arange(150, 200))
     assert assigned == []
     monkeypatch.undo()
@@ -104,8 +114,45 @@ def test_no_per_row_state_setter(monkeypatch):
     assert np.array_equal(got[check], numpy_rows(0, check, 200, np.arange(150, 200)))
 
 
-def test_changed_layout_fails_before_any_write(monkeypatch):
-    # swapping each row's state and inc halves stands for a numpy release that moves the struct
+def _reversed(states):  # a layout no numpy build uses
+    return states[::-1]
+
+
+@pytest.mark.parametrize(
+    "name, value, setter_calls",
+    [
+        ("_LAYOUTS", (_reversed, *calibration._LAYOUTS), 0),  # the matching layout need not come first
+        ("_LAYOUTS", (_reversed,), CHUNK + 3),  # no layout matches numpy's memory: numpy's setter
+        ("_state_memory", lambda bitgen: None, CHUNK + 3),  # the state is not inside the generator
+    ],
+    ids=["later-layout", "no-layout", "no-memory"],
+)
+def test_layout_follows_numpys_seeded_memory(monkeypatch, assigned, name, value, setter_calls):
+    monkeypatch.setattr(calibration, name, value)
+    got = noise_matrix(0, CHUNK + 3, 60, COLS["scattered"])
+    assert len(assigned) == setter_calls
+    monkeypatch.undo()
+    check = [0, 1, CHUNK, CHUNK + 2]
+    assert np.array_equal(got[check], numpy_rows(0, check, 60, COLS["scattered"]))
+
+
+def test_hilo_words_are_numpys_emulated_pcg128_layout():
+    spec = np.random.PCG64(np.random.SeedSequence([5, 9])).state["state"]
+    words = [w for v in (spec["state"], spec["inc"]) for w in (v >> 64, v & (2**64 - 1))]
+    # struct { uint64_t high; uint64_t low; } in native byte order, for the state and then inc
+    assert calibration._hilo_words(calibration._pcg64_states([5], np.array([9]))) == struct.pack("=4Q", *words)
+
+
+def test_state_pointer_outside_the_generator_is_not_followed():
+    elsewhere = (ctypes.c_ubyte * 32)()
+    pointer = ctypes.c_void_p(ctypes.addressof(elsewhere))
+    fake = types.SimpleNamespace(ctypes=types.SimpleNamespace(state_address=ctypes.addressof(pointer)))
+    assert calibration._state_memory(fake) is None
+    assert calibration._state_memory(np.random.PCG64()) is not None
+
+
+def test_mismatched_states_fail_before_any_write(monkeypatch):
+    # each row's state and inc halves swapped match neither numpy's memory nor its seeding
     real = calibration._pcg64_states
 
     def swapped(seed_words, rows):
@@ -137,8 +184,8 @@ def test_scratch_memory_does_not_grow_with_rows():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one chunk's generator states take about 1 MB and the draw block at most
-    # _BLOCK_BYTES; a CHUNK x 5000 block would take 80 MB
+    # one chunk's generator states take under 1 MB and the draw buffer one
+    # row; a CHUNK x 5000 block would take 80 MB
     assert peak < out.nbytes + 2 * 2**20, peak
 
 
