@@ -166,7 +166,8 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_MASK32, _MASK64 = (1 << 32) - 1, (1 << 64) - 1
+_U32, _LOW32 = np.uint64(32), np.uint64(_MASK32)  # uint64 limb shift and mask
 _STATE_CHUNK = 2048  # rows whose generator states are computed together
 _BLOCK_BYTES = 2**19  # cap on the rows drawn in full before their columns are taken
 
@@ -198,13 +199,22 @@ def _mix(x, y):
     return result ^ (result >> np.uint32(16))
 
 
+def _mul64(a, b):
+    """Full 128-bit products of the uint64 array a and the uint64 b as (hi, lo) limbs, from 32-bit halves."""
+    a0, a1, b0, b1 = a & _LOW32, a >> _U32, b & _LOW32, b >> _U32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> _U32) + (p01 & _LOW32) + (p10 & _LOW32)  # below 3 * 2**32: no wrap
+    return a1 * b1 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32), (p00 & _LOW32) | (mid << _U32)
+
+
 def _pcg64_states(seed_words: list[int], rows: np.ndarray) -> bytes:
     """PCG64(SeedSequence([seed, j]))'s state for each row j < 2**32, 32 bytes per row.
 
     Replays SeedSequence's pool mixing and generate_state(4, uint64) on
     uint32 arrays, one element per row (the hash constants never depend on
-    the data), then PCG64's two-step set_seed in 128-bit Python ints, laid
-    out as in the generator's memory: little-endian state, then inc.
+    the data), then PCG64's two-step set_seed on (hi, lo) uint64 limb arrays
+    (arrays wrap silently where numpy scalars would warn), laid out as in the
+    generator's memory: little-endian state, then inc.
     """
     hashmix = _hasher(_INIT_A, _MULT_A)
     entropy = [np.full(rows.size, w, dtype=np.uint32) for w in seed_words] + [rows.astype(np.uint32)]
@@ -221,14 +231,19 @@ def _pcg64_states(seed_words: list[int], rows: np.ndarray) -> bytes:
     # generate_state(4, uint64): 8 uint32 words cycling over the pool, paired little-endian
     hash_out = _hasher(_INIT_B, _MULT_B)
     w32 = [hash_out(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
-    words64 = np.stack([lo | (hi << np.uint64(32)) for lo, hi in zip(w32[::2], w32[1::2])], axis=1)
+    s_hi, s_lo, i_hi, i_lo = [lo | (hi << _U32) for lo, hi in zip(w32[::2], w32[1::2])]
 
-    states = []
-    for s_hi, s_lo, i_hi, i_lo in words64.tolist():
-        inc = (((i_hi << 64) | i_lo) << 1 | 1) & _MASK128
-        state = (inc + ((s_hi << 64) | s_lo)) * _PCG64_MULT + inc & _MASK128
-        states.append((state | inc << 128).to_bytes(32, "little"))
-    return b"".join(states)
+    # inc = i << 1 | 1, then state = (inc + s) * _PCG64_MULT + inc, all mod 2**128
+    one = np.uint64(1)
+    inc_hi, inc_lo = i_hi << one | i_lo >> np.uint64(63), i_lo << one | one
+    t_lo = inc_lo + s_lo
+    t_hi = inc_hi + s_hi + (t_lo < inc_lo)
+    m_hi, m_lo = np.uint64(_PCG64_MULT >> 64), np.uint64(_PCG64_MULT & _MASK64)
+    st_hi, st_lo = _mul64(t_lo, m_lo)
+    st_hi += t_lo * m_hi + t_hi * m_lo  # the cross terms reach only the high limb
+    st_lo += inc_lo
+    st_hi += inc_hi + (st_lo < inc_lo)
+    return np.stack([st_lo, st_hi, inc_lo, inc_hi], axis=1).astype("<u8").tobytes()
 
 
 def _hilo_words(states: bytes) -> bytes:

@@ -378,7 +378,11 @@ def cmd_diagnose(args) -> int:
     ladder = _ladder_from_config(cfg, basis.p, args, n=scene.n, default_K=4)  # the scene lives on [0, 1]
     x_ref = _option(cfg, "x", 0.5)
     seed = args.seed if args.seed is not None else scene.seed
+    if seed < 0:  # checked here: validate_pc is handed seed + 1
+        raise ParameterDomainError(f"seed must be a non-negative integer, got {seed}")
     mc = _option(cfg, "mc_size", 5000, int, args.mc)
+    if mc < 1000:
+        raise ParameterDomainError(f"mc_size must be >= 1000, got {mc}")
     cv = _critical_values(args, cfg, basis, ladder, scene.sigma_model_values(), scene.design_points(), x_ref, seed)
     report = build_oracle_report(
         basis,
@@ -393,7 +397,7 @@ def cmd_diagnose(args) -> int:
     )
     obj = json.loads(report.to_json())
     pc = validate_pc(cv, basis, ladder, scene.sigma_model_values(), scene.design_points(), x_ref,
-                     max(mc if not args.quick else mc // 4, 1000), seed + 1)
+                     max(mc // 4, 1000) if args.quick else mc, seed + 1)
     obj["pc_validation"] = [
         {"k": e.k, "moment": e.moment, "std_error": e.std_error, "bound": e.bound, "passed": e.passed}
         for e in pc.entries

@@ -374,6 +374,41 @@ class TestSimulateDiagnose:
         assert code == EXIT_CONFIG
         assert "seed must be a non-negative integer" in capsys.readouterr().err
 
+    def _diagnose_with_cv(self, tmp_path, capsys, *flags, **cfg):
+        scene, cv = tmp_path / "scene.json", tmp_path / "cv.json"
+        scene.write_text(json.dumps({
+            "f": "jump", "n": 150, "x": 0.47,
+            "sigma_model": {"pattern": "constant", "level": 0.25},
+            "seed": 5, "mc_size": 1000,
+            "ladder": {"K": 3, "growth": 1.5}, "basis": {"degree": 0}, **cfg,
+        }), encoding="utf-8")
+        cv.write_text(json.dumps({"z": [4.0, 4.0], "method": "fixed", "alpha": 1.0, "r": 0.5, "p": 1, "K": 3}),
+                      encoding="utf-8")
+        out = tmp_path / "diag.json"
+        code = main(["diagnose", "--config", str(scene), "--cv", str(cv), *flags, "--out", str(out)])
+        errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+        return code, errors, out
+
+    @pytest.mark.parametrize("flags,cfg", [(["--mc", "5"], {}), ([], {"mc_size": -5}), (["--mc", "999", "--quick"], {})],
+                             ids=["flag", "config", "quick"])
+    def test_diagnose_small_mc_exit_code(self, tmp_path, capsys, flags, cfg):
+        code, errors, out = self._diagnose_with_cv(tmp_path, capsys, *flags, **cfg)
+        assert code == EXIT_CONFIG
+        assert len(errors) == 1 and "mc_size must be >= 1000" in errors[0], errors
+        assert not out.exists()
+
+    def test_diagnose_quick_keeps_its_floor(self, tmp_path, capsys):
+        code, errors, out = self._diagnose_with_cv(tmp_path, capsys, "--mc", "1000", "--quick")
+        assert code == EXIT_OK and errors == []
+        assert json.loads(out.read_text())["pc_validation"]
+
+    @pytest.mark.parametrize("flags,cfg", [(["--seed", "-3"], {}), ([], {"seed": -3})], ids=["flag", "config"])
+    def test_diagnose_negative_seed_names_it(self, tmp_path, capsys, flags, cfg):
+        code, errors, out = self._diagnose_with_cv(tmp_path, capsys, *flags, **cfg)
+        assert code == EXIT_CONFIG
+        assert errors == ["error: seed must be a non-negative integer, got -3"]
+        assert not out.exists()
+
     def _simulate_with_cv(self, tmp_path, *flags):
         cfg, cv = tmp_path / "scenario.json", tmp_path / "cv.json"
         cfg.write_text(json.dumps({

@@ -1,8 +1,12 @@
 """noise_matrix seeds its replicates in batches and must still match numpy's own seeding.
 
 Every row is checked bit for bit against a generator built directly from
-numpy.  Structural checks bound how many seeding objects a call builds and
-forbid numpy's per-row state setter; the state layout written follows the
+numpy, and every row's generator state against a one-row-at-a-time oracle:
+PCG64's set_seed in 128-bit Python ints on numpy's own SeedSequence words.
+Any RuntimeWarning fails a test here, so a limb operation that overflows on
+numpy scalars instead of wrapping on arrays cannot pass unseen.  Structural
+checks bound how many seeding objects a call builds and forbid numpy's
+per-row state setter; the state layout written follows the
 memory of numpy's own seeding, with numpy's setter when none matches; a
 changed seeding rule must fail loudly before anything is written; the
 scratch memory does not grow with the row count; bad seeds and row counts
@@ -17,12 +21,17 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lpadapt.calibration as calibration
 from lpadapt.calibration import noise_matrix, replicate_noise
 from lpadapt.exceptions import LpAdaptError, ParameterDomainError
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 CHUNK = calibration._STATE_CHUNK
+MASK64, MASK128 = 2**64 - 1, 2**128 - 1
 SEEDS = [0, 7, 2**32 + 5, 2**70 + 3, 2**100 + 9, np.int64(123456789)]  # 1, 1, 2, 3 and 4 uint32 words; a numpy integer
 COLS = {
     "empty": np.arange(0),
@@ -36,6 +45,56 @@ COLS = {
 def numpy_rows(seed, rows, n, cols):
     """Oracle: one fresh numpy generator per replicate, seeded by SeedSequence([seed, j])."""
     return np.stack([np.random.default_rng(np.random.SeedSequence([seed, j])).standard_normal(n)[cols] for j in rows])
+
+
+def _seeded_words(seed_words, j):
+    """numpy's SeedSequence([seed, j]).generate_state(4, uint64): s_hi, s_lo, i_hi, i_lo."""
+    return np.random.SeedSequence([*seed_words, int(j)]).generate_state(4, np.uint64).tolist()
+
+
+def _reference_states(seed_words, rows):
+    """Oracle for _pcg64_states: PCG64's two-step set_seed in 128-bit Python ints, one row at a time."""
+    states = []
+    for j in rows:
+        s_hi, s_lo, i_hi, i_lo = _seeded_words(seed_words, j)
+        inc = (((i_hi << 64) | i_lo) << 1 | 1) & MASK128
+        state = (inc + ((s_hi << 64) | s_lo)) * calibration._PCG64_MULT + inc & MASK128
+        states.append((state | inc << 128).to_bytes(32, "little"))
+    return b"".join(states)
+
+
+def test_reference_states_are_numpys():
+    for seed in SEEDS:
+        for j in (0, 9, 2**32 - 1):
+            spec = np.random.PCG64(np.random.SeedSequence([seed, j])).state["state"]
+            row = _reference_states(calibration._uint32_words(int(seed)), [j])
+            assert row == spec["state"].to_bytes(16, "little") + spec["inc"].to_bytes(16, "little")
+
+
+@pytest.mark.parametrize("seed", SEEDS, ids=str)
+@pytest.mark.parametrize("start, size", [(0, CHUNK), (2**31 - 7, CHUNK), (2**32 - CHUNK, CHUNK), (5, 1)],
+                         ids=["first", "mid", "last", "one-row"])
+def test_every_rows_state_matches_the_reference(seed, start, size):
+    words, rows = calibration._uint32_words(int(seed)), np.arange(start, start + size)
+    assert calibration._pcg64_states(words, rows) == _reference_states(words, rows)
+
+
+def test_checked_block_carries_both_ways():
+    # the limb additions inc + s and (inc + s) * mult + inc each carry into the high limb on some rows, not on others
+    seen = set()
+    for j in range(CHUNK):
+        s_hi, s_lo, i_hi, i_lo = _seeded_words([0], j)
+        inc = (((i_hi << 64) | i_lo) << 1 | 1) & MASK128
+        t = inc + ((s_hi << 64) | s_lo)
+        seen.add(((inc & MASK64) + s_lo > MASK64, (t * calibration._PCG64_MULT & MASK64) + (inc & MASK64) > MASK64))
+    assert seen == {(a, b) for a in (False, True) for b in (False, True)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**128 - 1), start=st.integers(0, 2**32 - 1), size=st.integers(1, 64))
+def test_states_match_the_reference_for_any_seed_and_block(seed, start, size):
+    words, rows = calibration._uint32_words(seed), np.arange(start, min(start + size, 2**32))
+    assert calibration._pcg64_states(words, rows) == _reference_states(words, rows)
 
 
 @pytest.mark.parametrize("seed", SEEDS, ids=str)
