@@ -35,12 +35,17 @@ DEFAULT_MU = 0.125
 _BISECT_ITERS = 12
 
 
+def check_r(r: float):
+    """ParameterDomainError naming the moment power r unless it is finite and positive."""
+    if not (math.isfinite(r) and r > 0):
+        raise ParameterDomainError(f"r={r} must be finite and positive")
+
+
 def chi_square_moment(p: int, r: float) -> float:
     """r-th absolute moment of chi^2_p: 2^r Gamma(r + p/2) / Gamma(p/2)."""
     if p < 1:
         raise ParameterDomainError("p must be >= 1")
-    if r <= 0:
-        raise ParameterDomainError("r must be positive")
+    check_r(r)
     return float(np.exp(r * math.log(2.0) + gammaln(r + p / 2.0) - gammaln(p / 2.0)))
 
 
@@ -60,8 +65,7 @@ def threshold_constant(p: int, r: float) -> float:
 def _check_alpha_r(alpha: float, r: float):
     if not 0.0 < alpha <= 1.0:
         raise ParameterDomainError(f"alpha={alpha} outside (0, 1]")
-    if r <= 0:
-        raise ParameterDomainError(f"r={r} must be positive")
+    check_r(r)
 
 
 @dataclass(frozen=True)
@@ -147,13 +151,13 @@ def replicate_noise(seed: int, replicate: int, n: int) -> np.ndarray:
     This defines the package's noise stream: replicate j of seed s is the
     standard-normal stream of default_rng(SeedSequence([s, j])), so results
     are bit-identical regardless of batching or scheduling.  noise_matrix
-    produces the same rows in bulk.  Value i of the stream belongs to design
-    index i in every Monte-Carlo loop except mc_calibrate, which puts it on
-    the i-th point of the largest window (window coordinates).  The
-    generator fills its output in order, so a shorter draw is a prefix of a
-    longer one:
-    replicate_noise(s, j, m) equals replicate_noise(s, j, n)[:m] bit for bit
-    for every m <= n.
+    produces the same rows in bulk.  mc_calibrate and the verification
+    checks put value i of the stream on the i-th point of the largest
+    window (window coordinates); validate_pc, SelectionEnsemble.draw and
+    risk_experiment on a design over all n points put it on design index i.
+    The generator fills its output in order, so a shorter draw is a prefix
+    of a longer one: replicate_noise(s, j, m) equals
+    replicate_noise(s, j, n)[:m] bit for bit for every m <= n.
     """
     words = [_check_index("seed", seed), _check_index("replicate", replicate)]
     return np.random.default_rng(np.random.SeedSequence(words)).standard_normal(_check_index("n", n))
@@ -419,10 +423,9 @@ def mc_calibrate(
     coordinates.  Replicate j is replicate_noise(seed, j, m), its i-th value
     on the i-th window point, times sigma_model there.  Cost therefore does
     not depend on n, and a point outside the window enters only through the
-    scales the full design accepts.  Every other Monte-Carlo loop
-    (validate_pc, SelectionEnsemble.draw, risk_experiment, verification)
-    draws on design indices, so validate_pc checks the thresholds on
-    different noise.
+    scales the full design accepts.  validate_pc, SelectionEnsemble.draw
+    and risk_experiment on a design over all n points draw on design
+    indices, so validate_pc checks the thresholds on different noise.
     """
     _check_alpha_r(alpha, r)
     if mc_size < 1000:

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .calibration import CriticalValues, SelectionEnsemble, replicate_noise
+from .calibration import CriticalValues, SelectionEnsemble, check_r, replicate_noise
 from .dataset import Dataset
 from .exceptions import ParameterDomainError
 from .local_model import Basis, LadderDesign, NoiseModel, ScaleLadder, default_h1
@@ -177,6 +177,7 @@ def risk_experiment(
     across replicates, so no replicate can fail; the exclusion counter is
     kept for the output contract.
     """
+    check_r(r)
     if replicates < 1:
         raise ParameterDomainError(f"replicates must be >= 1, got {replicates}")
     ld = LadderDesign(basis, ladder, scene.design_points(), x, scene.sigma_model_values())

@@ -59,10 +59,20 @@ def _random_boxcar_scene(rng: np.random.Generator, p: int, k: int, n: int = 60):
 
 
 def _unit_design(p: int, n: int, K: int, growth: float, kernel: str = "boxcar"):
-    """n equidistant points on [0, 1] with unit model noise, and their ladder design at 0.5."""
+    """The ladder design at 0.5 of n equidistant points on [0, 1] with unit model noise, on its window.
+
+    The design is built on all n points and then restricted to the m points
+    of its largest window (LadderDesign.restrict), which it returns with
+    their coordinates.  Its support is then arange(m), so every Monte-Carlo
+    check draws in window coordinates: replicate j is
+    replicate_noise(seed, j, m), its i-th value on the i-th window point.
+    Every scale of these ladders is accepted, so validate_pc, which rebuilds
+    the design from the window points and the ladder, sees the same scales.
+    """
     pts = np.linspace(0.0, 1.0, n)
     ladder = ScaleLadder.geometric(default_h1(n, p), K, growth=growth, kernel=kernel)
-    return LadderDesign(Basis.polynomial(p - 1, dim=1), ladder, pts, 0.5, np.ones(n)), pts
+    ld = LadderDesign(Basis.polynomial(p - 1, dim=1), ladder, pts, 0.5, np.ones(n))
+    return ld.restrict(ld.support), pts[ld.support]
 
 
 def check_determinant_identity(seed: int = 11, trials: int = 20) -> CheckResult:
@@ -239,13 +249,13 @@ def check_pair_moment_bounds(replicates: int = 20000, seed: int = 19) -> CheckRe
 
 def check_stacked_covariance(replicates: int = 20000, seed: int = 20) -> CheckResult:
     """Empirical covariance of the stacked estimators matches the joint law (delta 0.15, p 2, n 120)."""
-    delta, n = 0.15, 120
-    ld, pts = _unit_design(2, n, 3, 1.6)
+    delta = 0.15
+    ld, pts = _unit_design(2, 120, 3, 1.6)
+    n = ld.points.shape[0]
     sigma0 = np.sqrt(1.0 + delta * np.sin(2.0 * np.pi * pts + 0.5))
     S0 = joint_covariance(ld.D_list, sigma0**2)
-    cols = ld.support
-    eps = noise_matrix(seed, replicates, n, cols)
-    draws = ld.restrict(cols).fit_stacked(eps * sigma0[cols]).reshape(replicates, -1)  # rows (theta_1, ..., theta_K)
+    eps = noise_matrix(seed, replicates, n, np.arange(n))  # the design holds its window only
+    draws = ld.fit_stacked(eps * sigma0).reshape(replicates, -1)  # rows (theta_1, ..., theta_K)
     emp = np.cov(draws, rowvar=False)
     dg = np.diag(S0)
     se = np.sqrt((np.outer(dg, dg) + S0**2) / replicates)

@@ -222,6 +222,16 @@ class TestCalibrateFit:
         assert "seed must be a non-negative integer" in capsys.readouterr().err
         assert not (tmp_path / "cv.json").exists()
 
+    @pytest.mark.parametrize("r", ["nan", "inf"])
+    def test_non_finite_r_names_it(self, tmp_path, capsys, r):
+        data = _write_dataset(tmp_path / "d.csv")
+        out = tmp_path / "cv.json"
+        code = main(["calibrate", "--data", str(data), "--mc", "1000", "--r", r, "--out", str(out)])
+        errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+        assert code == EXIT_CONFIG
+        assert errors == [f"error: r={float(r)} must be finite and positive"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("cv_text", [
         "{not json",
         '{"method": "fixed", "alpha": 1.0, "r": 0.5, "p": 2, "K": 3}',
@@ -432,6 +442,14 @@ class TestSimulateDiagnose:
         code, _ = self._simulate_with_cv(tmp_path, "--seed", "-3")
         assert code == EXIT_CONFIG
         assert "seed must be a non-negative integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("r", ["-1", "0", "nan", "inf"])
+    def test_simulate_bad_r_names_it(self, tmp_path, capsys, r):
+        # with --cv nothing calibrates inline, so risk_experiment itself must refuse r
+        assert self._simulate_with_cv(tmp_path, "--r", r) == (EXIT_CONFIG, None)
+        errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+        assert errors == [f"error: r={float(r)} must be finite and positive"]
+        assert not (tmp_path / "sim.json").exists() and not (tmp_path / "sim.csv").exists()
 
     def test_simulate_zero_replicates_exit_code(self, tmp_path, capsys):
         cfg, cv = tmp_path / "scenario.json", tmp_path / "cv.json"

@@ -4,9 +4,9 @@ The windowed SelectionEnsemble is compared with an ensemble built from the
 same noise over all n observations, the noise itself is checked bit for bit
 against full-length draws, and a structural check bounds what an ensemble
 holds, so a regression to mc x n storage fails without any timing.
-mc_calibrate draws in window coordinates instead: replicate j's first
-len(support) values, whatever n is, which a count of its draws and a bit
-for bit oracle pin down.
+mc_calibrate and the `verify` checks draw in window coordinates instead:
+replicate j's first len(support) values, whatever n is, which a count of
+their draws and a bit for bit oracle pin down.
 """
 
 import tracemalloc
@@ -15,10 +15,11 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from lpadapt import calibration
+from lpadapt import calibration, verification
 from lpadapt.calibration import SelectionEnsemble, mc_calibrate, noise_matrix, replicate_noise
 from lpadapt.exceptions import ParameterDomainError
 from lpadapt.local_model import KERNELS, Basis, LadderDesign, ScaleLadder, default_h1
+from lpadapt.verification import _unit_design, _wilks_forms, run_all
 
 Z = np.array([3.0, 2.0, 1.5])  # low enough that many replicates stop early
 MC = 400
@@ -214,3 +215,43 @@ class TestCalibrationWindow:
         assert ld.K_eff == 4 and ld.truncated_at == 5
         cv = self.calibrate(ld)
         assert cv.K == ld.K_eff == 4 and len(cv.z) == 3
+
+
+class TestVerifyWindow:
+    """The verify checks draw replicate j's first m values, on the m points of the design's largest window."""
+
+    def test_every_draw_is_a_replicate_prefix(self, monkeypatch):
+        calls = []
+
+        def spy(real):
+            def noise_matrix(seed, rows, n, cols):
+                calls.append((n, np.asarray(cols)))
+                return real(seed, rows, n, cols)
+            return noise_matrix
+
+        monkeypatch.setattr(calibration, "noise_matrix", spy(calibration.noise_matrix))
+        monkeypatch.setattr(verification, "noise_matrix", spy(verification.noise_matrix))
+        assert all(result.passed for result in run_all(quick=True))
+        assert len(calls) == 10  # 6 quadratic-form checks, validate_pc, 2 pair checks, stacked covariance
+        for n, cols in calls:
+            assert n == len(cols) and np.array_equal(cols, np.arange(n)), (n, cols)
+
+    @pytest.mark.parametrize("design", [
+        (1, 120, 3, 1.6, "boxcar"), (2, 120, 3, 1.6, "epanechnikov"), (1, 150, 3, 1.6, "boxcar"),
+        (2, 150, 3, 1.6, "boxcar"), (1, 200, 4, 1.5, "boxcar"), (1, 150, 4, 1.5, "boxcar"),
+    ])
+    def test_wilks_forms_on_window_coordinates(self, design):
+        p, n, K, growth, kernel = design
+        ld, pts = _unit_design(*design)
+        full = LadderDesign(Basis.polynomial(p - 1), ScaleLadder.geometric(default_h1(n, p), K, growth=growth,
+                                                                           kernel=kernel),
+                            np.linspace(0.0, 1.0, n), 0.5, np.ones(n))
+        m, support = ld.points.shape[0], full.support
+        assert m == support.size < support[-1] and np.array_equal(pts, full.points[support, 0])
+        for D, D_full in zip(ld.D_list, full.D_list):
+            assert np.array_equal(D, D_full[:, support])
+        sigma, k, rows, seed = 1.0 + 0.2 * np.sin(7.0 * pts), ld.K_eff, 300, 23
+        eps = np.stack([replicate_noise(seed, j, m) for j in range(rows)])  # value i on window point i
+        g = eps @ (ld.D_list[k - 1] * sigma).T
+        want = np.maximum(np.einsum("ri,ij,rj->r", g, ld.B_list[k - 1], g), 0.0)
+        assert np.array_equal(_wilks_forms(ld, sigma, k, rows, seed), want)
