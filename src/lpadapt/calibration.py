@@ -21,6 +21,7 @@ from __future__ import annotations
 import ctypes
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -36,9 +37,9 @@ _BISECT_ITERS = 12
 
 
 def check_r(r: float):
-    """ParameterDomainError naming the moment power r unless it is finite and positive."""
-    if not (math.isfinite(r) and r > 0):
-        raise ParameterDomainError(f"r={r} must be finite and positive")
+    """ParameterDomainError naming the moment power r unless it is a finite positive number."""
+    if not (isinstance(r, numbers.Real) and math.isfinite(r) and r > 0):
+        raise ParameterDomainError(f"r={r!r} must be finite and positive")
 
 
 def chi_square_moment(p: int, r: float) -> float:
@@ -63,8 +64,8 @@ def threshold_constant(p: int, r: float) -> float:
 
 
 def _check_alpha_r(alpha: float, r: float):
-    if not 0.0 < alpha <= 1.0:
-        raise ParameterDomainError(f"alpha={alpha} outside (0, 1]")
+    if not (isinstance(alpha, numbers.Real) and 0.0 < alpha <= 1.0):
+        raise ParameterDomainError(f"alpha={alpha!r} outside (0, 1]")
     check_r(r)
 
 
@@ -83,6 +84,9 @@ class CriticalValues:
     mc_size: int | None = None
 
     def __post_init__(self):
+        if min(_check_index("p", self.p), _check_index("K", self.K)) < 1:
+            raise ParameterDomainError(f"p={self.p} and K={self.K} must both be >= 1")
+        _check_alpha_r(self.alpha, self.r)
         zv = np.asarray(self.z, dtype=float)
         if zv.size != self.K - 1:
             raise ParameterDomainError(f"expected {self.K - 1} thresholds, got {zv.size}")

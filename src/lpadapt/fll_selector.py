@@ -279,11 +279,11 @@ def fit_curve(
             for g, kg in enumerate(k_gate.tolist()):
                 yg = ys[g]
                 for k in range(kg):
-                    solved = factor_solve(B[g, k], PW[g, k])
-                    if solved is None:
+                    D = factor_solve(B[g, k], PW[g, k])
+                    if D is None:
                         k_gate[g] = k
                         break
-                    fits[g, k] = solved[1] @ yg
+                    fits[g, k] = D @ yg
             k_eff[idx] = k_gate
             theta[idx] = fits
             T[:, :, idx] = pair_statistics(fits, B)

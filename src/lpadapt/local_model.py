@@ -6,9 +6,10 @@ scale k the weighted information matrix
     B_k = sum_i Psi_i Psi_i^T w_{k,i} / sigma_i^2
 
 is assembled and the weighted least-squares (quasi-ML) coefficient vector is
-obtained from the normal equations B_k theta = Psi W_k y.  All solvers use a
-symmetric positive-definite factorization of B_k; no explicit inverse is
-formed outside of test oracles.
+obtained from the normal equations B_k theta = Psi W_k y.  Each accepted
+scale is solved once for its propagator D_k = B_k^{-1} Psi W_k through a
+Cholesky factorization of B_k; the factor is not kept, and no explicit
+inverse is formed.
 """
 
 from __future__ import annotations
@@ -30,23 +31,6 @@ _potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), (np.empty(0),))
 
 #: reject a scale when lambda_min(B) < MIN_EIG_RATIO * lambda_max(B)
 MIN_EIG_RATIO = 1e-10
-
-
-def _as_points(points) -> np.ndarray:
-    """Normalize design points to an (n, d) float array."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.ndim != 2:
-        raise ParameterDomainError(f"design points must be 1- or 2-dimensional, got shape {pts.shape}")
-    return pts
-
-
-def _as_point(x, d: int) -> np.ndarray:
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    if xv.shape != (d,):
-        raise ParameterDomainError(f"reference point has dimension {xv.shape}, expected ({d},)")
-    return xv
 
 
 def kernel_profile(kind: str, t: np.ndarray) -> np.ndarray:
@@ -74,17 +58,17 @@ KERNELS = tuple(KERNEL_RADIUS)
 class Basis:
     """Fixed basis {psi_1, ..., psi_p} evaluated at offsets t - x.
 
-    The polynomial kind in dimension d uses all monomials of total degree
-    <= degree, ordered by degree then lexicographically, normalized as
-    u^a / a! so that psi(0) = (1, 0, ..., 0) and, in d = 1, the j-th
-    coefficient estimates the (j-1)-th derivative of the target function.
+    _evaluate maps offsets (n, dim) to the matrix (p, n) whose column i is
+    psi at offset i.  Basis.polynomial(degree, dim) uses all monomials of
+    total degree <= degree, ordered by degree then lexicographically,
+    normalized as u^a / a! so that psi(0) = (1, 0, ..., 0) and, in d = 1, the
+    j-th coefficient estimates the (j-1)-th derivative of the target
+    function.  Any other basis is Basis(p=..., dim=..., _evaluate=...).
     """
 
-    kind: str
     p: int
     dim: int
     _evaluate: Callable[[np.ndarray], np.ndarray]
-    degree: int | None = None
 
     @classmethod
     def polynomial(cls, degree: int, dim: int = 1) -> "Basis":
@@ -104,32 +88,12 @@ class Basis:
             powers = offsets[None, :, :] ** expo[:, None, :]
             return powers.prod(axis=2) * inv_fact[:, None]
 
-        return cls(kind="polynomial", p=len(alphas), dim=dim, _evaluate=evaluate, degree=degree)
-
-    @classmethod
-    def custom(cls, p: int, func: Callable[[np.ndarray], np.ndarray], dim: int = 1) -> "Basis":
-        """Wrap a user function mapping a single offset (dim,) to R^p."""
-        if p < 1:
-            raise ParameterDomainError("basis size p must be >= 1")
-
-        def evaluate(offsets: np.ndarray) -> np.ndarray:
-            cols = [np.asarray(func(o), dtype=float).reshape(p) for o in offsets]
-            return np.array(cols).reshape(len(cols), p).T
-
-        return cls(kind="custom", p=p, dim=dim, _evaluate=evaluate)
+        return cls(p=len(alphas), dim=dim, _evaluate=evaluate)
 
     def evaluate(self, offset) -> np.ndarray:
         """Basis vector at a single offset t - x; shape (p,)."""
         off = np.atleast_1d(np.asarray(offset, dtype=float)).reshape(1, self.dim)
         return self._evaluate(off)[:, 0]
-
-    def design_matrix(self, design_points, x) -> np.ndarray:
-        """Matrix Psi with columns Psi_i = psi(X_i - x); shape (p, n)."""
-        pts = _as_points(design_points)
-        xv = _as_point(x, pts.shape[1])
-        if pts.shape[1] != self.dim:
-            raise ParameterDomainError(f"basis has dim={self.dim}, points have dim={pts.shape[1]}")
-        return self._evaluate(pts - xv)
 
 
 @dataclass(frozen=True)
@@ -178,21 +142,6 @@ def default_h1(n: int, p: int, span: float = 1.0, d: int = 1) -> float:
         return span * m / (2.0 * n)
     unit_ball = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
     return span * (m / (n * unit_ball)) ** (1.0 / d)
-
-
-def build_weights(ladder: ScaleLadder, design_points, x, k: int) -> np.ndarray:
-    """Kernel weights w_{k,i}(x) in [0, 1] for scale k (1-indexed).
-
-    Boxcar returns the indicator of ||X_i - x|| <= h_k; all kernels produce
-    weights nondecreasing in k pointwise because the profiles are
-    nonincreasing in scaled distance.
-    """
-    if not 1 <= k <= ladder.K:
-        raise ParameterDomainError(f"scale index {k} outside 1..{ladder.K}")
-    pts = _as_points(design_points)
-    xv = _as_point(x, pts.shape[1])
-    dist = np.linalg.norm(pts - xv, axis=1)
-    return kernel_profile(ladder.kernel, dist / ladder.bandwidths[k - 1])
 
 
 @dataclass
@@ -256,20 +205,6 @@ def _conditioned(B: np.ndarray, active, p: int) -> np.ndarray:
     return (active >= p) & (eigs[..., 0] > MIN_EIG_RATIO * np.maximum(eigs[..., -1], 0.0))
 
 
-def growth_bounds(B_list: Sequence[np.ndarray]) -> tuple[float, float]:
-    """Tightest (u0, u) with u0 I <= B_{k-1}^{-1/2} B_k B_{k-1}^{-1/2} <= u I.
-
-    Computed from the actual information matrices, not from nominal
-    bandwidth ratios.  For a single scale returns (inf, 1.0) degenerately.
-    """
-    lo, hi = math.inf, 1.0
-    for Bprev, Bnext in zip(B_list[:-1], B_list[1:]):
-        vals = eigvalsh(Bnext, Bprev)  # generalized problem, same spectrum as the similarity
-        lo = min(lo, float(vals[0]))
-        hi = max(hi, float(vals[-1]))
-    return lo, hi
-
-
 def is_nested_binary(weights_list: Sequence[np.ndarray]) -> bool:
     """Check w_{l,i} w_{m,i} = w_{l,i} for all l <= m (0/1 nested windows), to within 1e-12."""
     ws = [np.asarray(w, dtype=float) for w in weights_list]
@@ -306,37 +241,43 @@ def stacked_designs(basis: Basis, ladder: ScaleLadder, points, centres, sigma):
     return psi, W, PW, B, np.where(passed.all(axis=-1), ladder.K, passed.argmin(axis=-1))
 
 
-def factor_solve(B_k: np.ndarray, PW_k: np.ndarray):
-    """Cholesky factor c of B_k and D_k = B_k^{-1} PW_k, by direct LAPACK calls.
+def factor_solve(B_k: np.ndarray, PW_k: np.ndarray) -> np.ndarray | None:
+    """The propagator D_k = B_k^{-1} PW_k, by one LAPACK Cholesky factorization and solve.
 
-    D_k comes back in Fortran order.  Returns None when B_k is not positive
-    definite after all; the scale then fails.
+    D_k comes back in Fortran order; the factor is not kept.  Returns None
+    when B_k is not positive definite after all; the scale then fails.
     """
     c, info = _potrf(B_k, lower=True, clean=False)
     if info != 0:
         return None
-    return c, _potrs(c, PW_k, lower=True)[0]
+    return _potrs(c, PW_k, lower=True)[0]
 
 
 class LadderDesign:
     """All per-scale design objects for one reference point.
 
-    Builds weights, information matrices B_k, their Cholesky factors and the
-    propagators D_k = B_k^{-1} Psi W_k for k = 1..K.  Scales are accepted in
-    order and the ladder is truncated at the first scale that fails the
-    conditioning gate (at least p weighted points and lambda_min(B_k) >
-    MIN_EIG_RATIO lambda_max(B_k)), so selection indices stay contiguous.
+    Builds weights, information matrices B_k and the propagators
+    D_k = B_k^{-1} Psi W_k for k = 1..K.  Scales are accepted in order and
+    the ladder is truncated at the first scale that fails the conditioning
+    gate (at least p weighted points and lambda_min(B_k) > MIN_EIG_RATIO
+    lambda_max(B_k)), so selection indices stay contiguous.
 
     The design is stacked_designs with a batch of one, the builder that
     fit_curve runs on whole chunks of grid points; only the accepted scales
-    are factored and solved.
+    are solved, by factor_solve, and no Cholesky factor is kept.
     """
 
     def __init__(self, basis: Basis, ladder: ScaleLadder, design_points, x, sigma_model):
         self.basis = basis
         self.ladder = ladder
-        self.points = _as_points(design_points)
-        self.x = _as_point(x, self.points.shape[1])
+        pts = np.asarray(design_points, dtype=float)
+        self.points = pts[:, None] if pts.ndim == 1 else pts
+        if self.points.ndim != 2:
+            raise ParameterDomainError(f"design points must be 1- or 2-dimensional, got shape {pts.shape}")
+        d = self.points.shape[1]
+        self.x = np.atleast_1d(np.asarray(x, dtype=float))
+        if self.x.shape != (d,):
+            raise ParameterDomainError(f"reference point has dimension {self.x.shape}, expected ({d},)")
         self.sigma_model = np.asarray(sigma_model, dtype=float)
         if self.sigma_model.shape != (self.points.shape[0],):
             raise ParameterDomainError("sigma_model and design_points must have equal length")
@@ -344,15 +285,12 @@ class LadderDesign:
             raise ParameterDomainError("sigma_model entries must be positive")
         psi, W, PW, B, k_gate = stacked_designs(basis, ladder, self.points[None], self.x[None], self.sigma_model[None])
         self.psi = psi[0]
-
-        self._chol: list[np.ndarray] = []
         self.D_list: list[np.ndarray] = []
         for k in range(k_gate[0]):
-            solved = factor_solve(B[0, k], PW[0, k])
-            if solved is None:
+            D = factor_solve(B[0, k], PW[0, k])
+            if D is None:
                 break
-            self._chol.append(solved[0])
-            self.D_list.append(solved[1])
+            self.D_list.append(D)
         K_eff = len(self.D_list)
         self.truncated_at: int | None = K_eff + 1 if K_eff < ladder.K else None  # first rejected 1-indexed scale
         self.weights_list: list[np.ndarray] = list(W[0, :K_eff])
@@ -373,7 +311,7 @@ class LadderDesign:
         return np.flatnonzero(self.weights_list[-1] > 0)
 
     def restrict(self, cols) -> "LadderDesign":
-        """The same design on the points cols only, sharing B_k and their factors.
+        """The same design on the points cols only, sharing B_k.
 
         Fits of the restricted design equal those of the full one when cols
         covers the support.
@@ -401,21 +339,14 @@ class LadderDesign:
         return np.stack([D @ f for D in self.D_list])
 
     def growth_bounds(self) -> tuple[float, float]:
-        return growth_bounds(self.B_list)
+        """Tightest (u0, u) with u0 I <= B_{k-1}^{-1/2} B_k B_{k-1}^{-1/2} <= u I.
 
-    def is_nested_binary(self) -> bool:
-        return is_nested_binary(self.weights_list)
-
-    def variance_boxcar_identity_gap(self) -> float:
-        """Max |Var theta_k - B_k^{-1}| entry for delta = 0 boxcar ladders.
-
-        Var theta_k = D_k Sigma D_k^T; with 0/1 weights and Sigma the model
-        covariance this equals B_k^{-1} exactly.  Returns the worst absolute
-        gap, a cheap structural self-check.
+        Computed from the accepted information matrices, not from nominal
+        bandwidth ratios.  For a single scale returns (inf, 1.0) degenerately.
         """
-        gap = 0.0
-        for D, c in zip(self.D_list, self._chol):
-            V = (D * self.sigma_model**2) @ D.T
-            Binv = _potrs(c, np.eye(self.basis.p), lower=True)[0]
-            gap = max(gap, float(np.max(np.abs(V - Binv))))
-        return gap
+        lo, hi = math.inf, 1.0
+        for Bprev, Bnext in zip(self.B_list[:-1], self.B_list[1:]):
+            vals = eigvalsh(Bnext, Bprev)  # generalized problem, same spectrum as the similarity
+            lo = min(lo, float(vals[0]))
+            hi = max(hi, float(vals[-1]))
+        return lo, hi

@@ -195,12 +195,6 @@ def kl_joint(Sigma_k: np.ndarray, Sigma_k0: np.ndarray, Delta_k: float, p: int, 
     return KlResult(kl=kl, lower=lower, upper=upper)
 
 
-def kl_homogeneous(p: int, k: int, sigma: float, sigma0: float, Delta_k: float) -> float:
-    """KL for constant noise levels on both sides:
-    p k log(sigma/sigma0) + Delta(k)/2 + p k (sigma0^2/sigma^2 - 1) / 2."""
-    return p * k * math.log(sigma / sigma0) + 0.5 * Delta_k + 0.5 * p * k * (sigma0**2 / sigma**2 - 1.0)
-
-
 def phi_factor(delta: float, homogeneous: bool) -> float:
     """Exponent multiplier in the propagation bound."""
     _check_delta(delta)
@@ -357,20 +351,6 @@ def z_moment_bounds(p: int, k: int, delta: float, Delta_k: float, homogeneous: b
     return lower, upper
 
 
-def z_second_moment_homogeneous(p: int, k: int, sigma: float, sigma0: float, Delta_k: float) -> float:
-    """Exact second moment of the likelihood ratio for constant noise levels.
-
-    Requires 2 sigma^2 > sigma0^2; Delta_k is the standard bias index, so the
-    paper-form exponent b^T V^{-1} b / (2 sigma^2 - sigma0^2) equals
-    Delta_k / (2 - sigma0^2/sigma^2).
-    """
-    rho = sigma0**2 / sigma**2
-    if 2.0 - rho <= 0:
-        raise ParameterDomainError("second moment diverges: need sigma0^2 < 2 sigma^2")
-    pk = p * k
-    return float((1.0 / rho) ** pk * (rho / (2.0 - rho)) ** (pk / 2.0) * math.exp(Delta_k / (2.0 - rho)))
-
-
 def _jsonify(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
@@ -499,7 +479,7 @@ def build_oracle_report(
         components.append(comp)
 
     det_check = None
-    if ld.is_nested_binary() and K >= 2:
+    if is_nested_binary(ld.weights_list) and K >= 2:
         formula = boxcar_determinant(ld.B_list, ld.weights_list)
         dense = float(np.linalg.det(Sigma))
         det_check = {"formula": formula, "dense": dense, "rel_err": abs(formula - dense) / abs(dense)}

@@ -12,6 +12,7 @@ CLI, which imports it) does not load `scipy.stats`.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -30,6 +31,7 @@ from .dataset import Dataset
 from .exceptions import LpAdaptError, ParameterDomainError
 from .local_model import Basis, LadderDesign, ScaleLadder, default_h1
 from .oracle_diagnostics import boxcar_determinant, joint_covariance, kl_joint, wilks_spectrum
+from .sim_harness import SigmaSpec
 
 
 @dataclass
@@ -139,7 +141,7 @@ def check_domination(delta: float = 0.2, replicates: int = 20000, seed: int = 14
     """P{form >= z} <= P{chi^2_1 >= z/(1+delta)} + 3 SE for z = 1, 2, 4, 8, 16."""
     p = 1
     ld, pts = _unit_design(p, 150, 3, 1.6)
-    sigma0 = np.sqrt(1.0 + delta * np.sin(2.0 * np.pi * pts + 0.3))
+    sigma0 = SigmaSpec("sine", 1.0, delta, 0.3).values(pts)
     forms = _wilks_forms(ld, sigma0, ld.K_eff, replicates, seed)
     worst = -1.0
     for z in (1.0, 2.0, 4.0, 8.0, 16.0):
@@ -154,7 +156,7 @@ def check_quasi_parametric_moment(replicates: int = 20000, seed: int = 15) -> Ch
     """E|form|^r <= (1+delta)^r C(p,r) within 3 relative standard errors (delta 0.2, p 2, r 1)."""
     delta, p, r = 0.2, 2, 1.0
     ld, pts = _unit_design(p, 150, 3, 1.6)
-    sigma0 = np.sqrt(1.0 + delta * np.sin(2.0 * np.pi * pts))
+    sigma0 = SigmaSpec("sine", 1.0, delta).values(pts)
     powered = _wilks_forms(ld, sigma0, ld.K_eff, replicates, seed) ** r
     mean = powered.mean()
     rel_se = powered.std(ddof=1) / math.sqrt(replicates) / mean
@@ -201,49 +203,46 @@ def check_pc_theoretical(mc_size: int = 10000, seed: int = 17) -> CheckResult:
     return _result("pc_theoretical", report.passed, detail)
 
 
+def _pair_ensemble(delta: float, replicates: int, seed: int):
+    """The pair checks' ensemble (p 1, n 150, K 4, sine noise of amplitude delta), and for each pair
+    l < k of its scales (l, k, t0, t1): t0 scales the bound on T_lk and t1 the bound on T_kl."""
+    ld, pts = _unit_design(1, 150, 4, 1.5)
+    u0_hat, u_hat = ld.growth_bounds()
+    ens = SelectionEnsemble.draw(ld, replicates, seed, SigmaSpec("sine", 1.0, delta).values(pts))
+    c = 2.0 * (1.0 + delta)
+    pairs = itertools.combinations(range(1, ld.K_eff + 1), 2)
+    return ens, [(l, k, c * (1.0 + u0_hat ** (-(k - l))), c * (1.0 + u_hat ** (k - l))) for l, k in pairs]
+
+
 def check_pair_tail_bounds(replicates: int = 20000, seed: int = 18) -> CheckResult:
     """Pairwise-statistic tails dominated by chi^2 at the growth-bound scales (delta 0.1, p 1, z = 2, 4, 8, 16)."""
-    delta, p = 0.1, 1
-    ld, pts = _unit_design(p, 150, 4, 1.5)
-    sigma0 = np.sqrt(1.0 + delta * np.sin(2.0 * np.pi * pts))
-    K = ld.K_eff
-    u0_hat, u_hat = ld.growth_bounds()
-    ens = SelectionEnsemble.draw(ld, replicates, seed, sigma0)
+    p = 1
+    ens, scales = _pair_ensemble(0.1, replicates, seed)
     worst = -1.0
-    for l in range(1, K):
-        for k in range(l + 1, K + 1):
-            t0 = 2.0 * (1.0 + delta) * (1.0 + u0_hat ** (-(k - l)))
-            t1 = 2.0 * (1.0 + delta) * (1.0 + u_hat ** (k - l))
-            for table, t in ((ens.T[l - 1, k - 1], t0), (ens.T[k - 1, l - 1], t1)):
-                for z in (2.0, 4.0, 8.0, 16.0):
-                    emp = float(np.mean(table >= z))
-                    bound = float(chdtrc(p, z / t))
-                    se = math.sqrt(max(bound * (1.0 - bound), 1e-12) / replicates)
-                    worst = max(worst, emp - bound - 3.0 * se)
+    for l, k, t0, t1 in scales:
+        for table, t in ((ens.T[l - 1, k - 1], t0), (ens.T[k - 1, l - 1], t1)):
+            for z in (2.0, 4.0, 8.0, 16.0):
+                emp = float(np.mean(table >= z))
+                bound = float(chdtrc(p, z / t))
+                se = math.sqrt(max(bound * (1.0 - bound), 1e-12) / replicates)
+                worst = max(worst, emp - bound - 3.0 * se)
     return _result("pair_tail_bounds", worst <= 0.0, f"worst excess over bound {worst:.3e}")
 
 
 def check_pair_moment_bounds(replicates: int = 20000, seed: int = 19) -> CheckResult:
     """Exponential and polynomial moment bounds for the pairwise statistics (delta 0.1, p 1, r 1)."""
-    delta, p, r = 0.1, 1, 1.0
-    ld, pts = _unit_design(p, 150, 4, 1.5)
-    sigma0 = np.sqrt(1.0 + delta * np.sin(2.0 * np.pi * pts))
-    K = ld.K_eff
-    u0_hat, u_hat = ld.growth_bounds()
-    ens = SelectionEnsemble.draw(ld, replicates, seed, sigma0)
+    p, r = 1, 1.0
+    ens, scales = _pair_ensemble(0.1, replicates, seed)
     worst = -math.inf
-    for l in range(1, K):
-        for k in range(l + 1, K + 1):
-            t0 = 2.0 * (1.0 + delta) * (1.0 + u0_hat ** (-(k - l)))
-            t1 = 2.0 * (1.0 + delta) * (1.0 + u_hat ** (k - l))
-            mu0 = 0.5 / t0
-            vals = np.exp(0.5 * mu0 * ens.T[l - 1, k - 1])
-            se = vals.std(ddof=1) / math.sqrt(replicates)
-            worst = max(worst, float(vals.mean()) - (1.0 - mu0 * t0) ** (-p / 2.0) - 3.0 * se)
-            for table, t in ((ens.T[l - 1, k - 1], t0), (ens.T[k - 1, l - 1], t1)):
-                powered = table**r
-                se = powered.std(ddof=1) / math.sqrt(replicates)
-                worst = max(worst, float(powered.mean()) - t**r * chi_square_moment(p, r) - 3.0 * se)
+    for l, k, t0, t1 in scales:
+        mu0 = 0.5 / t0
+        vals = np.exp(0.5 * mu0 * ens.T[l - 1, k - 1])
+        se = vals.std(ddof=1) / math.sqrt(replicates)
+        worst = max(worst, float(vals.mean()) - (1.0 - mu0 * t0) ** (-p / 2.0) - 3.0 * se)
+        for table, t in ((ens.T[l - 1, k - 1], t0), (ens.T[k - 1, l - 1], t1)):
+            powered = table**r
+            se = powered.std(ddof=1) / math.sqrt(replicates)
+            worst = max(worst, float(powered.mean()) - t**r * chi_square_moment(p, r) - 3.0 * se)
     return _result("pair_moment_bounds", worst <= 0.0, f"worst excess over bound {worst:.3e}")
 
 
@@ -252,7 +251,7 @@ def check_stacked_covariance(replicates: int = 20000, seed: int = 20) -> CheckRe
     delta = 0.15
     ld, pts = _unit_design(2, 120, 3, 1.6)
     n = ld.points.shape[0]
-    sigma0 = np.sqrt(1.0 + delta * np.sin(2.0 * np.pi * pts + 0.5))
+    sigma0 = SigmaSpec("sine", 1.0, delta, 0.5).values(pts)
     S0 = joint_covariance(ld.D_list, sigma0**2)
     eps = noise_matrix(seed, replicates, n, np.arange(n))  # the design holds its window only
     draws = ld.fit_stacked(eps * sigma0).reshape(replicates, -1)  # rows (theta_1, ..., theta_K)

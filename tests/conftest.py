@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lpadapt.exceptions import ParameterDomainError
 from lpadapt.local_model import Basis, LadderDesign, ScaleLadder
 
 
@@ -44,3 +45,23 @@ def dense_wls(A, w, sigma, y):
     root = np.sqrt(w[keep]) / sigma[keep]
     Aw = A[keep] * root[:, None]
     return np.linalg.lstsq(Aw, np.asarray(y, dtype=float)[keep] * root, rcond=None)[0], Aw.T @ Aw
+
+
+def kl_homogeneous(p: int, k: int, sigma: float, sigma0: float, Delta_k: float) -> float:
+    """Closed-form KL for constant noise levels on both sides, the oracle of oracle_diagnostics.kl_joint:
+    p k log(sigma/sigma0) + Delta(k)/2 + p k (sigma0^2/sigma^2 - 1) / 2."""
+    return p * k * math.log(sigma / sigma0) + 0.5 * Delta_k + 0.5 * p * k * (sigma0**2 / sigma**2 - 1.0)
+
+
+def z_second_moment_homogeneous(p: int, k: int, sigma: float, sigma0: float, Delta_k: float) -> float:
+    """Exact second moment of the likelihood ratio for constant noise levels, the oracle of z_moment_bounds.
+
+    Requires 2 sigma^2 > sigma0^2; Delta_k is the standard bias index, so the
+    paper-form exponent b^T V^{-1} b / (2 sigma^2 - sigma0^2) equals
+    Delta_k / (2 - sigma0^2/sigma^2).
+    """
+    rho = sigma0**2 / sigma**2
+    if 2.0 - rho <= 0:
+        raise ParameterDomainError("second moment diverges: need sigma0^2 < 2 sigma^2")
+    pk = p * k
+    return float((1.0 / rho) ** pk * (rho / (2.0 - rho)) ** (pk / 2.0) * math.exp(Delta_k / (2.0 - rho)))

@@ -122,6 +122,18 @@ class TestCriticalValuesType:
         with pytest.raises(ParameterDomainError):
             CriticalValues(z=(math.inf, 2.0), method="monte_carlo", alpha=1.0, r=0.5, p=1, K=3)
 
+    @pytest.mark.parametrize("field,value", [
+        ("alpha", "1"), ("alpha", 1.5), ("alpha", 0), ("alpha", -0.5), ("alpha", None),
+        ("r", "0.5"), ("r", 0), ("r", -1.0), ("r", None),
+        ("p", 0), ("p", 1.5), ("p", "1"), ("K", 0), ("K", 3.0), ("K", "3"),
+    ])
+    def test_metadata_validation(self, field, value):
+        fields = {"z": (4.0, 4.0), "method": "fixed", "alpha": 1.0, "r": 0.5, "p": 1, "K": 3, field: value}
+        with pytest.raises(ParameterDomainError, match=field):
+            CriticalValues(**fields)
+        with pytest.raises(ParameterDomainError, match=field):
+            CriticalValues.from_json(json.dumps(fields))
+
 
 @pytest.fixture(scope="module")
 def calib_scene():

@@ -311,6 +311,22 @@ class TestFreshProcess:
         print("scipy subpackages loaded:", proc.stdout.strip())
         assert proc.returncode == 0, f"lpadapt.cli loaded scipy.stats; scipy subpackages: {proc.stdout.strip()}"
 
+    def test_non_numeric_cv_alpha_exit_code(self, tmp_path):
+        # a fresh process, so stderr shows the whole output: one error line and no traceback
+        scene, cv, out = tmp_path / "scene.json", tmp_path / "cv.json", tmp_path / "diag.json"
+        scene.write_text(json.dumps({
+            "f": "jump", "n": 150, "x": 0.47, "sigma_model": {"pattern": "constant", "level": 0.25},
+            "seed": 5, "mc_size": 1000, "ladder": {"K": 3, "growth": 1.5}, "basis": {"degree": 0},
+        }), encoding="utf-8")
+        cv.write_text(json.dumps({"z": [4.0, 4.0], "method": "fixed", "alpha": "1", "r": 0.5, "p": 1, "K": 3}),
+                      encoding="utf-8")
+        proc = _run_fresh(["-m", "lpadapt.cli", "diagnose", "--config", str(scene), "--cv", str(cv), "--quick",
+                           "--out", str(out)])
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert lines == ["error: alpha='1' outside (0, 1]"], proc.stderr
+        assert not out.exists()
+
     def test_unknown_log_level_exit_code(self, tmp_path):
         # a fresh process: in-process, logging.basicConfig does nothing once pytest has installed handlers
         proc = _run_fresh(["-m", "lpadapt.cli", "verify", "--quick", "--out", str(tmp_path / "v.json")], LPADAPT_LOG="verbose")

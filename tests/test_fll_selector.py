@@ -35,7 +35,7 @@ class TestFllStatistic:
         basis, ladder, pts, x, sigma = _random_boxcar_scene(rng, 3, 3, n=45)
         ld = LadderDesign(basis, ladder, pts, x, sigma)
         y = np.sin(4 * pts) + 0.3 * rng.standard_normal(pts.size)
-        psi = basis.design_matrix(pts, x)
+        psi = ld.psi
         thetas = [dense_wls(psi.T, w, sigma, y)[0] for w in ld.weights_list]
         T = pair_statistics(ld.fit_stacked(y[None]), np.stack(ld.B_list)[None])[..., 0]
         data, noise = Dataset(x=pts, y=y, sigma=sigma), NoiseModel(sigma_model=sigma)
@@ -123,7 +123,7 @@ class TestPivotality:
     def test_shift_leaves_statistics_invariant(self, rng):
         basis, ladder, pts, x, sigma = _random_boxcar_scene(rng, 2, 4, n=50)
         ld = LadderDesign(basis, ladder, pts, x, sigma)
-        psi = basis.design_matrix(pts, x)
+        psi = ld.psi
         z = np.array([3.0, 2.0, 1.0])
         for _ in range(20):
             noise = sigma * rng.standard_normal(pts.size)

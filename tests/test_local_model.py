@@ -11,10 +11,9 @@ from lpadapt.local_model import (
     LadderDesign,
     NoiseModel,
     ScaleLadder,
-    build_weights,
     default_h1,
-    growth_bounds,
     is_nested_binary,
+    stacked_designs,
 )
 from lpadapt.verification import _random_boxcar_scene
 
@@ -31,6 +30,12 @@ def _one_scale_fit(basis, ladder, pts, x, sigma, y):
     curve = fit_curve(Dataset(x=pts, y=y, sigma=sigma), np.array([x]), ladder, basis, NoiseModel(sigma), [])
     assert np.array_equal(curve.theta_hat[0], theta)  # sorted data: the windowed fit equals the full one
     return ld, theta
+
+
+def _weights(ladder, pts, x):
+    """(K, n) kernel weights of every scale at x, from stacked_designs, the one weight builder."""
+    pts = np.asarray(pts, dtype=float)
+    return stacked_designs(Basis.polynomial(0), ladder, pts[None, :, None], np.array([[x]]), np.ones((1, pts.size)))[1][0]
 
 
 class TestDefaultH1:
@@ -54,14 +59,13 @@ class TestKernelsAndWeights:
     def test_boxcar_indicator(self):
         ladder = ScaleLadder((0.5, 2.0), kernel="boxcar")
         pts = np.array([-1.0, 0.0, 1.0])
-        assert build_weights(ladder, pts, 0.0, 1).tolist() == [0.0, 1.0, 0.0]
-        assert build_weights(ladder, pts, 0.0, 2).tolist() == [1.0, 1.0, 1.0]
+        assert _weights(ladder, pts, 0.0).tolist() == [[0.0, 1.0, 0.0], [1.0, 1.0, 1.0]]
 
     def test_epanechnikov_endpoints(self):
         h = 0.7
         ladder = ScaleLadder((h,), kernel="epanechnikov")
         pts = np.array([0.0, h, 0.3])
-        w = build_weights(ladder, pts, 0.0, 1)
+        w = _weights(ladder, pts, 0.0)[0]
         # independent scalar evaluation of max(0, 1 - (u/h)^2)
         assert w[0] == 1.0
         assert w[1] == 0.0
@@ -71,7 +75,7 @@ class TestKernelsAndWeights:
         h = 0.5
         ladder = ScaleLadder((h,), kernel="truncated_gaussian")
         pts = np.array([0.0, 3 * h, 3 * h + 1e-9, 0.2])
-        w = build_weights(ladder, pts, 0.0, 1)
+        w = _weights(ladder, pts, 0.0)[0]
         assert w[0] == 1.0
         assert w[1] == pytest.approx(math.exp(-4.5), rel=1e-12)
         assert w[2] == 0.0
@@ -81,9 +85,9 @@ class TestKernelsAndWeights:
         pts = rng.uniform(-1, 1, 60)
         for kernel in ("boxcar", "epanechnikov", "truncated_gaussian"):
             ladder = ScaleLadder.geometric(0.2, 5, growth=1.4, kernel=kernel)
-            prev = build_weights(ladder, pts, 0.1, 1)
-            for k in range(2, 6):
-                cur = build_weights(ladder, pts, 0.1, k)
+            ws = _weights(ladder, pts, 0.1)
+            prev = ws[0]
+            for cur in ws[1:]:
                 assert np.all(cur >= prev - 1e-15)
                 assert np.all((cur >= 0) & (cur <= 1))
                 prev = cur
@@ -91,7 +95,7 @@ class TestKernelsAndWeights:
     def test_boxcar_idempotence(self, rng):
         pts = rng.uniform(-1, 1, 50)
         ladder = ScaleLadder.geometric(0.15, 4, growth=1.5, kernel="boxcar")
-        ws = [build_weights(ladder, pts, 0.0, k) for k in range(1, 5)]
+        ws = list(_weights(ladder, pts, 0.0))
         assert is_nested_binary(ws)
         for l in range(4):
             for m in range(l, 4):
@@ -127,8 +131,9 @@ class TestBasis:
         assert np.array_equal(b.evaluate([0.0, 0.0]), np.array([1.0, 0, 0, 0, 0, 0]))
 
     def test_custom_basis(self):
-        b = Basis.custom(2, lambda u: np.array([1.0, math.sin(u[0])]))
-        psi = b.design_matrix(np.array([0.0, math.pi / 2]), 0.0)
+        b = Basis(p=2, dim=1, _evaluate=lambda u: np.stack([np.ones(len(u)), np.sin(u[:, 0])]))
+        assert b.evaluate(math.pi / 2) == pytest.approx([1.0, 1.0])
+        psi = LadderDesign(b, WIDE, np.array([0.0, math.pi / 2]), 0.0, np.ones(2)).psi
         assert psi[:, 1] == pytest.approx([1.0, 1.0])
 
     def test_qmle_recovers_plane_in_2d(self, rng):
@@ -187,7 +192,7 @@ class TestBuildB:
         # the first window holds 2 points (1/3 and 4/9) < p = 3; the second holds all 10
         ladder = ScaleLadder((0.08, 1.0), kernel="boxcar")
         ld = LadderDesign(b, ladder, pts, 0.4, np.ones(10))
-        assert np.count_nonzero(build_weights(ladder, pts, 0.4, 1)) == 2
+        assert np.count_nonzero(_weights(ladder, pts, 0.4)[0]) == 2
         assert ld.K_eff == 0 and ld.truncated_at == 1
         data = Dataset(x=pts, y=np.zeros(10), sigma=np.ones(10))
         curve = fit_curve(data, np.array([0.4]), ladder, b, NoiseModel(np.ones(10)), [1.0])
@@ -248,9 +253,8 @@ class TestQmle:
         y = rng.normal(size=30)
         theta = np.array([0.7, -1.2, 2.0])
         ladder = ScaleLadder((1.5,), kernel="epanechnikov")  # unequal weights
-        psi = b.design_matrix(pts, 0.0)
-        base = _one_scale_fit(b, ladder, pts, 0.0, sig, y)[1]
-        shifted = _one_scale_fit(b, ladder, pts, 0.0, sig, y + psi.T @ theta)[1]
+        ld, base = _one_scale_fit(b, ladder, pts, 0.0, sig, y)
+        shifted = _one_scale_fit(b, ladder, pts, 0.0, sig, y + ld.psi.T @ theta)[1]
         assert shifted == pytest.approx(base + theta, abs=1e-9)
 
 
@@ -258,9 +262,9 @@ class TestPseudoTrue:
     def test_parametric_case_every_scale(self, rng):
         basis, ladder, pts, x, sigma = _random_boxcar_scene(rng, 2, 3, n=50)
         theta = np.array([1.5, -0.8])
-        psi = basis.design_matrix(pts, x)
-        f = psi.T @ theta
         ld = LadderDesign(basis, ladder, pts, x, sigma)
+        psi = ld.psi
+        f = psi.T @ theta
         assert ld.K_eff == 3
         bars = ld.pseudo_true(f)
         for k in range(1, 4):
@@ -323,7 +327,7 @@ class TestLadderDesign:
     def test_growth_bounds_definition(self, rng):
         basis, ladder, pts, x, sigma = _random_boxcar_scene(rng, 2, 4, n=60)
         ld = LadderDesign(basis, ladder, pts, x, sigma)
-        u0, u = growth_bounds(ld.B_list)
+        u0, u = ld.growth_bounds()
         assert 1.0 < u0 <= u
         # oracle: explicit similarity eigenvalues
         lo, hi = math.inf, 0.0
@@ -345,7 +349,11 @@ class TestLadderDesign:
         assert ld.K_eff == 0 and ld.truncated_at == 1
 
     def test_boxcar_variance_identity_exact(self, standard_ladder_design):
-        assert standard_ladder_design.variance_boxcar_identity_gap() < 1e-12
+        # delta = 0 boxcar: Var theta_k = D_k Sigma D_k^T equals B_k^{-1} exactly
+        ld = standard_ladder_design
+        for D, B in zip(ld.D_list, ld.B_list):
+            V = (D * ld.sigma_model**2) @ D.T
+            assert np.max(np.abs(V - np.linalg.inv(B))) < 1e-12
 
     def test_variance_matches_monte_carlo(self, standard_ladder_design, rng):
         # delta = 0 boxcar: Var(theta_k) = B_k^{-1}; check within 5 SE

@@ -17,7 +17,6 @@ from lpadapt.oracle_diagnostics import (
     build_oracle_report,
     component_submatrix,
     joint_covariance,
-    kl_homogeneous,
     kl_joint,
     lambda0_estimate,
     modeling_bias,
@@ -30,9 +29,10 @@ from lpadapt.oracle_diagnostics import (
     tightest_sj,
     wilks_spectrum,
     z_moment_bounds,
-    z_second_moment_homogeneous,
 )
 from lpadapt.verification import _random_boxcar_scene
+
+from conftest import kl_homogeneous, z_second_moment_homogeneous
 
 
 def _nested_boxcar(n=60, K=3, p=1, seed=5):

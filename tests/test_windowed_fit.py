@@ -185,5 +185,5 @@ def test_custom_basis_on_empty_window():
     x, y, sigma = one_d_scene(seed=5)
     data = Dataset(x=x, y=y, sigma=sigma)
     ladder = ScaleLadder.geometric(0.012, 4, growth=1.5)
-    basis = Basis.custom(2, lambda u: [1.0, u[0]])
+    basis = Basis(p=2, dim=1, _evaluate=lambda u: np.stack([np.ones(len(u)), u[:, 0]]))
     assert_matches_full_n(data, np.array([-0.3, 0.5, 0.25]), ladder, basis, rel=1e-12)
