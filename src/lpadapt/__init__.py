@@ -14,6 +14,6 @@ __version__ = "0.1.0"
 from .calibration import mc_calibrate
 from .dataset import Dataset
 from .fll_selector import fit_curve
-from .local_model import Basis, NoiseModel, ScaleLadder
+from .local_model import Basis, ScaleLadder
 
-__all__ = ["__version__", "Basis", "Dataset", "NoiseModel", "ScaleLadder", "fit_curve", "mc_calibrate"]
+__all__ = ["__version__", "Basis", "Dataset", "ScaleLadder", "fit_curve", "mc_calibrate"]

@@ -369,14 +369,13 @@ class SelectionEnsemble:
         return cls(ld.restrict(cols), Y)
 
     @classmethod
-    def pure_noise(cls, ld: LadderDesign, mc_size: int, seed: int, theta: np.ndarray | None = None) -> "SelectionEnsemble":
-        """Ensemble under the calibration measure N(Psi^T theta, Sigma_model).
+    def pure_noise(cls, ld: LadderDesign, mc_size: int, seed: int) -> "SelectionEnsemble":
+        """Ensemble under the calibration measure N(0, Sigma_model).
 
-        The mean shift is optional; by pivotality it changes no statistic,
-        which tests exercise directly.
+        The statistics are pivotal, so this one law stands for every mean in
+        the span of the basis; draw takes a mean where one is wanted.
         """
-        mean = None if theta is None else ld.psi.T @ np.asarray(theta, dtype=float)
-        return cls.draw(ld, mc_size, seed, ld.sigma_model, mean)
+        return cls.draw(ld, mc_size, seed, ld.sigma_model)
 
     def k_hat(self, z: np.ndarray) -> np.ndarray:
         """Selected index per replicate under thresholds z (length >= K-1): selection_sweep on T."""
@@ -410,14 +409,13 @@ def mc_calibrate(
     r: float,
     mc_size: int,
     seed: int,
-    theta: np.ndarray | None = None,
 ) -> CriticalValues:
     """Minimal-offset thresholds satisfying the empirical moment conditions.
 
     The candidate family is z_l(c) = c + 4 r (K-l) log(u_hat) / DEFAULT_MU
     with u_hat estimated from the realized information matrices, and c found
-    by _BISECT_ITERS (12) bisection steps against max_k E|gap_k|^r <= alpha C(p, r).
-    theta, when given, shifts the noise mean by Psi^T theta.  Raises
+    by _BISECT_ITERS (12) bisection steps against max_k E|gap_k|^r <= alpha C(p, r)
+    under pure noise (theta = 0; the statistics are pivotal).  Raises
     CalibrationFailedError when even the analytic offset fails empirically
     (MC size too small or a misconfigured ladder).
 
@@ -449,7 +447,7 @@ def mc_calibrate(
         )
 
     # every rebuilt point is in the support, so the draw is replicate j's first m values
-    ens = SelectionEnsemble.pure_noise(ld, mc_size, seed, theta=theta)
+    ens = SelectionEnsemble.pure_noise(ld, mc_size, seed)
     target = alpha * chi_square_moment(p, r)
     offsets, c_analytic = _cv_terms(p, r, K, alpha, u_hat, DEFAULT_MU)
 
@@ -517,18 +515,19 @@ def validate_pc(
     x,
     mc_size: int,
     seed: int,
-    theta: np.ndarray | None = None,
 ) -> PcReport:
-    """Estimate every moment condition with fresh noise and report pass/fail.
+    """Estimate every moment condition on a fresh pure-noise ensemble and report pass/fail.
 
-    An entry passes when moment <= alpha C(p,r) (1 + 3 rel_se) with
-    rel_se = std_error / moment, so zero-moment rows pass trivially.
+    The ensemble is SelectionEnsemble.pure_noise on the full design, so it
+    draws on design indices.  An entry passes when
+    moment <= alpha C(p,r) (1 + 3 rel_se) with rel_se = std_error / moment,
+    so zero-moment rows pass trivially.
     """
     ld = LadderDesign(basis, ladder, design_points, x, sigma_model)
     K = ld.K_eff
     if len(cv.z) < K - 1:
         raise ParameterDomainError(f"thresholds cover {len(cv.z) + 1} scales, ladder has {K}")
-    ens = SelectionEnsemble.pure_noise(ld, mc_size, seed, theta=theta)
+    ens = SelectionEnsemble.pure_noise(ld, mc_size, seed)
     mom, se = ens.pc_moments(np.asarray(cv.z, dtype=float), cv.r)
     bound = cv.alpha * chi_square_moment(basis.p, cv.r)
     entries = []

@@ -269,10 +269,18 @@ def cmd_calibrate(args) -> int:
 
 
 def _critical_values(args, cfg: dict, basis: Basis, ladder: ScaleLadder, sigma, points, x_ref, seed: int) -> CriticalValues:
-    """The thresholds of the --cv file, or else calibrated inline at x_ref (mc_size 5000 by default)."""
+    """The thresholds of the --cv file, or else calibrated inline at x_ref (mc_size 5000 by default).
+
+    A --cv file must be for this basis (p) and at most this ladder's length:
+    a calibration on a truncated ladder records its shorter K_eff.
+    """
     if args.cv:
         with _open_utf8(args.cv) as fh:
-            return CriticalValues.from_json(fh.read())
+            cv = CriticalValues.from_json(fh.read())
+        if cv.p != basis.p or cv.K > ladder.K:
+            raise ParameterDomainError(f"{args.cv} is for p={cv.p} and K={cv.K} scales; the basis has p={basis.p} "
+                                       f"and the ladder K={ladder.K} scales")
+        return cv
     alpha, r = _option(cfg, "alpha", 1.0, flag=args.alpha), _option(cfg, "r", 0.5, flag=args.r)
     return mc_calibrate(basis, ladder, sigma, points, x_ref, alpha, r, _option(cfg, "mc_size", 5000, int, args.mc), seed)
 
@@ -288,12 +296,12 @@ def cmd_fit(args) -> int:
         raise ParameterDomainError("--grid needs one-dimensional data")
     basis = _basis_from_config(cfg, dim=data.d)
     ladder = _data_ladder(cfg, data, basis.p, args)
-    noise = data.noise_model(delta=_option(cfg, "delta", None))
+    data.noise_model(delta=_option(cfg, "delta", None))  # checks sigma_true against the declared delta
 
     x_ref = np.median(_design(data), axis=0)  # coordinatewise median
     cv = _critical_values(args, cfg, basis, ladder, data.sigma, data.x, x_ref, _option(cfg, "seed", 0, int, args.seed))
 
-    points = fit_curve(data, data.x, ladder, basis, noise, cv)
+    points = fit_curve(data, data.x, ladder, basis, cv)
     header_cols = (["x"] if data.d == 1 else [f"x{i + 1}" for i in range(data.d)]) + [
         "f_hat",
         "k_hat",
@@ -302,25 +310,25 @@ def cmd_fit(args) -> int:
     lines = [_provenance_line(cfg, cv.seed), ",".join(header_cols)]
     columns = zip(points.x.tolist(), points.fitted_values.tolist(), points.k_hat.tolist(),
                   points.k_eff.tolist(), points.theta_hat.tolist())
-    for i, (x, f_hat, k_hat, k_eff, theta) in enumerate(columns):
+    for x, f_hat, k_hat, k_eff, theta in columns:
         cells = [repr(v) for v in x]
         if k_eff:
             cells += [repr(f_hat), str(k_hat), str(k_eff)] + [repr(v) for v in theta] + [""]
         else:
-            cells += ["", "", "0"] + [""] * basis.p + [points[i].error]
+            cells += ["", "", "0"] + [""] * basis.p + ["singular design at every scale"]
         lines.append(",".join(cells))
     _write_text(args.out, "\n".join(lines) + "\n")
 
     if args.grid:  # one-dimensional data, checked above
         grid = np.linspace(float(data.x.min()), float(data.x.max()), args.grid)
-        gpoints = fit_curve(data, grid, ladder, basis, noise, cv)
+        gpoints = fit_curve(data, grid, ladder, basis, cv)
         glines = [_provenance_line(cfg, cv.seed), "x,f_hat,k_hat"]
         columns = zip(gpoints.x[:, 0].tolist(), gpoints.fitted_values.tolist(), gpoints.k_hat.tolist(),
                       gpoints.k_eff.tolist())
         glines += [f"{x!r},{f_hat!r},{k_hat}" if k_eff else f"{x!r},," for x, f_hat, k_hat, k_eff in columns]
         gpath = (os.path.splitext(args.out)[0] + "_grid.csv") if args.out else None
         _write_text(gpath, "\n".join(glines) + "\n")
-    log.info("fit %d points (%d failed)", len(points), int(np.count_nonzero(points.k_eff == 0)))
+    log.info("fit %d points (%d failed)", points.k_eff.size, int(np.count_nonzero(points.k_eff == 0)))
     return EXIT_OK
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .exceptions import ParameterDomainError
-from .local_model import Basis, LocalFit, NoiseModel, ScaleLadder, factor_solve, stacked_designs
+from .local_model import Basis, LocalFit, ScaleLadder, factor_solve, stacked_designs
 
 
 def pair_statistics(theta: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -120,85 +120,27 @@ class AdaptiveEstimate:
     theta_hat: np.ndarray
     k_hat: int
     stepwise: np.ndarray  # (K, p); row k-1 holds theta_{min(k, k_hat)}
-    psi0: np.ndarray  # basis at zero offset, for the fitted value
-
-    @property
-    def fitted_value(self) -> float:
-        return float(self.theta_hat @ self.psi0)
 
 
-def adaptive_estimate(fits: Sequence[LocalFit], trace: SelectionTrace, basis: Basis) -> AdaptiveEstimate:
+def adaptive_estimate(fits: Sequence[LocalFit], trace: SelectionTrace) -> AdaptiveEstimate:
     steps = np.stack([fits[i - 1].theta for i in trace.stepwise_indices()])
-    return AdaptiveEstimate(
-        theta_hat=fits[trace.k_hat - 1].theta,
-        k_hat=trace.k_hat,
-        stepwise=steps,
-        psi0=basis.evaluate(np.zeros(basis.dim)),
-    )
+    return AdaptiveEstimate(theta_hat=fits[trace.k_hat - 1].theta, k_hat=trace.k_hat, stepwise=steps)
 
 
 @dataclass
-class PointFit:
-    """Adaptive fit at one grid point; error is set when no scale was usable."""
+class CurveFit:
+    """The adaptive fits of every grid point, as whole-grid arrays.
 
-    x: np.ndarray
-    estimate: AdaptiveEstimate | None
-    trace: SelectionTrace | None
-    k_eff: int
-    error: str | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
-
-
-class CurveFit(Sequence):
-    """The PointFit of each grid point, built on access from whole-grid arrays.
-
-    fit_curve computes every point in stacked arrays.  Indexing builds that
-    point's PointFit (with its AdaptiveEstimate and SelectionTrace) from
-    them, a fresh object on every access; callers that only need the
-    estimates read the arrays.  A point without a usable scale has
-    k_eff = k_hat = 0 and NaN estimates.
+    A point without a usable scale has k_eff = k_hat = 0 and NaN estimates.
     """
 
-    def __init__(self, x, theta, k_eff, T, k_hat, first, z, psi0):
-        G = len(k_eff)
-        self.x = x  # (G, d) grid points
-        self.theta = theta  # (G, K, p) per-scale fits, NaN beyond k_eff
-        self.k_eff = k_eff  # (G,)
-        self.T = T  # (K, K, G) pair_statistics tables, NaN on the diagonal and outside each point's ladder
-        self.k_hat = k_hat  # (G,)
-        self.first = first  # (G, 2) first violated pair, (0, 0) where none
-        self.z, self.psi0 = z, psi0
-        self.theta_hat = theta[np.arange(G), k_hat - 1]  # (G, p)
-        # stacked one-row products: bit for bit AdaptiveEstimate.fitted_value
-        self.fitted_values = (self.theta_hat[:, None, :] @ psi0[:, None])[:, 0, 0]
-
-    def __len__(self) -> int:
-        return len(self.k_eff)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(len(self))[i]]
-        i = range(len(self))[i]
-        K = int(self.k_eff[i])
-        if K == 0:
-            return PointFit(x=self.x[i], estimate=None, trace=None, k_eff=0, error="singular design at every scale")
-        l, m = self.first[i].tolist()
-        trace = SelectionTrace(
-            k_hat=int(self.k_hat[i]),
-            statistics=self.T[:K, :K, i].copy(),
-            thresholds=self.z[: K - 1],
-            first_violation=(l, m) if m else None,
-        )
-        est = AdaptiveEstimate(
-            theta_hat=self.theta_hat[i],
-            k_hat=trace.k_hat,
-            stepwise=self.theta[i, trace.stepwise_indices() - 1],
-            psi0=self.psi0,
-        )
-        return PointFit(x=self.x[i], estimate=est, trace=trace, k_eff=K)
+    x: np.ndarray  # (G, d) grid points
+    k_eff: np.ndarray  # (G,) scales that passed the conditioning gate
+    k_hat: np.ndarray  # (G,)
+    theta_hat: np.ndarray  # (G, p) the fit at scale k_hat
+    fitted_values: np.ndarray  # (G,) theta_hat @ psi(0)
+    T: np.ndarray  # (K, K, G) pair_statistics tables, NaN on the diagonal and outside each point's ladder
+    first: np.ndarray  # (G, 2) first violated pair (l, m), 1-indexed, (0, 0) where none
 
 
 #: windows start and end on multiples of this many observations (see fit_curve)
@@ -207,15 +149,8 @@ _LANES = 8
 _CHUNK = 64
 
 
-def fit_curve(
-    data: Dataset,
-    x_grid,
-    ladder: ScaleLadder,
-    basis: Basis,
-    noise: NoiseModel,
-    cv,
-) -> CurveFit:
-    """Independent adaptive fits at each grid point.
+def fit_curve(data: Dataset, x_grid, ladder: ScaleLadder, basis: Basis, cv) -> CurveFit:
+    """Independent adaptive fits at each grid point, weighting the data by data.sigma.
 
     Each point is fitted on the observations that can carry weight there.
     The data are sorted once by their first coordinate (not at all when
@@ -236,10 +171,11 @@ def fit_curve(
     its own LAPACK Cholesky solve and theta_k = D_k y, and pair_statistics
     forms the chunk's T_lm.  One selection_sweep then selects every point.
     Each point's arithmetic is that of LadderDesign on its slab, so results
-    do not depend on the grid's order or on the other points.
+    do not depend on the grid's order or on the other points, nor on the
+    order of the data rows when their first coordinates have no ties.
 
-    Per-point singular designs are recorded in the returned PointFit rather
-    than aborting the grid.
+    A point with no usable scale gets k_eff = k_hat = 0 and NaN estimates
+    in the returned CurveFit rather than aborting the grid.
     """
     grid = np.array(x_grid, dtype=float)
     centres = grid[:, None] if grid.ndim == 1 else grid
@@ -247,11 +183,10 @@ def fit_curve(
         raise ParameterDomainError("grid dimension does not match data dimension")
     if not np.all(np.isfinite(centres)):
         raise ParameterDomainError("grid has non-finite entries")
-    sigma = np.asarray(noise.sigma_model, dtype=float)
-    if sigma.shape != (data.n,):
-        raise ParameterDomainError("noise model and data must have equal length")
+    if np.any(data.sigma <= 0):
+        raise ParameterDomainError("model standard deviations must be positive")
 
-    xs, y = data.x, data.y
+    xs, y, sigma = data.x, data.y, data.sigma
     key = xs if xs.ndim == 1 else xs[:, 0]
     if np.any(key[1:] < key[:-1]):
         order = np.argsort(key, kind="stable")
@@ -288,5 +223,8 @@ def fit_curve(
             theta[idx] = fits
             T[:, :, idx] = pair_statistics(fits, B)
     K_max = int(k_eff.max(initial=0))
-    k_hat, first = selection_sweep(T[:K_max, :K_max], cv, k_eff) if K_max else (k_eff, np.zeros((G, 2), dtype=int))
-    return CurveFit(centres, theta, k_eff, T, k_hat, first, _thresholds(cv, K_max), basis.evaluate(np.zeros(basis.dim)))
+    k_hat, first = selection_sweep(T[:K_max, :K_max], cv, k_eff) if K_max else (k_eff.copy(), np.zeros((G, 2), dtype=int))
+    theta_hat = theta[np.arange(G), k_hat - 1]
+    psi0 = basis.evaluate(np.zeros(basis.dim))
+    fitted = (theta_hat[:, None, :] @ psi0[:, None])[:, 0, 0]  # stacked one-row products
+    return CurveFit(x=centres, k_eff=k_eff, k_hat=k_hat, theta_hat=theta_hat, fitted_values=fitted, T=T, first=first)

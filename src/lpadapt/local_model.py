@@ -81,12 +81,16 @@ class Basis:
             key=lambda a: (sum(a), tuple(reversed(a))),
         )
         inv_fact = np.array([1.0 / math.prod(math.factorial(ai) for ai in a) for a in alphas])
-        expo = np.array(alphas, dtype=float)  # (p, dim)
+        expo = np.array(alphas)  # (p, dim)
 
         def evaluate(offsets: np.ndarray) -> np.ndarray:
-            # offsets: (n, dim) -> (p, n)
-            powers = offsets[None, :, :] ** expo[:, None, :]
-            return powers.prod(axis=2) * inv_fact[:, None]
+            # offsets: (n, dim) -> (p, n).  Powers are repeated products, which round every
+            # element alike; an array ** rounds by the element's place in numpy's SIMD loop.
+            table = [np.ones_like(offsets)]
+            for _ in range(degree):
+                table.append(table[-1] * offsets)
+            powers = np.stack(table)[expo, :, np.arange(dim)]  # (p, dim, n): u_j^alpha_j
+            return powers.prod(axis=1) * inv_fact[:, None]
 
         return cls(p=len(alphas), dim=dim, _evaluate=evaluate)
 

@@ -22,6 +22,7 @@ from scipy.special import chdtrc
 
 from .calibration import (
     SelectionEnsemble,
+    _check_index,
     chi_square_moment,
     noise_matrix,
     theoretical_cv,
@@ -279,7 +280,11 @@ def run_all(
     dataset: Dataset | None = None,
     delta_declared: float | None = None,
 ) -> list[CheckResult]:
-    """Run the full verification suite; quick mode shrinks MC sizes only."""
+    """Run the full verification suite; quick mode shrinks MC sizes only.
+
+    Check i is seeded with seed + i, so seed must be a non-negative integer.
+    """
+    seed = _check_index("seed", seed)
     mc = 4000 if quick else 20000
     pc_mc = 3000 if quick else 10000
     trials = 6 if quick else 20

@@ -206,7 +206,7 @@ def test_A8_pivotality():
     for trial in range(100):
         theta = rng.normal(size=p) * 5.0
         base = SelectionEnsemble.pure_noise(ld, 50, seed=trial)
-        shifted = SelectionEnsemble.pure_noise(ld, 50, seed=trial, theta=theta)
+        shifted = SelectionEnsemble.draw(ld, 50, trial, ld.sigma_model, mean=ld.psi.T @ theta)
         mask = ~np.isnan(base.T)
         worst_stat = max(worst_stat, float(np.max(np.abs(base.T[mask] - shifted.T[mask]))))
         if not np.array_equal(base.k_hat(z), shifted.k_hat(z)):

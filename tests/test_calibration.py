@@ -173,12 +173,6 @@ class TestMcCalibrate:
         for smaller_alpha, larger_alpha in zip(zs, zs[1:]):
             assert all(a >= b - 1e-9 for a, b in zip(smaller_alpha, larger_alpha))
 
-    def test_pivotality_of_calibration(self, calib_scene):
-        basis, ladder, points, sigma = calib_scene
-        cv0 = mc_calibrate(basis, ladder, sigma, points, 0.5, 1.0, 0.5, 2000, 13)
-        cv1 = mc_calibrate(basis, ladder, sigma, points, 0.5, 1.0, 0.5, 2000, 13, theta=np.array([7.3]))
-        assert cv0.z == cv1.z
-
     def test_rejects_small_mc(self, calib_scene):
         basis, ladder, points, sigma = calib_scene
         with pytest.raises(ParameterDomainError):

@@ -248,6 +248,26 @@ class TestCalibrateFit:
         assert len(errors) == 1 and "malformed critical values" in errors[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["fit", "diagnose"])
+    @pytest.mark.parametrize("mismatch", ["p", "K"])
+    def test_cv_for_another_basis_or_a_longer_ladder_exit_code(self, tmp_path, capsys, command, mismatch):
+        # fit's default basis has p = 2, the scene's degree-0 basis p = 1; --K 3 sets both ladders
+        p = {"fit": 2, "diagnose": 1}[command]
+        cv_p, cv_K = (p + 1, 3) if mismatch == "p" else (p, 5)
+        cv = tmp_path / "cv.json"
+        cv.write_text(json.dumps({"z": [3.0] * (cv_K - 1), "method": "fixed", "alpha": 1.0, "r": 0.5, "p": cv_p,
+                                  "K": cv_K}), encoding="utf-8")
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps({"f": "jump", "n": 150, "basis": {"degree": 0}}), encoding="utf-8")
+        inputs = {"fit": ["--data", str(_write_dataset(tmp_path / "d.csv", n=150))],
+                  "diagnose": ["--config", str(scene), "--quick"]}[command]
+        out = tmp_path / "out"
+        assert main([command, *inputs, "--cv", str(cv), "--K", "3", "--out", str(out)]) == EXIT_CONFIG
+        errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+        assert len(errors) == 1 and f"is for p={cv_p} and K={cv_K} scales" in errors[0], errors
+        assert f"the basis has p={p} and the ladder K=3 scales" in errors[0]
+        assert not out.exists()
+
     def test_unknown_calibration_method_exit_code(self, tmp_path, capsys):
         data = _write_dataset(tmp_path / "d.csv")
         cfg = tmp_path / "cfg.json"
@@ -495,6 +515,14 @@ class TestVerify:
         names = {c["name"] for c in rep["checks"]}
         assert {"determinant_identity", "pc_theoretical", "kl_sandwich", "chi2_domination_d0.2"} <= names
 
+    def test_negative_seed_exit_code(self, tmp_path, capsys):
+        # check i is seeded with seed + i, so -20 used to reach numpy as a negative seed
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--quick", "--seed", "-20", "--out", str(out)]) == EXIT_CONFIG
+        errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+        assert errors == ["error: seed must be a non-negative integer, got -20"]
+        assert not out.exists()
+
     def test_a4_violation_fails(self, tmp_path):
         # sigma_true far outside the admissible relative band: delta >= 1
         data = _write_dataset(tmp_path / "d.csv", sigma_true=np.full(120, 0.9))
@@ -551,7 +579,7 @@ DROPPED = [(command, flag) for command, kept in KEPT.items() for flag in ALL_FLA
 def small_inputs(tmp_path):
     """Flag values for a small run of each subcommand: {flag: value}, config per subcommand."""
     scene = {"f": "jump", "n": 150, "x": 0.47, "seed": 5, "replicates": 400, "mc_size": 1000,
-             "sigma_model": {"pattern": "constant", "level": 0.25}, "basis": {"degree": 0}}
+             "sigma_model": {"pattern": "constant", "level": 0.25}, "basis": {"degree": 1}}  # p = 2, as in cv.json
     configs = {
         "calibrate": {"method": "theoretical"},  # the branch that reads --mu; --mc and --seed are read before it
         "fit": {"basis": {"degree": 1}},

@@ -15,7 +15,7 @@ thresholds unchanged.
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import lpadapt.fll_selector as fll
@@ -29,7 +29,6 @@ from lpadapt.local_model import (
     Basis,
     LadderDesign,
     LocalFit,
-    NoiseModel,
     ScaleLadder,
     default_h1,
 )
@@ -67,45 +66,67 @@ def same(a, b):
     return np.array_equal(a, b, equal_nan=True)
 
 
-def assert_same_point(a, b):
-    assert a.k_eff == b.k_eff and a.error == b.error and same(a.x, b.x)
-    if not a.ok:
-        return
-    ea, eb, ta, tb = a.estimate, b.estimate, a.trace, b.trace
-    assert ea.k_hat == eb.k_hat and ta.first_violation == tb.first_violation
-    assert same(ea.theta_hat, eb.theta_hat) and same(ea.stepwise, eb.stepwise)
-    assert same(ta.statistics, tb.statistics) and same(ta.thresholds, tb.thresholds)
-    assert ea.fitted_value == eb.fitted_value
+#: the (G, ...) arrays of a CurveFit; T is (K, K, G)
+ROWS = ("x", "k_eff", "k_hat", "first", "theta_hat", "fitted_values")
+
+
+def assert_same_point(a, i, b, j):
+    """Point i of curve a and point j of curve b agree bit for bit, NaN for NaN."""
+    for name in ROWS:
+        assert same(getattr(a, name)[i], getattr(b, name)[j]), name
+    assert same(a.T[..., i], b.T[..., j])
 
 
 @SETTINGS
 @given(curve_problems(), st.sampled_from([1, 2, 5, fll._CHUNK]))
 def test_curve_rows_equal_one_point_fits(problem, chunk):
     data, grid, ladder, basis, z = problem
-    noise = NoiseModel(sigma_model=data.sigma)
     with mock.patch.object(fll, "_CHUNK", chunk):  # chunk boundaries inside groups of equal slab width
-        curve = fit_curve(data, grid, ladder, basis, noise, z)
-    assert len(curve) == len(grid)
+        curve = fit_curve(data, grid, ladder, basis, z)
+    assert curve.k_eff.shape == (len(grid),) and np.all(curve.k_eff <= ladder.K)
     for i, x in enumerate(grid):
-        pf = curve[i]
-        assert_same_point(pf, fit_curve(data, [x], ladder, basis, noise, z)[0])
-        assert pf.k_eff == curve.k_eff[i] <= ladder.K
-        if pf.ok:
-            assert 1 <= pf.estimate.k_hat <= pf.k_eff
-            assert pf.estimate.fitted_value == curve.fitted_values[i]
-            assert same(pf.estimate.theta_hat, curve.theta_hat[i])
+        assert_same_point(curve, i, fit_curve(data, [x], ladder, basis, z), 0)
+    ok = curve.k_eff > 0
+    assert np.all((1 <= curve.k_hat[ok]) & (curve.k_hat[ok] <= curve.k_eff[ok])) and np.all(curve.k_hat[~ok] == 0)
 
 
 @SETTINGS
 @given(curve_problems(), st.integers(0, 2**32 - 1))
 def test_permuting_the_grid_permutes_the_output(problem, seed):
     data, grid, ladder, basis, z = problem
-    noise = NoiseModel(sigma_model=data.sigma)
     perm = np.random.default_rng(seed).permutation(len(grid))
-    curve = fit_curve(data, grid, ladder, basis, noise, z)
-    permuted = fit_curve(data, grid[perm], ladder, basis, noise, z)
+    curve = fit_curve(data, grid, ladder, basis, z)
+    permuted = fit_curve(data, grid[perm], ladder, basis, z)
     for i, j in enumerate(perm):
-        assert_same_point(permuted[i], curve[j])
+        assert_same_point(permuted, i, curve, j)
+
+
+@SETTINGS
+@given(curve_problems(), st.integers(0, 2**32 - 1))
+def test_permuting_the_data_rows_changes_nothing(problem, seed):
+    """fit_curve sorts the data once by the first coordinate, so without ties the row order is lost bit for bit."""
+    data, grid, ladder, basis, z = problem
+    key = data.x if data.d == 1 else data.x[:, 0]
+    assume(np.unique(key).size == data.n)
+    perm = np.random.default_rng(seed).permutation(data.n)
+    shuffled = Dataset(x=data.x[perm], y=data.y[perm], sigma=data.sigma[perm])
+    curve, again = fit_curve(data, grid, ladder, basis, z), fit_curve(shuffled, grid, ladder, basis, z)
+    for name in ROWS + ("T",):
+        assert same(getattr(curve, name), getattr(again, name)), name
+
+
+@SETTINGS
+@given(curve_problems(), st.integers(-20, 20))
+def test_scaling_y_and_sigma_scales_theta_only(problem, j):
+    """y and sigma times c = 2**j: theta times c exactly, the same k_hat and T (a power of two scales exactly)."""
+    data, grid, ladder, basis, z = problem
+    c = 2.0**j
+    curve = fit_curve(data, grid, ladder, basis, z)
+    scaled = fit_curve(Dataset(x=data.x, y=c * data.y, sigma=c * data.sigma), grid, ladder, basis, z)
+    for name in ("k_eff", "k_hat", "first", "T"):
+        assert same(getattr(curve, name), getattr(scaled, name)), name
+    for name in ("theta_hat", "fitted_values"):
+        assert same(c * getattr(curve, name), getattr(scaled, name)), name
 
 
 def literal_rule(T, z, K):

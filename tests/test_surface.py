@@ -16,14 +16,12 @@ PACKAGE = sorted((ROOT / "src" / "lpadapt").glob("*.py"))
 PROGRAM = PACKAGE + sorted((ROOT / "perfbench").glob("*.py"))
 
 _TRACER = "bound by name in perfbench/tracing.py's spans; goes when the tracer is retargeted (ROADMAP item 3)"
-_README = "result API that the README quickstart reads"
 
 ALLOWED = {
     "LadderDesign.fit": _TRACER,
     "select_adaptive": _TRACER,
     "adaptive_estimate": _TRACER,
     "delta_sweep": "the misspecification sweep of ROADMAP item 6, which has no command yet",
-    "AdaptiveEstimate.fitted_value": _README,
 }
 
 

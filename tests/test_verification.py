@@ -6,6 +6,7 @@ from scipy.special import chdtrc
 from scipy.stats import chi2
 
 from lpadapt.dataset import Dataset
+from lpadapt.exceptions import ParameterDomainError
 from lpadapt.verification import (
     _unit_design,
     check_covariance_sandwich,
@@ -69,6 +70,12 @@ def test_noise_model_check_accepts_within_budget():
     data = Dataset(x=np.linspace(0, 1, n), y=np.zeros(n), sigma=np.ones(n), sigma_true=np.full(n, 1.05))
     result = check_noise_model(data, delta_declared=0.2)
     assert result.passed
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+def test_run_all_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
+    with pytest.raises(ParameterDomainError, match="seed must be a non-negative integer"):
+        run_all(quick=True, seed=seed)
 
 
 def test_run_all_quick_structural_pass():

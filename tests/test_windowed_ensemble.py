@@ -37,7 +37,10 @@ def full_n_ensemble(ld, mc, seed, theta=None):
 
 
 def assert_matches_full_n(ld, seed, theta=None):
-    win = SelectionEnsemble.pure_noise(ld, MC, seed, theta=theta)
+    if theta is None:
+        win = SelectionEnsemble.pure_noise(ld, MC, seed)
+    else:
+        win = SelectionEnsemble.draw(ld, MC, seed, ld.sigma_model, mean=ld.psi.T @ theta)
     full = full_n_ensemble(ld, MC, seed, theta=theta)
     assert win.ld.points.shape[0] == ld.support.size < ld.points.shape[0]
     scale = np.max(np.abs(full.theta_tilde), axis=0)  # (K, p)
@@ -175,8 +178,8 @@ class TestCalibrationWindow:
     """mc_calibrate draws replicate j's first len(support) values, on the support in design order."""
 
     @staticmethod
-    def calibrate(ld, seed=0, theta=None):
-        return mc_calibrate(ld.basis, ld.ladder, ld.sigma_model, ld.points, ld.x, 1.0, 0.5, 1000, seed, theta=theta)
+    def calibrate(ld, seed=0):
+        return mc_calibrate(ld.basis, ld.ladder, ld.sigma_model, ld.points, ld.x, 1.0, 0.5, 1000, seed)
 
     @pytest.mark.parametrize("n", [400, 32000])
     def test_draws_do_not_grow_with_n(self, draw_sizes, n):
@@ -185,9 +188,9 @@ class TestCalibrationWindow:
         assert draw_sizes == [ld.support.size] * 1000
         assert ld.support.size < 100 < ld.support[-1]
 
-    @pytest.mark.parametrize("theta", [None, np.array([3.0, -20.0])])
-    def test_rows_are_replicate_prefixes_on_the_support(self, theta):
-        ld = one_d_ld("epanechnikov", 1, shuffle=True)
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_rows_are_replicate_prefixes_on_the_support(self, kernel):
+        ld = one_d_ld(kernel, 1, shuffle=True)
         support, seed = ld.support, 9
         built = []
 
@@ -197,13 +200,11 @@ class TestCalibrationWindow:
                 super().__init__(design, Y)
 
         with mock.patch.object(calibration, "SelectionEnsemble", Spy):
-            self.calibrate(ld, seed=seed, theta=theta)
+            self.calibrate(ld, seed=seed)
         (design, Y), = built
         assert np.array_equal(design.points, ld.points[support])
-        mean = 0.0 if theta is None else ld.psi[:, support].T @ theta
         for j in range(Y.shape[0]):
-            want = replicate_noise(seed, j, support.size) * ld.sigma_model[support]
-            assert np.array_equal(Y[j], want + mean)
+            assert np.array_equal(Y[j], replicate_noise(seed, j, support.size) * ld.sigma_model[support])
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_truncated_ladder_keeps_the_accepted_scales(self, kernel):

@@ -12,7 +12,7 @@ import pytest
 import lpadapt.fll_selector as fll
 from lpadapt.dataset import Dataset
 from lpadapt.fll_selector import adaptive_estimate, fit_curve, select_adaptive
-from lpadapt.local_model import KERNELS, Basis, LadderDesign, NoiseModel, ScaleLadder, kernel_profile, stacked_designs
+from lpadapt.local_model import KERNELS, Basis, LadderDesign, ScaleLadder, kernel_profile, stacked_designs
 
 Z = np.full(3, 3.0)  # low enough that some points stop early
 
@@ -23,7 +23,7 @@ def full_n_fit(data, x, ladder, basis, sigma, z):
     if ld.K_eff == 0:
         return 0, 0, None
     fits = ld.fit(data.y)
-    est = adaptive_estimate(fits, select_adaptive(fits, z), basis)
+    est = adaptive_estimate(fits, select_adaptive(fits, z))
     return est.k_hat, ld.K_eff, est.theta_hat
 
 
@@ -42,19 +42,18 @@ GRID_1D = np.concatenate([[-0.3, -0.01, 0.5, 0.46, 0.54, 1.02, 1.4], np.linspace
 
 
 def assert_matches_full_n(data, grid, ladder, basis, rel):
-    sigma = data.sigma
-    out = fit_curve(data, grid, ladder, basis, NoiseModel(sigma_model=sigma), Z)
-    assert len(out) == len(grid)
+    out = fit_curve(data, grid, ladder, basis, Z)
+    assert out.k_eff.size == len(grid)
     n_errors = 0
-    for pf, x in zip(out, grid):
-        k_hat, k_eff, theta = full_n_fit(data, x, ladder, basis, sigma, Z)
-        assert pf.k_eff == k_eff
+    for i, x in enumerate(grid):
+        k_hat, k_eff, theta = full_n_fit(data, x, ladder, basis, data.sigma, Z)
+        assert out.k_eff[i] == k_eff
         if k_eff == 0:
             n_errors += 1
-            assert not pf.ok and pf.error == "singular design at every scale"
+            assert out.k_hat[i] == 0 and np.all(np.isnan(out.theta_hat[i]))
             continue
-        assert pf.ok and pf.estimate.k_hat == k_hat
-        assert np.all(np.abs(pf.estimate.theta_hat - theta) <= rel * np.abs(theta) + 1e-15), (x, pf.estimate.theta_hat, theta)
+        assert out.k_hat[i] == k_hat
+        assert np.all(np.abs(out.theta_hat[i] - theta) <= rel * np.abs(theta) + 1e-15), (x, out.theta_hat[i], theta)
     return n_errors
 
 
@@ -98,9 +97,10 @@ def test_sorted_degree_one_is_bitwise_equal():
     data = Dataset(x=x, y=y, sigma=sigma)
     ladder = ScaleLadder.geometric(0.004, 6, growth=1.5)
     basis = Basis.polynomial(1)
-    for pf in fit_curve(data, x[::7], ladder, basis, NoiseModel(sigma_model=sigma), np.full(5, 4.0)):
-        _, _, theta = full_n_fit(data, pf.x, ladder, basis, sigma, np.full(5, 4.0))
-        assert np.array_equal(pf.estimate.theta_hat, theta)
+    out = fit_curve(data, x[::7], ladder, basis, np.full(5, 4.0))
+    for xi, theta_hat in zip(out.x, out.theta_hat):
+        _, _, theta = full_n_fit(data, xi, ladder, basis, sigma, np.full(5, 4.0))
+        assert np.array_equal(theta_hat, theta)
 
 
 def test_designs_hold_only_their_window(monkeypatch):
@@ -119,8 +119,8 @@ def test_designs_hold_only_their_window(monkeypatch):
         return stacked_designs(basis, ladder, points, centres, sigma, *args, **kwargs)
 
     monkeypatch.setattr(fll, "stacked_designs", recording_designs)
-    out = fit_curve(data, x, ladder, Basis.polynomial(1), NoiseModel(sigma_model=data.sigma), np.full(4, 4.0))
-    assert all(pf.ok for pf in out)
+    out = fit_curve(data, x, ladder, Basis.polynomial(1), np.full(4, 4.0))
+    assert np.all(out.k_eff > 0)
     assert len(sizes) == n
     assert all(size <= support + 14 for size, support in sizes)
     assert max(size for size, _ in sizes) < n // 10
@@ -142,11 +142,11 @@ def test_curve_memory_stays_at_chunk_size():
     ladder = ScaleLadder.geometric(8.0 / (2 * n), 6, growth=1.5)
     tracemalloc.start()
     try:
-        out = fit_curve(data, x, ladder, Basis.polynomial(1), NoiseModel(sigma_model=sigma), np.full(5, 4.0))
+        out = fit_curve(data, x, ladder, Basis.polynomial(1), np.full(5, 4.0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(out) == n and np.all(out.k_eff == 6)
+    assert out.k_eff.shape == (n,) and np.all(out.k_eff == 6)
     assert peak < 12e6
 
 
@@ -154,31 +154,35 @@ def test_grid_dimension_checked():
     data = Dataset(x=np.linspace(0.0, 1.0, 20), y=np.zeros(20), sigma=np.ones(20))
     ladder = ScaleLadder.geometric(0.2, 2)
     with pytest.raises(ValueError):
-        fit_curve(data, np.zeros((3, 2)), ladder, Basis.polynomial(0), NoiseModel(sigma_model=np.ones(20)), [1.0])
-    with pytest.raises(ValueError):
-        fit_curve(data, [0.5], ladder, Basis.polynomial(0), NoiseModel(sigma_model=np.ones(19)), [1.0])
+        fit_curve(data, np.zeros((3, 2)), ladder, Basis.polynomial(0), [1.0])
+
+
+@pytest.mark.parametrize("level", [0.0, -1.0])
+def test_nonpositive_sigma_rejected(level):
+    # fit_curve weights by data.sigma; Dataset alone checks only that it is finite
+    sigma = np.ones(20)
+    sigma[7] = level
+    data = Dataset(x=np.linspace(0.0, 1.0, 20), y=np.zeros(20), sigma=sigma)
+    with pytest.raises(ValueError, match="must be positive"):
+        fit_curve(data, [0.5], ScaleLadder.geometric(0.2, 2), Basis.polynomial(0), [1.0])
 
 
 def test_non_finite_grid_rejected():
     data = Dataset(x=np.linspace(0.0, 1.0, 20), y=np.zeros(20), sigma=np.ones(20))
     ladder = ScaleLadder.geometric(0.2, 2, kernel="epanechnikov")
     with pytest.raises(ValueError, match="non-finite"):
-        fit_curve(data, [0.5, np.nan], ladder, Basis.polynomial(0), NoiseModel(sigma_model=np.ones(20)), [1.0])
+        fit_curve(data, [0.5, np.nan], ladder, Basis.polynomial(0), [1.0])
 
 
 def test_column_shaped_1d_design_matches_flat():
     x, y, sigma = one_d_scene(seed=4)
     ladder = ScaleLadder.geometric(0.012, 4, growth=1.5)
     basis = Basis.polynomial(1)
-    flat = fit_curve(Dataset(x=x, y=y, sigma=sigma), GRID_1D, ladder, basis, NoiseModel(sigma_model=sigma), Z)
+    flat = fit_curve(Dataset(x=x, y=y, sigma=sigma), GRID_1D, ladder, basis, Z)
     # reversed rows in an (n, 1) column: sorted back before fitting
-    column = fit_curve(Dataset(x=x[::-1, None], y=y[::-1], sigma=sigma[::-1]), GRID_1D, ladder, basis,
-                       NoiseModel(sigma_model=sigma[::-1]), Z)
-    for a, b in zip(flat, column):
-        assert a.k_eff == b.k_eff and a.error == b.error
-        if a.ok:
-            assert a.estimate.k_hat == b.estimate.k_hat
-            assert np.array_equal(a.estimate.theta_hat, b.estimate.theta_hat)
+    column = fit_curve(Dataset(x=x[::-1, None], y=y[::-1], sigma=sigma[::-1]), GRID_1D, ladder, basis, Z)
+    assert np.array_equal(flat.k_eff, column.k_eff) and np.array_equal(flat.k_hat, column.k_hat)
+    assert np.array_equal(flat.theta_hat, column.theta_hat, equal_nan=True)
 
 
 def test_custom_basis_on_empty_window():
