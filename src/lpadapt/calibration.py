@@ -22,6 +22,7 @@ import ctypes
 import json
 import math
 import numbers
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -177,7 +178,7 @@ _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32, _MASK64 = (1 << 32) - 1, (1 << 64) - 1
 _U32, _LOW32 = np.uint64(32), np.uint64(_MASK32)  # uint64 limb shift and mask
 _STATE_CHUNK = 2048  # rows whose generator states are computed together
-_BLOCK_BYTES = 2**19  # cap on the rows drawn in full before their columns are taken
+_BLOCK_BYTES = 2**19  # cap on one block of drawn rows; sets the block row count R
 
 
 def _uint32_words(value: int) -> list[int]:
@@ -281,19 +282,33 @@ def _state_memory(bitgen: np.random.PCG64) -> memoryview | None:
     return memoryview(view).cast("B")
 
 
-def noise_matrix(seed: int, rows: int, n: int, cols) -> np.ndarray:
-    """Noise of replicates 0..rows-1 on the columns cols of an n-point design.
+def _chunk_states(seed: int, seed_words: list[int], a: int, stop: int) -> tuple[bytes, object]:
+    """Generator states of rows a..stop-1 and the layout to write them in (None: numpy's state setter).
 
-    Row j equals replicate_noise(seed, j, n)[cols] bit for bit, but only the
-    first cols[-1] + 1 values of each replicate are drawn, into a reused
-    block of at most _BLOCK_BYTES (or one row) whose columns are taken at
-    once.  The generator states of up to _STATE_CHUNK rows are computed
-    together and written in turn into the memory of one reused generator,
-    after a read-only check against the memory of numpy's own seeding of the
-    first that also picks the layout to write (numpy's state setter if none
-    matches).  No numpy seeding object is built per row.
-    cols must be strictly increasing indices in [0, n), rows at most 2**32.
-    Returns shape (rows, len(cols)).
+    numpy's own seeding of row a, read before any write, checks the
+    replicated seeding and picks the layout that matches its memory.
+    """
+    states = _pcg64_states(seed_words, np.arange(a, stop))
+    seeded = np.random.PCG64(np.random.SeedSequence([seed, a]))
+    layout = next((f for f in _LAYOUTS if _state_memory(seeded) == f(states[:32])), None)
+    if layout is None and seeded.state != _state_spec(states[:32]):
+        raise LpAdaptError("numpy's SeedSequence/PCG64 seeding differs from the replicated one")
+    return (layout(states) if layout else states), layout
+
+
+def _noise_blocks(seed: int, rows: int, n: int, cols) -> tuple[int, Iterator[tuple[int, np.ndarray]]]:
+    """The package's replicate-noise generator: the rows of noise_matrix, R at a time.
+
+    Returns R and an iterator over (b, block), where block holds rows
+    b..b+R-1 (fewer in the last block) on the columns cols and is reused by
+    the next block.  Only the first cols[-1] + 1 values of each replicate
+    are drawn, into a buffer of R = max(1, _BLOCK_BYTES // (8 (cols[-1] + 1)))
+    rows, so R depends on the drawn width and never on rows.  The generator
+    states of up to _STATE_CHUNK rows are computed together and written in
+    turn into the memory of one reused generator, after a read-only check
+    against numpy's own seeding of the chunk's first row (_chunk_states).
+    No numpy seeding object is built per row.  The arguments are checked
+    before anything is drawn.
     """
     seed, rows = _check_index("seed", seed), _check_index("rows", rows)
     if rows > 2**32:
@@ -301,72 +316,101 @@ def noise_matrix(seed: int, rows: int, n: int, cols) -> np.ndarray:
     cols = np.asarray(cols, dtype=np.intp)
     if cols.ndim != 1 or (cols.size and (cols[0] < 0 or cols[-1] >= n or np.any(np.diff(cols) <= 0))):
         raise ParameterDomainError(f"noise columns must be strictly increasing indices in [0, {n})")
-    out = np.empty((rows, cols.size))
-    if not cols.size:
-        return out
+    width = int(cols[-1]) + 1 if cols.size else 1
+    R = max(1, _BLOCK_BYTES // (8 * width))
+    return R, (_blocks(seed, rows, cols, width, R) if cols.size else iter(()))
+
+
+def _blocks(seed: int, rows: int, cols: np.ndarray, width: int, R: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The draws behind _noise_blocks, for checked arguments."""
     bitgen = np.random.PCG64()
     gen = np.random.Generator(bitgen)
     memory = _state_memory(bitgen)  # its has_uint32 stays 0: it only draws doubles
-    width = int(cols[-1]) + 1
-    block = np.empty((max(1, _BLOCK_BYTES // (8 * width)), width))
+    block, taken = np.empty((R, width)), np.empty((R, cols.size))
     seed_words = _uint32_words(seed)
-    for a in range(0, rows, _STATE_CHUNK):
-        stop = min(a + _STATE_CHUNK, rows)
-        states = _pcg64_states(seed_words, np.arange(a, stop))
-        # numpy's own seeding of the chunk's first row, read before any write,
-        # checks the replicated seeding and picks the layout written in
-        seeded = np.random.PCG64(np.random.SeedSequence([seed, a]))
-        layout = next((f for f in _LAYOUTS if _state_memory(seeded) == f(states[:32])), None)
-        if layout is None and seeded.state != _state_spec(states[:32]):
-            raise LpAdaptError("numpy's SeedSequence/PCG64 seeding differs from the replicated one")
-        states = layout(states) if layout else states
-        for b in range(a, stop, len(block)):
-            e = min(b + len(block), stop)
-            for row, k in zip(block, range(32 * (b - a), 32 * (e - a), 32)):
+    for b in range(0, rows, R):
+        e = min(b + R, rows)
+        j = b
+        while j < e:  # the rows of this block, split where a state chunk ends
+            if j % _STATE_CHUNK == 0:
+                a = j
+                states, layout = _chunk_states(seed, seed_words, a, min(a + _STATE_CHUNK, rows))
+            stop = min(e, a + _STATE_CHUNK)
+            for row, k in zip(block[j - b : stop - b], range(32 * (j - a), 32 * (stop - a), 32)):
                 if layout:
                     memory[:] = states[k : k + 32]
                 else:
                     bitgen.state = _state_spec(states[k : k + 32])
                 gen.standard_normal(out=row)
-            block[: e - b].take(cols, axis=1, out=out[b:e])
+            j = stop
+        yield b, block[: e - b].take(cols, axis=1, out=taken[: e - b])
+
+
+def noise_matrix(seed: int, rows: int, n: int, cols) -> np.ndarray:
+    """Noise of replicates 0..rows-1 on the columns cols of an n-point design, as one array.
+
+    Row j equals replicate_noise(seed, j, n)[cols] bit for bit.  The rows
+    come from _noise_blocks, the generator that SelectionEnsemble.draw
+    streams, so only the returned array grows with rows.
+    cols must be strictly increasing indices in [0, n), rows at most 2**32.
+    Returns shape (rows, len(cols)).
+    """
+    _, blocks = _noise_blocks(seed, rows, n, cols)
+    out = np.empty((rows, np.size(cols)))
+    for b, block in blocks:
+        out[b : b + len(block)] = block
     return out
 
 
 class SelectionEnsemble:
-    """Per-scale fits and the pairwise table T for a batch of observation rows.
+    """Per-scale fits and the pairwise table T for a batch of replicates.
 
-    T is the pair_statistics table of every replicate: its upper triangle
-    holds the selection statistics (weighted by the smaller-scale B), its
-    lower triangle the moment-condition forms (weighted by the larger-scale
-    B).  Selection under any thresholds is then a cheap sweep.
+    Built from the fits theta_tilde (mc, K, p) of design ld; the
+    observations themselves are not kept.  T is the pair_statistics table
+    of every replicate: its upper triangle holds the selection statistics
+    (weighted by the smaller-scale B), its lower triangle the
+    moment-condition forms (weighted by the larger-scale B).  Selection
+    under any thresholds is then a cheap sweep.
     """
 
-    def __init__(self, ld: LadderDesign, Y: np.ndarray):
+    def __init__(self, ld: LadderDesign, theta_tilde: np.ndarray):
         if ld.K_eff < 1:
             raise CalibrationFailedError("no usable scale at the calibration point")
         self.ld = ld
         self.K = ld.K_eff
-        Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        self.mc = Y.shape[0]
-
-        self.theta_tilde = ld.fit_stacked(Y)  # (mc, K, p)
-        self.T = pair_statistics(self.theta_tilde, np.stack(ld.B_list)[None])  # (K, K, mc)
+        self.theta_tilde = theta_tilde  # (mc, K, p)
+        self.mc = theta_tilde.shape[0]
+        self.T = pair_statistics(theta_tilde, np.stack(ld.B_list)[None])  # (K, K, mc)
         # the two names perfbench/tracing.py reads; both are the one table
         self.T_small = self.T_large = self.T
 
     @classmethod
     def draw(cls, ld: LadderDesign, mc_size: int, seed: int, sd, mean=None) -> "SelectionEnsemble":
-        """Ensemble of the observations mean + sd * eps with eps from noise_matrix.
+        """Ensemble of the observations mean + sd * eps with eps from _noise_blocks, fitted block by block.
 
         sd and mean are given at all n design points.  Every D_k is zero
-        outside ld.support, so only those columns are drawn and stored: the
-        ensemble holds mc_size x len(support) observations, whatever n is.
+        outside ld.support, so only those columns are drawn.  Each block of
+        R noise rows is scaled and shifted, zero-padded to R rows and fitted
+        by one fit_stacked call, so every GEMM has the same shape and
+        replicate j's fits depend on (seed, j) and R, not on mc_size (with
+        one BLAS thread, bit for bit).  Only the fits and T are kept: memory
+        is O(R x len(support) + mc_size x K^2), whatever n is.
         """
         cols = ld.support
-        Y = noise_matrix(seed, mc_size, ld.points.shape[0], cols) * np.asarray(sd, dtype=float)[cols]
-        if mean is not None:
-            Y += np.asarray(mean, dtype=float)[cols]
-        return cls(ld.restrict(cols), Y)
+        sub = ld.restrict(cols)
+        R, blocks = _noise_blocks(seed, mc_size, ld.points.shape[0], cols)
+        sd = np.asarray(sd, dtype=float)[cols]
+        shift = None if mean is None else np.asarray(mean, dtype=float)[cols]
+        Y = np.zeros((R, cols.size))
+        theta_tilde = np.empty((mc_size, sub.K_eff, sub.basis.p))
+        for b, eps in blocks:
+            rows = len(eps)
+            np.multiply(eps, sd, out=Y[:rows])
+            if shift is not None:
+                Y[:rows] += shift
+            Y[rows:] = 0.0  # the last block's padding
+            theta_tilde[b : b + rows] = sub.fit_stacked(Y)[:rows]
+        return cls(sub, theta_tilde)
 
     @classmethod
     def pure_noise(cls, ld: LadderDesign, mc_size: int, seed: int) -> "SelectionEnsemble":

@@ -1,10 +1,20 @@
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from lpadapt.exceptions import ParameterDomainError
 from lpadapt.local_model import Basis, LadderDesign, ScaleLadder
+
+# HYPOTHESIS_PROFILE=deep runs 1000 examples per property, outside Tier-1, from the seed that
+# pytest's --hypothesis-seed gives (with no example database, a failure prints the seed that
+# reproduces it).  Tier-1 loads no profile: tests/test_properties.py then runs 30 derandomized
+# examples per property.
+settings.register_profile("deep", max_examples=1000, deadline=None, derandomize=False, database=None)
+if "HYPOTHESIS_PROFILE" in os.environ:
+    settings.load_profile(os.environ["HYPOTHESIS_PROFILE"])
 
 
 @pytest.fixture

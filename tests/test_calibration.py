@@ -206,6 +206,23 @@ class TestSelectionEnsemble:
         mom, _ = ens.pc_moments(z, 0.5)
         assert mom[-1] > 0.5  # seeded run gives ~1.2 for this scene
 
+    @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
+    def test_pc_moments_are_powered_gap_forms(self, calib_scene, r):
+        # E|gap_k|^r and its standard error recomputed from gap_forms, under thresholds at which some
+        # replicates stop early, so that the forms are neither all 0 nor all equal
+        basis, ladder, points, sigma = calib_scene
+        ld = LadderDesign(basis, ladder, points, 0.5, sigma)
+        ens = SelectionEnsemble.pure_noise(ld, 500, 3)
+        z = np.array([3.0, 2.0, 1.0])
+        khat, gaps = ens.k_hat(z), ens.gap_forms(z)
+        assert khat.min() < 4 == khat.max()
+        assert np.all(np.any(gaps[1:] > 0, axis=1))
+        powered = np.abs(gaps) ** r
+        mom, se = ens.pc_moments(z, r)
+        np.testing.assert_allclose(mom, powered.sum(axis=1) / 500, rtol=1e-12, atol=0.0)
+        dev = powered - powered.mean(axis=1, keepdims=True)
+        np.testing.assert_allclose(se, np.sqrt((dev**2).sum(axis=1) / 499 / 500), rtol=1e-12, atol=0.0)
+
     def test_replicate_noise_deterministic(self):
         a = replicate_noise(5, 17, 32)
         b = replicate_noise(5, 17, 32)

@@ -204,6 +204,14 @@ class TestBounds:
         for p, r in ((1, 0.5), (2, 1.0), (3, 2.0)):
             assert propagation_bound(p, 3, 0.0, 0.0, r, 1.0) == pytest.approx(math.sqrt(chi_square_moment(p, r)), rel=1e-12)
 
+    def test_propagation_closed_form_under_misspecification(self):
+        # p = 2, k = 3, delta = 0.1, alpha = 1, r = 1/2: C(2, 1/2) = sqrt(pi / 2) and pk = 6, so the bound is
+        # (pi/2)^{1/4} 1.1^{6/4} 0.9^{-18/4} exp(phi Delta / 1.8) with phi = 2 (1.1) / 0.81 - 1
+        base = (math.pi / 2.0) ** 0.25 * 1.1**1.5 * 0.9**-4.5
+        assert propagation_bound(2, 3, 0.1, 0.0, 0.5, 1.0) == pytest.approx(base, rel=1e-12)
+        phi = 2.0 * 1.1 / 0.81 - 1.0
+        assert propagation_bound(2, 3, 0.1, 0.7, 0.5, 1.0) == pytest.approx(base * math.exp(phi * 0.7 / 1.8), rel=1e-12)
+
     def test_phi_value(self):
         assert phi_factor(0.1, homogeneous=False) == pytest.approx(2.0 * 1.1 / 0.81 - 1.0, rel=1e-12)
         assert phi_factor(0.1, homogeneous=False) == pytest.approx(1.7160493827160495, rel=1e-12)

@@ -3,19 +3,25 @@
 The windowed SelectionEnsemble is compared with an ensemble built from the
 same noise over all n observations, the noise itself is checked bit for bit
 against full-length draws, and a structural check bounds what an ensemble
-holds, so a regression to mc x n storage fails without any timing.
+holds, so a regression to mc x n (or mc x window) storage fails without any
+timing.  A replicate's fits are the same bits at any ensemble size.
 mc_calibrate and the `verify` checks draw in window coordinates instead:
 replicate j's first len(support) values, whatever n is, which a count of
 their draws and a bit for bit oracle pin down.
 """
 
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from lpadapt import calibration, verification
+from lpadapt import calibration
 from lpadapt.calibration import SelectionEnsemble, mc_calibrate, noise_matrix, replicate_noise
 from lpadapt.exceptions import ParameterDomainError
 from lpadapt.local_model import KERNELS, Basis, LadderDesign, ScaleLadder, default_h1
@@ -30,7 +36,7 @@ def full_n_ensemble(ld, mc, seed, theta=None):
     n = ld.points.shape[0]
     mean = np.zeros(n) if theta is None else ld.psi.T @ np.asarray(theta, dtype=float)
     Y = np.stack([mean + replicate_noise(seed, j, n) * ld.sigma_model for j in range(mc)])
-    ens = SelectionEnsemble(ld, Y)
+    ens = SelectionEnsemble(ld, ld.fit_stacked(Y))
     for k, D in enumerate(ld.D_list):
         assert np.array_equal(ens.theta_tilde[:, k, :], Y @ D.T)
     return ens
@@ -150,9 +156,20 @@ class TestWindowedEnsemble:
         sd = 0.3 + 0.1 * np.cos(ld.points[:, 0])
         win = SelectionEnsemble.draw(ld, MC, 12, sd, mean=f)
         Y = np.stack([f + sd * replicate_noise(12, j, n) for j in range(MC)])
-        full = SelectionEnsemble(ld, Y)
+        full = SelectionEnsemble(ld, ld.fit_stacked(Y))
         np.testing.assert_allclose(win.theta_tilde, full.theta_tilde, rtol=1e-11, atol=1e-12)
         assert np.array_equal(win.k_hat(Z), full.k_hat(Z))
+
+
+def _traced_pure_noise(ld, mc):
+    """The pure-noise ensemble of mc replicates and the peak of the memory traced while it was built."""
+    tracemalloc.start()
+    try:
+        ens = SelectionEnsemble.pure_noise(ld, mc, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return ens, peak
 
 
 def test_ensemble_holds_support_columns_only(draw_sizes):
@@ -161,17 +178,57 @@ def test_ensemble_holds_support_columns_only(draw_sizes):
     support = ld.support
     assert support.size < 100
 
-    tracemalloc.start()
-    try:
-        ens = SelectionEnsemble.pure_noise(ld, mc, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    ens, peak = _traced_pure_noise(ld, mc)
     assert ens.ld.points.shape[0] == support.size
     assert all(D.shape == (ld.basis.p, support.size) for D in ens.ld.D_list)
     assert max(draw_sizes) == support[-1] + 1 < n
     # mc x n float64 alone would be 32 MB; the windowed ensemble needs about 3 MB
     assert peak < 8 * 2**20, peak
+
+    # the K = 17 ladder at n = 32000 (h_K about 0.08) in window coordinates, as mc_calibrate draws:
+    # its mc x m observations alone take 85 MB, but the ensemble streams them in blocks and keeps
+    # only theta_tilde and T
+    ld = one_d_ld("boxcar", 1, n=32000, x=0.5, K=17)
+    win = ld.restrict(ld.support)
+    assert win.K_eff == 17 and 5000 < win.points.shape[0] < 6000
+    ens, peak = _traced_pure_noise(win, mc)
+    design = sum(a.nbytes for a in (*win.D_list, *win.weights_list, win.psi))  # the copy that draw restricts
+    bound = ens.T.nbytes + ens.theta_tilde.nbytes + design + 8 * calibration._BLOCK_BYTES
+    assert bound < mc * win.points.shape[0] * 8 / 5
+    assert peak < bound, (peak, bound)
+
+
+def test_replicate_fits_do_not_depend_on_mc_size():
+    # replicate j's theta_tilde and T are bit for bit the same whether the ensemble holds R - 1, R or
+    # 3R + 5 replicates, or runs past a state chunk; one BLAS thread, in a fresh interpreter
+    script = """
+import json
+import numpy as np
+from lpadapt import calibration
+from lpadapt.calibration import SelectionEnsemble
+from lpadapt.local_model import Basis, LadderDesign, ScaleLadder, default_h1
+n = 400
+pts = np.linspace(0.0, 1.0, n)
+ld = LadderDesign(Basis.polynomial(1), ScaleLadder.geometric(default_h1(n, 2), 6, growth=1.5), pts, 0.5,
+                  0.2 + 0.3 * pts)
+R = max(1, calibration._BLOCK_BYTES // (8 * (int(ld.support[-1]) + 1)))  # block rows at the drawn width
+sizes = [R - 1, R, 3 * R + 5, calibration._STATE_CHUNK + 1]
+big = SelectionEnsemble.pure_noise(ld, max(sizes) + R + 7, 3)
+same = []
+for mc in sizes:
+    ens = SelectionEnsemble.pure_noise(ld, mc, 3)
+    same.append([mc, bool(np.array_equal(ens.theta_tilde, big.theta_tilde[:mc])),
+                 bool(np.array_equal(ens.T, big.T[..., :mc], equal_nan=True))])
+print(json.dumps({"R": R, "chunk": calibration._STATE_CHUNK, "same": same}))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout)
+    assert 1 < result["R"] < 3 * result["R"] + 5 < result["chunk"]
+    assert result["same"] == [[mc, True, True] for mc, _, _ in result["same"]]
 
 
 class TestCalibrationWindow:
@@ -191,20 +248,34 @@ class TestCalibrationWindow:
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_rows_are_replicate_prefixes_on_the_support(self, kernel):
         ld = one_d_ld(kernel, 1, shuffle=True)
-        support, seed = ld.support, 9
-        built = []
+        support, seed, mc = ld.support, 9, 1000
+        built, blocks, fits = [], [], []
 
         class Spy(SelectionEnsemble):
-            def __init__(self, design, Y):
-                built.append((design, np.array(Y)))
-                super().__init__(design, Y)
+            def __init__(self, design, theta_tilde):
+                built.append((design, np.array(theta_tilde)))
+                super().__init__(design, theta_tilde)
 
-        with mock.patch.object(calibration, "SelectionEnsemble", Spy):
+        real_fit = LadderDesign.fit_stacked
+
+        def fit_stacked(design, Y):
+            blocks.append(np.array(Y))
+            fits.append(real_fit(design, Y))
+            return fits[-1]
+
+        with mock.patch.object(calibration, "SelectionEnsemble", Spy), \
+                mock.patch.object(LadderDesign, "fit_stacked", fit_stacked):
             self.calibrate(ld, seed=seed)
-        (design, Y), = built
+        (design, theta), = built
         assert np.array_equal(design.points, ld.points[support])
-        for j in range(Y.shape[0]):
+        # the observations are fitted in equal blocks, the last one zero-padded
+        R = len(blocks[0])
+        assert all(Y.shape == (R, support.size) for Y in blocks) and len(blocks) == -(-mc // R)
+        Y = np.concatenate(blocks)
+        for j in range(mc):
             assert np.array_equal(Y[j], replicate_noise(seed, j, support.size) * ld.sigma_model[support])
+        assert not np.any(Y[mc:])
+        assert np.array_equal(theta, np.concatenate(fits)[:mc])
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_truncated_ladder_keeps_the_accepted_scales(self, kernel):
@@ -224,14 +295,13 @@ class TestVerifyWindow:
     def test_every_draw_is_a_replicate_prefix(self, monkeypatch):
         calls = []
 
-        def spy(real):
-            def noise_matrix(seed, rows, n, cols):
-                calls.append((n, np.asarray(cols)))
-                return real(seed, rows, n, cols)
-            return noise_matrix
+        real = calibration._noise_blocks
 
-        monkeypatch.setattr(calibration, "noise_matrix", spy(calibration.noise_matrix))
-        monkeypatch.setattr(verification, "noise_matrix", spy(verification.noise_matrix))
+        def _noise_blocks(seed, rows, n, cols):  # behind noise_matrix and SelectionEnsemble.draw alike
+            calls.append((n, np.asarray(cols)))
+            return real(seed, rows, n, cols)
+
+        monkeypatch.setattr(calibration, "_noise_blocks", _noise_blocks)
         assert all(result.passed for result in run_all(quick=True))
         assert len(calls) == 10  # 6 quadratic-form checks, validate_pc, 2 pair checks, stacked covariance
         for n, cols in calls:
