@@ -30,7 +30,7 @@ class Dataset:
             self.sigma_true = np.asarray(self.sigma_true, dtype=float)
             if self.sigma_true.shape[0] != n:
                 raise ParameterDomainError("sigma_true must match the number of rows")
-        # the fitting path calls LAPACK without finiteness checks
+        # the fitting path checks no finiteness itself: a non-finite value would spread NaN silently
         for name in ("x", "y", "sigma", "sigma_true"):
             values = getattr(self, name)
             if values is not None and not np.all(np.isfinite(values)):

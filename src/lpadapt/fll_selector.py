@@ -20,7 +20,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .exceptions import ParameterDomainError
-from .local_model import Basis, LocalFit, ScaleLadder, factor_solve, stacked_designs
+from .local_model import Basis, LocalFit, ScaleLadder, stacked_designs, stacked_solve
 
 
 def pair_statistics(theta: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -167,9 +167,11 @@ def fit_curve(data: Dataset, x_grid, ladder: ScaleLadder, basis: Basis, cv) -> C
 
     Points whose slabs have the same width are processed in chunks of up to
     _CHUNK: stacked_designs builds the chunk's weights, B_k and conditioning
-    gate in one set of array operations, each accepted (point, scale) gets
-    its own LAPACK Cholesky solve and theta_k = D_k y, and pair_statistics
-    forms the chunk's T_lm.  One selection_sweep then selects every point.
+    gate in one set of array operations, one stacked_solve call gives every
+    propagator D_k of the chunk, one stacked product gives every
+    theta_k = D_k y (NaN beyond each point's accepted scales), and
+    pair_statistics forms the chunk's T_lm.  One selection_sweep then
+    selects every point.
     Each point's arithmetic is that of LadderDesign on its slab, so results
     do not depend on the grid's order or on the other points, nor on the
     order of the data rows when their first coordinates have no ties.
@@ -209,16 +211,9 @@ def fit_curve(data: Dataset, x_grid, ladder: ScaleLadder, basis: Basis, cv) -> C
             idx = by_width[c : min(c + _CHUNK, b)]
             rows = lo[idx, None] + np.arange(width[idx[0]])
             _, _, PW, B, k_gate = stacked_designs(basis, ladder, xs[rows], centres[idx], sigma[rows])
-            ys = y[rows]
-            fits = np.full((idx.size, K, p), np.nan)
-            for g, kg in enumerate(k_gate.tolist()):
-                yg = ys[g]
-                for k in range(kg):
-                    D = factor_solve(B[g, k], PW[g, k])
-                    if D is None:
-                        k_gate[g] = k
-                        break
-                    fits[g, k] = D @ yg
+            D, k_gate = stacked_solve(B, PW, k_gate)
+            fits = (D @ y[rows][:, None, :, None])[..., 0]  # one gemv per (point, scale), as D_k @ y
+            fits[np.arange(K) >= k_gate[:, None]] = np.nan
             k_eff[idx] = k_gate
             theta[idx] = fits
             T[:, :, idx] = pair_statistics(fits, B)

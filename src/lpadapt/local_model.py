@@ -6,10 +6,12 @@ scale k the weighted information matrix
     B_k = sum_i Psi_i Psi_i^T w_{k,i} / sigma_i^2
 
 is assembled and the weighted least-squares (quasi-ML) coefficient vector is
-obtained from the normal equations B_k theta = Psi W_k y.  Each accepted
-scale is solved once for its propagator D_k = B_k^{-1} Psi W_k through a
-Cholesky factorization of B_k; the factor is not kept, and no explicit
-inverse is formed.
+obtained from the normal equations B_k theta = Psi W_k y.  Every scale of
+a stack of ladders is solved at once for its propagator
+D_k = B_k^{-1} Psi W_k by stacked_solve: a Cholesky factorization of B_k and
+two triangular solves, written as loops over p whose every step is one
+elementwise array operation over all (point, scale) pairs.  The factor is
+not kept, and no explicit inverse is formed.
 """
 
 from __future__ import annotations
@@ -21,13 +23,9 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import eigvalsh, get_lapack_funcs
+from scipy.linalg import eigvalsh
 
 from .exceptions import ParameterDomainError
-
-# LAPACK Cholesky factor and solve, the routines behind scipy's cho_factor and
-# cho_solve, called without the wrappers' per-call checks
-_potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), (np.empty(0),))
 
 #: reject a scale when lambda_min(B) < MIN_EIG_RATIO * lambda_max(B)
 MIN_EIG_RATIO = 1e-10
@@ -245,16 +243,45 @@ def stacked_designs(basis: Basis, ladder: ScaleLadder, points, centres, sigma):
     return psi, W, PW, B, np.where(passed.all(axis=-1), ladder.K, passed.argmin(axis=-1))
 
 
-def factor_solve(B_k: np.ndarray, PW_k: np.ndarray) -> np.ndarray | None:
-    """The propagator D_k = B_k^{-1} PW_k, by one LAPACK Cholesky factorization and solve.
+def stacked_solve(B: np.ndarray, PW: np.ndarray, k_gate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every propagator D_k = B_k^{-1} PW_k of a stack of ladders, by Cholesky factorization.
 
-    D_k comes back in Fortran order; the factor is not kept.  Returns None
-    when B_k is not positive definite after all; the scale then fails.
+    B (..., K, p, p) and PW (..., K, p, L) are stacked_designs' matrices and
+    k_gate (...) its count of leading scales that pass the conditioning gate.
+    B_k = C C^T is factored from its lower triangle, then C Y = PW_k and
+    C^T D_k = Y are solved.  Each is a loop over p whose steps are
+    elementwise array operations over all (ladder, scale) pairs, in the
+    order of LAPACK's potf2 and OpenBLAS's trsm: a pivot is a square root,
+    and columns and solves multiply by its reciprocal.  So each slice rounds
+    the same whatever else is in the stack.
+
+    Returns D (..., K, p, L), each (p, L) slice in Fortran order as LAPACK's
+    potrs leaves it, and k_gate lowered to the first scale whose pivot is not
+    > 0 (NaN included): B_k is not positive definite after all.  Scales from
+    the gate on are carried through with unit pivots; their D is not used.
     """
-    c, info = _potrf(B_k, lower=True, clean=False)
-    if info != 0:
-        return None
-    return _potrs(c, PW_k, lower=True)[0]
+    K, p = B.shape[-3], B.shape[-1]
+    ok = np.arange(K) < k_gate[..., None]
+    C = np.zeros(B.shape)
+    rinv = np.empty(B.shape[:-1])  # reciprocal pivots
+    for j in range(p):
+        pivot = B[..., j, j] - sum(C[..., j, k] * C[..., j, k] for k in range(j))
+        ok &= pivot > 0
+        rinv[..., j] = 1.0 / np.sqrt(np.where(ok, pivot, 1.0))
+        for i in range(j + 1, p):
+            C[..., i, j] = (B[..., i, j] - sum(C[..., i, k] * C[..., j, k] for k in range(j))) * rinv[..., j]
+    D = np.empty(PW.shape[:-2] + PW.shape[-1:] + PW.shape[-2:-1]).swapaxes(-1, -2)
+    for i in range(p):  # C Y = PW, Y into D
+        acc = PW[..., i, :]
+        for k in range(i):
+            acc = acc - D[..., k, :] * C[..., i, k, None]
+        D[..., i, :] = acc * rinv[..., i, None]
+    for i in reversed(range(p)):  # C^T D = Y
+        acc = D[..., i, :]
+        for k in range(p - 1, i, -1):
+            acc = acc - D[..., k, :] * C[..., k, i, None]
+        D[..., i, :] = acc * rinv[..., i, None]
+    return D, np.where(ok.all(axis=-1), K, ok.argmin(axis=-1))
 
 
 class LadderDesign:
@@ -266,9 +293,10 @@ class LadderDesign:
     gate (at least p weighted points and lambda_min(B_k) > MIN_EIG_RATIO
     lambda_max(B_k)), so selection indices stay contiguous.
 
-    The design is stacked_designs with a batch of one, the builder that
-    fit_curve runs on whole chunks of grid points; only the accepted scales
-    are solved, by factor_solve, and no Cholesky factor is kept.
+    The design is stacked_designs and stacked_solve with a batch of one,
+    the builder and solver that fit_curve runs on whole chunks of grid
+    points; a scale whose Cholesky pivot is not positive also truncates the
+    ladder, and no Cholesky factor is kept.
     """
 
     def __init__(self, basis: Basis, ladder: ScaleLadder, design_points, x, sigma_model):
@@ -289,13 +317,9 @@ class LadderDesign:
             raise ParameterDomainError("sigma_model entries must be positive")
         psi, W, PW, B, k_gate = stacked_designs(basis, ladder, self.points[None], self.x[None], self.sigma_model[None])
         self.psi = psi[0]
-        self.D_list: list[np.ndarray] = []
-        for k in range(k_gate[0]):
-            D = factor_solve(B[0, k], PW[0, k])
-            if D is None:
-                break
-            self.D_list.append(D)
-        K_eff = len(self.D_list)
+        D, k_gate = stacked_solve(B, PW, k_gate)
+        K_eff = int(k_gate[0])
+        self.D_list: list[np.ndarray] = list(D[0, :K_eff])
         self.truncated_at: int | None = K_eff + 1 if K_eff < ladder.K else None  # first rejected 1-indexed scale
         self.weights_list: list[np.ndarray] = list(W[0, :K_eff])
         self.B_list: list[np.ndarray] = list(B[0, :K_eff])

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from lpadapt.dataset import Dataset
 from lpadapt.exceptions import ParameterDomainError
@@ -14,6 +15,7 @@ from lpadapt.local_model import (
     default_h1,
     is_nested_binary,
     stacked_designs,
+    stacked_solve,
 )
 from lpadapt.verification import _random_boxcar_scene
 
@@ -387,3 +389,90 @@ class TestLadderDesign:
             fits = ld.fit(Y[i])
             for k, fit in enumerate(fits):
                 assert stacked[i, k] == pytest.approx(fit.theta)
+
+
+def _spd_stack(rng, p, size):
+    """(size, p, p) SPD matrices and (size, p, 30) right-hand sides.
+
+    Half are random Gram matrices; half are weighted polynomial designs on
+    offsets in units of 1e-3, whose B spans up to 30 orders of magnitude.
+    """
+    B, PW = [], []
+    basis = Basis.polynomial(p - 1)
+    for i in range(size):
+        if i % 2:
+            u = np.sort(rng.uniform(-1.0, 1.0, 30)) * 1e-3
+            psi = basis._evaluate(u[:, None])
+            rhs = psi * rng.uniform(0.1, 1.0, 30)
+            b = rhs @ psi.T
+        else:
+            a = rng.standard_normal((p, p + 3))
+            b, rhs = a @ a.T, rng.standard_normal((p, 30))
+        B.append(0.5 * (b + b.T))
+        PW.append(rhs)
+    return np.array(B), np.array(PW)
+
+
+def _bad_matrix(kind, p):
+    """A symmetric (p, p) matrix whose last Cholesky pivot is NaN, zero or negative."""
+    b = np.eye(p)
+    if kind == "nan":
+        b[-1, 0] = b[0, -1] = np.nan
+    elif kind == "zero":
+        b[-1, -1] = 0.0
+    elif p == 1:
+        b[0, 0] = -1.0
+    else:  # positive diagonal, last pivot 1 - 2^2
+        b[-1, 0] = b[0, -1] = 2.0
+    return b
+
+
+def _cho_fails(b):
+    try:
+        cho_factor(b, lower=True)
+    except (LinAlgError, ValueError):
+        return True
+    return False
+
+
+class TestStackedSolve:
+    @pytest.mark.parametrize("p", range(1, 7))
+    def test_matches_scipy_cholesky_slice_by_slice(self, rng, p):
+        B, PW = _spd_stack(rng, p, 24)
+        D, k_gate = stacked_solve(B.reshape(4, 6, p, p), PW.reshape(4, 6, p, 30), np.full(4, 6))
+        assert k_gate.tolist() == [6] * 4
+        assert all(d.flags.f_contiguous for d in D.reshape(24, p, 30))  # as LAPACK's potrs leaves it
+        for b, pw, d in zip(B, PW, D.reshape(24, p, 30)):
+            ref = cho_solve(cho_factor(b, lower=True), pw)
+            # each row of D relative to its largest entry: row j carries the scale of 1 / u^j
+            scale = np.abs(ref).max(axis=1, keepdims=True)
+            assert np.all(np.abs(d - ref) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("p", range(1, 7))
+    def test_flags_exactly_where_cho_factor_raises(self, rng, p):
+        B, PW = _spd_stack(rng, p, 12)
+        kinds = ["nan", "zero", "negative"]
+        for i, kind in enumerate(kinds):
+            B[3 * i + 1] = _bad_matrix(kind, p)
+        raises = np.array([_cho_fails(b) for b in B])
+        assert raises.sum() == 3
+        _, k_gate = stacked_solve(B[:, None], PW[:, None], np.ones(12, dtype=int))
+        assert np.array_equal(k_gate == 0, raises)
+
+    def test_gate_lowered_to_the_first_failing_scale(self, rng):
+        B, PW = _spd_stack(rng, 2, 6)
+        B[3] = _bad_matrix("negative", 2)
+        _, k_gate = stacked_solve(B[None].repeat(3, axis=0), PW[None].repeat(3, axis=0), np.array([6, 3, 2]))
+        assert k_gate.tolist() == [3, 3, 2]
+
+    @pytest.mark.parametrize("kind", ["nan", "zero", "negative"])
+    def test_bad_slice_leaves_its_neighbours_bit_identical(self, rng, kind):
+        p = 3
+        B, PW = _spd_stack(rng, p, 20)
+        clean, gate = stacked_solve(B.reshape(4, 5, p, p), PW.reshape(4, 5, p, 30), np.full(4, 5))
+        B[7] = _bad_matrix(kind, p)  # ladder 1, scale 2
+        D, k_gate = stacked_solve(B.reshape(4, 5, p, p), PW.reshape(4, 5, p, 30), np.full(4, 5))
+        assert k_gate.tolist() == [5, 2, 5, 5] and gate.tolist() == [5] * 4
+        keep = np.ones((4, 5), dtype=bool)
+        keep[1, 2] = False
+        assert np.array_equal(D[keep], clean[keep])

@@ -6,13 +6,26 @@ fit_curve builds and the memory of a whole curve, so a regression to O(n)
 work per point or to whole-grid stacks fails without any timing.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import lpadapt.fll_selector as fll
 from lpadapt.dataset import Dataset
 from lpadapt.fll_selector import adaptive_estimate, fit_curve, select_adaptive
-from lpadapt.local_model import KERNELS, Basis, LadderDesign, ScaleLadder, kernel_profile, stacked_designs
+from lpadapt.local_model import (
+    KERNELS,
+    Basis,
+    LadderDesign,
+    ScaleLadder,
+    kernel_profile,
+    stacked_designs,
+    stacked_solve,
+)
+from lpadapt.sim_harness import Scene, SigmaSpec, generate
+
+FIT_DENSE_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "fit_dense.csv.gz"
 
 Z = np.full(3, 3.0)  # low enough that some points stop early
 
@@ -101,6 +114,54 @@ def test_sorted_degree_one_is_bitwise_equal():
     for xi, theta_hat in zip(out.x, out.theta_hat):
         _, _, theta = full_n_fit(data, xi, ladder, basis, sigma, np.full(5, 4.0))
         assert np.array_equal(theta_hat, theta)
+
+
+def test_fit_dense_reference_at_seed_0():
+    """The benchmark's seed-0 fit_dense pass, in process, against its recorded fit.csv.
+
+    The data are those of perfbench/workloads.write_inputs (its CSV round trip
+    is exact): a 6000-point jump scene with ramp noise, a boxcar ladder from
+    h1 = 8 / 12000 with K = 6 and growth 1.5, degree 1 and z = 4.  The
+    smallest windows' slopes are ill-conditioned, so rounding shows: a solve
+    whose D slices are in C order, not in LAPACK's Fortran order, sends
+    D @ y down another BLAS path and drifts past 1e-12 at a few of the 6000
+    points.
+    """
+    data = generate(Scene("jump", n=6000, sigma_model=SigmaSpec("ramp", 0.25, 0.5), seed=0), 0)
+    ladder = ScaleLadder.geometric(8 / 12000, 6, growth=1.5)
+    out = fit_curve(data, data.x, ladder, Basis.polynomial(1), np.full(5, 4.0))
+    ref = np.loadtxt(FIT_DENSE_REFERENCE, delimiter=",", skiprows=2, usecols=range(6))  # x,f_hat,k_hat,k_eff,theta
+    assert np.array_equal(out.x[:, 0], ref[:, 0])
+    assert np.array_equal(out.k_hat, ref[:, 2]) and np.array_equal(out.k_eff, ref[:, 3])
+    for got, want in ((out.theta_hat, ref[:, 4:]), (out.fitted_values, ref[:, 1])):
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want) + 1e-15)
+
+
+def test_one_solve_per_chunk(monkeypatch):
+    """fit_curve solves each chunk's whole (point, scale) stack in one stacked_solve call, never point by point."""
+    n = 2000
+    rng = np.random.default_rng(5)
+    x = np.sort(rng.uniform(0.0, 1.0, n))
+    data = Dataset(x=x, y=np.sin(5.0 * x), sigma=np.full(n, 0.1))
+    ladder = ScaleLadder.geometric(4.0 / n, 5, growth=1.5)
+    designs, solves = [], []
+
+    def recording_designs(*args):
+        out = stacked_designs(*args)
+        designs.append(out[3].shape[:2])
+        return out
+
+    def recording_solve(B, PW, k_gate):
+        solves.append(B.shape[:2])
+        return stacked_solve(B, PW, k_gate)
+
+    monkeypatch.setattr(fll, "stacked_designs", recording_designs)
+    monkeypatch.setattr(fll, "stacked_solve", recording_solve)
+    out = fit_curve(data, x, ladder, Basis.polynomial(1), np.full(4, 4.0))
+    assert np.all(out.k_eff > 0)
+    assert solves == designs and sum(g for g, _ in solves) == n
+    assert all(k == ladder.K for _, k in solves)
+    assert len(solves) < n // 10
 
 
 def test_designs_hold_only_their_window(monkeypatch):
