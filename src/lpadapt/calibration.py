@@ -26,7 +26,6 @@ from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .exceptions import CalibrationFailedError, LpAdaptError, ParameterDomainError
 from .fll_selector import pair_statistics, selection_sweep
@@ -45,6 +44,8 @@ def check_r(r: float):
 
 def chi_square_moment(p: int, r: float) -> float:
     """r-th absolute moment of chi^2_p: 2^r Gamma(r + p/2) / Gamma(p/2)."""
+    from scipy.special import gammaln  # local import to keep module load cheap
+
     if p < 1:
         raise ParameterDomainError("p must be >= 1")
     check_r(r)
@@ -57,6 +58,8 @@ def threshold_constant(p: int, r: float) -> float:
     log{ 2^{2r} [Gamma(2r + p/2) Gamma(p/2)]^{1/2} / Gamma(r + p/2) },
     evaluated in log space.
     """
+    from scipy.special import gammaln  # local import to keep module load cheap
+
     return float(
         2.0 * r * math.log(2.0)
         + 0.5 * (gammaln(2.0 * r + p / 2.0) + gammaln(p / 2.0))

@@ -23,11 +23,10 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import eigvalsh
 
 from .exceptions import ParameterDomainError
 
-#: reject a scale when lambda_min(B) < MIN_EIG_RATIO * lambda_max(B)
+#: reject a scale unless lambda_min > MIN_EIG_RATIO * lambda_max for its Jacobi-scaled B (_conditioned)
 MIN_EIG_RATIO = 1e-10
 
 
@@ -198,12 +197,19 @@ class LocalFit:
 def _conditioned(B: np.ndarray, active, p: int) -> np.ndarray:
     """Conditioning gate for stacked information matrices (..., p, p).
 
-    Scale k passes when at least p points carry positive weight and
-    lambda_min(B_k) > MIN_EIG_RATIO * lambda_max(B_k).
+    Scale k passes when at least p points carry positive weight and the
+    Jacobi-scaled matrix S = D^(-1/2) B_k D^(-1/2), D = diag(B_k), has
+    lambda_min(S) > MIN_EIG_RATIO * lambda_max(S).  A diagonal entry <= 0
+    zeroes its row and column of S (1/sqrt(inf) = 0), so that scale fails.
+    A change of the unit of x multiplies a polynomial basis by a diagonal
+    matrix, which this scaling removes, so the gate does not depend on the
+    unit of x.
     """
     if not np.all(np.isfinite(B)):
         raise ParameterDomainError("information matrix is not finite; design points and sigma_model must be finite")
-    eigs = np.linalg.eigvalsh(B)
+    diag = np.diagonal(B, axis1=-2, axis2=-1)
+    s = 1.0 / np.sqrt(np.where(diag > 0, diag, np.inf))
+    eigs = np.linalg.eigvalsh(s[..., :, None] * B * s[..., None, :])
     return (active >= p) & (eigs[..., 0] > MIN_EIG_RATIO * np.maximum(eigs[..., -1], 0.0))
 
 
@@ -290,8 +296,9 @@ class LadderDesign:
     Builds weights, information matrices B_k and the propagators
     D_k = B_k^{-1} Psi W_k for k = 1..K.  Scales are accepted in order and
     the ladder is truncated at the first scale that fails the conditioning
-    gate (at least p weighted points and lambda_min(B_k) > MIN_EIG_RATIO
-    lambda_max(B_k)), so selection indices stay contiguous.
+    gate (at least p weighted points and, after Jacobi scaling of B_k,
+    lambda_min > MIN_EIG_RATIO lambda_max), so selection indices stay
+    contiguous.
 
     The design is stacked_designs and stacked_solve with a batch of one,
     the builder and solver that fit_curve runs on whole chunks of grid
@@ -372,6 +379,8 @@ class LadderDesign:
         Computed from the accepted information matrices, not from nominal
         bandwidth ratios.  For a single scale returns (inf, 1.0) degenerately.
         """
+        from scipy.linalg import eigvalsh  # local import to keep module load cheap
+
         lo, hi = math.inf, 1.0
         for Bprev, Bnext in zip(self.B_list[:-1], self.B_list[1:]):
             vals = eigvalsh(Bnext, Bprev)  # generalized problem, same spectrum as the similarity

@@ -15,7 +15,6 @@ from dataclasses import asdict, dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh, eigvalsh
 
 from .calibration import CriticalValues, chi_square_moment
 from .exceptions import (
@@ -49,6 +48,8 @@ def joint_covariance(d_blocks: Sequence[np.ndarray], variances) -> np.ndarray:
 
 
 def _spd_factor(S: np.ndarray):
+    from scipy.linalg import LinAlgError, cho_factor  # local import to keep module load cheap
+
     try:
         return cho_factor(S, lower=True)
     except LinAlgError as exc:
@@ -96,6 +97,8 @@ class ModelingBias:
 
 def modeling_bias(theta_bars: Sequence[np.ndarray], theta_ref: np.ndarray, Sigma_k: np.ndarray) -> ModelingBias:
     """Bias index Delta(k) and its componentwise counterparts at one k."""
+    from scipy.linalg import cho_solve  # local import to keep module load cheap
+
     bars = np.asarray(theta_bars, dtype=float)
     k, p = bars.shape
     theta_ref = np.asarray(theta_ref, dtype=float)
@@ -181,6 +184,8 @@ def kl_joint(Sigma_k: np.ndarray, Sigma_k0: np.ndarray, Delta_k: float, p: int, 
 
     and the sandwich replaces the matrix terms by their delta-extremes.
     """
+    from scipy.linalg import cho_solve  # local import to keep module load cheap
+
     cf = _spd_factor(Sigma_k)
     _spd_factor(Sigma_k0)  # fail loudly if the true-law matrix is not PD
     sign, logdet_k = np.linalg.slogdet(Sigma_k)
@@ -251,6 +256,8 @@ def componentwise_scale(n: int, h: float, d: int, lambda0: float, sigma_max_sq: 
 
 def lambda0_estimate(B_list: Sequence[np.ndarray], bandwidths, n: int, d: int, sigma_max_sq) -> float:
     """Tightest Lambda_0 with lambda_min(B_k) >= n h_k^d Lambda_0 / sigma_max^2(k)."""
+    from scipy.linalg import eigvalsh  # local import to keep module load cheap
+
     smax = np.asarray(sigma_max_sq, dtype=float)
     vals = [
         eigvalsh(B)[0] * smax[k] / (n * float(bandwidths[k]) ** d)
@@ -265,6 +272,8 @@ def tightest_sj(Sigma_full: np.ndarray, p: int, j: int) -> float:
     Computed as max_k lambda_max(Dg^{1/2} Sigma_{k,j}^{-1} Dg^{1/2}) on the
     leading principal submatrices; a reported diagnostic, not a guarantee.
     """
+    from scipy.linalg import eigvalsh  # local import to keep module load cheap
+
     Sj_full = component_submatrix(Sigma_full, p, j)
     K = Sj_full.shape[0]
     best = 0.0
@@ -288,6 +297,8 @@ def wilks_spectrum(ld: LadderDesign, k: int, sigma_true) -> np.ndarray:
     tr(D_k Psi^T) equals p and that the largest eigenvalue respects the
     1 + delta cap.
     """
+    from scipy.linalg import eigh, eigvalsh  # local import to keep module load cheap
+
     B, psi, w, sig = ld.B_list[k - 1], ld.psi, ld.weights_list[k - 1], ld.sigma_model
     sig0 = np.asarray(sigma_true, dtype=float)
 

@@ -6,8 +6,10 @@ an explicit tolerance.  These are the suites behind the `verify` command;
 the package test suite calls them as well.
 
 The chi-square tail P{chi^2_p >= x} is `scipy.special.chdtrc(p, x)`, the
-function `scipy.stats.chi2.sf` evaluates, so importing this module (and the
-CLI, which imports it) does not load `scipy.stats`.
+function `scipy.stats.chi2.sf` evaluates.  Like the rest of the package,
+this module imports scipy only inside the checks that call it, so importing
+it (or the CLI) loads numpy alone; `verify` loads `scipy.linalg` and
+`scipy.special` on first use, and never `scipy.stats`.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh
-from scipy.special import chdtrc
 
 from .calibration import (
     SelectionEnsemble,
@@ -97,6 +97,8 @@ def check_determinant_identity(seed: int = 11, trials: int = 20) -> CheckResult:
 
 def check_covariance_sandwich(seed: int = 12, trials: int = 12) -> CheckResult:
     """(1-delta) Sigma_k <= Sigma_k0 <= (1+delta) Sigma_k via generalized eigenvalues."""
+    from scipy.linalg import eigvalsh  # local import to keep module load cheap
+
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
@@ -140,6 +142,8 @@ def check_wilks(p: int = 2, replicates: int = 20000, seed: int = 13, kernel: str
 
 def check_domination(delta: float = 0.2, replicates: int = 20000, seed: int = 14) -> CheckResult:
     """P{form >= z} <= P{chi^2_1 >= z/(1+delta)} + 3 SE for z = 1, 2, 4, 8, 16."""
+    from scipy.special import chdtrc  # local import to keep module load cheap
+
     p = 1
     ld, pts = _unit_design(p, 150, 3, 1.6)
     sigma0 = SigmaSpec("sine", 1.0, delta, 0.3).values(pts)
@@ -217,6 +221,8 @@ def _pair_ensemble(delta: float, replicates: int, seed: int):
 
 def check_pair_tail_bounds(replicates: int = 20000, seed: int = 18) -> CheckResult:
     """Pairwise-statistic tails dominated by chi^2 at the growth-bound scales (delta 0.1, p 1, z = 2, 4, 8, 16)."""
+    from scipy.special import chdtrc  # local import to keep module load cheap
+
     p = 1
     ens, scales = _pair_ensemble(0.1, replicates, seed)
     worst = -1.0

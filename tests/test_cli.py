@@ -331,6 +331,25 @@ class TestFreshProcess:
         print("scipy subpackages loaded:", proc.stdout.strip())
         assert proc.returncode == 0, f"lpadapt.cli loaded scipy.stats; scipy subpackages: {proc.stdout.strip()}"
 
+    def test_cli_import_loads_no_scipy(self):
+        code = ("import sys, lpadapt, lpadapt.cli; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        proc = _run_fresh(["-c", code])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]", f"importing lpadapt.cli loaded {proc.stdout.strip()}"
+
+    def test_fit_with_thresholds_loads_no_scipy(self, tmp_path):
+        data_dir = Path(__file__).parent / "data"
+        argv = ["fit", "--data", str(data_dir / "jump_scene.csv"), "--cv", str(data_dir / "jump_cv.json"),
+                "--config", str(data_dir / "jump_config.json"), "--out", str(tmp_path / "fit.csv")]
+        code = ("import sys; from lpadapt import cli; "
+                f"code = cli.main({argv!r}); "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy'))); sys.exit(code)")
+        proc = _run_fresh(["-c", code])
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout.strip() == "[]", f"lpadapt fit loaded {proc.stdout.strip()}"
+        assert len((tmp_path / "fit.csv").read_text().splitlines()) > 2
+
     def test_non_numeric_cv_alpha_exit_code(self, tmp_path):
         # a fresh process, so stderr shows the whole output: one error line and no traceback
         scene, cv, out = tmp_path / "scene.json", tmp_path / "cv.json", tmp_path / "diag.json"

@@ -9,7 +9,8 @@ pairwise form is computed, must be the written-out double sum in both
 triangles, for any batch, and the ensembles' gathers from its table must
 equal the loops over scales they replace.  mc_calibrate draws its noise in
 window coordinates, so design points outside the largest window leave its
-thresholds unchanged.
+thresholds unchanged.  A change of the unit of x, or of y and sigma, changes
+no selection.
 """
 
 from unittest import mock
@@ -129,6 +130,23 @@ def test_scaling_y_and_sigma_scales_theta_only(problem, j):
         assert same(getattr(curve, name), getattr(scaled, name)), name
     for name in ("theta_hat", "fitted_values"):
         assert same(c * getattr(curve, name), getattr(scaled, name)), name
+
+
+@SETTINGS
+@given(curve_problems(), st.integers(-20, 20))
+def test_the_unit_of_x_changes_no_selection(problem, j):
+    """x, the grid and the bandwidths times c = 2**j: the same k_eff, k_hat, first, T and fitted values, bit for bit.
+
+    A polynomial basis scales by a diagonal of powers of c, and so does every B_k; the conditioning gate
+    must not see it.
+    """
+    data, grid, ladder, basis, z = problem
+    c = 2.0**j
+    curve = fit_curve(data, grid, ladder, basis, z)
+    scaled_ladder = ScaleLadder(tuple(c * h for h in ladder.bandwidths), kernel=ladder.kernel)
+    scaled = fit_curve(Dataset(x=c * data.x, y=data.y, sigma=data.sigma), c * grid, scaled_ladder, basis, z)
+    for name in ("k_eff", "k_hat", "first", "T", "fitted_values"):
+        assert same(getattr(curve, name), getattr(scaled, name)), name
 
 
 def literal_rule(T, z, K):

@@ -121,10 +121,10 @@ class TestWindowedEnsemble:
         assert_matches_full_n(one_d_ld(kernel, degree), seed=degree)
 
     def test_truncated_ladder(self):
-        # one far point makes the largest scale fail the conditioning gate
+        # one far point makes the largest scale near-singular, so it fails the conditioning gate
         n = 400
-        pts = np.concatenate([np.linspace(0.0, 1.0, n - 1), [1e4]])
-        ladder = ScaleLadder((0.03, 0.05, 0.08, 0.13, 2e4), kernel="boxcar")
+        pts = np.concatenate([np.linspace(0.0, 1.0, n - 1), [1e6]])
+        ladder = ScaleLadder((0.03, 0.05, 0.08, 0.13, 2e6), kernel="boxcar")
         ld = LadderDesign(Basis.polynomial(2), ladder, pts, 0.5, np.full(n, 0.3))
         assert ld.K_eff == 4 and ld.truncated_at == 5
         assert_matches_full_n(ld, seed=5)
@@ -281,8 +281,8 @@ class TestCalibrationWindow:
     def test_truncated_ladder_keeps_the_accepted_scales(self, kernel):
         # the far point fails scale 5 on the full design; on the window alone it would pass again
         n = 400
-        pts = np.concatenate([np.linspace(0.0, 1.0, n - 1), [1e4]])
-        ladder = ScaleLadder((0.03, 0.05, 0.08, 0.13, 2e4), kernel=kernel)
+        pts = np.concatenate([np.linspace(0.0, 1.0, n - 1), [1e6]])
+        ladder = ScaleLadder((0.03, 0.05, 0.08, 0.13, 2e6), kernel=kernel)
         ld = LadderDesign(Basis.polynomial(2), ladder, pts, 0.5, np.full(n, 0.3))
         assert ld.K_eff == 4 and ld.truncated_at == 5
         cv = self.calibrate(ld)

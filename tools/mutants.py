@@ -1,0 +1,116 @@
+"""Planted-defect survey: which single-line defects does the Tier-1 suite catch?
+
+Each defect is one text replacement (file under src/lpadapt, old text, new
+text).  For each, the repository is copied to a temporary directory (without
+.git), the defect is applied to the copy alone, and the Tier-1 command is run
+there with -x.  The script prints "caught" with the first failing test, or
+"survived".  An unmodified copy is run first; if it fails, nothing is
+surveyed.
+
+    python tools/mutants.py            # every defect
+    python tools/mutants.py M1 gate    # the defects whose names start with these
+
+A full pass costs about one Tier-1 run per surviving defect, so the survey
+stays out of Tier-1.  It exits 1 when a defect survives or its old text is
+no longer in its file.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: (name, file under src/lpadapt, old text, new text); the old text must occur exactly once
+DEFECTS = [
+    ("M1-target-x100", "calibration.py",
+     "target = alpha * chi_square_moment(p, r)\n", "target = alpha * chi_square_moment(p, r) * 100\n"),
+    ("target-div100", "calibration.py",
+     "target = alpha * chi_square_moment(p, r)\n", "target = alpha * chi_square_moment(p, r) / 100\n"),
+    ("validate_pc-passes-all", "calibration.py",
+     "passed=m <= bound * (1.0 + 3.0 * rel)", "passed=True"),
+    ("gap-forms-smaller-scale-B", "calibration.py",
+     "self.T[k, np.minimum(k, khat - 1), np.arange(self.mc)]",
+     "self.T[np.minimum(k, khat - 1), k, np.arange(self.mc)]"),
+    ("analytic-cv-without-log-K-alpha", "calibration.py",
+     "        math.log(K / alpha)\n", "        0.0\n"),
+    ("M5-moments-power-r-half", "calibration.py",
+     "powered = self.gap_forms(z) ** r\n", "powered = self.gap_forms(z) ** (r / 2.0)\n"),
+    ("M6-propagation-exponent", "oracle_diagnostics.py",
+     "(1.0 - delta) ** (-3.0 * pk / 4.0)", "(1.0 - delta) ** (-pk / 4.0)"),
+    ("scipy-import-at-module-level", "local_model.py",
+     "import numpy as np\n\n", "import numpy as np\nfrom scipy.linalg import eigvalsh\n\n"),
+    ("gate-on-unscaled-B", "local_model.py",
+     "np.linalg.eigvalsh(s[..., :, None] * B * s[..., None, :])", "np.linalg.eigvalsh(B)"),
+    ("accept-on-equality", "fll_selector.py",
+     "viol = T[:m, m] > zv[:m, None]", "viol = T[:m, m] >= zv[:m, None]"),
+    ("B-weighted-by-1/sigma", "local_model.py",
+     "(W / sigma[:, None, :] ** 2)", "(W / sigma[:, None, :])"),
+    ("gap-forms-off-by-one", "calibration.py",
+     "np.where(khat > k, 0.0,", "np.where(khat >= k, 0.0,"),
+    ("replicate-j-from-stream-j+1", "calibration.py",
+     '_check_index("replicate", replicate)]', '_check_index("replicate", replicate) + 1]'),
+    ("truncated-ladder-keeps-rejected-scale", "local_model.py",
+     "np.where(passed.all(axis=-1), ladder.K, passed.argmin(axis=-1))",
+     "np.where(passed.all(axis=-1), ladder.K, passed.argmin(axis=-1) + 1)"),
+]
+
+TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
+
+
+def run_tier1(repo: Path) -> tuple[bool, str]:
+    """(passed, first failing test or '') of the Tier-1 command in repo."""
+    # no bytecode cache: a defect and its undo can share a source file's size and mtime second
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(TIER1, cwd=repo, env=env, capture_output=True, text=True, timeout=1800)
+    failed = re.findall(r"^(?:FAILED|ERROR) (\S+)", proc.stdout, flags=re.M)
+    return proc.returncode == 0, failed[0] if failed else (proc.stdout.strip().splitlines() or [""])[-1]
+
+
+def copy_repo(dest: Path) -> Path:
+    repo = dest / "repo"
+    shutil.copytree(ROOT, repo, ignore=shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", ".bench_out"))
+    return repo
+
+
+def main(argv: list[str]) -> int:
+    chosen = [d for d in DEFECTS if not argv or any(d[0].startswith(a) for a in argv)]
+    if not chosen:
+        print(f"no defect matches {argv}", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory(prefix="lpadapt-mutants-") as tmp:
+        repo = copy_repo(Path(tmp))
+        ok, first = run_tier1(repo)
+        if not ok:
+            print(f"the unmodified copy fails Tier-1 ({first or 'see pytest'}); nothing surveyed", file=sys.stderr)
+            return 2
+        bad = 0
+        for name, rel, old, new in chosen:
+            path = repo / "src" / "lpadapt" / rel
+            text = path.read_text()
+            if text.count(old) != 1:
+                print(f"stale     {name}: its old text occurs {text.count(old)} times in {rel}", flush=True)
+                bad += 1
+                continue
+            path.write_text(text.replace(old, new))
+            try:
+                ok, first = run_tier1(repo)
+            finally:
+                path.write_text(text)
+            if ok:
+                print(f"survived  {name}", flush=True)
+                bad += 1
+            else:
+                print(f"caught    {name}: {first}", flush=True)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
