@@ -11,9 +11,11 @@ import argparse
 import contextlib
 import csv
 import hashlib
+import itertools
 import json
 import logging
 import math
+import operator
 import os
 import sys
 from dataclasses import asdict, replace
@@ -40,70 +42,113 @@ EXIT_VERIFY = 4
 
 @contextlib.contextmanager
 def _open_utf8(path: str, newline: str | None = None):
-    """path opened as UTF-8 text; a decoding error while it is read names the file."""
-    with open(path, newline=newline, encoding="utf-8") as fh:
+    """path opened as UTF-8 text without a leading byte-order mark; a decoding error while it is read names the file."""
+    with open(path, newline=newline, encoding="utf-8-sig") as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:
             raise ParameterDomainError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
+#: data rows that ingest_csv holds and converts at a time
+_ROWS = 1024
+
+
 def ingest_csv(path: str) -> Dataset:
     """Read a UTF-8 CSV with columns x (or x1..xd), y, sigma[, sigma_true].
 
+    A leading byte-order mark is skipped, and rows whose cells are all
+    blank are ignored.  A cell is a number when Python's float reads it.
+    The rows are converted _ROWS at a time: one float call per cell through
+    map, then one finiteness check over the block.  Only a block that fails
+    is read again cell by cell, to name its first bad cell.
+
     Non-finite or unparseable cells raise ParseError with the 1-based data
-    row number; absent required columns raise MissingColumnError.
+    row number (blank rows included); absent required columns, or x columns
+    other than x1..xd, raise MissingColumnError.
     """
     with _open_utf8(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise MissingColumnError("empty file: no header row") from None
-        header = [h.strip() for h in header]
-        if "x" in header:
-            x_cols = ["x"]
-        else:
-            x_cols = sorted((h for h in header if h.startswith("x") and h[1:].isdigit()), key=lambda h: int(h[1:]))
-            if not x_cols:
-                raise MissingColumnError("need column 'x' or columns 'x1'..'xd'")
+        x_cols = _x_columns(header)
         for required in ("y", "sigma"):
             if required not in header:
                 raise MissingColumnError(f"missing required column {required!r}")
         has_true = "sigma_true" in header
-        col_idx = {name: header.index(name) for name in x_cols + ["y", "sigma"] + (["sigma_true"] if has_true else [])}
-
-        rows_x, rows_y, rows_s, rows_s0 = [], [], [], []
-        for rownum, row in enumerate(reader, start=1):
-            if not row or all(not c.strip() for c in row):
-                continue
-            parsed = {}
-            for name, idx in col_idx.items():
-                if idx >= len(row):
-                    raise ParseError(rownum, name, "missing value")
-                try:
-                    val = float(row[idx])
-                except ValueError:
-                    raise ParseError(rownum, name, f"not a number: {row[idx]!r}") from None
-                if not math.isfinite(val):
-                    raise ParseError(rownum, name, f"non-finite value {row[idx]!r}")
-                parsed[name] = val
-            rows_x.append([parsed[c] for c in x_cols])
-            rows_y.append(parsed["y"])
-            rows_s.append(parsed["sigma"])
-            if has_true:
-                rows_s0.append(parsed["sigma_true"])
-    if not rows_y:
+        names = x_cols + ["y", "sigma"] + (["sigma_true"] if has_true else [])
+        cols = [header.index(name) for name in names]
+        blocks, start = [], 0
+        while rows := list(itertools.islice(reader, _ROWS)):
+            blocks.append(_convert(rows, start, names, cols))
+            start += len(rows)
+    if not sum(map(len, blocks)):
         raise MissingColumnError("no data rows")
-    x = np.asarray(rows_x, dtype=float)
-    if len(x_cols) == 1:
-        x = x[:, 0]
+    values = np.concatenate(blocks).T  # (len(names), n)
+    d = len(x_cols)
     return Dataset(
-        x=x,
-        y=np.asarray(rows_y),
-        sigma=np.asarray(rows_s),
-        sigma_true=np.asarray(rows_s0) if has_true else None,
+        x=values[0].copy() if d == 1 else values[:d].T.copy(),
+        y=values[d].copy(),
+        sigma=values[d + 1].copy(),
+        sigma_true=values[d + 2].copy() if has_true else None,
     )
+
+
+def _x_columns(header: list[str]) -> list[str]:
+    """The design columns of a header: x, or else x1..xd, which must all be there."""
+    if "x" in header:
+        return ["x"]
+    x_cols = sorted((h for h in header if h.startswith("x") and h[1:].isdigit()), key=lambda h: int(h[1:]))
+    if not x_cols:
+        raise MissingColumnError("need column 'x' or columns 'x1'..'xd'")
+    numbers = {int(h[1:]) for h in x_cols}
+    for j in range(1, len(x_cols) + 1):
+        if j not in numbers:
+            raise MissingColumnError(f"missing column 'x{j}': the x columns must be x1..xd without a gap, got {x_cols}")
+    return x_cols
+
+
+def _convert(rows: list[list[str]], start: int, names: list[str], cols: list[int]) -> np.ndarray:
+    """(m, len(names)) values of the cells cols of the m non-blank rows; rows are data rows start + 1, ...
+
+    A blank row fails the first conversion, so the blank rows are dropped
+    and the rest converted again.  When a conversion still fails, or a
+    value is not finite, the per-cell pass of _bad_cell names the error.
+    """
+    pick = operator.itemgetter(*cols)  # at least x, y and sigma, so always a tuple
+    values = _floats(rows, pick)
+    if values is None:
+        values = _floats([row for row in rows if any(cell.strip() for cell in row)], pick)
+    if values is None or not np.isfinite(values).all():
+        raise _bad_cell(rows, start, names, cols)
+    return values.reshape(-1, len(cols))
+
+
+def _floats(rows: list[list[str]], pick) -> np.ndarray | None:
+    """The cells pick of rows, row after row, as one float array; None when a row is short or a cell is not a number."""
+    try:
+        return np.array(list(map(float, itertools.chain.from_iterable(map(pick, rows)))))
+    except (IndexError, ValueError):
+        return None
+
+
+def _bad_cell(rows: list[list[str]], start: int, names: list[str], cols: list[int]) -> ParseError:
+    """The ParseError of the first bad cell of rows in reading order, the rows numbered from start + 1."""
+    for rownum, row in enumerate(rows, start=start + 1):
+        if not any(cell.strip() for cell in row):
+            continue
+        for name, idx in zip(names, cols):
+            if idx >= len(row):
+                return ParseError(rownum, name, "missing value")
+            try:
+                val = float(row[idx])
+            except ValueError:
+                return ParseError(rownum, name, f"not a number: {row[idx]!r}")
+            if not math.isfinite(val):
+                return ParseError(rownum, name, f"non-finite value {row[idx]!r}")
+    raise AssertionError("a block that failed to convert has no bad cell")
 
 
 def _load_config(path: str | None) -> dict:
@@ -302,34 +347,34 @@ def cmd_fit(args) -> int:
     cv = _critical_values(args, cfg, basis, ladder, data.sigma, data.x, x_ref, _option(cfg, "seed", 0, int, args.seed))
 
     points = fit_curve(data, data.x, ladder, basis, cv)
-    header_cols = (["x"] if data.d == 1 else [f"x{i + 1}" for i in range(data.d)]) + [
-        "f_hat",
-        "k_hat",
-        "k_eff",
-    ] + [f"theta_{j + 1}" for j in range(basis.p)] + ["error"]
-    lines = [_provenance_line(cfg, cv.seed), ",".join(header_cols)]
-    columns = zip(points.x.tolist(), points.fitted_values.tolist(), points.k_hat.tolist(),
-                  points.k_eff.tolist(), points.theta_hat.tolist())
-    for x, f_hat, k_hat, k_eff, theta in columns:
-        cells = [repr(v) for v in x]
-        if k_eff:
-            cells += [repr(f_hat), str(k_hat), str(k_eff)] + [repr(v) for v in theta] + [""]
-        else:
-            cells += ["", "", "0"] + [""] * basis.p + ["singular design at every scale"]
-        lines.append(",".join(cells))
-    _write_text(args.out, "\n".join(lines) + "\n")
+    x_names = ["x"] if data.d == 1 else [f"x{i + 1}" for i in range(data.d)]
+    header = ",".join(x_names + ["f_hat", "k_hat", "k_eff"] + [f"theta_{j + 1}" for j in range(basis.p)] + ["error"])
+    row = ",".join(["%r"] * data.d + ["%r", "%d", "%d"] + ["%r"] * basis.p + [""])
+    failed = ",".join(["%r"] * data.d + ["", "", "0"] + [""] * basis.p + ["singular design at every scale"])
+    lines = _rows(row, failed, [*points.x.T, points.fitted_values, points.k_hat, points.k_eff, *points.theta_hat.T],
+                  points.k_eff, data.d)
+    _write_text(args.out, "\n".join([_provenance_line(cfg, cv.seed), header, *lines, ""]))
 
     if args.grid:  # one-dimensional data, checked above
         grid = np.linspace(float(data.x.min()), float(data.x.max()), args.grid)
         gpoints = fit_curve(data, grid, ladder, basis, cv)
-        glines = [_provenance_line(cfg, cv.seed), "x,f_hat,k_hat"]
-        columns = zip(gpoints.x[:, 0].tolist(), gpoints.fitted_values.tolist(), gpoints.k_hat.tolist(),
-                      gpoints.k_eff.tolist())
-        glines += [f"{x!r},{f_hat!r},{k_hat}" if k_eff else f"{x!r},," for x, f_hat, k_hat, k_eff in columns]
+        glines = _rows("%r,%r,%d", "%r,,", [gpoints.x[:, 0], gpoints.fitted_values, gpoints.k_hat], gpoints.k_eff, 1)
         gpath = (os.path.splitext(args.out)[0] + "_grid.csv") if args.out else None
-        _write_text(gpath, "\n".join(glines) + "\n")
+        _write_text(gpath, "\n".join([_provenance_line(cfg, cv.seed), "x,f_hat,k_hat", *glines, ""]))
     log.info("fit %d points (%d failed)", points.k_eff.size, int(np.count_nonzero(points.k_eff == 0)))
     return EXIT_OK
+
+
+def _rows(row: str, failed: str, columns: list[np.ndarray], k_eff: np.ndarray, d: int) -> list[str]:
+    """One line per point: row % (its value in each column), or failed % (its d coordinates) where k_eff is 0.
+
+    %r writes a float as repr does and %d an integer as str does.
+    """
+    values = [c.tolist() for c in columns]
+    lines = list(map(row.__mod__, zip(*values)))
+    for g in np.flatnonzero(k_eff == 0).tolist():
+        lines[g] = failed % tuple(v[g] for v in values[:d])
+    return lines
 
 
 def cmd_simulate(args) -> int:

@@ -23,6 +23,10 @@ from .exceptions import ParameterDomainError
 from .local_model import Basis, LocalFit, ScaleLadder, stacked_designs, stacked_solve
 
 
+#: byte cap on pair_statistics' (N, rows, K, p) differences; sets how many rows of T one pass forms
+_PAIR_BYTES = 2**16
+
+
 def pair_statistics(theta: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Every pairwise form from fits theta (N, K, p) and matrices B (N or 1, K, p, p).
 
@@ -31,17 +35,21 @@ def pair_statistics(theta: np.ndarray, B: np.ndarray) -> np.ndarray:
     it (B of the smaller scale), the moment-condition forms below it (B of
     the larger scale).  Each form is the double sum of d_i B_ij d_j over i,
     then j, from 0, in elementwise arithmetic, so it rounds the same for any
-    N and for a shared (N = 1) or a stacked B.
+    N and for a shared (N = 1) or a stacked B.  Rows l are formed a block at
+    a time, as many as keep the (N, rows, K, p) differences within
+    _PAIR_BYTES: all K for a chunk of grid points, one for a large ensemble.
     """
     N, K, p = theta.shape
     T = np.empty((K, K, N))
-    for l in range(K):  # row by row, so temporaries stay (N, K) whatever the batch
-        d = theta[:, l : l + 1] - theta  # (N, K, p), d_m = theta_l - theta_m
-        forms = np.zeros((N, K))
+    rows = max(1, min(K, _PAIR_BYTES // max(8 * N * K * p, 1)))
+    for a in range(0, K, rows):
+        b = min(a + rows, K)
+        d = theta[:, a:b, None] - theta[:, None]  # (N, b - a, K, p), d[:, l - a, m] = theta_l - theta_m
+        forms = np.zeros(d.shape[:-1])
         for i in range(p):
             for j in range(p):
-                forms += d[..., i] * B[:, l, i, j, None] * d[..., j]
-        T[l] = np.maximum(forms, 0.0).T
+                forms += d[..., i] * B[:, a:b, i, j, None] * d[..., j]
+        T[a:b] = np.maximum(forms, 0.0).transpose(1, 2, 0)
     T[np.arange(K), np.arange(K)] = np.nan
     return T
 

@@ -17,6 +17,7 @@ not kept, and no explicit inverse is formed.
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -28,6 +29,8 @@ from .exceptions import ParameterDomainError
 
 #: reject a scale unless lambda_min > MIN_EIG_RATIO * lambda_max for its Jacobi-scaled B (_conditioned)
 MIN_EIG_RATIO = 1e-10
+#: relative margin by which _conditioned's Gershgorin bounds must clear MIN_EIG_RATIO to skip eigvalsh
+_GATE_MARGIN = 1e-12
 
 
 def kernel_profile(kind: str, t: np.ndarray) -> np.ndarray:
@@ -204,13 +207,33 @@ def _conditioned(B: np.ndarray, active, p: int) -> np.ndarray:
     A change of the unit of x multiplies a polynomial basis by a diagonal
     matrix, which this scaling removes, so the gate does not depend on the
     unit of x.
+
+    Gershgorin's discs bound the spectrum of S to [lo, hi], the least
+    S_ii - R_i and the largest S_ii + R_i with R_i = sum_{j != i} |S_ij|.
+    A scale with lo > (MIN_EIG_RATIO + _GATE_MARGIN * p) hi passes
+    without an eigenvalue call.  LAPACK's eigenvalues of S are exact for a
+    matrix within c p eps ||S|| of S, c a small constant, so by Weyl's
+    inequality they lie that close to the exact ones; ||S|| <= hi, and the
+    margin 1e-12 p hi is about 4500 p eps hi, so eigvalsh would pass the
+    scale too.  Only the other scales with at least p active points go to
+    eigvalsh.
     """
     if not np.all(np.isfinite(B)):
         raise ParameterDomainError("information matrix is not finite; design points and sigma_model must be finite")
     diag = np.diagonal(B, axis1=-2, axis2=-1)
     s = 1.0 / np.sqrt(np.where(diag > 0, diag, np.inf))
-    eigs = np.linalg.eigvalsh(s[..., :, None] * B * s[..., None, :])
-    return (active >= p) & (eigs[..., 0] > MIN_EIG_RATIO * np.maximum(eigs[..., -1], 0.0))
+    S = s[..., :, None] * B * s[..., None, :]
+    # disc i has centre S_ii and radius R_i; loops over p, as numpy reduces a length-p axis slowly
+    discs = [(S[..., i, i], sum(np.abs(S[..., i, j]) for j in range(p) if j != i)) for i in range(p)]
+    lo = functools.reduce(np.minimum, [centre - radius for centre, radius in discs])
+    hi = functools.reduce(np.maximum, [centre + radius for centre, radius in discs])
+    usable = active >= p
+    passed = usable & (lo > (MIN_EIG_RATIO + _GATE_MARGIN * p) * hi)
+    rest = usable & ~passed
+    if rest.any():
+        eigs = np.linalg.eigvalsh(S[rest])
+        passed[rest] = eigs[:, 0] > MIN_EIG_RATIO * np.maximum(eigs[:, -1], 0.0)
+    return passed
 
 
 def is_nested_binary(weights_list: Sequence[np.ndarray]) -> bool:
@@ -259,7 +282,8 @@ def stacked_solve(B: np.ndarray, PW: np.ndarray, k_gate: np.ndarray) -> tuple[np
     elementwise array operations over all (ladder, scale) pairs, in the
     order of LAPACK's potf2 and OpenBLAS's trsm: a pivot is a square root,
     and columns and solves multiply by its reciprocal.  So each slice rounds
-    the same whatever else is in the stack.
+    the same whatever else is in the stack.  Every solve step writes its
+    result straight into D (out=), through one scratch (..., K, L) product.
 
     Returns D (..., K, p, L), each (p, L) slice in Fortran order as LAPACK's
     potrs leaves it, and k_gate lowered to the first scale whose pivot is not
@@ -277,16 +301,17 @@ def stacked_solve(B: np.ndarray, PW: np.ndarray, k_gate: np.ndarray) -> tuple[np
         for i in range(j + 1, p):
             C[..., i, j] = (B[..., i, j] - sum(C[..., i, k] * C[..., j, k] for k in range(j))) * rinv[..., j]
     D = np.empty(PW.shape[:-2] + PW.shape[-1:] + PW.shape[-2:-1]).swapaxes(-1, -2)
+    prod = np.empty(PW.shape[:-2] + PW.shape[-1:])  # one term D_k C_ik at a time
     for i in range(p):  # C Y = PW, Y into D
-        acc = PW[..., i, :]
+        Di, acc = D[..., i, :], PW[..., i, :]
         for k in range(i):
-            acc = acc - D[..., k, :] * C[..., i, k, None]
-        D[..., i, :] = acc * rinv[..., i, None]
+            acc = np.subtract(acc, np.multiply(D[..., k, :], C[..., i, k, None], out=prod), out=Di)
+        np.multiply(acc, rinv[..., i, None], out=Di)
     for i in reversed(range(p)):  # C^T D = Y
-        acc = D[..., i, :]
+        Di = D[..., i, :]
         for k in range(p - 1, i, -1):
-            acc = acc - D[..., k, :] * C[..., k, i, None]
-        D[..., i, :] = acc * rinv[..., i, None]
+            np.subtract(Di, np.multiply(D[..., k, :], C[..., k, i, None], out=prod), out=Di)
+        np.multiply(Di, rinv[..., i, None], out=Di)
     return D, np.where(ok.all(axis=-1), K, ok.argmin(axis=-1))
 
 

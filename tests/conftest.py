@@ -1,3 +1,4 @@
+import csv
 import math
 import os
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from lpadapt.exceptions import ParameterDomainError
+from lpadapt.exceptions import MissingColumnError, ParameterDomainError, ParseError
 from lpadapt.local_model import Basis, LadderDesign, ScaleLadder
 
 # HYPOTHESIS_PROFILE=deep runs 1000 examples per property, outside Tier-1, from the seed that
@@ -75,3 +76,72 @@ def z_second_moment_homogeneous(p: int, k: int, sigma: float, sigma0: float, Del
         raise ParameterDomainError("second moment diverges: need sigma0^2 < 2 sigma^2")
     pk = p * k
     return float((1.0 / rho) ** pk * (rho / (2.0 - rho)) ** (pk / 2.0) * math.exp(Delta_k / (2.0 - rho)))
+
+
+def ingest_cells(path):
+    """The per-cell CSV reader that lpadapt.cli.ingest_csv replaced, kept as its oracle.
+
+    One float() and one isfinite() per cell, row by row, in reading order.
+    Returns the arrays (x, y, sigma, sigma_true or None) that it handed to
+    Dataset, or raises the ParseError of the first bad cell.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader)]
+        if "x" in header:
+            x_cols = ["x"]
+        else:
+            x_cols = sorted((h for h in header if h.startswith("x") and h[1:].isdigit()), key=lambda h: int(h[1:]))
+            if not x_cols:
+                raise MissingColumnError("need column 'x' or columns 'x1'..'xd'")
+        has_true = "sigma_true" in header
+        col_idx = {name: header.index(name) for name in x_cols + ["y", "sigma"] + (["sigma_true"] if has_true else [])}
+        rows_x, rows_y, rows_s, rows_s0 = [], [], [], []
+        for rownum, row in enumerate(reader, start=1):
+            if not row or all(not c.strip() for c in row):
+                continue
+            parsed = {}
+            for name, idx in col_idx.items():
+                if idx >= len(row):
+                    raise ParseError(rownum, name, "missing value")
+                try:
+                    val = float(row[idx])
+                except ValueError:
+                    raise ParseError(rownum, name, f"not a number: {row[idx]!r}") from None
+                if not math.isfinite(val):
+                    raise ParseError(rownum, name, f"non-finite value {row[idx]!r}")
+                parsed[name] = val
+            rows_x.append([parsed[c] for c in x_cols])
+            rows_y.append(parsed["y"])
+            rows_s.append(parsed["sigma"])
+            if has_true:
+                rows_s0.append(parsed["sigma_true"])
+    x = np.asarray(rows_x, dtype=float)
+    if len(x_cols) == 1:
+        x = x[:, 0]
+    return x, np.asarray(rows_y), np.asarray(rows_s), np.asarray(rows_s0) if has_true else None
+
+
+def fit_lines_cells(points, d: int, p: int) -> list[str]:
+    """Header and data rows of lpadapt fit's output for a CurveFit, built cell by cell as cmd_fit once built them.
+
+    The oracle of cmd_fit's row templates.
+    """
+    header = (["x"] if d == 1 else [f"x{i + 1}" for i in range(d)]) + ["f_hat", "k_hat", "k_eff"]
+    lines = [",".join(header + [f"theta_{j + 1}" for j in range(p)] + ["error"])]
+    columns = zip(points.x.tolist(), points.fitted_values.tolist(), points.k_hat.tolist(),
+                  points.k_eff.tolist(), points.theta_hat.tolist())
+    for x, f_hat, k_hat, k_eff, theta in columns:
+        cells = [repr(v) for v in x]
+        if k_eff:
+            cells += [repr(f_hat), str(k_hat), str(k_eff)] + [repr(v) for v in theta] + [""]
+        else:
+            cells += ["", "", "0"] + [""] * p + ["singular design at every scale"]
+        lines.append(",".join(cells))
+    return lines
+
+
+def grid_lines_cells(points) -> list[str]:
+    """Header and rows of fit's --grid output for a one-dimensional CurveFit, as cmd_fit once formatted them."""
+    columns = zip(points.x[:, 0].tolist(), points.fitted_values.tolist(), points.k_hat.tolist(), points.k_eff.tolist())
+    return ["x,f_hat,k_hat"] + [f"{x!r},{f_hat!r},{k_hat}" if k_eff else f"{x!r},," for x, f_hat, k_hat, k_eff in columns]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lpadapt import fll_selector
 from lpadapt.dataset import Dataset
 from lpadapt.fll_selector import (
     adaptive_estimate,
@@ -18,6 +19,47 @@ def _fits_from_thetas(thetas, B=None):
     p = len(thetas[0])
     B = np.eye(p) if B is None else B
     return [LocalFit(theta=np.asarray(t, dtype=float), B=B, k=i + 1) for i, t in enumerate(thetas)]
+
+
+def _pair_statistics_by_row(theta, B):
+    """pair_statistics as it was before rows were grouped: one row l of the table per pass."""
+    N, K, p = theta.shape
+    T = np.empty((K, K, N))
+    for l in range(K):
+        d = theta[:, l : l + 1] - theta
+        forms = np.zeros((N, K))
+        for i in range(p):
+            for j in range(p):
+                forms += d[..., i] * B[:, l, i, j, None] * d[..., j]
+        T[l] = np.maximum(forms, 0.0).T
+    T[np.arange(K), np.arange(K)] = np.nan
+    return T
+
+
+def _pair_inputs(rng, N, K, p, shared):
+    theta = rng.standard_normal((N, K, p)) * 10.0 ** rng.integers(-3, 4, (1, K, p))
+    A = rng.standard_normal((1 if shared else N, K, p, p))
+    return theta, A @ A.swapaxes(-1, -2) + 1e-3 * np.eye(p)
+
+
+class TestPairStatisticsRowBlocks:
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared-B", "stacked-B"])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 5])
+    def test_any_row_grouping_equals_one_row_at_a_time(self, rng, monkeypatch, shared, rows):
+        N, K, p = 37, 5, 3
+        monkeypatch.setattr(fll_selector, "_PAIR_BYTES", rows * 8 * N * K * p)
+        theta, B = _pair_inputs(rng, N, K, p, shared)
+        assert np.array_equal(pair_statistics(theta, B), _pair_statistics_by_row(theta, B), equal_nan=True)
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared-B", "stacked-B"])
+    @pytest.mark.parametrize("N", [1, 64, 1000, 5000])
+    def test_default_cap_equals_one_row_at_a_time(self, rng, shared, N):
+        """N = 64 (a fit_curve chunk) takes all K = 6 rows at once; 1000 and more replicates keep one row."""
+        K, p = 6, 2
+        assert (8 * N * K * p * K <= fll_selector._PAIR_BYTES) == (N <= 64)
+        assert (8 * N * K * p < fll_selector._PAIR_BYTES) == (N < 1000)
+        theta, B = _pair_inputs(rng, N, K, p, shared)
+        assert np.array_equal(pair_statistics(theta, B), _pair_statistics_by_row(theta, B), equal_nan=True)
 
 
 class TestFllStatistic:

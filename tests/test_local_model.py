@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
+from lpadapt import local_model as lm
 from lpadapt.dataset import Dataset
 from lpadapt.exceptions import ParameterDomainError
 from lpadapt.fll_selector import fit_curve
 from lpadapt.local_model import (
+    MIN_EIG_RATIO,
     Basis,
     LadderDesign,
     NoiseModel,
@@ -476,3 +478,79 @@ class TestStackedSolve:
         keep = np.ones((4, 5), dtype=bool)
         keep[1, 2] = False
         assert np.array_equal(D[keep], clean[keep])
+
+
+def _plain_gate(B, active, p):
+    """The conditioning gate with every scale decided by eigvalsh, as before the Gershgorin accept."""
+    diag = np.diagonal(B, axis1=-2, axis2=-1)
+    s = 1.0 / np.sqrt(np.where(diag > 0, diag, np.inf))
+    eigs = _EIGVALSH(s[..., :, None] * B * s[..., None, :])
+    return (active >= p) & (eigs[..., 0] > MIN_EIG_RATIO * np.maximum(eigs[..., -1], 0.0))
+
+
+_EIGVALSH = np.linalg.eigvalsh
+
+
+def _with_ratio(rng, p, ratio):
+    """A p x p information matrix whose Jacobi-scaled form has eigenvalues 1 - rho, 1 (p - 2 times), 1 + rho.
+
+    lambda_min / lambda_max = ratio, and Gershgorin's discs bound the
+    spectrum exactly.  Rows and columns are permuted and scaled by random
+    powers of ten, which the Jacobi scaling removes.
+    """
+    rho = (1.0 - ratio) / (1.0 + ratio) * rng.choice([-1.0, 1.0])
+    S = np.eye(p)
+    S[0, 1] = S[1, 0] = rho
+    perm = rng.permutation(p)
+    scale = 10.0 ** rng.uniform(-4.0, 4.0, p)
+    return scale[:, None] * S[np.ix_(perm, perm)] * scale[None, :]
+
+
+class TestGershgorinAccept:
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_same_decisions_as_eigvalsh_at_the_threshold(self, rng, monkeypatch, p):
+        fast = MIN_EIG_RATIO + lm._GATE_MARGIN * p  # the Gershgorin accept needs lo / hi above this
+        v = 10.0 ** rng.uniform(-3.0, 3.0, p)
+        A = rng.standard_normal((p, p - 1)) * v[:, None]
+        zero_row = _with_ratio(rng, p, 0.5)
+        zero_row[0, :] = zero_row[:, 0] = 0.0
+        cases = [  # (B, active, passes, decided by eigvalsh)
+            (_with_ratio(rng, p, 0.5), p, True, False),
+            (_with_ratio(rng, p, 1e-3), p, True, False),
+            (_with_ratio(rng, p, fast * (1.0 + 1e-3)), p, True, False),
+            (_with_ratio(rng, p, fast * (1.0 - 1e-3)), p, True, True),
+            (_with_ratio(rng, p, MIN_EIG_RATIO * (1.0 + 1e-3)), p, True, True),
+            (_with_ratio(rng, p, MIN_EIG_RATIO * (1.0 - 1e-3)), p, False, True),
+            (_with_ratio(rng, p, 1e-14), p, False, True),
+            (np.outer(v, v), p, False, True),  # exactly singular, positive diagonal
+            (A @ A.T, p, False, True),  # rank p - 1
+            (zero_row, p, False, True),
+            (_with_ratio(rng, p, 0.5), p - 1, False, False),  # too few active points
+        ]
+        B = np.stack([c[0] for c in cases])[None]
+        active = np.array([[c[1] for c in cases]])
+        seen = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda S: seen.append(len(S)) or _EIGVALSH(S))
+        passed = lm._conditioned(B, active, p)
+        assert passed[0].tolist() == [c[2] for c in cases]
+        assert np.array_equal(passed, _plain_gate(B, active, p))
+        assert seen == [sum(c[3] for c in cases)]
+
+    def test_well_conditioned_stack_makes_no_eigenvalue_call(self, rng, monkeypatch):
+        B = np.stack([[_with_ratio(rng, 3, r) for r in (0.9, 0.1, 1e-4)] for _ in range(8)])
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda S: pytest.fail("eigvalsh called"))
+        assert lm._conditioned(B, np.full((8, 3), 10), 3).all()
+
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_designs_gate_alike(self, rng, degree):
+        """The gate of stacked_designs on real windows, a duplicated point included, against eigvalsh alone."""
+        basis = Basis.polynomial(degree)
+        pts = np.sort(rng.uniform(0.0, 1.0, 60))
+        pts[30:34] = pts[30]  # a cluster of equal points: small windows there are singular
+        ladder = ScaleLadder.geometric(0.002, 6, growth=2.0)
+        centres = pts[::3, None]
+        points = np.broadcast_to(pts[None, :, None], (len(centres), 60, 1))
+        _, W, _, B, k_gate = stacked_designs(basis, ladder, points, centres, np.ones((len(centres), 60)))
+        plain = _plain_gate(B, np.count_nonzero(W > 0, axis=-1), basis.p)
+        assert np.array_equal(k_gate, np.where(plain.all(axis=-1), ladder.K, plain.argmin(axis=-1)))
+        assert 0 < np.count_nonzero(k_gate < ladder.K)

@@ -47,7 +47,13 @@ DEFECTS = [
     ("scipy-import-at-module-level", "local_model.py",
      "import numpy as np\n\n", "import numpy as np\nfrom scipy.linalg import eigvalsh\n\n"),
     ("gate-on-unscaled-B", "local_model.py",
-     "np.linalg.eigvalsh(s[..., :, None] * B * s[..., None, :])", "np.linalg.eigvalsh(B)"),
+     "S = s[..., :, None] * B * s[..., None, :]\n", "S = B\n"),
+    ("gate-accept-without-radius", "local_model.py",
+     "sum(np.abs(S[..., i, j]) for j in range(p) if j != i)", "0.0"),
+    ("ingest-without-finiteness-check", "cli.py",
+     "if values is None or not np.isfinite(values).all():", "if values is None:"),
+    ("pair-rows-B-offset-off-by-one", "fll_selector.py",
+     "B[:, a:b, i, j, None]", "B[:, a + 1 : b + 1, i, j, None]"),
     ("accept-on-equality", "fll_selector.py",
      "viol = T[:m, m] > zv[:m, None]", "viol = T[:m, m] >= zv[:m, None]"),
     ("B-weighted-by-1/sigma", "local_model.py",
