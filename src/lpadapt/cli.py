@@ -235,6 +235,7 @@ def _ladder_from_config(cfg: dict, p: int, args, span: float = 1.0, n: int = 200
     h1 = _option(lcfg, "h1", default_h1(n, p, span, d))
     K = _option(lcfg, "K", default_K, int, args.K)
     if K is None:
+        ScaleLadder.geometric(h1, 1, growth=growth)  # rejects a bad h1 or growth before the count below uses them
         K = max(2, min(8, int(math.floor(math.log(max(span / 2.0 / h1, growth)) / math.log(growth))) + 1))
     return ScaleLadder.geometric(h1, K, growth=growth, kernel=kernel)
 

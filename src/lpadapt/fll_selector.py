@@ -58,6 +58,8 @@ def _thresholds(z, K: int) -> np.ndarray:
     zv = np.asarray(getattr(z, "z", z), dtype=float)
     if zv.size < K - 1:
         raise ParameterDomainError(f"need at least {K - 1} thresholds for K={K} scales, got {zv.size}")
+    if not np.all(zv > 0):  # NaN fails too; +inf, a threshold that never stops, passes
+        raise ParameterDomainError("thresholds must be positive and not NaN")
     return zv
 
 
@@ -195,6 +197,7 @@ def fit_curve(data: Dataset, x_grid, ladder: ScaleLadder, basis: Basis, cv) -> C
         raise ParameterDomainError("grid has non-finite entries")
     if np.any(data.sigma <= 0):
         raise ParameterDomainError("model standard deviations must be positive")
+    zv = _thresholds(cv, 1)  # checked here too, for a grid where no point reaches the sweep
 
     xs, y, sigma = data.x, data.y, data.sigma
     key = xs if xs.ndim == 1 else xs[:, 0]
@@ -226,7 +229,7 @@ def fit_curve(data: Dataset, x_grid, ladder: ScaleLadder, basis: Basis, cv) -> C
             theta[idx] = fits
             T[:, :, idx] = pair_statistics(fits, B)
     K_max = int(k_eff.max(initial=0))
-    k_hat, first = selection_sweep(T[:K_max, :K_max], cv, k_eff) if K_max else (k_eff.copy(), np.zeros((G, 2), dtype=int))
+    k_hat, first = selection_sweep(T[:K_max, :K_max], zv, k_eff) if K_max else (k_eff.copy(), np.zeros((G, 2), dtype=int))
     theta_hat = theta[np.arange(G), k_hat - 1]
     psi0 = basis.evaluate(np.zeros(basis.dim))
     fitted = (theta_hat[:, None, :] @ psi0[:, None])[:, 0, 0]  # stacked one-row products

@@ -111,15 +111,15 @@ class ScaleLadder:
         h = np.asarray(self.bandwidths, dtype=float)
         if h.ndim != 1 or h.size < 1:
             raise ParameterDomainError("ladder needs at least one bandwidth")
-        if np.any(h <= 0) or np.any(np.diff(h) <= 0):
-            raise ParameterDomainError("bandwidths must be positive and strictly increasing")
+        if not np.all(np.isfinite(h)) or np.any(h <= 0) or np.any(np.diff(h) <= 0):
+            raise ParameterDomainError("bandwidths must be finite, positive and strictly increasing")
         if self.kernel not in KERNELS:
             raise ParameterDomainError(f"unknown kernel {self.kernel!r}; choose one of {KERNELS}")
 
     @classmethod
     def geometric(cls, h1: float, K: int, growth: float = 1.25, kernel: str = "boxcar") -> "ScaleLadder":
-        if growth <= 1.0:
-            raise ParameterDomainError("growth factor must exceed 1")
+        if not 1.0 < growth < math.inf:  # NaN fails too
+            raise ParameterDomainError("growth factor must be finite and exceed 1")
         if K < 1:
             raise ParameterDomainError("K must be >= 1")
         return cls(tuple(h1 * growth**j for j in range(K)), kernel=kernel)

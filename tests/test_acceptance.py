@@ -19,16 +19,15 @@ from lpadapt.calibration import (
     validate_pc,
 )
 from lpadapt.local_model import Basis, LadderDesign, ScaleLadder, default_h1
-from lpadapt.oracle_diagnostics import (
-    boxcar_determinant,
-    joint_covariance,
-    kl_joint,
-    bias_profile,
-    oracle_risk_bound,
-    wilks_spectrum,
-)
+from lpadapt.oracle_diagnostics import oracle_risk_bound, wilks_spectrum
 from lpadapt.sim_harness import Scene, SigmaSpec, delta_sweep, risk_experiment
-from lpadapt.verification import _random_boxcar_scene, _wilks_forms
+from lpadapt.verification import (
+    _unit_design,
+    _wilks_forms,
+    check_determinant_identity,
+    check_kl_sandwich,
+    check_wilks,
+)
 
 
 def _report(tag: str, passed: bool, detail: str):
@@ -73,25 +72,12 @@ def test_A2_theoretical_conservative(a1_setup):
 
 
 def test_A3_wilks_identity():
-    n, reps = 120, 100000
-    worst_gap, worst_dev = 0.0, 0.0
+    results = []
     for p in (1, 2, 3):
-        basis = Basis.polynomial(p - 1)
-        pts = np.linspace(0.0, 1.0, n)
-        ladder = ScaleLadder.geometric(default_h1(n, p), 3, growth=1.6, kernel="boxcar")
-        sigma = np.ones(n)
-        ld = LadderDesign(basis, ladder, pts, 0.5, sigma)
-        k = ld.K_eff
-        lam = wilks_spectrum(ld, k, sigma)
-        gap = float(np.max(np.abs(lam - 1.0)))
-        worst_gap = max(worst_gap, gap)
-        assert lam.size == p
-        forms = _wilks_forms(ld, sigma, k, reps, seed=160 + p)
-        se = forms.std(ddof=1) / math.sqrt(reps)
-        dev = abs(forms.mean() - p) / se
-        worst_dev = max(worst_dev, dev)
-    ok = worst_gap <= 1e-10 and worst_dev <= 4.0
-    _report("A3", ok, f"max |eig - 1| = {worst_gap:.2e} (tol 1e-10); worst MC-mean deviation {worst_dev:.2f} SE (tol 4)")
+        ld, _ = _unit_design(p, 120, 3, 1.6)  # the design check_wilks builds
+        assert wilks_spectrum(ld, ld.K_eff, ld.sigma_model).size == p
+        results.append(check_wilks(p=p, replicates=100000, seed=160 + p))
+    _report("A3", all(r.passed for r in results), "; ".join(f"p={p}: {r.detail}" for p, r in zip((1, 2, 3), results)))
 
 
 def test_A4_chi_square_domination():
@@ -150,47 +136,13 @@ def test_A5_oracle_bound_domination(jump_setup):
 
 
 def test_A6_determinant_identity():
-    rng = np.random.default_rng(606)
-    worst = 0.0
-    scenes = 0
-    combos = [(p, k) for p in (1, 2, 3) for k in (2, 3, 4)]
-    while scenes < 50:
-        p, k = combos[scenes % len(combos)]
-        basis, ladder, pts, x, sigma = _random_boxcar_scene(rng, p, k, n=70)
-        ld = LadderDesign(basis, ladder, pts, x, sigma)
-        if ld.K_eff < k:
-            continue
-        formula = boxcar_determinant(ld.B_list, ld.weights_list)
-        dense = float(np.linalg.det(joint_covariance(ld.D_list, sigma**2)))
-        worst = max(worst, abs(formula - dense) / abs(dense))
-        scenes += 1
-    _report("A6", worst <= 1e-8, f"50 scenes over (p,k) in {{1,2,3}}x{{2,3,4}}; worst relative error {worst:.2e} (tol 1e-8)")
+    result = check_determinant_identity(seed=606, trials=50)
+    _report("A6", result.passed, result.detail)
 
 
 def test_A7_kl_sandwich():
-    rng = np.random.default_rng(707)
-    violations = 0
-    worst = -math.inf
-    for trial in range(100):
-        p = int(rng.integers(1, 3))
-        k = int(rng.integers(2, 5))
-        basis, ladder, pts, x, sigma = _random_boxcar_scene(rng, p, k, n=60)
-        delta = float(rng.uniform(0.0, 0.3))
-        sigma0 = sigma * np.sqrt(1.0 + delta * rng.uniform(-1.0, 1.0, sigma.size))
-        ld = LadderDesign(basis, ladder, pts, x, sigma)
-        if ld.K_eff < k:
-            continue
-        S = joint_covariance(ld.D_list, sigma**2)
-        S0 = joint_covariance(ld.D_list, sigma0**2)
-        f = np.sin(4 * pts) + 0.5 * pts**2
-        bars = ld.pseudo_true(f)
-        deltas, _ = bias_profile(bars, bars[0], S)
-        res = kl_joint(S, S0, float(deltas[-1]), p, ld.K_eff, delta)
-        gap = max(res.lower - res.kl, res.kl - res.upper)
-        worst = max(worst, gap)
-        if gap > 1e-9:
-            violations += 1
-    _report("A7", violations == 0, f"100 random scenes, delta in [0, 0.3]; violations = {violations}, worst interval gap {worst:.2e}")
+    result = check_kl_sandwich(seed=707, trials=100)
+    _report("A7", result.passed, f"100 random scenes, delta in [0, 0.3]; {result.detail}")
 
 
 def test_A8_pivotality():

@@ -197,11 +197,12 @@ class TestSelectionEnsemble:
         assert np.all(ens.gap_forms(z) == 0.0)
 
     def test_zero_thresholds_always_stop(self, calib_scene):
-        # frozen "too small" fixture: k_hat = 1 a.s., last-step moment strictly positive
+        # frozen "too small" fixture: k_hat = 1 a.s., last-step moment strictly positive; 1e-300 stands for
+        # zero, which the library rejects
         basis, ladder, points, sigma = calib_scene
         ld = LadderDesign(basis, ladder, points, 0.5, sigma)
         ens = SelectionEnsemble.pure_noise(ld, 500, 3)
-        z = np.zeros(3)
+        z = np.full(3, 1e-300)
         assert np.all(ens.k_hat(z) == 1)
         mom, _ = ens.pc_moments(z, 0.5)
         assert mom[-1] > 0.5  # seeded run gives ~1.2 for this scene

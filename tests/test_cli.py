@@ -616,6 +616,23 @@ def small_inputs(tmp_path):
     return tmp_path, values
 
 
+@pytest.mark.parametrize("flags,cfg", [
+    (["--u", "nan"], {}), (["--u", "inf"], {}), ([], {"ladder": {"h1": float("nan")}}),
+    ([], {"ladder": {"bandwidths": [0.1, float("inf")]}}),  # json.dumps writes NaN and Infinity
+], ids=["u-nan", "u-inf", "h1-NaN", "bandwidths-Infinity"])
+@pytest.mark.parametrize("K", [["--K", "4"], []], ids=["K", "default-K"])
+def test_non_finite_ladder_exit_code(small_inputs, capsys, flags, cfg, K):
+    """A NaN or infinite bandwidth or growth factor exits 2 before any fit, with or without --K."""
+    tmp_path, values = small_inputs
+    (tmp_path / "ladder.json").write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "fit.csv"
+    assert main(["fit", "--data", values["data"], "--cv", values["cv"], "--config", str(tmp_path / "ladder.json"),
+                 *K, *flags, "--out", str(out)]) == EXIT_CONFIG
+    errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+    assert len(errors) == 1 and "finite" in errors[0], errors
+    assert not out.exists()
+
+
 class TestFlags:
     def test_each_subcommand_registers_only_the_flags_it_reads(self):
         from lpadapt.cli import build_parser

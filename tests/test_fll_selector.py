@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 from lpadapt import fll_selector
+from lpadapt.calibration import SelectionEnsemble
 from lpadapt.dataset import Dataset
+from lpadapt.exceptions import ParameterDomainError
 from lpadapt.fll_selector import (
     adaptive_estimate,
     fit_curve,
     pair_statistics,
     select_adaptive,
+    selection_sweep,
 )
 from lpadapt.local_model import Basis, LadderDesign, LocalFit, ScaleLadder
 from lpadapt.verification import _random_boxcar_scene
@@ -244,3 +247,21 @@ class TestFitCurve:
         assert out.k_eff.tolist() == out.k_hat.tolist() == [0]
         assert not np.shares_memory(out.k_hat, out.k_eff)  # two fields, not one array under two names
         assert np.all(np.isnan(out.theta_hat)) and np.isnan(out.fitted_values[0])
+
+
+@pytest.mark.parametrize("bad", [-1.0, 0.0, np.nan])
+def test_thresholds_that_critical_values_rejects_raise(bad):
+    """NaN and <= 0 raise in every selection entry point, also on a grid where no point reaches the sweep.
+
+    +inf, a threshold that never stops, stays allowed: TestFllStatistic fits with it.
+    """
+    pts = np.linspace(0.0, 1.0, 60)
+    data, basis, z = Dataset(x=pts, y=np.sin(3.0 * pts), sigma=np.full(60, 0.1)), Basis.polynomial(1), [4.0, bad]
+    ladder, unusable = ScaleLadder.geometric(0.1, 3, growth=1.5), ScaleLadder((1e-7, 2e-7, 3e-7))
+    ld = LadderDesign(basis, ladder, pts, 0.5, data.sigma)
+    ens = SelectionEnsemble.pure_noise(ld, 10, 0)
+    for call in (lambda: fit_curve(data, [0.5], ladder, basis, z), lambda: fit_curve(data, [0.5], unusable, basis, z),
+                 lambda: selection_sweep(ens.T, z), lambda: select_adaptive(ld.fit(data.y), z),
+                 lambda: ens.k_hat(z), lambda: ens.pc_moments(z, 0.5)):
+        with pytest.raises(ParameterDomainError, match="thresholds must be positive"):
+            call()

@@ -85,17 +85,6 @@ class TestKernelsAndWeights:
         assert w[2] == 0.0
         assert w[3] == pytest.approx(math.exp(-0.5 * (0.2 / h) ** 2), rel=1e-12)
 
-    def test_weights_nondecreasing_in_k(self, rng):
-        pts = rng.uniform(-1, 1, 60)
-        for kernel in ("boxcar", "epanechnikov", "truncated_gaussian"):
-            ladder = ScaleLadder.geometric(0.2, 5, growth=1.4, kernel=kernel)
-            ws = _weights(ladder, pts, 0.1)
-            prev = ws[0]
-            for cur in ws[1:]:
-                assert np.all(cur >= prev - 1e-15)
-                assert np.all((cur >= 0) & (cur <= 1))
-                prev = cur
-
     def test_boxcar_idempotence(self, rng):
         pts = rng.uniform(-1, 1, 50)
         ladder = ScaleLadder.geometric(0.15, 4, growth=1.5, kernel="boxcar")
@@ -114,6 +103,12 @@ class TestKernelsAndWeights:
             ScaleLadder((0.5,), kernel="triangle")
         with pytest.raises(ParameterDomainError):
             ScaleLadder.geometric(0.1, 3, growth=1.0)
+        for bandwidths in ((0.1, math.inf), (math.nan, 0.2), (0.1, math.nan)):
+            with pytest.raises(ParameterDomainError, match="finite"):
+                ScaleLadder(bandwidths)
+        for h1, growth in ((math.nan, 1.5), (0.1, math.nan), (0.1, math.inf)):
+            with pytest.raises(ParameterDomainError, match="finite"):
+                ScaleLadder.geometric(h1, 3, growth=growth)
 
 
 class TestBasis:

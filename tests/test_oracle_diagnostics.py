@@ -30,7 +30,12 @@ from lpadapt.oracle_diagnostics import (
     wilks_spectrum,
     z_moment_bounds,
 )
-from lpadapt.verification import _random_boxcar_scene
+from lpadapt.verification import (
+    _random_boxcar_scene,
+    check_covariance_sandwich,
+    check_determinant_identity,
+    check_kl_sandwich,
+)
 
 from conftest import kl_homogeneous, z_second_moment_homogeneous
 
@@ -58,19 +63,9 @@ class TestJointCovariance:
         expected = np.array([[1.0 / B1, 1.0 / B2], [1.0 / B2, 1.0 / B2]])
         assert S == pytest.approx(expected, rel=1e-10)
 
-    def test_sandwich_eigenvalues(self, rng):
-        from scipy.linalg import eigvalsh
-
-        for _ in range(10):
-            basis, ladder, pts, x, sigma = _random_boxcar_scene(rng, 2, 3, n=50)
-            delta = float(rng.uniform(0.0, 0.35))
-            sigma0 = sigma * np.sqrt(1.0 + delta * rng.uniform(-1.0, 1.0, sigma.size))
-            ld = LadderDesign(basis, ladder, pts, x, sigma)
-            S = joint_covariance(ld.D_list, sigma**2)
-            S0 = joint_covariance(ld.D_list, sigma0**2)
-            vals = eigvalsh(S0, S)
-            assert vals[0] >= 1.0 - delta - 1e-9
-            assert vals[-1] <= 1.0 + delta + 1e-9
+    def test_sandwich_eigenvalues(self):
+        result = check_covariance_sandwich(seed=20240817, trials=10)
+        assert result.passed, result.detail
 
 
 class TestBoxcarDeterminant:
@@ -81,11 +76,8 @@ class TestBoxcarDeterminant:
         assert det == pytest.approx((0.5 - 0.2) * 0.2, rel=1e-14)  # 0.06
 
     def test_matches_dense_determinant(self):
-        basis, ladder, pts, x, sigma = _nested_boxcar(p=2, K=3, seed=11)
-        ld = LadderDesign(basis, ladder, pts, x, sigma)
-        formula = boxcar_determinant(ld.B_list, ld.weights_list)
-        dense = float(np.linalg.det(joint_covariance(ld.D_list, sigma**2)))
-        assert formula == pytest.approx(dense, rel=1e-8)
+        result = check_determinant_identity(seed=11, trials=9)  # each (p, k) of the check's grid once
+        assert result.passed, result.detail
 
     def test_rejects_non_nested_weights(self):
         basis, ladder, pts, x, sigma = _nested_boxcar(p=1, K=2)
@@ -183,20 +175,9 @@ class TestKl:
         pk = 6
         assert closed == pytest.approx(pk * (math.log(1.0 / math.sqrt(1.1)) + (1.1 - 1.0) / 2.0), rel=1e-12)
 
-    def test_sandwich_on_random_scenes(self, rng):
-        for _ in range(15):
-            basis, ladder, pts, x, sigma = _random_boxcar_scene(rng, 1, 3, n=50)
-            delta = float(rng.uniform(0.0, 0.3))
-            sigma0 = sigma * np.sqrt(1.0 + delta * rng.uniform(-1.0, 1.0, sigma.size))
-            ld = LadderDesign(basis, ladder, pts, x, sigma)
-            S = joint_covariance(ld.D_list, sigma**2)
-            S0 = joint_covariance(ld.D_list, sigma0**2)
-            f = pts**2 - 0.4 * pts
-            bars = ld.pseudo_true(f)
-            deltas, _ = bias_profile(bars, bars[0], S)
-            res = kl_joint(S, S0, float(deltas[-1]), 1, ld.K_eff, delta)
-            assert res.lower - 1e-9 <= res.kl <= res.upper + 1e-9
-            assert res.kl >= -1e-10
+    def test_sandwich_on_random_scenes(self):
+        result = check_kl_sandwich(seed=20240817, trials=15)
+        assert result.passed, result.detail
 
 
 class TestBounds:

@@ -10,9 +10,11 @@ triangles, for any batch, and the ensembles' gathers from its table must
 equal the loops over scales they replace.  mc_calibrate draws its noise in
 window coordinates, so design points outside the largest window leave its
 thresholds unchanged.  A change of the unit of x, or of y and sigma, changes
-no selection.
+no selection, and neither does adding to y a polynomial in the span of the
+basis (pivotality).  The kernel weights of nested bandwidths are nested.
 """
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -32,6 +34,7 @@ from lpadapt.local_model import (
     LocalFit,
     ScaleLadder,
     default_h1,
+    stacked_designs,
 )
 from lpadapt.sim_harness import Scene, SigmaSpec, risk_experiment
 
@@ -147,6 +150,49 @@ def test_the_unit_of_x_changes_no_selection(problem, j):
     scaled = fit_curve(Dataset(x=c * data.x, y=data.y, sigma=data.sigma), c * grid, scaled_ladder, basis, z)
     for name in ("k_eff", "k_hat", "first", "T", "fitted_values"):
         assert same(getattr(curve, name), getattr(scaled, name)), name
+
+
+#: |T_lm after - T_lm before| <= SHIFT_TOL (1 + T_lm) under a polynomial shift of y; rounding alone moves T
+SHIFT_TOL = 1e-6
+
+
+@SETTINGS
+@given(curve_problems(), st.integers(0, 2**32 - 1))
+def test_a_polynomial_in_the_span_of_the_basis_changes_no_selection(problem, seed):
+    """y plus a global polynomial of degree <= the basis degree: every T_lm within SHIFT_TOL, the same k_eff and k_hat.
+
+    Each theta_k moves by the polynomial's coefficients at the reference point, the same at every scale,
+    so theta_l - theta_m does not move in exact arithmetic.
+    """
+    data, grid, ladder, basis, z = problem
+    rng = np.random.default_rng(seed)
+    x = data.x.reshape(data.n, data.d)
+    degree = next(g for g in range(3) if math.comb(g + data.d, data.d) == basis.p)
+    powers = [a for a in np.ndindex(*(degree + 1,) * data.d) if sum(a) <= degree]
+    shift = sum(rng.uniform(-10.0, 10.0) * np.prod(x ** np.array(a), axis=1) for a in powers)
+    curve = fit_curve(data, grid, ladder, basis, z)
+    shifted = fit_curve(Dataset(x=data.x, y=data.y + shift, sigma=data.sigma), grid, ladder, basis, z)
+    for name in ("k_eff", "k_hat", "first"):
+        assert same(getattr(curve, name), getattr(shifted, name)), name
+    assert same(np.isnan(curve.T), np.isnan(shifted.T))
+    assert np.all(np.abs(shifted.T - curve.T) <= SHIFT_TOL * (1.0 + curve.T), where=~np.isnan(curve.T))
+
+
+@SETTINGS
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]), st.integers(1, 6))
+def test_stacked_design_weights_are_nested_for_every_kernel(seed, d, K):
+    """0 <= W_k <= W_(k+1) <= 1 pointwise, exactly, at every point of every slab and for every kernel."""
+    rng = np.random.default_rng(seed)
+    G, L = int(rng.integers(1, 5)), int(rng.integers(1, 40))
+    points = rng.uniform(-1.0, 1.0, (G, L, d))
+    points[:, : L // 4] = 0.0  # some points on the reference point, where every weight is 1
+    centres = rng.uniform(-0.5, 0.5, (G, d)) * rng.integers(0, 2)
+    h = np.sort(rng.uniform(0.01, 2.0, K))
+    assume(np.all(np.diff(h) > 0))
+    sigma = rng.uniform(0.1, 1.0, (G, L))
+    for kernel in KERNELS:
+        W = stacked_designs(Basis.polynomial(1, dim=d), ScaleLadder(tuple(h), kernel=kernel), points, centres, sigma)[1]
+        assert np.all(np.diff(W, axis=1) >= 0.0) and np.all((W >= 0.0) & (W <= 1.0)), kernel
 
 
 def literal_rule(T, z, K):
@@ -297,9 +343,9 @@ def test_select_adaptive_is_the_sweep_on_one_column(seed, K, p):
     A = rng.standard_normal((p, p))
     fits = [LocalFit(theta=t, B=A @ A.T + np.eye(p), k=k + 1) for k, t in enumerate(thetas)]
     T = select_adaptive(fits, np.full(max(K - 1, 0), np.inf)).statistics
-    # thresholds equal to realised statistics, so T == z ties occur
+    # thresholds equal to realised statistics, so T == z ties occur; thresholds must be positive
     pool = np.append(T[np.triu_indices(K, 1)], [0.5, 2.0])
-    z = rng.choice(pool, max(K - 1, 0))
+    z = rng.choice(pool[pool > 0], max(K - 1, 0))
     trace = select_adaptive(fits, z)
     assert (trace.k_hat, trace.first_violation) == literal_rule(trace.statistics, z, K)
     for l, m in zip(*np.nonzero(~np.eye(K, dtype=bool))):
@@ -316,7 +362,8 @@ def test_ensemble_selection_is_the_literal_rule(seed, degree):
     ld = LadderDesign(Basis.polynomial(degree), ScaleLadder.geometric(0.06, 4, growth=1.5), points, 0.5, sigma)
     ens = SelectionEnsemble.pure_noise(ld, 60, seed % 1000)
     T = ens.T
-    z = rng.choice(T[np.triu_indices(ens.K, 1)].ravel(), ens.K - 1)  # realised statistics: ties for some replicates
+    pool = T[np.triu_indices(ens.K, 1)].ravel()
+    z = rng.choice(pool[pool > 0], ens.K - 1)  # realised positive statistics: ties for some replicates
     k_hat = ens.k_hat(z)
     assert [literal_rule(T[:, :, j], z, ens.K)[0] for j in range(ens.mc)] == k_hat.tolist()
 

@@ -1,10 +1,13 @@
 """The seeded numerical checks behind `verify`, run at reduced MC sizes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.special import chdtrc
 from scipy.stats import chi2
 
+import lpadapt.verification as verification
 from lpadapt.dataset import Dataset
 from lpadapt.exceptions import ParameterDomainError
 from lpadapt.verification import (
@@ -45,6 +48,34 @@ from lpadapt.verification import (
 def test_individual_checks_pass(check, kwargs):
     result = check(**kwargs)
     assert result.passed, f"{result.name}: {result.detail}"
+
+
+def _kl_with_log_det_ratio_negated(kl_joint):
+    def wrong(S, S0, Delta_k, p, k, delta):
+        res = kl_joint(S, S0, Delta_k, p, k, delta)
+        return dataclasses.replace(res, kl=res.kl - (np.linalg.slogdet(S)[1] - np.linalg.slogdet(S0)[1]))
+
+    return wrong
+
+
+@pytest.mark.parametrize(
+    "name,wrong,check,kwargs",
+    [
+        # the arguments of the tests that delegate to each check: A6, test_sandwich_eigenvalues, A3 (p = 2), A7
+        ("boxcar_determinant", lambda f: lambda *a: f(*a) * (1.0 + 1e-7),
+         check_determinant_identity, {"seed": 606, "trials": 50}),
+        ("joint_covariance", lambda f: lambda d_blocks, var: f(d_blocks, np.asarray(var) ** 2),
+         check_covariance_sandwich, {"seed": 20240817, "trials": 10}),
+        ("wilks_spectrum", lambda f: lambda *a: f(*a) * (1.0 + 1e-9),
+         check_wilks, {"p": 2, "replicates": 100000, "seed": 162}),
+        ("kl_joint", _kl_with_log_det_ratio_negated, check_kl_sandwich, {"seed": 707, "trials": 100}),
+    ],
+    ids=["determinant-1e-7-high", "covariance-of-squared-variances", "spectrum-1e-9-high", "kl-log-det-sign"],
+)
+def test_a_wrong_library_function_fails_its_check(monkeypatch, name, wrong, check, kwargs):
+    """The acceptance and oracle tests that delegate to a check still fail when the function it verifies is wrong."""
+    monkeypatch.setattr(verification, name, wrong(getattr(verification, name)))
+    assert check(**kwargs).passed is False
 
 
 @pytest.mark.parametrize("p", [1, 2])

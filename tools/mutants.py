@@ -62,6 +62,10 @@ DEFECTS = [
      "np.where(khat > k, 0.0,", "np.where(khat >= k, 0.0,"),
     ("replicate-j-from-stream-j+1", "calibration.py",
      '_check_index("replicate", replicate)]', '_check_index("replicate", replicate) + 1]'),
+    ("ladder-without-finiteness-check", "local_model.py",
+     "if not np.all(np.isfinite(h)) or np.any(h <= 0)", "if np.any(h <= 0)"),
+    ("thresholds-without-domain-check", "fll_selector.py",
+     "if not np.all(zv > 0):", "if False:"),
     ("truncated-ladder-keeps-rejected-scale", "local_model.py",
      "np.where(passed.all(axis=-1), ladder.K, passed.argmin(axis=-1))",
      "np.where(passed.all(axis=-1), ladder.K, passed.argmin(axis=-1) + 1)"),
