@@ -23,12 +23,12 @@ import json
 import math
 import numbers
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import CalibrationFailedError, LpAdaptError, ParameterDomainError
-from .fll_selector import pair_statistics, selection_sweep
+from .fll_selector import _thresholds, pair_statistics, selection_sweep
 from .local_model import Basis, LadderDesign, ScaleLadder
 
 DEFAULT_MU = 0.125
@@ -97,12 +97,9 @@ class CriticalValues:
         if zv.size and (not np.all(np.isfinite(zv)) or np.any(zv <= 0)):
             raise ParameterDomainError("thresholds must be finite and positive")
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
-
     @classmethod
     def from_json(cls, text: str) -> "CriticalValues":
-        """Parse to_json output; unknown keys are ignored, malformed input raises ParameterDomainError."""
+        """Parse calibrate's JSON; unknown keys are ignored, malformed input raises ParameterDomainError."""
         try:
             obj = json.loads(text)
             fields = {k: obj[k] for k in ("z", "method", "alpha", "r", "p", "K", "mu", "seed", "mc_size") if k in obj}
@@ -543,10 +540,6 @@ class PcReport:
     """Independent check of the moment conditions for given thresholds."""
 
     entries: list[PcEntry]
-    alpha: float
-    r: float
-    mc_size: int
-    seed: int
 
     @property
     def passed(self) -> bool:
@@ -572,14 +565,13 @@ def validate_pc(
     """
     ld = LadderDesign(basis, ladder, design_points, x, sigma_model)
     K = ld.K_eff
-    if len(cv.z) < K - 1:
-        raise ParameterDomainError(f"thresholds cover {len(cv.z) + 1} scales, ladder has {K}")
+    z = _thresholds(cv, K)
     ens = SelectionEnsemble.pure_noise(ld, mc_size, seed)
-    mom, se = ens.pc_moments(np.asarray(cv.z, dtype=float), cv.r)
+    mom, se = ens.pc_moments(z, cv.r)
     bound = cv.alpha * chi_square_moment(basis.p, cv.r)
     entries = []
     for k in range(2, K + 1):
         m, s = float(mom[k - 1]), float(se[k - 1])
         rel = s / m if m > 0 else 0.0
         entries.append(PcEntry(k=k, moment=m, std_error=s, bound=bound, passed=m <= bound * (1.0 + 3.0 * rel)))
-    return PcReport(entries=entries, alpha=cv.alpha, r=cv.r, mc_size=mc_size, seed=seed)
+    return PcReport(entries=entries)

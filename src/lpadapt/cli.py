@@ -27,7 +27,7 @@ from .calibration import DEFAULT_MU, CriticalValues, mc_calibrate, theoretical_c
 from .dataset import Dataset
 from .exceptions import LpAdaptError, MissingColumnError, ParameterDomainError, ParseError
 from .fll_selector import fit_curve
-from .local_model import Basis, LadderDesign, ScaleLadder, default_h1
+from .local_model import Basis, LadderDesign, ScaleLadder, check_noise, default_h1
 from .oracle_diagnostics import build_oracle_report
 from .sim_harness import Scene, SigmaSpec, risk_experiment
 from .verification import run_all
@@ -306,10 +306,7 @@ def cmd_calibrate(args) -> int:
         cv = theoretical_cv(basis.p, r, ld.K_eff, alpha, u_hat, mu=_option(cfg, "mu", DEFAULT_MU, flag=args.mu))
     else:
         cv = mc_calibrate(basis, ladder, sigma, points, x_ref, alpha, r, mc, seed)
-    payload = asdict(cv)
-    payload["z"] = list(payload["z"])
-    payload["provenance"] = _provenance(cfg, seed)
-    _write_text(args.out, json.dumps(payload, indent=2) + "\n")
+    _write_text(args.out, json.dumps({**asdict(cv), "provenance": _provenance(cfg, seed)}, indent=2) + "\n")
     log.info("calibrated %d thresholds via %s", len(cv.z), cv.method)
     return EXIT_OK
 
@@ -342,7 +339,7 @@ def cmd_fit(args) -> int:
         raise ParameterDomainError("--grid needs one-dimensional data")
     basis = _basis_from_config(cfg, dim=data.d)
     ladder = _data_ladder(cfg, data, basis.p, args)
-    data.noise_model(delta=_option(cfg, "delta", None))  # checks sigma_true against the declared delta
+    check_noise(data.sigma, data.sigma_true, _option(cfg, "delta", None))  # sigma_true against the declared delta
 
     x_ref = np.median(_design(data), axis=0)  # coordinatewise median
     cv = _critical_values(args, cfg, basis, ladder, data.sigma, data.x, x_ref, _option(cfg, "seed", 0, int, args.seed))
@@ -443,7 +440,8 @@ def cmd_diagnose(args) -> int:
         ladder,
         scene.design_points(),
         x_ref,
-        scene.noise_model(),
+        scene.sigma_model_values(),
+        scene.sigma_true_values(),
         scene.f_values(),
         cv,
         delta_budget=_option(cfg, "delta_budget", 1.0),

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ParameterDomainError
-from .local_model import NoiseModel
 
 
 @dataclass
@@ -43,6 +42,3 @@ class Dataset:
     @property
     def d(self) -> int:
         return 1 if self.x.ndim == 1 else self.x.shape[1]
-
-    def noise_model(self, delta: float | None = None) -> NoiseModel:
-        return NoiseModel(sigma_model=self.sigma, sigma_true=self.sigma_true, delta=delta)

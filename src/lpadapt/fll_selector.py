@@ -69,7 +69,6 @@ class SelectionTrace:
 
     k_hat: int
     statistics: np.ndarray  # (K, K) pair_statistics table: T[l-1, m-1] for l != m, NaN diagonal
-    thresholds: np.ndarray
     first_violation: tuple[int, int] | None  # 1-indexed (l, m), None if fully accepted
 
     @property
@@ -114,13 +113,11 @@ def select_adaptive(fits: Sequence[LocalFit], z) -> SelectionTrace:
     K = len(fits)
     if K < 1:
         raise ParameterDomainError("need at least one fit")
-    zv = _thresholds(z, K)
     theta = np.stack([f.theta for f in fits], dtype=float)[None]
     T = pair_statistics(theta, np.stack([f.B for f in fits], dtype=float)[None])
-    k_hat, first = selection_sweep(T, zv)
+    k_hat, first = selection_sweep(T, z)
     l, m = first[0].tolist()
-    return SelectionTrace(k_hat=int(k_hat[0]), statistics=T[..., 0], thresholds=zv[: K - 1],
-                          first_violation=(l, m) if m else None)
+    return SelectionTrace(k_hat=int(k_hat[0]), statistics=T[..., 0], first_violation=(l, m) if m else None)
 
 
 @dataclass

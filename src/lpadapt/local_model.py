@@ -148,44 +148,41 @@ def default_h1(n: int, p: int, span: float = 1.0, d: int = 1) -> float:
     return span * (m / (n * unit_ball)) ** (1.0 / d)
 
 
-@dataclass
-class NoiseModel:
-    """Model standard deviations, optional true ones, and the relative gap.
+def relative_gap(sigma_model, sigma_true) -> float:
+    """The misspecification gap delta = max_i |sigma_true_i^2 / sigma_model_i^2 - 1|."""
+    ratio = np.asarray(sigma_true, dtype=float) / np.asarray(sigma_model, dtype=float)
+    return float(np.max(np.abs(ratio**2 - 1.0)))
 
-    delta is the uniform bound on |sigma_true_i^2 / sigma_model_i^2 - 1|.
-    When sigma_true is given, the realized gap is computed and must not
-    exceed a declared budget; the model requires delta < 1.
+
+def check_noise(sigma_model, sigma_true=None, declared: float | None = None) -> float:
+    """The gap delta of a noise model, after checking the model's domain.
+
+    sigma_model must be positive and finite, and sigma_true, when given,
+    positive and of the same shape, with a relative_gap at most the
+    declared budget.  Returns the declared budget when one is given, else
+    the realized gap, else 0; it must lie in [0, 1).
     """
+    sigma_model = np.asarray(sigma_model, dtype=float)
+    if np.any(sigma_model <= 0) or not np.all(np.isfinite(sigma_model)):
+        raise ParameterDomainError("model standard deviations must be positive and finite")
+    realized = 0.0
+    if sigma_true is not None:
+        sigma_true = np.asarray(sigma_true, dtype=float)
+        if sigma_true.shape != sigma_model.shape:
+            raise ParameterDomainError("sigma_true and sigma_model must have equal length")
+        if np.any(sigma_true <= 0):
+            raise ParameterDomainError("true standard deviations must be positive")
+        realized = relative_gap(sigma_model, sigma_true)
+        if declared is not None and realized > declared + 1e-12:
+            raise ParameterDomainError(f"declared delta={declared} exceeded by realized relative gap {realized:.6g}")
+    delta = realized if declared is None else declared
+    _check_delta(delta)
+    return delta
 
-    sigma_model: np.ndarray
-    sigma_true: np.ndarray | None = None
-    delta: float | None = None
 
-    def __post_init__(self):
-        self.sigma_model = np.asarray(self.sigma_model, dtype=float)
-        if np.any(self.sigma_model <= 0) or not np.all(np.isfinite(self.sigma_model)):
-            raise ParameterDomainError("model standard deviations must be positive and finite")
-        if self.sigma_true is not None:
-            self.sigma_true = np.asarray(self.sigma_true, dtype=float)
-            if self.sigma_true.shape != self.sigma_model.shape:
-                raise ParameterDomainError("sigma_true and sigma_model must have equal length")
-            if np.any(self.sigma_true <= 0):
-                raise ParameterDomainError("true standard deviations must be positive")
-            realized = float(np.max(np.abs((self.sigma_true / self.sigma_model) ** 2 - 1.0)))
-            if self.delta is None:
-                self.delta = realized
-            elif realized > self.delta + 1e-12:
-                raise ParameterDomainError(
-                    f"declared delta={self.delta} exceeded by realized relative gap {realized:.6g}"
-                )
-        elif self.delta is None:
-            self.delta = 0.0
-        if not 0.0 <= self.delta < 1.0:
-            raise ParameterDomainError(f"delta={self.delta} outside [0, 1)")
-
-    @property
-    def n(self) -> int:
-        return self.sigma_model.size
+def _check_delta(delta: float):
+    if not 0.0 <= delta < 1.0:
+        raise ParameterDomainError(f"delta={delta} outside [0, 1)")
 
 
 @dataclass

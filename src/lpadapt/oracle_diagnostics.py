@@ -24,7 +24,8 @@ from .exceptions import (
     ParameterDomainError,
     SingularJointCovarianceError,
 )
-from .local_model import Basis, LadderDesign, NoiseModel, is_nested_binary
+from .fll_selector import _thresholds
+from .local_model import Basis, LadderDesign, _check_delta, check_noise, is_nested_binary, relative_gap
 
 
 def joint_covariance(d_blocks: Sequence[np.ndarray], variances) -> np.ndarray:
@@ -88,9 +89,8 @@ def component_submatrix(S: np.ndarray, p: int, j: int) -> np.ndarray:
 
 @dataclass
 class ModelingBias:
-    """Stacked bias b(k) and the quadratic indices it induces."""
+    """The quadratic indices that the stacked bias b(k) induces."""
 
-    b: np.ndarray  # (p*k,)
     delta_total: float  # b^T Sigma_k^{-1} b
     delta_components: np.ndarray  # (p,), b_j^T Sigma_{k,j}^{-1} b_j
 
@@ -110,7 +110,7 @@ def modeling_bias(theta_bars: Sequence[np.ndarray], theta_ref: np.ndarray, Sigma
         bj = b[j - 1 :: p]
         Sj = component_submatrix(Sigma_k, p, j)
         comps[j - 1] = float(bj @ cho_solve(_spd_factor(Sj), bj))
-    return ModelingBias(b=b, delta_total=max(total, 0.0), delta_components=np.maximum(comps, 0.0))
+    return ModelingBias(delta_total=max(total, 0.0), delta_components=np.maximum(comps, 0.0))
 
 
 def bias_profile(
@@ -204,11 +204,6 @@ def phi_factor(delta: float, homogeneous: bool) -> float:
     """Exponent multiplier in the propagation bound."""
     _check_delta(delta)
     return 1.0 if homogeneous else 2.0 * (1.0 + delta) / (1.0 - delta) ** 2 - 1.0
-
-
-def _check_delta(delta: float):
-    if not 0.0 <= delta < 1.0:
-        raise ParameterDomainError(f"delta={delta} outside [0, 1)")
 
 
 def propagation_bound(
@@ -311,7 +306,7 @@ def wilks_spectrum(ld: LadderDesign, k: int, sigma_true) -> np.ndarray:
     proj_trace = float(np.trace(ld.D_list[k - 1] @ psi.T))
     if abs(proj_trace - p) > _WILKS_TOL * max(1.0, p):
         raise LpAdaptError(f"projector trace {proj_trace} != p={p}")
-    delta = float(np.max(np.abs((sig0 / sig) ** 2 - 1.0)))
+    delta = relative_gap(sig, sig0)
     if lam[0] > (1.0 + delta) * (1.0 + _WILKS_TOL) + _WILKS_TOL:
         raise LpAdaptError(f"largest eigenvalue {lam[0]:.6g} exceeds 1 + delta = {1 + delta:.6g}")
     return np.maximum(lam, 0.0)
@@ -410,7 +405,8 @@ def build_oracle_report(
     ladder,
     design_points,
     x,
-    noise: NoiseModel,
+    sigma_model,
+    sigma_true,
     f_values,
     cv: CriticalValues,
     delta_budget: float = 1.0,
@@ -418,23 +414,25 @@ def build_oracle_report(
 ) -> OracleReport:
     """Evaluate the full diagnostics stack for one scene at one point.
 
-    The reference parameter is that of oracle_diagnostics, the
-    smallest-window pseudo-true vector.
+    sigma_true None means the model is exact.  delta is check_noise's gap
+    between the two, and cv must hold a threshold for each of the first
+    K_eff - 1 scales.  The reference parameter is that of
+    oracle_diagnostics, the smallest-window pseudo-true vector.
     """
-    ld = LadderDesign(basis, ladder, design_points, x, noise.sigma_model)
+    delta = check_noise(sigma_model, sigma_true)
+    ld = LadderDesign(basis, ladder, design_points, x, sigma_model)
     if ld.K_eff < 1:
         raise SingularJointCovarianceError("no usable scale at the requested point")
     K, p = ld.K_eff, basis.p
+    z_vec = _thresholds(cv, K)
     sig = ld.sigma_model
-    sig0 = noise.sigma_true if noise.sigma_true is not None else sig
-    delta = noise.delta
-    homogeneous = float(np.ptp(sig)) < 1e-12 and float(np.ptp(np.asarray(sig0))) < 1e-12
+    sig0 = sig if sigma_true is None else np.asarray(sigma_true, dtype=float)
+    homogeneous = float(np.ptp(sig)) < 1e-12 and float(np.ptp(sig0)) < 1e-12
 
     bars, ref, Sigma, deltas, delta_j, k_star, sigma_bar_max, lambda0 = oracle_diagnostics(ld, f_values, delta_budget)
-    Sigma0 = joint_covariance(ld.D_list, np.asarray(sig0) ** 2)
+    Sigma0 = joint_covariance(ld.D_list, sig0**2)
     monotone = bool(np.all(np.diff(deltas) >= -1e-8 * np.maximum(deltas[:-1], 1.0)))
 
-    z_vec = np.asarray(cv.z, dtype=float)
     z_kstar = float(z_vec[min(k_star, K - 1) - 1]) if K > 1 else float("nan")
     phi = phi_factor(delta, homogeneous)
     bound = (
@@ -456,14 +454,12 @@ def build_oracle_report(
         lo, hi = z_moment_bounds(p, k, delta, float(deltas[k - 1]), homogeneous)
         z2_rows.append({"k": k, "lower": lo, "upper": hi})
 
-    u0_hat, u_hat = ld.growth_bounds() if K > 1 else (float("inf"), 1.0)
+    u0_hat, u_hat = ld.growth_bounds()
 
     components = []
     for j in range(1, p + 1):
         s_j = tightest_sj(Sigma, p, j)
-        var_true_j = np.array(
-            [float(((ld.D_list[k] * np.asarray(sig0) ** 2) @ ld.D_list[k].T)[j - 1, j - 1]) for k in range(K)]
-        )
+        var_true_j = np.diag(Sigma0)[j - 1 :: p]
         bias_j = np.abs(bars[:, j - 1] - ref[j - 1])
         if K > 1 and u0_hat > 1.0:
             try:

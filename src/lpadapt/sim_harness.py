@@ -19,7 +19,7 @@ import numpy as np
 from .calibration import CriticalValues, SelectionEnsemble, check_r, replicate_noise
 from .dataset import Dataset
 from .exceptions import ParameterDomainError
-from .local_model import Basis, LadderDesign, NoiseModel, ScaleLadder, default_h1
+from .local_model import Basis, LadderDesign, ScaleLadder, default_h1, relative_gap
 from .oracle_diagnostics import (
     componentwise_scale,
     oracle_diagnostics,
@@ -55,7 +55,7 @@ class SigmaSpec:
 
     def values(self, t: np.ndarray) -> np.ndarray:
         # level 0 is allowed here so noiseless scenes can be generated;
-        # NoiseModel still rejects nonpositive levels where it matters
+        # local_model.check_noise still rejects nonpositive levels where it matters
         if self.level < 0:
             raise ParameterDomainError("sigma level must be nonnegative")
         if self.pattern == "constant":
@@ -105,11 +105,8 @@ class Scene:
 
     @property
     def delta(self) -> float:
-        ratio = (self.sigma_true_values() / self.sigma_model_values()) ** 2
-        return float(np.max(np.abs(ratio - 1.0)))
-
-    def noise_model(self) -> NoiseModel:
-        return NoiseModel(sigma_model=self.sigma_model_values(), sigma_true=self.sigma_true_values())
+        """relative_gap of the two profiles, unchecked: a scene may report a gap of 1 or more."""
+        return relative_gap(self.sigma_model_values(), self.sigma_true_values())
 
 
 def generate(scene: Scene, replicate: int) -> Dataset:

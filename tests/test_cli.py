@@ -467,6 +467,19 @@ class TestSimulateDiagnose:
         assert code == EXIT_OK and errors == []
         assert json.loads(out.read_text())["pc_validation"]
 
+    def test_diagnose_with_too_few_thresholds_exit_code(self, tmp_path, capsys):
+        """A --cv file with fewer thresholds than the ladder has usable scales exits 2, as simulate does."""
+        scene, cv = tmp_path / "scene.json", tmp_path / "cv.json"
+        scene.write_text(json.dumps({"f": "constant", "n": 150, "ladder": {"K": 4, "growth": 1.5},
+                                     "basis": {"degree": 0}}), encoding="utf-8")
+        cv.write_text(json.dumps({"z": [4.0], "method": "fixed", "alpha": 1.0, "r": 0.5, "p": 1, "K": 2}),
+                      encoding="utf-8")
+        out = tmp_path / "diag.json"
+        assert main(["diagnose", "--config", str(scene), "--cv", str(cv), "--out", str(out)]) == EXIT_CONFIG
+        errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+        assert len(errors) == 1 and "need at least 3 thresholds for K=4 scales, got 1" in errors[0], errors
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags,cfg", [(["--seed", "-3"], {}), ([], {"seed": -3})], ids=["flag", "config"])
     def test_diagnose_negative_seed_names_it(self, tmp_path, capsys, flags, cfg):
         code, errors, out = self._diagnose_with_cv(tmp_path, capsys, *flags, **cfg)

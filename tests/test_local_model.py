@@ -12,8 +12,8 @@ from lpadapt.local_model import (
     MIN_EIG_RATIO,
     Basis,
     LadderDesign,
-    NoiseModel,
     ScaleLadder,
+    check_noise,
     default_h1,
     is_nested_binary,
     stacked_designs,
@@ -308,22 +308,20 @@ class TestNoiseModel:
     def test_delta_computed(self):
         sig = np.ones(4)
         sig0 = np.sqrt(np.array([1.1, 0.95, 1.0, 1.05]))
-        nm = NoiseModel(sigma_model=sig, sigma_true=sig0)
-        assert nm.delta == pytest.approx(0.1, rel=1e-12)
+        assert check_noise(sig, sig0) == pytest.approx(0.1, rel=1e-12)
 
     def test_declared_budget_enforced(self):
         sig = np.ones(3)
         sig0 = np.sqrt(np.array([1.3, 1.0, 1.0]))
         with pytest.raises(ParameterDomainError):
-            NoiseModel(sigma_model=sig, sigma_true=sig0, delta=0.2)
-        nm = NoiseModel(sigma_model=sig, sigma_true=sig0, delta=0.4)
-        assert nm.delta == 0.4
+            check_noise(sig, sig0, declared=0.2)
+        assert check_noise(sig, sig0, declared=0.4) == 0.4
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ParameterDomainError):
-            NoiseModel(sigma_model=np.array([1.0, 0.0]))
+            check_noise(np.array([1.0, 0.0]))
         with pytest.raises(ParameterDomainError):
-            NoiseModel(sigma_model=np.ones(3), sigma_true=2.0 * np.ones(3))  # delta = 3 >= 1
+            check_noise(np.ones(3), 2.0 * np.ones(3))  # delta = 3 >= 1
 
 
 class TestLadderDesign:

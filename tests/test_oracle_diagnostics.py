@@ -10,7 +10,7 @@ from lpadapt.exceptions import (
     ParameterDomainError,
     SingularJointCovarianceError,
 )
-from lpadapt.local_model import Basis, LadderDesign, NoiseModel, ScaleLadder
+from lpadapt.local_model import Basis, LadderDesign, ScaleLadder, check_noise
 from lpadapt.oracle_diagnostics import (
     bias_profile,
     boxcar_determinant,
@@ -294,16 +294,16 @@ class TestOracleReport:
         pts = np.linspace(0.0, 1.0, n)
         ladder = ScaleLadder.geometric(8 / (2.0 * n), 5, growth=1.5)
         f = (pts >= 0.5).astype(float)
-        noise = NoiseModel(sigma_model=0.25 * np.ones(n), sigma_true=0.25 * np.sqrt(1.1) * np.ones(n))
+        sig, sig0 = 0.25 * np.ones(n), 0.25 * np.sqrt(1.1) * np.ones(n)
         cv = CriticalValues(z=(20.0, 15.0, 10.0, 5.0), method="theoretical", alpha=1.0, r=0.5, p=1, K=5, mu=0.125)
-        rep = build_oracle_report(basis, ladder, pts, 0.47, noise, f, cv, delta_budget=1.0)
+        rep = build_oracle_report(basis, ladder, pts, 0.47, sig, sig0, f, cv, delta_budget=1.0)
         obj = _json.loads(rep.to_json())
         assert obj["k_star"] >= 1
         assert obj["delta_seq"][0] == pytest.approx(0.0, abs=1e-12)
         assert obj["delta_seq_monotone"] is True
         assert all(row["within"] for row in obj["kl"])
         assert obj["boxcar_determinant_check"]["rel_err"] < 1e-8
-        assert obj["phi"] == pytest.approx(phi_factor(noise.delta, homogeneous=True), rel=1e-12)
+        assert obj["phi"] == pytest.approx(phi_factor(check_noise(sig, sig0), homogeneous=True), rel=1e-12)
 
     def test_lambda0_and_sj_estimates(self, rng):
         basis, ladder, pts, x, sigma = _random_boxcar_scene(rng, 2, 3, n=60)

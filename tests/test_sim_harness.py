@@ -5,7 +5,7 @@ import pytest
 
 from lpadapt.calibration import CriticalValues, chi_square_moment, mc_calibrate
 from lpadapt.exceptions import ParameterDomainError
-from lpadapt.local_model import Basis, ScaleLadder, default_h1
+from lpadapt.local_model import Basis, ScaleLadder, check_noise, default_h1
 from lpadapt.sim_harness import (
     Scene,
     SigmaSpec,
@@ -36,8 +36,7 @@ class TestSceneAndGenerate:
             sigma_true=SigmaSpec("sine", 1.0, amplitude=0.2), seed=0,
         )
         assert scene.delta == pytest.approx(0.2, abs=1e-3)
-        nm = scene.noise_model()
-        assert nm.delta < 1.0
+        assert check_noise(scene.sigma_model_values(), scene.sigma_true_values()) < 1.0
 
     def test_empirical_variance_matches(self):
         # MC variance oracle on a small design

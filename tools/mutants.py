@@ -66,6 +66,8 @@ DEFECTS = [
      "if not np.all(np.isfinite(h)) or np.any(h <= 0)", "if np.any(h <= 0)"),
     ("thresholds-without-domain-check", "fll_selector.py",
      "if not np.all(zv > 0):", "if False:"),
+    ("declared-budget-unchecked", "local_model.py",
+     "realized > declared + 1e-12", "False"),
     ("truncated-ladder-keeps-rejected-scale", "local_model.py",
      "np.where(passed.all(axis=-1), ladder.K, passed.argmin(axis=-1))",
      "np.where(passed.all(axis=-1), ladder.K, passed.argmin(axis=-1) + 1)"),
