@@ -44,12 +44,10 @@ def check_r(r: float):
 
 def chi_square_moment(p: int, r: float) -> float:
     """r-th absolute moment of chi^2_p: 2^r Gamma(r + p/2) / Gamma(p/2)."""
-    from scipy.special import gammaln  # local import to keep module load cheap
-
     if p < 1:
         raise ParameterDomainError("p must be >= 1")
     check_r(r)
-    return float(np.exp(r * math.log(2.0) + gammaln(r + p / 2.0) - gammaln(p / 2.0)))
+    return math.exp(r * math.log(2.0) + math.lgamma(r + p / 2.0) - math.lgamma(p / 2.0))
 
 
 def threshold_constant(p: int, r: float) -> float:
@@ -58,12 +56,10 @@ def threshold_constant(p: int, r: float) -> float:
     log{ 2^{2r} [Gamma(2r + p/2) Gamma(p/2)]^{1/2} / Gamma(r + p/2) },
     evaluated in log space.
     """
-    from scipy.special import gammaln  # local import to keep module load cheap
-
-    return float(
+    return (
         2.0 * r * math.log(2.0)
-        + 0.5 * (gammaln(2.0 * r + p / 2.0) + gammaln(p / 2.0))
-        - gammaln(r + p / 2.0)
+        + 0.5 * (math.lgamma(2.0 * r + p / 2.0) + math.lgamma(p / 2.0))
+        - math.lgamma(r + p / 2.0)
     )
 
 

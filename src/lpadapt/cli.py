@@ -27,7 +27,7 @@ from .calibration import DEFAULT_MU, CriticalValues, mc_calibrate, theoretical_c
 from .dataset import Dataset
 from .exceptions import LpAdaptError, MissingColumnError, ParameterDomainError, ParseError
 from .fll_selector import fit_curve
-from .local_model import Basis, LadderDesign, ScaleLadder, check_noise, default_h1
+from .local_model import Basis, LadderDesign, ScaleLadder, _check_delta, check_noise, default_h1
 from .oracle_diagnostics import build_oracle_report
 from .sim_harness import Scene, SigmaSpec, risk_experiment
 from .verification import run_all
@@ -408,7 +408,10 @@ def cmd_verify(args) -> int:
     cfg = _load_config(args.config)
     dataset = ingest_csv(args.data) if args.data else None
     seed = _option(cfg, "seed", 2024, int, args.seed)
-    results = run_all(quick=args.quick, seed=seed, dataset=dataset, delta_declared=_option(cfg, "delta", None))
+    delta = _option(cfg, "delta", None)
+    if delta is not None:  # checked as fit checks it, with or without --data
+        _check_delta(delta)
+    results = run_all(quick=args.quick, seed=seed, dataset=dataset, delta_declared=delta)
     payload = {
         "provenance": _provenance(cfg, seed),
         "passed": all(rr.passed for rr in results),

@@ -185,6 +185,21 @@ def _check_delta(delta: float):
         raise ParameterDomainError(f"delta={delta} outside [0, 1)")
 
 
+def generalized_eigvalsh(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues lambda of A v = lambda B v, for A symmetric and B positive definite.
+
+    With B = L L^T they are the eigenvalues of L^{-1} A L^{-T}, symmetrised
+    before the eigensolve.  Raises numpy.linalg.LinAlgError (a ValueError)
+    when A or B has a non-finite entry, which LAPACK does not check, or B is
+    not positive definite.
+    """
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        raise np.linalg.LinAlgError("generalized eigenproblem with a non-finite entry")
+    L = np.linalg.cholesky(B)
+    M = np.linalg.solve(L, np.linalg.solve(L, A).T)
+    return np.linalg.eigvalsh(0.5 * (M + M.T))
+
+
 @dataclass
 class LocalFit:
     """Coefficient vector for one scale, with the information matrix used."""
@@ -401,11 +416,9 @@ class LadderDesign:
         Computed from the accepted information matrices, not from nominal
         bandwidth ratios.  For a single scale returns (inf, 1.0) degenerately.
         """
-        from scipy.linalg import eigvalsh  # local import to keep module load cheap
-
         lo, hi = math.inf, 1.0
         for Bprev, Bnext in zip(self.B_list[:-1], self.B_list[1:]):
-            vals = eigvalsh(Bnext, Bprev)  # generalized problem, same spectrum as the similarity
+            vals = generalized_eigvalsh(Bnext, Bprev)  # same spectrum as the similarity
             lo = min(lo, float(vals[0]))
             hi = max(hi, float(vals[-1]))
         return lo, hi

@@ -48,13 +48,24 @@ def joint_covariance(d_blocks: Sequence[np.ndarray], variances) -> np.ndarray:
     return 0.5 * (S + S.T)
 
 
-def _spd_factor(S: np.ndarray):
-    from scipy.linalg import LinAlgError, cho_factor  # local import to keep module load cheap
+def _spd_factor(S: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor L of S = L L^T.
 
+    Raises SingularJointCovarianceError when S is not positive definite or
+    has a non-finite entry, which LAPACK does not check.
+    """
+    if not np.isfinite(S).all():
+        raise SingularJointCovarianceError("joint covariance has a non-finite entry")
     try:
-        return cho_factor(S, lower=True)
-    except LinAlgError as exc:
+        return np.linalg.cholesky(S)
+    except np.linalg.LinAlgError as exc:
         raise SingularJointCovarianceError(str(exc)) from exc
+
+
+def _inverse_form(S: np.ndarray, b: np.ndarray) -> float:
+    """b^T S^{-1} b as |L^{-1} b|^2 with S = L L^T."""
+    w = np.linalg.solve(_spd_factor(S), b)
+    return float(w @ w)
 
 
 def boxcar_determinant(B_list: Sequence[np.ndarray], weights_list: Sequence[np.ndarray]) -> float:
@@ -97,20 +108,13 @@ class ModelingBias:
 
 def modeling_bias(theta_bars: Sequence[np.ndarray], theta_ref: np.ndarray, Sigma_k: np.ndarray) -> ModelingBias:
     """Bias index Delta(k) and its componentwise counterparts at one k."""
-    from scipy.linalg import cho_solve  # local import to keep module load cheap
-
     bars = np.asarray(theta_bars, dtype=float)
     k, p = bars.shape
     theta_ref = np.asarray(theta_ref, dtype=float)
     b = (bars - theta_ref[None, :]).reshape(k * p)
-    cf = _spd_factor(Sigma_k)
-    total = float(b @ cho_solve(cf, b))
-    comps = np.empty(p)
-    for j in range(1, p + 1):
-        bj = b[j - 1 :: p]
-        Sj = component_submatrix(Sigma_k, p, j)
-        comps[j - 1] = float(bj @ cho_solve(_spd_factor(Sj), bj))
-    return ModelingBias(delta_total=max(total, 0.0), delta_components=np.maximum(comps, 0.0))
+    total = _inverse_form(Sigma_k, b)
+    comps = np.array([_inverse_form(component_submatrix(Sigma_k, p, j), b[j - 1 :: p]) for j in range(1, p + 1)])
+    return ModelingBias(delta_total=total, delta_components=comps)
 
 
 def bias_profile(
@@ -183,17 +187,14 @@ def kl_joint(Sigma_k: np.ndarray, Sigma_k0: np.ndarray, Delta_k: float, p: int, 
            + tr(Sigma_k^{-1} Sigma_k0) - p k,
 
     and the sandwich replaces the matrix terms by their delta-extremes.
+    With Sigma_k = L L^T and Sigma_k0 = L0 L0^T, the log-determinant ratio
+    is 2 sum log(diag L / diag L0) and the trace is |L^{-1} L0|_F^2, so
+    identical laws give 0 exactly.
     """
-    from scipy.linalg import cho_solve  # local import to keep module load cheap
-
-    cf = _spd_factor(Sigma_k)
-    _spd_factor(Sigma_k0)  # fail loudly if the true-law matrix is not PD
-    sign, logdet_k = np.linalg.slogdet(Sigma_k)
-    sign0, logdet_k0 = np.linalg.slogdet(Sigma_k0)
-    if sign <= 0 or sign0 <= 0:
-        raise SingularJointCovarianceError("nonpositive determinant in KL evaluation")
-    tr = float(np.trace(cho_solve(cf, Sigma_k0)))
-    kl = 0.5 * (Delta_k + (logdet_k - logdet_k0) + tr - p * k)
+    L, L0 = _spd_factor(Sigma_k), _spd_factor(Sigma_k0)
+    log_det_ratio = 2.0 * float(np.sum(np.log(np.diag(L) / np.diag(L0))))
+    tr = float(np.sum(np.linalg.solve(L, L0) ** 2))
+    kl = 0.5 * (Delta_k + log_det_ratio + tr - p * k)
     pk = p * k
     lower = -0.5 * pk * math.log1p(delta) + 0.5 * Delta_k - 0.5 * pk * delta
     upper = -0.5 * pk * math.log1p(-delta) + 0.5 * Delta_k + 0.5 * pk * delta
@@ -251,11 +252,9 @@ def componentwise_scale(n: int, h: float, d: int, lambda0: float, sigma_max_sq: 
 
 def lambda0_estimate(B_list: Sequence[np.ndarray], bandwidths, n: int, d: int, sigma_max_sq) -> float:
     """Tightest Lambda_0 with lambda_min(B_k) >= n h_k^d Lambda_0 / sigma_max^2(k)."""
-    from scipy.linalg import eigvalsh  # local import to keep module load cheap
-
     smax = np.asarray(sigma_max_sq, dtype=float)
     vals = [
-        eigvalsh(B)[0] * smax[k] / (n * float(bandwidths[k]) ** d)
+        np.linalg.eigvalsh(B)[0] * smax[k] / (n * float(bandwidths[k]) ** d)
         for k, B in enumerate(B_list)
     ]
     return float(min(vals))
@@ -267,8 +266,6 @@ def tightest_sj(Sigma_full: np.ndarray, p: int, j: int) -> float:
     Computed as max_k lambda_max(Dg^{1/2} Sigma_{k,j}^{-1} Dg^{1/2}) on the
     leading principal submatrices; a reported diagnostic, not a guarantee.
     """
-    from scipy.linalg import eigvalsh  # local import to keep module load cheap
-
     Sj_full = component_submatrix(Sigma_full, p, j)
     K = Sj_full.shape[0]
     best = 0.0
@@ -276,7 +273,7 @@ def tightest_sj(Sigma_full: np.ndarray, p: int, j: int) -> float:
         Sj = Sj_full[:k, :k]
         dg = np.sqrt(np.diag(Sj))
         inv = np.linalg.inv(Sj)
-        best = max(best, float(eigvalsh(dg[:, None] * inv * dg[None, :])[-1]))
+        best = max(best, float(np.linalg.eigvalsh(dg[:, None] * inv * dg[None, :])[-1]))
     return best
 
 
@@ -292,15 +289,13 @@ def wilks_spectrum(ld: LadderDesign, k: int, sigma_true) -> np.ndarray:
     tr(D_k Psi^T) equals p and that the largest eigenvalue respects the
     1 + delta cap.
     """
-    from scipy.linalg import eigh, eigvalsh  # local import to keep module load cheap
-
     B, psi, w, sig = ld.B_list[k - 1], ld.psi, ld.weights_list[k - 1], ld.sigma_model
     sig0 = np.asarray(sigma_true, dtype=float)
 
-    evals_B, vecs = eigh(B)
+    evals_B, vecs = np.linalg.eigh(B)
     B_inv_half = vecs @ np.diag(evals_B**-0.5) @ vecs.T
     M = (psi * (w**2 * sig0**2 / sig**4)) @ psi.T
-    lam = eigvalsh(B_inv_half @ M @ B_inv_half)[::-1]
+    lam = np.linalg.eigvalsh(B_inv_half @ M @ B_inv_half)[::-1]
 
     p = ld.basis.p
     proj_trace = float(np.trace(ld.D_list[k - 1] @ psi.T))

@@ -5,11 +5,9 @@ experiment where needed, and compares against the closed-form side within
 an explicit tolerance.  These are the suites behind the `verify` command;
 the package test suite calls them as well.
 
-The chi-square tail P{chi^2_p >= x} is `scipy.special.chdtrc(p, x)`, the
-function `scipy.stats.chi2.sf` evaluates.  Like the rest of the package,
-this module imports scipy only inside the checks that call it, so importing
-it (or the CLI) loads numpy alone; `verify` loads `scipy.linalg` and
-`scipy.special` on first use, and never `scipy.stats`.
+Both tail checks bound by the chi-square tail with one degree of freedom,
+P{chi^2_1 >= x} = erfc(sqrt(x / 2)), which `math.erfc` evaluates; the
+package needs numpy alone.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from .calibration import (
 )
 from .dataset import Dataset
 from .exceptions import ParameterDomainError
-from .local_model import Basis, LadderDesign, ScaleLadder, check_noise, default_h1
+from .local_model import Basis, LadderDesign, ScaleLadder, check_noise, default_h1, generalized_eigvalsh, relative_gap
 from .oracle_diagnostics import boxcar_determinant, joint_covariance, kl_joint, wilks_spectrum
 from .sim_harness import SigmaSpec
 
@@ -44,6 +42,11 @@ class CheckResult:
 
 def _result(name: str, passed: bool, detail: str) -> CheckResult:
     return CheckResult(name=name, passed=bool(passed), detail=detail)
+
+
+def chi_square_1_tail(x: float) -> float:
+    """P{chi^2_1 >= x} for x >= 0: P{|N(0, 1)| >= sqrt(x)} = erfc(sqrt(x / 2))."""
+    return math.erfc(math.sqrt(x / 2.0))
 
 
 def _random_boxcar_scene(rng: np.random.Generator, p: int, k: int, n: int = 60):
@@ -111,8 +114,6 @@ def check_covariance_sandwich(seed: int = 12, trials: int = 12) -> CheckResult:
 
     TestJointCovariance::test_sandwich_eigenvalues runs it with 10 trials.
     """
-    from scipy.linalg import eigvalsh  # local import to keep module load cheap
-
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
@@ -124,7 +125,7 @@ def check_covariance_sandwich(seed: int = 12, trials: int = 12) -> CheckResult:
         ld = LadderDesign(basis, ladder, pts, x, sigma)
         S = joint_covariance(ld.D_list, sigma**2)
         S0 = joint_covariance(ld.D_list, sigma0**2)
-        vals = eigvalsh(S0, S)
+        vals = generalized_eigvalsh(S0, S)
         worst = max(worst, max(1.0 - delta - vals[0], vals[-1] - (1.0 + delta), 0.0))
     return _result("covariance_sandwich", worst <= 1e-9, f"worst sandwich violation {worst:.3e}")
 
@@ -160,16 +161,13 @@ def check_wilks(p: int = 2, replicates: int = 20000, seed: int = 13, kernel: str
 
 def check_domination(delta: float = 0.2, replicates: int = 20000, seed: int = 14) -> CheckResult:
     """P{form >= z} <= P{chi^2_1 >= z/(1+delta)} + 3 SE for z = 1, 2, 4, 8, 16."""
-    from scipy.special import chdtrc  # local import to keep module load cheap
-
-    p = 1
-    ld, pts = _unit_design(p, 150, 3, 1.6)
+    ld, pts = _unit_design(1, 150, 3, 1.6)
     sigma0 = SigmaSpec("sine", 1.0, delta, 0.3).values(pts)
     forms = _wilks_forms(ld, sigma0, ld.K_eff, replicates, seed)
     worst = -1.0
     for z in (1.0, 2.0, 4.0, 8.0, 16.0):
         emp = float(np.mean(forms >= z))
-        bound = float(chdtrc(p, z / (1.0 + delta)))
+        bound = chi_square_1_tail(z / (1.0 + delta))
         se = math.sqrt(max(bound * (1.0 - bound), 1e-12) / replicates)
         worst = max(worst, emp - bound - 3.0 * se)
     return _result(f"chi2_domination_d{delta:g}", worst <= 0.0, f"worst excess over bound {worst:.3e}")
@@ -243,16 +241,13 @@ def _pair_ensemble(delta: float, replicates: int, seed: int):
 
 def check_pair_tail_bounds(replicates: int = 20000, seed: int = 18) -> CheckResult:
     """Pairwise-statistic tails dominated by chi^2 at the growth-bound scales (delta 0.1, p 1, z = 2, 4, 8, 16)."""
-    from scipy.special import chdtrc  # local import to keep module load cheap
-
-    p = 1
     ens, scales = _pair_ensemble(0.1, replicates, seed)
     worst = -1.0
     for l, k, t0, t1 in scales:
         for table, t in ((ens.T[l - 1, k - 1], t0), (ens.T[k - 1, l - 1], t1)):
             for z in (2.0, 4.0, 8.0, 16.0):
                 emp = float(np.mean(table >= z))
-                bound = float(chdtrc(p, z / t))
+                bound = chi_square_1_tail(z / t)
                 se = math.sqrt(max(bound * (1.0 - bound), 1e-12) / replicates)
                 worst = max(worst, emp - bound - 3.0 * se)
     return _result("pair_tail_bounds", worst <= 0.0, f"worst excess over bound {worst:.3e}")
@@ -296,10 +291,12 @@ def check_noise_model(dataset: Dataset, delta_declared: float | None = None) -> 
     if dataset.sigma_true is None:
         return _result("noise_model_a4", True, "no sigma_true column; nothing to check")
     try:
-        delta = check_noise(dataset.sigma, dataset.sigma_true, delta_declared)
+        check_noise(dataset.sigma, dataset.sigma_true, delta_declared)
     except ParameterDomainError as exc:
         return _result("noise_model_a4", False, str(exc))
-    return _result("noise_model_a4", True, f"realized delta {delta:.4f}")
+    realized = relative_gap(dataset.sigma, dataset.sigma_true)
+    budget = "no declared budget" if delta_declared is None else f"declared delta {delta_declared:.4f}"
+    return _result("noise_model_a4", True, f"realized delta {realized:.4f}; {budget}")
 
 
 def run_all(

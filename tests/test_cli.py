@@ -322,15 +322,7 @@ class TestUnreadableInput:
 
 
 class TestFreshProcess:
-    def test_cli_import_loads_no_scipy_stats(self):
-        # a fresh process: pytest itself may already have imported scipy.stats
-        code = ("import sys, lpadapt, lpadapt.cli; "
-                "print(sorted(m for m in sys.modules if m.startswith('scipy.') and m.count('.') == 1)); "
-                "sys.exit('scipy.stats' in sys.modules)")
-        proc = _run_fresh(["-c", code])
-        print("scipy subpackages loaded:", proc.stdout.strip())
-        assert proc.returncode == 0, f"lpadapt.cli loaded scipy.stats; scipy subpackages: {proc.stdout.strip()}"
-
+    # fresh processes: pytest has imported scipy, the tests' reference implementation, into this one
     def test_cli_import_loads_no_scipy(self):
         code = ("import sys, lpadapt, lpadapt.cli; "
                 "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
@@ -338,17 +330,30 @@ class TestFreshProcess:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]", f"importing lpadapt.cli loaded {proc.stdout.strip()}"
 
-    def test_fit_with_thresholds_loads_no_scipy(self, tmp_path):
+    SCENE = {"f": "jump", "n": 150, "x": 0.47, "sigma_model": {"pattern": "constant", "level": 0.25},
+             "seed": 5, "replicates": 400, "mc_size": 2000, "ladder": {"K": 4, "growth": 1.5}, "basis": {"degree": 0}}
+
+    @pytest.mark.parametrize("command", ["fit", "calibrate", "verify", "simulate", "diagnose"])
+    def test_command_loads_no_scipy(self, tmp_path, command):
         data_dir = Path(__file__).parent / "data"
-        argv = ["fit", "--data", str(data_dir / "jump_scene.csv"), "--cv", str(data_dir / "jump_cv.json"),
-                "--config", str(data_dir / "jump_config.json"), "--out", str(tmp_path / "fit.csv")]
+        data = ["--data", str(data_dir / "jump_scene.csv"), "--config", str(data_dir / "jump_config.json")]
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(self.SCENE), encoding="utf-8")
+        out = tmp_path / ("fit.csv" if command == "fit" else "out.json")
+        argv = {
+            "fit": ["fit", *data, "--cv", str(data_dir / "jump_cv.json")],
+            "calibrate": ["calibrate", *data, "--mc", "2000"],
+            "verify": ["verify", "--quick"],
+            "simulate": ["simulate", "--config", str(scene)],
+            "diagnose": ["diagnose", "--config", str(scene)],
+        }[command] + ["--out", str(out)]
         code = ("import sys; from lpadapt import cli; "
                 f"code = cli.main({argv!r}); "
                 "print(sorted(m for m in sys.modules if m.startswith('scipy'))); sys.exit(code)")
         proc = _run_fresh(["-c", code])
         assert proc.returncode == EXIT_OK, proc.stderr
-        assert proc.stdout.strip() == "[]", f"lpadapt fit loaded {proc.stdout.strip()}"
-        assert len((tmp_path / "fit.csv").read_text().splitlines()) > 2
+        assert proc.stdout.strip() == "[]", f"lpadapt {command} loaded {proc.stdout.strip()}"
+        assert len(out.read_text().splitlines()) > 2
 
     def test_non_numeric_cv_alpha_exit_code(self, tmp_path):
         # a fresh process, so stderr shows the whole output: one error line and no traceback
@@ -571,6 +576,20 @@ class TestVerify:
         out = tmp_path / "verify.json"
         # realized delta ~ 0.138 exceeds the declared 0.01 budget
         assert main(["verify", "--quick", "--data", str(data), "--config", str(cfg), "--out", str(out)]) == EXIT_VERIFY
+
+    @pytest.mark.parametrize("with_data", [False, True], ids=["no-data", "data-without-sigma-true"])
+    def test_out_of_range_delta_exit_code(self, tmp_path, capsys, with_data):
+        # fit rejects this budget, and so does verify, whether or not it has data to check
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"delta": 1.5}), encoding="utf-8")
+        out = tmp_path / "verify.json"
+        argv = ["verify", "--quick", "--config", str(cfg), "--out", str(out)]
+        if with_data:
+            argv += ["--data", str(_write_dataset(tmp_path / "d.csv"))]
+        assert main(argv) == EXIT_CONFIG
+        errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+        assert errors == ["error: delta=1.5 outside [0, 1)"]
+        assert not out.exists()
 
 
 class TestConfigValues:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigvalsh as scipy_eigvalsh
 
 from lpadapt import local_model as lm
 from lpadapt.dataset import Dataset
@@ -347,6 +347,28 @@ class TestLadderDesign:
             hi = max(hi, sim[-1])
         assert u0 == pytest.approx(lo, rel=1e-9)
         assert u == pytest.approx(hi, rel=1e-9)
+
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    def test_generalized_eigvalsh_matches_scipy(self, rng, p):
+        for _ in range(20):
+            G, H = rng.normal(size=(2, p, p))
+            A, B = G @ G.T, H @ H.T + p * np.eye(p)
+            ref = scipy_eigvalsh(A, B)
+            assert np.all(np.abs(lm.generalized_eigvalsh(A, B) - ref) <= 1e-12 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)], ids=["diagonal", "upper"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["A", "B"])
+    def test_generalized_eigvalsh_rejects_non_finite(self, where, bad, entry):
+        # LAPACK would return NaN eigenvalues, or read past an upper-triangle entry of B
+        A, B = np.eye(2), np.eye(2)
+        (A if where == "A" else B)[entry] = bad
+        with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+            lm.generalized_eigvalsh(A, B)
+
+    def test_generalized_eigvalsh_rejects_indefinite_B(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            lm.generalized_eigvalsh(np.eye(2), np.diag([1.0, -1.0]))
 
     def test_truncates_at_first_bad_scale(self):
         basis = Basis.polynomial(1)

@@ -25,8 +25,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lpadapt.calibration as calibration
-from lpadapt.calibration import noise_matrix, replicate_noise
+from lpadapt.calibration import SelectionEnsemble, noise_matrix, replicate_noise
 from lpadapt.exceptions import LpAdaptError, ParameterDomainError
+from lpadapt.local_model import Basis, LadderDesign, ScaleLadder
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -105,6 +106,21 @@ def test_rows_match_numpy_across_a_chunk_boundary(seed, cols):
     assert got.shape == (rows, cols.size)
     check = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, rows - 1]
     assert np.array_equal(got[check], numpy_rows(seed, check, 60, cols))
+
+
+def test_every_row_matches_numpy_across_block_and_chunk_edges():
+    # width 200 takes blocks of R = 327 rows, so the second and third state chunks start inside a block
+    n, rows = 200, 2 * CHUNK + 5
+    ld = LadderDesign(Basis.polynomial(1), ScaleLadder((0.1, 0.25, 0.6), kernel="boxcar"),
+                      np.linspace(0.0, 1.0, n), 0.5, np.linspace(0.5, 1.5, n))
+    cols = ld.support
+    R, _ = calibration._noise_blocks(0, rows, n, cols)
+    assert cols[-1] == n - 1 and CHUNK % R and 2 * CHUNK % R
+    want = numpy_rows(0, range(rows), n, cols)
+    assert np.array_equal(noise_matrix(0, rows, n, cols), want)
+    ens = SelectionEnsemble.draw(ld, rows, 0, ld.sigma_model)
+    fits = np.stack([(want * ld.sigma_model[cols]) @ D[:, cols].T for D in ld.D_list], axis=1)
+    assert np.all(np.abs(ens.theta_tilde - fits) <= 1e-12 * np.abs(fits).max(axis=0))
 
 
 def test_row_65536_matches_numpy():

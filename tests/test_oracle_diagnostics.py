@@ -135,6 +135,16 @@ class TestModelingBias:
         with pytest.raises(SingularJointCovarianceError):
             modeling_bias([np.array([1.0]), np.array([2.0])], np.array([0.0]), S)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_joint_covariance_raises(self, bad):
+        # numpy's Cholesky factors a NaN or inf diagonal without an error
+        S = np.eye(2)
+        S[0, 0] = bad
+        with pytest.raises(SingularJointCovarianceError, match="non-finite"):
+            modeling_bias([np.array([1.0]), np.array([2.0])], np.array([0.0]), S)
+        with pytest.raises(SingularJointCovarianceError, match="non-finite"):
+            kl_joint(np.eye(2), S, 0.0, 1, 2, 0.1)
+
 
 class TestOracleIndex:
     def test_threshold_scan(self):

@@ -4,7 +4,6 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy.special import chdtrc
 from scipy.stats import chi2
 
 import lpadapt.verification as verification
@@ -23,6 +22,7 @@ from lpadapt.verification import (
     check_quasi_parametric_moment,
     check_stacked_covariance,
     check_wilks,
+    chi_square_1_tail,
     run_all,
 )
 
@@ -78,15 +78,16 @@ def test_a_wrong_library_function_fails_its_check(monkeypatch, name, wrong, chec
     assert check(**kwargs).passed is False
 
 
-@pytest.mark.parametrize("p", [1, 2])
-def test_chi_square_tail_is_bit_identical_to_scipy_stats(p):
-    """chdtrc(p, x) is the value chi2.sf(x, p) returns, at every argument the tail checks pass."""
+def test_chi_square_tail_matches_scipy_stats():
+    """chi_square_1_tail(x) is chi2.sf(x, 1) within 1e-13 relative, at every argument the tail checks pass."""
     ld, _ = _unit_design(1, 150, 4, 1.5)  # the design of check_pair_tail_bounds
     u0_hat, u_hat = ld.growth_bounds()
     pair_t = [2.0 * (1.0 + 0.1) * (1.0 + u) for m in range(1, 4) for u in (u0_hat ** -m, u_hat**m)]
     divisors = np.concatenate([[1.05, 1.2], pair_t, np.linspace(1.0, 10.0, 181)])
     x = (np.array([1.0, 2.0, 4.0, 8.0, 16.0])[:, None] / divisors[None, :]).ravel()
-    assert np.array_equal(chdtrc(p, x), chi2.sf(x, p))
+    want = chi2.sf(x, 1)
+    got = np.array([chi_square_1_tail(v) for v in x])
+    assert np.all(np.abs(got - want) <= 1e-13 * want)
 
 
 def test_noise_model_check_flags_violation():
@@ -101,6 +102,14 @@ def test_noise_model_check_accepts_within_budget():
     data = Dataset(x=np.linspace(0, 1, n), y=np.zeros(n), sigma=np.ones(n), sigma_true=np.full(n, 1.05))
     result = check_noise_model(data, delta_declared=0.2)
     assert result.passed
+
+
+def test_noise_model_check_reports_realized_gap_and_budget():
+    # the realized gap (1.1^2 - 1 = 0.21) and the budget it was checked against, each under its own name
+    n = 30
+    data = Dataset(x=np.linspace(0, 1, n), y=np.zeros(n), sigma=np.ones(n), sigma_true=np.full(n, 1.1))
+    assert check_noise_model(data, delta_declared=0.5).detail == "realized delta 0.2100; declared delta 0.5000"
+    assert check_noise_model(data).detail == "realized delta 0.2100; no declared budget"
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, True])

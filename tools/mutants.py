@@ -71,6 +71,14 @@ DEFECTS = [
     ("truncated-ladder-keeps-rejected-scale", "local_model.py",
      "np.where(passed.all(axis=-1), ladder.K, passed.argmin(axis=-1))",
      "np.where(passed.all(axis=-1), ladder.K, passed.argmin(axis=-1) + 1)"),
+    ("chunk-start-zeroes-block-first-row", "calibration.py",
+     "                states, layout = _chunk_states(seed, seed_words, a, min(a + _STATE_CHUNK, rows))\n",
+     "                states, layout = _chunk_states(seed, seed_words, a, min(a + _STATE_CHUNK, rows))\n"
+     "                block[0] = 0.0\n"),
+    ("chi2-tail-sqrt-x", "verification.py",
+     "math.erfc(math.sqrt(x / 2.0))", "math.erfc(math.sqrt(x))"),
+    ("generalized-eig-L-transposed", "local_model.py",
+     "L = np.linalg.cholesky(B)\n", "L = np.linalg.cholesky(B).T\n"),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
