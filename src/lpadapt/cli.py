@@ -450,15 +450,11 @@ def cmd_diagnose(args) -> int:
         delta_budget=_option(cfg, "delta_budget", 1.0),
         C_j=_option(cfg, "C_j", 1.0),
     )
-    obj = json.loads(report.to_json())
     pc = validate_pc(cv, basis, ladder, scene.sigma_model_values(), scene.design_points(), x_ref,
                      max(mc // 4, 1000) if args.quick else mc, seed + 1)
-    obj["pc_validation"] = [
-        {"k": e.k, "moment": e.moment, "std_error": e.std_error, "bound": e.bound, "passed": e.passed}
-        for e in pc.entries
-    ]
-    obj["provenance"] = _provenance(cfg, seed)
-    _write_text(args.out, json.dumps(obj, indent=2) + "\n")
+    report["pc_validation"] = [asdict(e) for e in pc.entries]
+    report["provenance"] = _provenance(cfg, seed)
+    _write_text(args.out, json.dumps(report, indent=2) + "\n")
     return EXIT_OK
 
 

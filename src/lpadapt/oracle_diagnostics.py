@@ -9,9 +9,8 @@ Monte-Carlo experiments are checked against.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -160,8 +159,11 @@ def oracle_diagnostics(ld: LadderDesign, f_values, delta_budget: float) -> Point
     """Bias indices, oracle index and Lambda_0 of ld against the mean f_values.
 
     The reference parameter is the smallest-window pseudo-true vector, which
-    makes Delta(1) = 0 and every oracle index well defined.
+    makes Delta(1) = 0 and every oracle index well defined for a budget
+    that is not negative (+inf admits every scale).
     """
+    if not delta_budget >= 0:  # NaN fails too
+        raise ParameterDomainError(f"delta_budget must be a nonnegative number, got {delta_budget}")
     bars = ld.pseudo_true(f_values)
     ref = bars[0]
     Sigma = joint_covariance(ld.D_list, ld.sigma_model**2)
@@ -213,18 +215,14 @@ def propagation_bound(
     """Closed-form bound on the stopped-risk moment at step k:
 
     (alpha C(p,r))^{1/2} (1+delta)^{pk/4} (1-delta)^{-3pk/4}
-        exp{ phi(delta) Delta(k) / (2 (1-delta)) }.
+        exp{ phi(delta) Delta(k) / (2 (1-delta)) },
+
+    the Cauchy-Schwarz product sqrt(alpha C(p,r) U) of the moment condition
+    and the upper bound U of z_moment_bounds; math.inf when U overflows.
     """
-    _check_delta(delta)
     if Delta_k < 0:
         raise ParameterDomainError("Delta(k) must be nonnegative")
-    pk = p * k
-    return (
-        math.sqrt(alpha * chi_square_moment(p, r))
-        * (1.0 + delta) ** (pk / 4.0)
-        * (1.0 - delta) ** (-3.0 * pk / 4.0)
-        * math.exp(phi_factor(delta, homogeneous) * Delta_k / (2.0 * (1.0 - delta)))
-    )
+    return math.sqrt(alpha * chi_square_moment(p, r) * z_moment_bounds(p, k, delta, Delta_k, homogeneous)[1])
 
 
 def oracle_risk_bound(
@@ -338,61 +336,29 @@ def smb_from_tradeoff(
 
 def z_moment_bounds(p: int, k: int, delta: float, Delta_k: float, homogeneous: bool = False) -> tuple[float, float]:
     """Closed-form lower/upper bounds for the second moment of the
-    likelihood-ratio between the stacked laws."""
+    likelihood-ratio between the stacked laws.
+
+    The upper bound is ((1+delta)/(1-delta)^3)^{pk/2} exp{phi(delta) Delta(k) / (1-delta)}.
+    A bound whose power or exponential overflows is math.inf: it is vacuous, not an error.
+    """
     _check_delta(delta)
     pk = p * k
     if homogeneous:
         e_lo = Delta_k / (1.0 + delta)
-        e_hi = Delta_k / (1.0 - delta)
     else:
         e_lo = (2.0 * (1.0 - delta) / (1.0 + delta) ** 2 - 1.0) * Delta_k / (1.0 + delta)
-        e_hi = (2.0 * (1.0 + delta) / (1.0 - delta) ** 2 - 1.0) * Delta_k / (1.0 - delta)
-    lower = ((1.0 - delta) / (1.0 + delta) ** 3) ** (pk / 2.0) * math.exp(e_lo)
-    upper = ((1.0 + delta) / (1.0 - delta) ** 3) ** (pk / 2.0) * math.exp(e_hi)
+    e_hi = phi_factor(delta, homogeneous) * Delta_k / (1.0 - delta)
+    lower = _power_exp((1.0 - delta) / (1.0 + delta) ** 3, pk / 2.0, e_lo)
+    upper = _power_exp((1.0 + delta) / (1.0 - delta) ** 3, pk / 2.0, e_hi)
     return lower, upper
 
 
-def _jsonify(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    return obj
-
-
-@dataclass
-class OracleReport:
-    """Every deterministic bound, index and identity for one scene and point."""
-
-    x: list
-    p: int
-    K: int
-    delta: float
-    homogeneous: bool
-    phi: float
-    u0_hat: float
-    u_hat: float
-    lambda0: float
-    theta_ref: list
-    delta_seq: list
-    delta_seq_monotone: bool
-    delta_components: list  # (K, p)
-    delta_budget: float
-    k_star: int
-    z_kstar: float
-    oracle_bound: float
-    kl: list  # per k: {k, kl, lower, upper, within}
-    propagation_bounds: list
-    z2_bounds: list  # per k: {k, lower, upper}
-    components: list  # per j: {j, s_j, k_star_j, Delta_j_budget, z, bound, scale, k_ideal}
-    boxcar_determinant_check: dict | None
-
-    def to_json(self) -> str:
-        return json.dumps(_jsonify(asdict(self)), indent=2)
+def _power_exp(base: float, power: float, exponent: float) -> float:
+    """base**power * exp(exponent), or math.inf when either factor overflows."""
+    try:
+        return base**power * math.exp(exponent)
+    except OverflowError:
+        return math.inf
 
 
 def build_oracle_report(
@@ -406,14 +372,28 @@ def build_oracle_report(
     cv: CriticalValues,
     delta_budget: float = 1.0,
     C_j: float = 1.0,
-) -> OracleReport:
-    """Evaluate the full diagnostics stack for one scene at one point.
+) -> dict:
+    """Every deterministic bound, index and identity for one scene at one point, as the diagnose document.
 
     sigma_true None means the model is exact.  delta is check_noise's gap
     between the two, and cv must hold a threshold for each of the first
     K_eff - 1 scales.  The reference parameter is that of
-    oracle_diagnostics, the smallest-window pseudo-true vector.
+    oracle_diagnostics, the smallest-window pseudo-true vector.  C_j must
+    be finite and positive.
+
+    The dict holds JSON values only, under the keys, in order: x, p, K,
+    delta, homogeneous, phi, u0_hat, u_hat, lambda0, theta_ref (p,),
+    delta_seq (K,), delta_seq_monotone, delta_components (K x p),
+    delta_budget, k_star, z_kstar, oracle_bound, kl (per k: k, kl, lower,
+    upper, within), propagation_bounds (per k: k, bound), z2_bounds (per k:
+    k, lower, upper), components (per j: j, s_j, k_ideal, Delta_j_budget,
+    k_star_j, z, and with K > 1 also bound and scale) and
+    boxcar_determinant_check (formula, dense, rel_err; null unless the
+    windows are nested 0/1 and K >= 2).  A one-scale ladder has NaN for
+    z_kstar and oracle_bound, and a bound that overflows is inf.
     """
+    if not (math.isfinite(C_j) and C_j > 0):
+        raise ParameterDomainError(f"C_j must be finite and positive, got {C_j}")
     delta = check_noise(sigma_model, sigma_true)
     ld = LadderDesign(basis, ladder, design_points, x, sigma_model)
     if ld.K_eff < 1:
@@ -486,27 +466,27 @@ def build_oracle_report(
         dense = float(np.linalg.det(Sigma))
         det_check = {"formula": formula, "dense": dense, "rel_err": abs(formula - dense) / abs(dense)}
 
-    return OracleReport(
-        x=_jsonify(ld.x),
-        p=p,
-        K=K,
-        delta=float(delta),
-        homogeneous=homogeneous,
-        phi=float(phi),
-        u0_hat=float(u0_hat),
-        u_hat=float(u_hat),
-        lambda0=float(lambda0),
-        theta_ref=_jsonify(ref),
-        delta_seq=_jsonify(deltas),
-        delta_seq_monotone=monotone,
-        delta_components=_jsonify(delta_j),
-        delta_budget=float(delta_budget),
-        k_star=k_star,
-        z_kstar=z_kstar,
-        oracle_bound=float(bound),
-        kl=_jsonify(kl_rows),
-        propagation_bounds=_jsonify(prop_rows),
-        z2_bounds=_jsonify(z2_rows),
-        components=_jsonify(components),
-        boxcar_determinant_check=_jsonify(det_check),
-    )
+    return {
+        "x": ld.x.tolist(),
+        "p": p,
+        "K": K,
+        "delta": delta,
+        "homogeneous": homogeneous,
+        "phi": phi,
+        "u0_hat": u0_hat,
+        "u_hat": u_hat,
+        "lambda0": lambda0,
+        "theta_ref": ref.tolist(),
+        "delta_seq": deltas.tolist(),
+        "delta_seq_monotone": monotone,
+        "delta_components": delta_j.tolist(),
+        "delta_budget": delta_budget,
+        "k_star": k_star,
+        "z_kstar": z_kstar,
+        "oracle_bound": bound,
+        "kl": kl_rows,
+        "propagation_bounds": prop_rows,
+        "z2_bounds": z2_rows,
+        "components": components,
+        "boxcar_determinant_check": det_check,
+    }

@@ -16,9 +16,9 @@ from typing import Callable
 
 import numpy as np
 
-from .calibration import CriticalValues, SelectionEnsemble, check_r, replicate_noise
+from .calibration import CriticalValues, SelectionEnsemble, check_r, mc_calibrate, replicate_noise
 from .dataset import Dataset
-from .exceptions import ParameterDomainError
+from .exceptions import ParameterDomainError, SingularJointCovarianceError
 from .local_model import Basis, LadderDesign, ScaleLadder, default_h1, relative_gap
 from .oracle_diagnostics import (
     componentwise_scale,
@@ -180,7 +180,7 @@ def risk_experiment(
     ld = LadderDesign(basis, ladder, scene.design_points(), x, scene.sigma_model_values())
     K, p = ld.K_eff, basis.p
     if K < 2:
-        raise ParameterDomainError("risk experiment needs at least two usable scales")
+        raise SingularJointCovarianceError(f"risk experiment needs at least two usable scales, got {K}")
     _, theta_ref, _, deltas, delta_j, k_star, sigma_bar_max, lambda0 = oracle_diagnostics(ld, scene.f_values(), delta_budget)
     k_star_j = [oracle_index(delta_j[:, j], delta_budget) for j in range(p)]
 
@@ -276,8 +276,6 @@ def delta_sweep(
     delta = 0 cell is compared with the ratio of the closed-form
     stopped-risk bounds at delta and at zero.
     """
-    from .calibration import mc_calibrate  # local import to keep module load cheap
-
     deltas = list(deltas)
     if not deltas or not list(ns):
         raise ParameterDomainError("delta and n grids must be nonempty")

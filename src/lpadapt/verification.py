@@ -112,10 +112,13 @@ def check_determinant_identity(seed: int = 11, trials: int = 20) -> CheckResult:
 def check_covariance_sandwich(seed: int = 12, trials: int = 12) -> CheckResult:
     """(1-delta) Sigma_k <= Sigma_k0 <= (1+delta) Sigma_k via generalized eigenvalues, within 1e-9, delta up to 0.35.
 
+    Sigma_k0 must also equal D diag(sigma0^2) D^T with the stacked
+    D = [D_1; ...; D_k], within 1e-12 of its largest entry, since the
+    sandwich alone holds for a covariance of slightly wrong variances.
     TestJointCovariance::test_sandwich_eigenvalues runs it with 10 trials.
     """
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    worst = dense_gap = 0.0
     for _ in range(trials):
         p = int(rng.integers(1, 3))
         k = int(rng.integers(2, 5))
@@ -127,7 +130,11 @@ def check_covariance_sandwich(seed: int = 12, trials: int = 12) -> CheckResult:
         S0 = joint_covariance(ld.D_list, sigma0**2)
         vals = generalized_eigvalsh(S0, S)
         worst = max(worst, max(1.0 - delta - vals[0], vals[-1] - (1.0 + delta), 0.0))
-    return _result("covariance_sandwich", worst <= 1e-9, f"worst sandwich violation {worst:.3e}")
+        D = np.concatenate(ld.D_list)
+        dense = (D * sigma0**2) @ D.T
+        dense_gap = max(dense_gap, float(np.max(np.abs(S0 - dense)) / np.max(np.abs(dense))))
+    detail = f"worst sandwich violation {worst:.3e}; worst gap to the dense covariance {dense_gap:.3e} (tol 1e-12)"
+    return _result("covariance_sandwich", worst <= 1e-9 and dense_gap <= 1e-12, detail)
 
 
 def _wilks_forms(ld: LadderDesign, sigma_true: np.ndarray, k: int, replicates: int, seed: int) -> np.ndarray:
@@ -189,11 +196,14 @@ def check_quasi_parametric_moment(replicates: int = 20000, seed: int = 15) -> Ch
 def check_kl_sandwich(seed: int = 16, trials: int = 40) -> CheckResult:
     """KL between the stacked laws is >= 0 and lies inside its misspecification interval, within 1e-10.
 
+    kl_joint's KL must also match the dense 2 KL = Delta + log det Sigma_k -
+    log det Sigma_k0 + tr(Sigma_k^{-1} Sigma_k0) - pk within 1e-10, since the
+    interval alone holds for a KL a little off or with the two laws swapped.
     test_A7_kl_sandwich runs it with seed 707 and 100 trials, and
     TestKl::test_sandwich_on_random_scenes with 15 trials.
     """
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    worst = dense_gap = 0.0
     for _ in range(trials):
         p = int(rng.integers(1, 3))
         k = int(rng.integers(2, 5))
@@ -215,7 +225,11 @@ def check_kl_sandwich(seed: int = 16, trials: int = 40) -> CheckResult:
         Delta_k = float(b @ np.linalg.solve(S, b))
         res = kl_joint(S, S0, Delta_k, p, kk, delta)
         worst = max(worst, res.lower - res.kl, res.kl - res.upper, -res.kl)
-    return _result("kl_sandwich", worst <= 1e-10, f"worst interval violation {worst:.3e} (tol 1e-10)")
+        log_det_ratio = np.linalg.slogdet(S)[1] - np.linalg.slogdet(S0)[1]
+        dense = 0.5 * (Delta_k + log_det_ratio + np.trace(np.linalg.solve(S, S0)) - p * kk)
+        dense_gap = max(dense_gap, abs(res.kl - float(dense)))
+    detail = f"worst interval violation {worst:.3e}; worst gap to the dense KL {dense_gap:.3e} (tol 1e-10)"
+    return _result("kl_sandwich", worst <= 1e-10 and dense_gap <= 1e-10, detail)
 
 
 def check_pc_theoretical(mc_size: int = 10000, seed: int = 17) -> CheckResult:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lpadapt.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, ingest_csv, main
+from lpadapt.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_VERIFY, ingest_csv, main
 from lpadapt.exceptions import MissingColumnError, ParseError
 
 
@@ -541,6 +542,71 @@ class TestSimulateDiagnose:
 
     def test_simulate_requires_config(self):
         assert main(["simulate"]) == EXIT_CONFIG
+
+    def test_diagnose_writes_infinity_for_an_overflowing_bound(self, tmp_path, capsys):
+        """Bias indices of 1.25e5 and 3.6e6 at scales 4 and 5 overflow exp: the bound is vacuous, not an error."""
+        scene, cv = tmp_path / "scene.json", tmp_path / "cv.json"
+        scene.write_text(json.dumps({
+            "f": "jump", "n": 400, "x": 0.47, "f_scale": 50.0,
+            "sigma_model": {"pattern": "constant", "level": 0.05},
+            "sigma_true": {"pattern": "sine", "level": 0.05, "amplitude": 0.2},
+            "ladder": {"K": 5, "growth": 1.5}, "basis": {"degree": 0},
+        }), encoding="utf-8")
+        cv.write_text(json.dumps({"z": [20, 15, 10, 5], "method": "fixed", "alpha": 1.0, "r": 0.5, "p": 1, "K": 5}),
+                      encoding="utf-8")
+        out = tmp_path / "diag.json"
+        assert main(["diagnose", "--config", str(scene), "--cv", str(cv), "--quick", "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        text = out.read_text()
+        assert '"bound": Infinity' in text
+        rep = json.loads(text)
+        bounds = [row["bound"] for row in rep["propagation_bounds"]]
+        assert all(map(math.isfinite, bounds[:3])) and bounds[3:] == [math.inf, math.inf]
+        assert [row["upper"] for row in rep["z2_bounds"]][3:] == [math.inf, math.inf]
+        assert math.isfinite(rep["oracle_bound"])  # k_star = 3
+
+    @pytest.mark.parametrize("command,key,value,message", [
+        ("simulate", "delta_budget", -1.0, "delta_budget must be a nonnegative number, got -1.0"),
+        ("simulate", "delta_budget", math.nan, "delta_budget must be a nonnegative number, got nan"),
+        ("diagnose", "delta_budget", -1.0, "delta_budget must be a nonnegative number, got -1.0"),
+        ("diagnose", "delta_budget", math.nan, "delta_budget must be a nonnegative number, got nan"),
+        ("diagnose", "C_j", -1.0, "C_j must be finite and positive, got -1.0"),
+        ("diagnose", "C_j", 0.0, "C_j must be finite and positive, got 0.0"),
+        ("diagnose", "C_j", math.nan, "C_j must be finite and positive, got nan"),
+        ("diagnose", "C_j", math.inf, "C_j must be finite and positive, got inf"),
+    ])
+    def test_bad_budget_or_C_j_exit_code(self, tmp_path, capsys, command, key, value, message):
+        scene, cv = tmp_path / "scene.json", tmp_path / "cv.json"
+        scene.write_text(json.dumps({  # json.dumps writes NaN and Infinity
+            "f": "jump", "n": 150, "x": 0.47, "seed": 5, "replicates": 400, "mc_size": 1000,
+            "sigma_model": {"pattern": "constant", "level": 0.25},
+            "ladder": {"K": 4, "growth": 1.5}, "basis": {"degree": 0}, key: value,
+        }), encoding="utf-8")
+        cv.write_text(json.dumps({"z": [4.0, 4.0, 4.0], "method": "fixed", "alpha": 1.0, "r": 0.5, "p": 1, "K": 4}),
+                      encoding="utf-8")
+        out = tmp_path / "out.json"
+        assert main([command, "--config", str(scene), "--cv", str(cv), "--out", str(out)]) == EXIT_CONFIG
+        errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+        assert errors == [f"error: {message}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["calibrate", "simulate", "diagnose"])
+    def test_point_without_two_usable_scales_is_a_numeric_failure(self, tmp_path, capsys, command):
+        """x = 1.7 lies outside the design on [0, 1], so no scale is usable: every command exits 3."""
+        scene, cv = tmp_path / "scene.json", tmp_path / "cv.json"
+        scene.write_text(json.dumps({
+            "f": "jump", "n": 150, "x": 1.7, "seed": 5, "replicates": 400, "mc_size": 1000,
+            "sigma_model": {"pattern": "constant", "level": 0.25},
+            "ladder": {"K": 4, "growth": 1.5}, "basis": {"degree": 0},
+        }), encoding="utf-8")
+        cv.write_text(json.dumps({"z": [4.0, 4.0, 4.0], "method": "fixed", "alpha": 1.0, "r": 0.5, "p": 1, "K": 4}),
+                      encoding="utf-8")
+        out = tmp_path / "out.json"
+        thresholds = [] if command == "calibrate" else ["--cv", str(cv)]
+        assert main([command, "--config", str(scene), *thresholds, "--out", str(out)]) == EXIT_NUMERIC
+        errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+        assert len(errors) == 1 and "usable scale" in errors[0], errors
+        assert not out.exists()
 
 
 class TestVerify:

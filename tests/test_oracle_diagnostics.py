@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -203,6 +204,28 @@ class TestBounds:
         phi = 2.0 * 1.1 / 0.81 - 1.0
         assert propagation_bound(2, 3, 0.1, 0.7, 0.5, 1.0) == pytest.approx(base * math.exp(phi * 0.7 / 1.8), rel=1e-12)
 
+    def test_propagation_is_root_of_moment_bound(self):
+        # Cauchy-Schwarz: the propagation factor is sqrt(alpha C(p, r) E Z^2) with E Z^2 at its upper bound
+        worst = 0.0
+        for p, k, delta, Dk, r, alpha, hom in itertools.product(
+            (1, 2, 3), (1, 3, 6), (0.0, 0.05, 0.3, 0.6), (0.0, 0.5, 5.0), (0.5, 1.0, 2.0), (0.1, 1.0), (False, True)
+        ):
+            lhs = propagation_bound(p, k, delta, Dk, r, alpha, hom) ** 2
+            rhs = alpha * chi_square_moment(p, r) * z_moment_bounds(p, k, delta, Dk, hom)[1]
+            worst = max(worst, abs(lhs - rhs) / rhs)
+        assert worst <= 1e-14
+
+    def test_overflow_is_vacuous_not_an_error(self):
+        # the exponential overflows past an exponent of about 709.78, the power 25^{pk/2} (delta 0.6) past pk = 440
+        for p, k, delta, Dk in ((1, 1, 0.0, 710.0), (3, 300, 0.6, 0.0)):
+            assert z_moment_bounds(p, k, delta, Dk)[1] == math.inf
+            assert propagation_bound(p, k, delta, Dk, 0.5, 1.0) == math.inf
+            assert oracle_risk_bound(4.0, p, k, delta, Dk, 0.5, 1.0) == math.inf
+        assert z_moment_bounds(1, 1, 0.0, 710.0)[0] == math.inf
+        # just below the edge both bounds keep their finite closed forms, bit for bit
+        assert z_moment_bounds(1, 1, 0.0, 709.0) == (math.exp(709.0), math.exp(709.0))
+        assert propagation_bound(1, 1, 0.0, 709.0, 2.0, 1.0) == math.sqrt(chi_square_moment(1, 2.0) * math.exp(709.0))
+
     def test_phi_value(self):
         assert phi_factor(0.1, homogeneous=False) == pytest.approx(2.0 * 1.1 / 0.81 - 1.0, rel=1e-12)
         assert phi_factor(0.1, homogeneous=False) == pytest.approx(1.7160493827160495, rel=1e-12)
@@ -306,8 +329,12 @@ class TestOracleReport:
         f = (pts >= 0.5).astype(float)
         sig, sig0 = 0.25 * np.ones(n), 0.25 * np.sqrt(1.1) * np.ones(n)
         cv = CriticalValues(z=(20.0, 15.0, 10.0, 5.0), method="theoretical", alpha=1.0, r=0.5, p=1, K=5, mu=0.125)
-        rep = build_oracle_report(basis, ladder, pts, 0.47, sig, sig0, f, cv, delta_budget=1.0)
-        obj = _json.loads(rep.to_json())
+        obj = build_oracle_report(basis, ladder, pts, 0.47, sig, sig0, f, cv, delta_budget=1.0)
+        assert _json.loads(_json.dumps(obj)) == obj  # JSON values only: no numpy type needs a default
+        assert list(obj) == ["x", "p", "K", "delta", "homogeneous", "phi", "u0_hat", "u_hat", "lambda0", "theta_ref",
+                             "delta_seq", "delta_seq_monotone", "delta_components", "delta_budget", "k_star",
+                             "z_kstar", "oracle_bound", "kl", "propagation_bounds", "z2_bounds", "components",
+                             "boxcar_determinant_check"]
         assert obj["k_star"] >= 1
         assert obj["delta_seq"][0] == pytest.approx(0.0, abs=1e-12)
         assert obj["delta_seq_monotone"] is True

@@ -43,7 +43,17 @@ DEFECTS = [
     ("M5-moments-power-r-half", "calibration.py",
      "powered = self.gap_forms(z) ** r\n", "powered = self.gap_forms(z) ** (r / 2.0)\n"),
     ("M6-propagation-exponent", "oracle_diagnostics.py",
-     "(1.0 - delta) ** (-3.0 * pk / 4.0)", "(1.0 - delta) ** (-pk / 4.0)"),
+     "(1.0 + delta) / (1.0 - delta) ** 3, pk / 2.0, e_hi)", "(1.0 + delta) / (1.0 - delta), pk / 2.0, e_hi)"),
+    ("bound-overflow-raises", "oracle_diagnostics.py",
+     "    except OverflowError:\n", "    except ZeroDivisionError:\n"),
+    ("delta-budget-unchecked", "oracle_diagnostics.py",
+     "if not delta_budget >= 0:", "if False:"),
+    ("kl-one-percent-high", "oracle_diagnostics.py",
+     "kl = 0.5 * (Delta_k + log_det_ratio + tr - p * k)", "kl = 0.505 * (Delta_k + log_det_ratio + tr - p * k)"),
+    ("kl-laws-swapped", "oracle_diagnostics.py",
+     "L, L0 = _spd_factor(Sigma_k), _spd_factor(Sigma_k0)", "L0, L = _spd_factor(Sigma_k), _spd_factor(Sigma_k0)"),
+    ("joint-covariance-of-variances-pow-1.02", "oracle_diagnostics.py",
+     "var = np.asarray(variances, dtype=float)\n", "var = np.asarray(variances, dtype=float) ** 1.02\n"),
     ("scipy-import-at-module-level", "local_model.py",
      "import numpy as np\n\n", "import numpy as np\nfrom scipy.linalg import eigvalsh\n\n"),
     ("gate-on-unscaled-B", "local_model.py",
