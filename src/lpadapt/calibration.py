@@ -34,6 +34,14 @@ from .local_model import Basis, LadderDesign, ScaleLadder
 DEFAULT_MU = 0.125
 #: bisection steps of mc_calibrate's offset search
 _BISECT_ITERS = 12
+#: the smallest Monte-Carlo size whose moments and standard errors mc_calibrate and validate_pc use
+MIN_MC_SIZE = 1000
+
+
+def check_mc_size(mc_size: int):
+    """ParameterDomainError unless mc_size reaches MIN_MC_SIZE."""
+    if not mc_size >= MIN_MC_SIZE:  # NaN fails too
+        raise ParameterDomainError(f"mc_size must be >= {MIN_MC_SIZE}, got {mc_size}")
 
 
 def check_r(r: float):
@@ -470,8 +478,7 @@ def mc_calibrate(
     indices, so validate_pc checks the thresholds on different noise.
     """
     _check_alpha_r(alpha, r)
-    if mc_size < 1000:
-        raise ParameterDomainError("mc_size must be >= 1000 for a usable calibration")
+    check_mc_size(mc_size)
     ld = LadderDesign(basis, ladder, design_points, x, sigma_model)
     if ld.K_eff < 2:
         raise CalibrationFailedError(f"need at least 2 usable scales, got {ld.K_eff}")
@@ -557,8 +564,9 @@ def validate_pc(
     The ensemble is SelectionEnsemble.pure_noise on the full design, so it
     draws on design indices.  An entry passes when
     moment <= alpha C(p,r) (1 + 3 rel_se) with rel_se = std_error / moment,
-    so zero-moment rows pass trivially.
+    so zero-moment rows pass trivially.  mc_size must reach MIN_MC_SIZE.
     """
+    check_mc_size(mc_size)
     ld = LadderDesign(basis, ladder, design_points, x, sigma_model)
     K = ld.K_eff
     z = _thresholds(cv, K)

@@ -23,9 +23,9 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import __version__
-from .calibration import DEFAULT_MU, CriticalValues, mc_calibrate, theoretical_cv, validate_pc
+from .calibration import DEFAULT_MU, MIN_MC_SIZE, CriticalValues, check_mc_size, mc_calibrate, theoretical_cv, validate_pc
 from .dataset import Dataset
-from .exceptions import LpAdaptError, MissingColumnError, ParameterDomainError, ParseError
+from .exceptions import CalibrationFailedError, LpAdaptError, MissingColumnError, ParameterDomainError, ParseError
 from .fll_selector import fit_curve
 from .local_model import Basis, LadderDesign, ScaleLadder, _check_delta, check_noise, default_h1
 from .oracle_diagnostics import build_oracle_report
@@ -302,6 +302,8 @@ def cmd_calibrate(args) -> int:
 
     if method == "theoretical":
         ld = LadderDesign(basis, ladder, points, x_ref, sigma)
+        if ld.K_eff < 1:  # a numeric failure, as in mc_calibrate
+            raise CalibrationFailedError("no usable scale at the calibration point")
         u_hat = ld.growth_bounds()[1] if ld.K_eff > 1 else 1.25
         cv = theoretical_cv(basis.p, r, ld.K_eff, alpha, u_hat, mu=_option(cfg, "mu", DEFAULT_MU, flag=args.mu))
     else:
@@ -435,8 +437,7 @@ def cmd_diagnose(args) -> int:
     if seed < 0:  # checked here: validate_pc is handed seed + 1
         raise ParameterDomainError(f"seed must be a non-negative integer, got {seed}")
     mc = _option(cfg, "mc_size", 5000, int, args.mc)
-    if mc < 1000:
-        raise ParameterDomainError(f"mc_size must be >= 1000, got {mc}")
+    check_mc_size(mc)  # here too, so that a small size fails before any calibration or report work
     cv = _critical_values(args, cfg, basis, ladder, scene.sigma_model_values(), scene.design_points(), x_ref, seed)
     report = build_oracle_report(
         basis,
@@ -451,7 +452,7 @@ def cmd_diagnose(args) -> int:
         C_j=_option(cfg, "C_j", 1.0),
     )
     pc = validate_pc(cv, basis, ladder, scene.sigma_model_values(), scene.design_points(), x_ref,
-                     max(mc // 4, 1000) if args.quick else mc, seed + 1)
+                     max(mc // 4, MIN_MC_SIZE) if args.quick else mc, seed + 1)
     report["pc_validation"] = [asdict(e) for e in pc.entries]
     report["provenance"] = _provenance(cfg, seed)
     _write_text(args.out, json.dumps(report, indent=2) + "\n")

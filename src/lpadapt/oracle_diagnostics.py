@@ -24,7 +24,8 @@ from .exceptions import (
     SingularJointCovarianceError,
 )
 from .fll_selector import _thresholds
-from .local_model import Basis, LadderDesign, _check_delta, check_noise, is_nested_binary, relative_gap
+from .local_model import (Basis, LadderDesign, _check_delta, check_noise, generalized_eigvalsh, is_nested_binary,
+                          relative_gap)
 
 
 def joint_covariance(d_blocks: Sequence[np.ndarray], variances) -> np.ndarray:
@@ -61,12 +62,6 @@ def _spd_factor(S: np.ndarray) -> np.ndarray:
         raise SingularJointCovarianceError(str(exc)) from exc
 
 
-def _inverse_form(S: np.ndarray, b: np.ndarray) -> float:
-    """b^T S^{-1} b as |L^{-1} b|^2 with S = L L^T."""
-    w = np.linalg.solve(_spd_factor(S), b)
-    return float(w @ w)
-
-
 def boxcar_determinant(B_list: Sequence[np.ndarray], weights_list: Sequence[np.ndarray]) -> float:
     """det of the stacked covariance via the nested-window product formula.
 
@@ -97,38 +92,38 @@ def component_submatrix(S: np.ndarray, p: int, j: int) -> np.ndarray:
     return S[np.ix_(idx, idx)]
 
 
-@dataclass
-class ModelingBias:
-    """The quadratic indices that the stacked bias b(k) induces."""
+def _prefix_forms(S: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """b[:i]^T S[:i, :i]^{-1} b[:i] for i = 1..len(b), from one factor S = L L^T.
 
-    delta_total: float  # b^T Sigma_k^{-1} b
-    delta_components: np.ndarray  # (p,), b_j^T Sigma_{k,j}^{-1} b_j
-
-
-def modeling_bias(theta_bars: Sequence[np.ndarray], theta_ref: np.ndarray, Sigma_k: np.ndarray) -> ModelingBias:
-    """Bias index Delta(k) and its componentwise counterparts at one k."""
-    bars = np.asarray(theta_bars, dtype=float)
-    k, p = bars.shape
-    theta_ref = np.asarray(theta_ref, dtype=float)
-    b = (bars - theta_ref[None, :]).reshape(k * p)
-    total = _inverse_form(Sigma_k, b)
-    comps = np.array([_inverse_form(component_submatrix(Sigma_k, p, j), b[j - 1 :: p]) for j in range(1, p + 1)])
-    return ModelingBias(delta_total=total, delta_components=comps)
+    The leading i x i block of L is the factor of the leading block of S,
+    so forward substitution w = L^{-1} b yields every prefix form as a
+    running sum of w_i^2.  The loop divides by the diagonal alone, so a
+    zero prefix of b gives a zero prefix of w exactly.
+    """
+    L = _spd_factor(S)
+    w = np.empty(b.size)
+    for i in range(b.size):
+        w[i] = (b[i] - L[i, :i] @ w[:i]) / L[i, i]
+    return np.cumsum(w * w)
 
 
 def bias_profile(
     theta_bars: Sequence[np.ndarray], theta_ref: np.ndarray, Sigma_full: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Delta(k) for k = 1..K and the (K, p) table of componentwise indices."""
+    """Delta(k) = b_k^T Sigma_k^{-1} b_k for k = 1..K, and the (K, p) table of componentwise indices.
+
+    b_k stacks theta_bar_l - theta_ref over l <= k, and Sigma_k is the
+    leading kp x kp block of Sigma_full, so every Delta(k) is a prefix form
+    of one factor of Sigma_full.  Component j's index
+    b_{k,j}^T Sigma_{k,j}^{-1} b_{k,j} reads b's j-th entries against
+    component_submatrix(Sigma_k, p, j), a prefix form of that block's factor.
+    """
     bars = np.asarray(theta_bars, dtype=float)
     K, p = bars.shape
-    deltas = np.empty(K)
-    comp = np.empty((K, p))
-    for k in range(1, K + 1):
-        mb = modeling_bias(bars[:k], theta_ref, Sigma_full[: k * p, : k * p])
-        deltas[k - 1] = mb.delta_total
-        comp[k - 1] = mb.delta_components
-    return deltas, comp
+    b = bars - np.asarray(theta_ref, dtype=float)[None, :]  # (K, p): row l - 1 is theta_bar_l - theta_ref
+    deltas = _prefix_forms(Sigma_full, b.reshape(K * p))[p - 1 :: p]
+    comp = [_prefix_forms(component_submatrix(Sigma_full, p, j), b[:, j - 1]) for j in range(1, p + 1)]
+    return deltas, np.stack(comp, axis=1)
 
 
 def oracle_index(delta_sequence, delta_budget: float) -> int:
@@ -261,17 +256,16 @@ def lambda0_estimate(B_list: Sequence[np.ndarray], bandwidths, n: int, d: int, s
 def tightest_sj(Sigma_full: np.ndarray, p: int, j: int) -> float:
     """Smallest s_j with Sigma_{k,j}^{-1} <= s_j Sigma_{k,j,diag}^{-1} over all k.
 
-    Computed as max_k lambda_max(Dg^{1/2} Sigma_{k,j}^{-1} Dg^{1/2}) on the
-    leading principal submatrices; a reported diagnostic, not a guarantee.
+    Computed as max_k lambda_max of the pencil (Dg, Sigma_{k,j}) on the
+    leading principal submatrices, whose eigenvalues are those of
+    Dg^{1/2} Sigma_{k,j}^{-1} Dg^{1/2}; a reported diagnostic, not a guarantee.
     """
     Sj_full = component_submatrix(Sigma_full, p, j)
     K = Sj_full.shape[0]
     best = 0.0
     for k in range(1, K + 1):
         Sj = Sj_full[:k, :k]
-        dg = np.sqrt(np.diag(Sj))
-        inv = np.linalg.inv(Sj)
-        best = max(best, float(np.linalg.eigvalsh(dg[:, None] * inv * dg[None, :])[-1]))
+        best = max(best, float(generalized_eigvalsh(np.diag(np.diag(Sj)), Sj)[-1]))
     return best
 
 
@@ -282,18 +276,15 @@ _WILKS_TOL = 1e-8
 def wilks_spectrum(ld: LadderDesign, k: int, sigma_true) -> np.ndarray:
     """Nonzero eigenvalues of S = Sigma0^{1/2} W_k Psi^T B_k^{-1} Psi W_k Sigma0^{1/2} at scale k of ld.
 
-    Computed on the p x p similarity B^{-1/2} (Psi W Sigma0 W Psi^T) B^{-1/2}
-    to avoid the n x n eigenproblem.  Guards that the projector trace
-    tr(D_k Psi^T) equals p and that the largest eigenvalue respects the
-    1 + delta cap.
+    Computed on the p x p pencil (Psi W Sigma0 W Psi^T, B), whose eigenvalues
+    are those of S, to avoid the n x n eigenproblem.  Guards that the
+    projector trace tr(D_k Psi^T) equals p and that the largest eigenvalue
+    respects the 1 + delta cap.
     """
     B, psi, w, sig = ld.B_list[k - 1], ld.psi, ld.weights_list[k - 1], ld.sigma_model
     sig0 = np.asarray(sigma_true, dtype=float)
-
-    evals_B, vecs = np.linalg.eigh(B)
-    B_inv_half = vecs @ np.diag(evals_B**-0.5) @ vecs.T
     M = (psi * (w**2 * sig0**2 / sig**4)) @ psi.T
-    lam = np.linalg.eigvalsh(B_inv_half @ M @ B_inv_half)[::-1]
+    lam = generalized_eigvalsh(M, B)[::-1]
 
     p = ld.basis.p
     proj_trace = float(np.trace(ld.D_list[k - 1] @ psi.T))

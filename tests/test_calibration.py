@@ -274,6 +274,14 @@ class TestValidatePc:
         assert not report.passed
         assert not report.entries[-1].passed  # the k = 4 condition is the one that breaks
 
+    @pytest.mark.parametrize("mc_size", [0, 1, 999])
+    def test_rejects_small_mc(self, calib_scene, mc_size):
+        # below the floor mc_calibrate keeps, a size of 1 passed with NaN standard errors and 0 gave NaN moments
+        basis, ladder, points, sigma = calib_scene
+        cv = theoretical_cv(1, 0.5, ladder.K, 1.0, 1.5)
+        with pytest.raises(ParameterDomainError, match="mc_size must be >= 1000"):
+            validate_pc(cv, basis, ladder, sigma, points, 0.5, mc_size, 1)
+
     def test_threshold_length_checked(self, calib_scene):
         basis, ladder, points, sigma = calib_scene
         cv = CriticalValues(z=(5.0,), method="monte_carlo", alpha=1.0, r=0.5, p=1, K=2)

@@ -590,14 +590,17 @@ class TestSimulateDiagnose:
         assert errors == [f"error: {message}"]
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["calibrate", "simulate", "diagnose"])
-    def test_point_without_two_usable_scales_is_a_numeric_failure(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command,method", [("calibrate", "monte_carlo"), ("calibrate", "theoretical"),
+                                                ("simulate", None), ("diagnose", None)],
+                             ids=["calibrate", "calibrate-theoretical", "simulate", "diagnose"])
+    def test_point_without_two_usable_scales_is_a_numeric_failure(self, tmp_path, capsys, command, method):
         """x = 1.7 lies outside the design on [0, 1], so no scale is usable: every command exits 3."""
         scene, cv = tmp_path / "scene.json", tmp_path / "cv.json"
         scene.write_text(json.dumps({
             "f": "jump", "n": 150, "x": 1.7, "seed": 5, "replicates": 400, "mc_size": 1000,
             "sigma_model": {"pattern": "constant", "level": 0.25},
             "ladder": {"K": 4, "growth": 1.5}, "basis": {"degree": 0},
+            **({"method": method} if method else {}),
         }), encoding="utf-8")
         cv.write_text(json.dumps({"z": [4.0, 4.0, 4.0], "method": "fixed", "alpha": 1.0, "r": 0.5, "p": 1, "K": 4}),
                       encoding="utf-8")

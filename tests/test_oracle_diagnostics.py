@@ -20,7 +20,6 @@ from lpadapt.oracle_diagnostics import (
     joint_covariance,
     kl_joint,
     lambda0_estimate,
-    modeling_bias,
     oracle_index,
     componentwise_scale,
     oracle_risk_bound,
@@ -88,24 +87,24 @@ class TestBoxcarDeterminant:
             boxcar_determinant(ld.B_list, smooth)
 
 
-class TestModelingBias:
+class TestBiasProfile:
     def test_zero_bias(self, rng):
         basis, ladder, pts, x, sigma = _random_boxcar_scene(rng, 2, 3, n=40)
         ld = LadderDesign(basis, ladder, pts, x, sigma)
         S = joint_covariance(ld.D_list, sigma**2)
         theta = np.array([1.0, -2.0])
-        mb = modeling_bias([theta] * 3, theta, S)
-        assert mb.delta_total == 0.0
-        assert np.all(mb.delta_components == 0.0)
+        deltas, comp = bias_profile([theta] * ld.K_eff, theta, S)
+        assert np.all(deltas == 0.0)
+        assert np.all(comp == 0.0)
 
     def test_single_scale_boxcar_identity(self):
         basis, ladder, pts, x, sigma = _nested_boxcar(p=1, K=2)
         ld = LadderDesign(basis, ladder, pts, x, sigma)
         S1 = joint_covariance(ld.D_list[:1], sigma**2)
         bar, ref = np.array([1.7]), np.array([1.0])
-        mb = modeling_bias([bar], ref, S1)
+        deltas, _ = bias_profile([bar], ref, S1)
         B1 = ld.B_list[0][0, 0]
-        assert mb.delta_total == pytest.approx(B1 * 0.7**2, rel=1e-9)
+        assert deltas[0] == pytest.approx(B1 * 0.7**2, rel=1e-9)
 
     def test_dense_inverse_oracle(self, rng):
         basis, ladder, pts, x, sigma = _random_boxcar_scene(rng, 2, 3, n=50)
@@ -113,13 +112,32 @@ class TestModelingBias:
         S = joint_covariance(ld.D_list, sigma**2)
         bars = rng.normal(size=(3, 2))
         ref = rng.normal(size=2)
-        mb = modeling_bias(bars, ref, S)
-        b = (bars - ref).reshape(-1)
-        assert mb.delta_total == pytest.approx(b @ np.linalg.inv(S) @ b, rel=1e-8)
-        for j in (1, 2):
-            bj = b[j - 1 :: 2]
-            Sj = component_submatrix(S, 2, j)
-            assert mb.delta_components[j - 1] == pytest.approx(bj @ np.linalg.inv(Sj) @ bj, rel=1e-8)
+        deltas, comp = bias_profile(bars, ref, S)
+        for k in (1, 2, 3):
+            b = (bars[:k] - ref).reshape(-1)
+            Sk = S[: 2 * k, : 2 * k]
+            assert deltas[k - 1] == pytest.approx(b @ np.linalg.inv(Sk) @ b, rel=1e-8)
+            for j in (1, 2):
+                bj = b[j - 1 :: 2]
+                Sj = component_submatrix(Sk, 2, j)
+                assert comp[k - 1, j - 1] == pytest.approx(bj @ np.linalg.inv(Sj) @ bj, rel=1e-8)
+
+    def test_random_spd_prefix_forms(self, rng):
+        """Every Delta(k) and Delta_j(k) is its dense form within 1e-12, and Delta(1) is 0 exactly."""
+        for _ in range(60):
+            K, p = int(rng.integers(1, 9)), int(rng.integers(1, 4))
+            A = rng.normal(size=(K * p, K * p))
+            S = A @ A.T + K * p * np.eye(K * p)
+            bars = rng.normal(size=(K, p))
+            deltas, comp = bias_profile(bars, bars[0], S)
+            assert deltas[0] == 0.0 and np.all(comp[0] == 0.0)
+            for k in range(2, K + 1):
+                b = (bars[:k] - bars[0]).reshape(-1)
+                Sk = S[: k * p, : k * p]
+                assert deltas[k - 1] == pytest.approx(b @ np.linalg.solve(Sk, b), rel=1e-12)
+                for j in range(1, p + 1):
+                    bj, Sj = b[j - 1 :: p], component_submatrix(Sk, p, j)
+                    assert comp[k - 1, j - 1] == pytest.approx(bj @ np.linalg.solve(Sj, bj), rel=1e-12)
 
     def test_profile_monotone_on_boxcar(self, rng):
         for seed in range(5):
@@ -134,7 +152,7 @@ class TestModelingBias:
     def test_singular_joint_covariance_raises(self):
         S = np.zeros((2, 2))
         with pytest.raises(SingularJointCovarianceError):
-            modeling_bias([np.array([1.0]), np.array([2.0])], np.array([0.0]), S)
+            bias_profile([np.array([1.0]), np.array([2.0])], np.array([0.0]), S)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_joint_covariance_raises(self, bad):
@@ -142,7 +160,7 @@ class TestModelingBias:
         S = np.eye(2)
         S[0, 0] = bad
         with pytest.raises(SingularJointCovarianceError, match="non-finite"):
-            modeling_bias([np.array([1.0]), np.array([2.0])], np.array([0.0]), S)
+            bias_profile([np.array([1.0]), np.array([2.0])], np.array([0.0]), S)
         with pytest.raises(SingularJointCovarianceError, match="non-finite"):
             kl_joint(np.eye(2), S, 0.0, 1, 2, 0.1)
 
@@ -353,6 +371,21 @@ class TestOracleReport:
         S = joint_covariance(ld.D_list, sigma**2)
         sj = tightest_sj(S, 2, 1)
         assert sj >= 1.0 - 1e-9  # diagonal submatrix inverse is always dominated at k = 1
+
+    def test_sj_is_the_largest_eigenvalue_over_the_leading_blocks(self, rng):
+        """s_j is max_k lambda_max(Dg^{1/2} Sigma_{k,j}^{-1} Dg^{1/2}) within 1e-12, and 1 for a diagonal Sigma."""
+        for _ in range(20):
+            K, p = int(rng.integers(1, 7)), int(rng.integers(1, 4))
+            A = rng.normal(size=(K * p, K * p))
+            S = A @ A.T + K * p * np.eye(K * p)
+            for j in range(1, p + 1):
+                Sj = component_submatrix(S, p, j)
+                dense = []
+                for k in range(1, K + 1):
+                    dg = np.sqrt(np.diag(Sj[:k, :k]))
+                    dense.append(np.linalg.eigvalsh(dg[:, None] * np.linalg.inv(Sj[:k, :k]) * dg[None, :])[-1])
+                assert tightest_sj(S, p, j) == pytest.approx(max(dense), rel=1e-12)
+        assert tightest_sj(np.diag(rng.uniform(0.5, 2.0, 6)), 2, 1) == pytest.approx(1.0, rel=1e-15)
 
     def test_componentwise_difference_scaling(self, rng):
         # scaled coefficient gaps are dominated by the B-weighted norm of the

@@ -16,8 +16,7 @@ from lpadapt.verification import (
     check_domination,
     check_kl_sandwich,
     check_noise_model,
-    check_pair_moment_bounds,
-    check_pair_tail_bounds,
+    check_pair_bounds,
     check_pc_theoretical,
     check_quasi_parametric_moment,
     check_stacked_covariance,
@@ -40,14 +39,14 @@ from lpadapt.verification import (
         (check_quasi_parametric_moment, {"replicates": 8000}),
         (check_kl_sandwich, {"trials": 15}),
         (check_pc_theoretical, {"mc_size": 3000}),
-        (check_pair_tail_bounds, {"replicates": 8000}),
-        (check_pair_moment_bounds, {"replicates": 8000}),
+        (check_pair_bounds, {"replicates": 8000}),
         (check_stacked_covariance, {"replicates": 8000}),
     ],
 )
 def test_individual_checks_pass(check, kwargs):
-    result = check(**kwargs)
-    assert result.passed, f"{result.name}: {result.detail}"
+    results = check(**kwargs)
+    for result in results if isinstance(results, tuple) else (results,):  # check_pair_bounds returns two
+        assert result.passed, f"{result.name}: {result.detail}"
 
 
 def _kl_with_log_det_ratio_negated(kl_joint):
@@ -61,7 +60,7 @@ def _kl_with_log_det_ratio_negated(kl_joint):
 @pytest.mark.parametrize(
     "name,wrong,check,kwargs",
     [
-        # the arguments of the tests that delegate to each check: A6, test_sandwich_eigenvalues, A3 (p = 2), A7
+        # the arguments of the tests that delegate to each check: A6, test_sandwich_eigenvalues, A3 (p = 2), A7, A7
         ("boxcar_determinant", lambda f: lambda *a: f(*a) * (1.0 + 1e-7),
          check_determinant_identity, {"seed": 606, "trials": 50}),
         ("joint_covariance", lambda f: lambda d_blocks, var: f(d_blocks, np.asarray(var) ** 2),
@@ -69,8 +68,11 @@ def _kl_with_log_det_ratio_negated(kl_joint):
         ("wilks_spectrum", lambda f: lambda *a: f(*a) * (1.0 + 1e-9),
          check_wilks, {"p": 2, "replicates": 100000, "seed": 162}),
         ("kl_joint", _kl_with_log_det_ratio_negated, check_kl_sandwich, {"seed": 707, "trials": 100}),
+        ("bias_profile", lambda f: lambda *a: (f(*a)[0] * (1.0 + 1e-8), f(*a)[1]),
+         check_kl_sandwich, {"seed": 707, "trials": 100}),
     ],
-    ids=["determinant-1e-7-high", "covariance-of-squared-variances", "spectrum-1e-9-high", "kl-log-det-sign"],
+    ids=["determinant-1e-7-high", "covariance-of-squared-variances", "spectrum-1e-9-high", "kl-log-det-sign",
+         "delta-1e-8-high"],
 )
 def test_a_wrong_library_function_fails_its_check(monkeypatch, name, wrong, check, kwargs):
     """The acceptance and oracle tests that delegate to a check still fail when the function it verifies is wrong."""
@@ -80,7 +82,7 @@ def test_a_wrong_library_function_fails_its_check(monkeypatch, name, wrong, chec
 
 def test_chi_square_tail_matches_scipy_stats():
     """chi_square_1_tail(x) is chi2.sf(x, 1) within 1e-13 relative, at every argument the tail checks pass."""
-    ld, _ = _unit_design(1, 150, 4, 1.5)  # the design of check_pair_tail_bounds
+    ld, _ = _unit_design(1, 150, 4, 1.5)  # the design of check_pair_bounds
     u0_hat, u_hat = ld.growth_bounds()
     pair_t = [2.0 * (1.0 + 0.1) * (1.0 + u) for m in range(1, 4) for u in (u0_hat ** -m, u_hat**m)]
     divisors = np.concatenate([[1.05, 1.2], pair_t, np.linspace(1.0, 10.0, 181)])

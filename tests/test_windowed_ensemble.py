@@ -303,7 +303,7 @@ class TestVerifyWindow:
 
         monkeypatch.setattr(calibration, "_noise_blocks", _noise_blocks)
         assert all(result.passed for result in run_all(quick=True))
-        assert len(calls) == 10  # 6 quadratic-form checks, validate_pc, 2 pair checks, stacked covariance
+        assert len(calls) == 9  # 6 quadratic-form checks, validate_pc, the pair checks' one draw, stacked covariance
         for n, cols in calls:
             assert n == len(cols) and np.array_equal(cols, np.arange(n)), (n, cols)
 

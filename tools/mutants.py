@@ -89,6 +89,15 @@ DEFECTS = [
      "math.erfc(math.sqrt(x / 2.0))", "math.erfc(math.sqrt(x))"),
     ("generalized-eig-L-transposed", "local_model.py",
      "L = np.linalg.cholesky(B)\n", "L = np.linalg.cholesky(B).T\n"),
+    ("validate_pc-without-mc-floor", "calibration.py",
+     "so zero-moment rows pass trivially.  mc_size must reach MIN_MC_SIZE.\n    \"\"\"\n    check_mc_size(mc_size)\n",
+     "so zero-moment rows pass trivially.  mc_size must reach MIN_MC_SIZE.\n    \"\"\"\n"),
+    ("prefix-forms-without-diagonal-divide", "oracle_diagnostics.py",
+     "w[i] = (b[i] - L[i, :i] @ w[:i]) / L[i, i]", "w[i] = b[i] - L[i, :i] @ w[:i]"),
+    ("sj-pencil-swapped", "oracle_diagnostics.py",
+     "generalized_eigvalsh(np.diag(np.diag(Sj)), Sj)", "generalized_eigvalsh(Sj, np.diag(np.diag(Sj)))"),
+    ("pair-exp-moment-bound-exponent-sign", "verification.py",
+     "(1.0 - mu0 * t0) ** (-p / 2.0)", "(1.0 - mu0 * t0) ** (p / 2.0)"),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
