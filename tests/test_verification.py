@@ -7,6 +7,7 @@ import pytest
 from scipy.stats import chi2
 
 import lpadapt.verification as verification
+from lpadapt.calibration import noise_matrix
 from lpadapt.dataset import Dataset
 from lpadapt.exceptions import ParameterDomainError
 from lpadapt.verification import (
@@ -44,9 +45,13 @@ from lpadapt.verification import (
     ],
 )
 def test_individual_checks_pass(check, kwargs):
-    results = check(**kwargs)
-    for result in results if isinstance(results, tuple) else (results,):  # check_pair_bounds returns two
+    for result in _results(check(**kwargs)):
         assert result.passed, f"{result.name}: {result.detail}"
+
+
+def _results(results) -> tuple:
+    """A check's results as a tuple: check_pair_bounds returns two."""
+    return results if isinstance(results, tuple) else (results,)
 
 
 def _kl_with_log_det_ratio_negated(kl_joint):
@@ -78,6 +83,78 @@ def test_a_wrong_library_function_fails_its_check(monkeypatch, name, wrong, chec
     """The acceptance and oracle tests that delegate to a check still fail when the function it verifies is wrong."""
     monkeypatch.setattr(verification, name, wrong(getattr(verification, name)))
     assert check(**kwargs).passed is False
+
+
+SHARED_SEED, SHARED_ROWS = 31, 3000
+
+# every check that run_all hands its shared draw
+MC_CHECKS = [
+    (check_wilks, {"p": 1}),
+    (check_wilks, {"p": 2}),
+    (check_wilks, {"p": 2, "kernel": "epanechnikov"}),
+    (check_domination, {"delta": 0.05}),
+    (check_domination, {"delta": 0.2}),
+    (check_quasi_parametric_moment, {}),
+    (check_pair_bounds, {}),
+    (check_stacked_covariance, {}),
+]
+MC_IDS = ["wilks-p1", "wilks-p2", "wilks-p2-epanechnikov", "domination-0.05", "domination-0.2", "quasi-moment",
+          "pair-bounds", "stacked-covariance"]
+
+
+@pytest.fixture(scope="module")
+def shared_noise():
+    """A shared draw as run_all makes it, 26 values wide, at SHARED_SEED."""
+    return noise_matrix(SHARED_SEED, SHARED_ROWS, 26, np.arange(26))
+
+
+def _record_mc_quantities(monkeypatch) -> list:
+    """The Monte-Carlo quantities the checks compute, in call order: Wilks forms, T tables, covariances."""
+    seen = []
+
+    def kept(value):
+        seen.append(value)
+        return value
+
+    forms, cov = verification._wilks_forms, np.cov
+
+    class RecordedEnsemble(verification.SelectionEnsemble):
+        def __init__(self, ld, theta_tilde):
+            super().__init__(ld, theta_tilde)
+            kept(self.T)
+
+    monkeypatch.setattr(verification, "_wilks_forms", lambda *a, **kw: kept(forms(*a, **kw)))
+    monkeypatch.setattr(verification, "SelectionEnsemble", RecordedEnsemble)  # draw builds cls(...) too
+    monkeypatch.setattr(np, "cov", lambda *a, **kw: kept(cov(*a, **kw)))
+    return seen
+
+
+@pytest.mark.parametrize("check,kwargs", MC_CHECKS, ids=MC_IDS)
+def test_shared_draw_gives_a_check_its_own_draw(monkeypatch, shared_noise, check, kwargs):
+    """Given the shared draw of seed s, a check computes what it computes from its own draw at seed s.
+
+    The forms, T table or covariance agree within 1e-12 relative to their
+    largest entry (the products may round differently on a slice of a
+    wider draw), and so do the pass flags.  The shared call keeps the check's
+    default seed, which it must not read.
+    """
+    seen = _record_mc_quantities(monkeypatch)
+    own = _results(check(replicates=SHARED_ROWS, seed=SHARED_SEED, **kwargs))
+    shared = _results(check(replicates=SHARED_ROWS, noise=shared_noise, **kwargs))
+    assert [r.passed for r in shared] == [r.passed for r in own]
+    assert len(seen) == 2
+    want, got = seen
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.nanmax(np.abs(want)))
+
+
+@pytest.mark.parametrize("check,kwargs", MC_CHECKS, ids=MC_IDS)
+def test_a_draw_smaller_than_a_check_needs_raises(shared_noise, check, kwargs):
+    """Too few columns for the window, or too few rows for the replicates: an error, never padding or broadcasting."""
+    with pytest.raises(ParameterDomainError, match="smaller than"):
+        check(replicates=SHARED_ROWS, noise=shared_noise[:, :19], **kwargs)  # every window has 20 points or more
+    with pytest.raises(ParameterDomainError, match="smaller than"):
+        check(replicates=SHARED_ROWS + 1, noise=shared_noise, **kwargs)
 
 
 def test_chi_square_tail_matches_scipy_stats():

@@ -298,13 +298,15 @@ class TestVerifyWindow:
         real = calibration._noise_blocks
 
         def _noise_blocks(seed, rows, n, cols):  # behind noise_matrix and SelectionEnsemble.draw alike
-            calls.append((n, np.asarray(cols)))
+            calls.append((seed, n, np.asarray(cols)))
             return real(seed, rows, n, cols)
 
         monkeypatch.setattr(calibration, "_noise_blocks", _noise_blocks)
-        assert all(result.passed for result in run_all(quick=True))
-        assert len(calls) == 9  # 6 quadratic-form checks, validate_pc, the pair checks' one draw, stacked covariance
-        for n, cols in calls:
+        assert all(result.passed for result in run_all(quick=True, seed=2024))
+        assert len(calls) == 2  # the draw the eight Monte-Carlo checks share, and validate_pc's
+        assert [seed for seed, _, _ in calls] == [2024 + 3, 2024 + 10]
+        assert calls[0][1] == 26  # the widest window among the checks that share the draw
+        for _, n, cols in calls:
             assert n == len(cols) and np.array_equal(cols, np.arange(n)), (n, cols)
 
     @pytest.mark.parametrize("design", [

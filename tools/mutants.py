@@ -98,6 +98,13 @@ DEFECTS = [
      "generalized_eigvalsh(np.diag(np.diag(Sj)), Sj)", "generalized_eigvalsh(Sj, np.diag(np.diag(Sj)))"),
     ("pair-exp-moment-bound-exponent-sign", "verification.py",
      "(1.0 - mu0 * t0) ** (-p / 2.0)", "(1.0 - mu0 * t0) ** (p / 2.0)"),
+    ("shared-draw-last-columns", "verification.py",
+     "return noise[:replicates, :m]", "return noise[:replicates, -m:]"),
+    ("pair-tables-swapped-in-moment-part", "verification.py",
+     "((T_lk, t0, ld.B_list[l - 1]), (T_kl, t1, ld.B_list[k - 1]))",
+     "((T_kl, t0, ld.B_list[l - 1]), (T_lk, t1, ld.B_list[k - 1]))"),
+    ("kl-second-order-interval-delta-half", "verification.py",
+     "psi = -delta - math.log1p(-delta)", "psi = -delta / 2 - math.log1p(-delta / 2)"),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
