@@ -429,6 +429,13 @@ class SelectionEnsemble:
         """Selected index per replicate under thresholds z (length >= K-1): selection_sweep on T."""
         return selection_sweep(self.T, z)[0]
 
+    def _gap(self, khat: np.ndarray, k: int) -> np.ndarray:
+        """Scale k+1's gap forms for the selected indices khat: T[k, k_hat-1] where k_hat <= k, else 0."""
+        gap = np.zeros(self.mc)
+        stopped = np.flatnonzero(khat <= k)
+        gap[stopped] = self.T[k, khat[stopped] - 1, stopped]
+        return gap
+
     def gap_forms(self, z: np.ndarray) -> np.ndarray:
         """(K, mc) quadratic forms (theta_k - theta_hat_k)^T B_k (...); zero row for k=1.
 
@@ -436,14 +443,16 @@ class SelectionEnsemble:
         went on to scale k, so that theta_hat_k = theta_k.
         """
         khat = self.k_hat(z)
-        k = np.arange(self.K)[:, None]
-        return np.where(khat > k, 0.0, self.T[k, np.minimum(k, khat - 1), np.arange(self.mc)])
+        return np.stack([self._gap(khat, k) for k in range(self.K)])
 
     def pc_moments(self, z: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
-        """Empirical moments E|gap|^r and their standard errors for k = 1..K."""
-        powered = self.gap_forms(z) ** r
-        mom = powered.mean(axis=1)
-        se = powered.std(axis=1, ddof=1) / math.sqrt(self.mc)
+        """Empirical moments E|gap|^r and their standard errors for k = 1..K, formed one scale at a time."""
+        khat = self.k_hat(z)
+        mom, se = np.empty(self.K), np.empty(self.K)
+        for k in range(self.K):
+            powered = self._gap(khat, k) ** r
+            mom[k] = powered.mean()
+            se[k] = powered.std(ddof=1) / math.sqrt(self.mc)
         return mom, se
 
 

@@ -23,8 +23,10 @@ from .exceptions import ParameterDomainError
 from .local_model import Basis, LocalFit, ScaleLadder, stacked_designs, stacked_solve
 
 
-#: byte cap on pair_statistics' (N, rows, K, p) differences; sets how many rows of T one pass forms
-_PAIR_BYTES = 2**16
+#: byte budget of the temporaries of pair_statistics; sets how many replicates one block holds
+_PAIR_BYTES = 2**20
+#: set aside from _PAIR_BYTES for numpy's buffers of the strided or broadcast operands of a ufunc call
+_UFUNC_BUFFERS = 3 * 8 * np.getbufsize()
 
 
 def pair_statistics(theta: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -35,22 +37,46 @@ def pair_statistics(theta: np.ndarray, B: np.ndarray) -> np.ndarray:
     it (B of the smaller scale), the moment-condition forms below it (B of
     the larger scale).  Each form is the double sum of d_i B_ij d_j over i,
     then j, from 0, in elementwise arithmetic, so it rounds the same for any
-    N and for a shared (N = 1) or a stacked B.  Rows l are formed a block at
-    a time, as many as keep the (N, rows, K, p) differences within
-    _PAIR_BYTES: all K for a chunk of grid points, one for a large ensemble.
+    N, any block size and a shared (N = 1) or a stacked B.
+
+    The replicates are taken n at a time.  A block copies its theta
+    replicate-last, as (p, K, n), and a stacked B as (p, p, K, n), forms each
+    difference theta_l - theta_m with l < m once, and weights it by B_l above
+    the diagonal and by B_m below it, since (-d)_i B_ij (-d)_j rounds as
+    d_i B_ij d_j.  n is the most replicates whose temporaries fit in
+    _PAIR_BYTES, with _UFUNC_BUFFERS of it set aside, so the memory beyond
+    the returned table does not grow with N.
     """
     N, K, p = theta.shape
     T = np.empty((K, K, N))
-    rows = max(1, min(K, _PAIR_BYTES // max(8 * N * K * p, 1)))
-    for a in range(0, K, rows):
-        b = min(a + rows, K)
-        d = theta[:, a:b, None] - theta[:, None]  # (N, b - a, K, p), d[:, l - a, m] = theta_l - theta_m
-        forms = np.zeros(d.shape[:-1])
+    T[np.arange(K), np.arange(K)] = np.nan
+    l, m = np.triu_indices(K, 1)  # the pairs l < m, 0-based, in row order
+    P, shared = l.size, B.shape[0] == 1
+    sizes = (p * K, p * P, P, P, P, 0 if shared else p * p * K)  # theta, differences, two forms, product, B
+    n = max(1, min(N, (_PAIR_BYTES - _UFUNC_BUFFERS) // (8 * (sum(sizes) + P))))  # + P: one gathered B entry
+    th_buf, d_buf, upper_buf, lower_buf, prod_buf, B_buf = (np.empty(size * n) for size in sizes)
+    Bb = B.transpose(2, 3, 1, 0)  # (p, p, K, 1) when shared
+    for b in range(0, N, n):
+        w = min(n, N - b)  # a block works on contiguous views of the buffers' first entries
+        th, d = th_buf[: p * K * w].reshape(p, K, w), d_buf[: p * P * w].reshape(p, P, w)
+        upper, lower, prod = (buf[: P * w].reshape(P, w) for buf in (upper_buf, lower_buf, prod_buf))
+        np.copyto(th, theta[b : b + w].transpose(2, 1, 0))
+        if not shared:
+            Bb = B_buf[: p * p * K * w].reshape(p, p, K, w)
+            np.copyto(Bb, B[b : b + w].transpose(2, 3, 1, 0))
+        for a in range(K - 1):  # the pairs of l = a: d = theta_a - theta_m for m > a
+            s = P - (K - a) * (K - a - 1) // 2
+            np.subtract(th[:, a, None], th[:, a + 1 :], out=d[:, s : s + K - a - 1])
+        upper[:] = 0.0
+        lower[:] = 0.0
         for i in range(p):
             for j in range(p):
-                forms += d[..., i] * B[:, a:b, i, j, None] * d[..., j]
-        T[a:b] = np.maximum(forms, 0.0).transpose(1, 2, 0)
-    T[np.arange(K), np.arange(K)] = np.nan
+                for forms, k in ((upper, l), (lower, m)):
+                    np.multiply(d[i], Bb[i, j, k], out=prod)
+                    prod *= d[j]
+                    forms += prod
+        T[l, m, b : b + w] = np.maximum(upper, 0.0, out=upper)
+        T[m, l, b : b + w] = np.maximum(lower, 0.0, out=lower)
     return T
 
 
@@ -175,10 +201,10 @@ def fit_curve(data: Dataset, x_grid, ladder: ScaleLadder, basis: Basis, cv) -> C
     Points whose slabs have the same width are processed in chunks of up to
     _CHUNK: stacked_designs builds the chunk's weights, B_k and conditioning
     gate in one set of array operations, one stacked_solve call gives every
-    propagator D_k of the chunk, one stacked product gives every
-    theta_k = D_k y (NaN beyond each point's accepted scales), and
-    pair_statistics forms the chunk's T_lm.  One selection_sweep then
-    selects every point.
+    propagator D_k of the chunk, and one stacked product gives every
+    theta_k = D_k y (NaN beyond each point's accepted scales).  The grid's
+    B_k are kept, and one pair_statistics call then forms every point's
+    T_lm, and one selection_sweep selects every point.
     Each point's arithmetic is that of LadderDesign on its slab, so results
     do not depend on the grid's order or on the other points, nor on the
     order of the data rows when their first coordinates have no ties.
@@ -210,7 +236,7 @@ def fit_curve(data: Dataset, x_grid, ladder: ScaleLadder, basis: Basis, cv) -> C
 
     G, K, p = len(centres), ladder.K, basis.p
     theta = np.full((G, K, p), np.nan)
-    T = np.full((K, K, G), np.nan)
+    B = np.empty((G, K, p, p))
     k_eff = np.zeros(G, dtype=int)
     by_width = np.argsort(width, kind="stable")
     bounds = np.append(np.flatnonzero(np.diff(width[by_width], prepend=-1)), G)
@@ -218,13 +244,13 @@ def fit_curve(data: Dataset, x_grid, ladder: ScaleLadder, basis: Basis, cv) -> C
         for c in range(a, b, _CHUNK):
             idx = by_width[c : min(c + _CHUNK, b)]
             rows = lo[idx, None] + np.arange(width[idx[0]])
-            _, _, PW, B, k_gate = stacked_designs(basis, ladder, xs[rows], centres[idx], sigma[rows])
-            D, k_gate = stacked_solve(B, PW, k_gate)
+            _, _, PW, B[idx], k_gate = stacked_designs(basis, ladder, xs[rows], centres[idx], sigma[rows])
+            D, k_gate = stacked_solve(B[idx], PW, k_gate)
             fits = (D @ y[rows][:, None, :, None])[..., 0]  # one gemv per (point, scale), as D_k @ y
             fits[np.arange(K) >= k_gate[:, None]] = np.nan
             k_eff[idx] = k_gate
             theta[idx] = fits
-            T[:, :, idx] = pair_statistics(fits, B)
+    T = pair_statistics(theta, B)
     K_max = int(k_eff.max(initial=0))
     k_hat, first = selection_sweep(T[:K_max, :K_max], zv, k_eff) if K_max else (k_eff.copy(), np.zeros((G, 2), dtype=int))
     theta_hat = theta[np.arange(G), k_hat - 1]

@@ -5,9 +5,9 @@ experiment where needed, and compares against the closed-form side within
 an explicit tolerance.  These are the suites behind the `verify` command;
 the package test suite calls them as well.
 
-Both tail checks bound by the chi-square tail with one degree of freedom,
-P{chi^2_1 >= x} = erfc(sqrt(x / 2)), which `math.erfc` evaluates; the
-package needs numpy alone.
+The tail checks bound by the chi-square tail with p = 1 or 2 degrees of
+freedom, P{chi^2_1 >= x} = erfc(sqrt(x / 2)), which `math.erfc` evaluates,
+and P{chi^2_2 >= x} = exp(-x / 2); the package needs numpy alone.
 """
 
 from __future__ import annotations
@@ -44,9 +44,13 @@ def _result(name: str, passed: bool, detail: str) -> CheckResult:
     return CheckResult(name=name, passed=bool(passed), detail=detail)
 
 
-def chi_square_1_tail(x: float) -> float:
-    """P{chi^2_1 >= x} for x >= 0: P{|N(0, 1)| >= sqrt(x)} = erfc(sqrt(x / 2))."""
-    return math.erfc(math.sqrt(x / 2.0))
+def chi_square_tail(x: float, p: int = 1) -> float:
+    """P{chi^2_p >= x} for x >= 0 and p = 1 or 2: P{|N(0, 1)| >= sqrt(x)} = erfc(sqrt(x / 2)), and exp(-x / 2)."""
+    if p == 1:
+        return math.erfc(math.sqrt(x / 2.0))
+    if p == 2:
+        return math.exp(-x / 2.0)
+    raise ParameterDomainError(f"chi_square_tail covers p = 1 and 2, got p={p!r}")
 
 
 def _random_boxcar_scene(rng: np.random.Generator, p: int, k: int, n: int = 60):
@@ -198,19 +202,23 @@ def check_wilks(
 
 
 def check_domination(
-    delta: float = 0.2, replicates: int = 20000, seed: int = 14, noise: np.ndarray | None = None
+    delta: float = 0.2, replicates: int = 20000, seed: int = 14, noise: np.ndarray | None = None, p: int = 1
 ) -> CheckResult:
-    """P{form >= z} <= P{chi^2_1 >= z/(1+delta)} + 3 SE for z = 1, 2, 4, 8, 16."""
-    ld, pts = _unit_design(1, 150, 3, 1.6)
+    """P{form >= z} <= P{chi^2_p >= z/(1+delta)} + 3 SE for z = 1, 2, 4, 8, 16, with p = 1 or 2 parameters.
+
+    run_all runs p = 1; test_A4_chi_square_domination runs p = 1 and 2.
+    """
+    ld, pts = _unit_design(p, 150, 3, 1.6)
     sigma0 = SigmaSpec("sine", 1.0, delta, 0.3).values(pts)
     forms = _wilks_forms(ld, sigma0, ld.K_eff, replicates, seed, noise)
     worst = -1.0
     for z in (1.0, 2.0, 4.0, 8.0, 16.0):
         emp = float(np.mean(forms >= z))
-        bound = chi_square_1_tail(z / (1.0 + delta))
+        bound = chi_square_tail(z / (1.0 + delta), p)
         se = math.sqrt(max(bound * (1.0 - bound), 1e-12) / replicates)
         worst = max(worst, emp - bound - 3.0 * se)
-    return _result(f"chi2_domination_d{delta:g}", worst <= 0.0, f"worst excess over bound {worst:.3e}")
+    name = f"chi2_domination_d{delta:g}" if p == 1 else f"chi2_domination_p{p}_d{delta:g}"
+    return _result(name, worst <= 0.0, f"worst excess over bound {worst:.3e}")
 
 
 def check_quasi_parametric_moment(
@@ -326,7 +334,7 @@ def check_pair_bounds(
         for table, t in ((T_lk, t0), (T_kl, t1)):
             for z in (2.0, 4.0, 8.0, 16.0):
                 emp = float(np.mean(table >= z))
-                bound = chi_square_1_tail(z / t)
+                bound = chi_square_tail(z / t)
                 se = math.sqrt(max(bound * (1.0 - bound), 1e-12) / replicates)
                 tail = max(tail, emp - bound - 3.0 * se)
         mu0 = 0.5 / t0

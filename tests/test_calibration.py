@@ -224,6 +224,9 @@ class TestSelectionEnsemble:
         np.testing.assert_allclose(mom, powered.sum(axis=1) / 500, rtol=1e-12, atol=0.0)
         dev = powered - powered.mean(axis=1, keepdims=True)
         np.testing.assert_allclose(se, np.sqrt((dev**2).sum(axis=1) / 499 / 500), rtol=1e-12, atol=0.0)
+        # formed a scale at a time, they are bit for bit the reductions of the whole (K, mc) table
+        assert np.array_equal(mom, powered.mean(axis=1))
+        assert np.array_equal(se, powered.std(axis=1, ddof=1) / np.sqrt(500.0))
 
     def test_replicate_noise_deterministic(self):
         a = replicate_noise(5, 17, 32)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -45,24 +47,71 @@ def _pair_inputs(rng, N, K, p, shared):
     return theta, A @ A.swapaxes(-1, -2) + 1e-3 * np.eye(p)
 
 
-class TestPairStatisticsRowBlocks:
+class _SliceLog(np.ndarray):
+    """An array that records the keys it is indexed with: the replicate blocks pair_statistics takes from theta."""
+
+    def __getitem__(self, key):
+        self.log.append(key)
+        return np.asarray(self)[key]
+
+
+def _blocks(theta, B):
+    """(T, [(start, stop), ...]) of pair_statistics, the blocks as pair_statistics slices them from theta."""
+    logged = theta.view(_SliceLog)
+    logged.log = []
+    T = pair_statistics(logged, B)
+    return T, [(key.start, key.stop) for key in logged.log]
+
+
+class TestPairStatisticsBlocks:
     @pytest.mark.parametrize("shared", [True, False], ids=["shared-B", "stacked-B"])
-    @pytest.mark.parametrize("rows", [1, 2, 3, 5])
-    def test_any_row_grouping_equals_one_row_at_a_time(self, rng, monkeypatch, shared, rows):
-        N, K, p = 37, 5, 3
-        monkeypatch.setattr(fll_selector, "_PAIR_BYTES", rows * 8 * N * K * p)
-        theta, B = _pair_inputs(rng, N, K, p, shared)
-        assert np.array_equal(pair_statistics(theta, B), _pair_statistics_by_row(theta, B), equal_nan=True)
+    @pytest.mark.parametrize("K", range(1, 18))
+    def test_any_budget_equals_one_row_at_a_time(self, rng, monkeypatch, shared, K):
+        """Every block size, from one replicate to all of them, for N = 0 and K = 1 too."""
+        p = 2
+        for N in (0, 1, 37):
+            theta, B = _pair_inputs(rng, N, K, p, shared)
+            want = _pair_statistics_by_row(theta, B)
+            for extra in (0, 3000, 20000, 2**20):  # beyond the set-aside ufunc buffers
+                monkeypatch.setattr(fll_selector, "_PAIR_BYTES", fll_selector._UFUNC_BUFFERS + extra)
+                T, blocks = _blocks(theta, B)
+                assert T.shape == (K, K, N) and np.array_equal(T, want, equal_nan=True)
+                starts, stops = [b for b, _ in blocks], [e for _, e in blocks]
+                assert [0, *stops] == [*starts, N]  # contiguous blocks that cover the replicates in order
+                if extra == 0:
+                    assert len(blocks) == N  # one replicate a block
+                elif extra == 2**20:
+                    assert len(blocks) == min(N, 1)  # every replicate in one block
 
     @pytest.mark.parametrize("shared", [True, False], ids=["shared-B", "stacked-B"])
-    @pytest.mark.parametrize("N", [1, 64, 1000, 5000])
-    def test_default_cap_equals_one_row_at_a_time(self, rng, shared, N):
-        """N = 64 (a fit_curve chunk) takes all K = 6 rows at once; 1000 and more replicates keep one row."""
+    @pytest.mark.parametrize("N", [1, 64, 800, 5000])
+    def test_default_budget_equals_one_row_at_a_time(self, rng, shared, N):
+        """At K = 6, p = 2 one block holds a fit_curve chunk and up to 800 replicates; 5000 take several."""
         K, p = 6, 2
-        assert (8 * N * K * p * K <= fll_selector._PAIR_BYTES) == (N <= 64)
-        assert (8 * N * K * p < fll_selector._PAIR_BYTES) == (N < 1000)
         theta, B = _pair_inputs(rng, N, K, p, shared)
-        assert np.array_equal(pair_statistics(theta, B), _pair_statistics_by_row(theta, B), equal_nan=True)
+        T, blocks = _blocks(theta, B)
+        assert (len(blocks) == 1) == (N <= 800)
+        assert len({e - b for b, e in blocks[:-1]}) <= 1 and blocks[-1][1] == N  # equal blocks, then the rest
+        assert np.array_equal(T, _pair_statistics_by_row(theta, B), equal_nan=True)
+
+    def test_theory_ladder_takes_a_few_hundred_blocks(self, rng):
+        """K = 17 over 20000 replicates: blocks of over 100 replicates, not thousands of tiny ones."""
+        theta, B = _pair_inputs(rng, 20000, 17, 2, True)
+        _, blocks = _blocks(theta, B)
+        assert 20 <= len(blocks) <= 200
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared-B", "stacked-B"])
+    @pytest.mark.parametrize("K", [6, 17])
+    def test_memory_beyond_the_table_stays_within_the_budget(self, rng, shared, K):
+        """Traced peak minus the returned table, at 20000 replicates; rows of T a pass at a time took 4.9 and 13.7 MB."""
+        theta, B = _pair_inputs(rng, 20000, K, 2, shared)
+        tracemalloc.start()
+        try:
+            T = pair_statistics(theta, B)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - T.nbytes <= fll_selector._PAIR_BYTES
 
 
 class TestFllStatistic:
@@ -237,6 +286,15 @@ class TestFitCurve:
         assert np.all(out.k_eff > 0)
         assert out.fitted_values[0] == pytest.approx(1.0, abs=0.05)
         assert out.fitted_values[1] == pytest.approx(1.0 + 0.2 + 0.05, abs=0.05)
+
+    @pytest.mark.parametrize("grid", [[], np.empty((0, 1))], ids=["list", "column"])
+    def test_empty_grid_gives_empty_arrays(self, grid):
+        pts = np.linspace(0.0, 1.0, 40)
+        data = Dataset(x=pts, y=np.sin(pts), sigma=np.ones(40))
+        out = fit_curve(data, grid, ScaleLadder.geometric(0.1, 3, growth=1.5), Basis.polynomial(1), np.full(2, 1.0))
+        assert out.T.shape == (3, 3, 0) and out.first.shape == (0, 2) and out.theta_hat.shape == (0, 2)
+        for arr in (out.k_eff, out.k_hat, out.fitted_values):
+            assert arr.shape == (0,)
 
     def test_failed_point_recorded_not_raised(self):
         pts = np.linspace(0.0, 1.0, 40)

@@ -22,7 +22,7 @@ from lpadapt.verification import (
     check_quasi_parametric_moment,
     check_stacked_covariance,
     check_wilks,
-    chi_square_1_tail,
+    chi_square_tail,
     run_all,
 )
 
@@ -158,15 +158,18 @@ def test_a_draw_smaller_than_a_check_needs_raises(shared_noise, check, kwargs):
 
 
 def test_chi_square_tail_matches_scipy_stats():
-    """chi_square_1_tail(x) is chi2.sf(x, 1) within 1e-13 relative, at every argument the tail checks pass."""
+    """chi_square_tail(x, p) is chi2.sf(x, p) within 1e-13 relative, at every argument the tail checks pass."""
     ld, _ = _unit_design(1, 150, 4, 1.5)  # the design of check_pair_bounds
     u0_hat, u_hat = ld.growth_bounds()
     pair_t = [2.0 * (1.0 + 0.1) * (1.0 + u) for m in range(1, 4) for u in (u0_hat ** -m, u_hat**m)]
     divisors = np.concatenate([[1.05, 1.2], pair_t, np.linspace(1.0, 10.0, 181)])
     x = (np.array([1.0, 2.0, 4.0, 8.0, 16.0])[:, None] / divisors[None, :]).ravel()
-    want = chi2.sf(x, 1)
-    got = np.array([chi_square_1_tail(v) for v in x])
-    assert np.all(np.abs(got - want) <= 1e-13 * want)
+    for p in (1, 2):
+        want = chi2.sf(x, p)
+        got = np.array([chi_square_tail(v, p) for v in x])
+        assert np.all(np.abs(got - want) <= 1e-13 * want)
+    with pytest.raises(ParameterDomainError, match="p = 1 and 2"):
+        chi_square_tail(1.0, 3)
 
 
 def test_noise_model_check_flags_violation():

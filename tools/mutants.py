@@ -36,12 +36,11 @@ DEFECTS = [
     ("validate_pc-passes-all", "calibration.py",
      "passed=m <= bound * (1.0 + 3.0 * rel)", "passed=True"),
     ("gap-forms-smaller-scale-B", "calibration.py",
-     "self.T[k, np.minimum(k, khat - 1), np.arange(self.mc)]",
-     "self.T[np.minimum(k, khat - 1), k, np.arange(self.mc)]"),
+     "self.T[k, khat[stopped] - 1, stopped]", "self.T[khat[stopped] - 1, k, stopped]"),
     ("analytic-cv-without-log-K-alpha", "calibration.py",
      "        math.log(K / alpha)\n", "        0.0\n"),
     ("M5-moments-power-r-half", "calibration.py",
-     "powered = self.gap_forms(z) ** r\n", "powered = self.gap_forms(z) ** (r / 2.0)\n"),
+     "powered = self._gap(khat, k) ** r\n", "powered = self._gap(khat, k) ** (r / 2.0)\n"),
     ("M6-propagation-exponent", "oracle_diagnostics.py",
      "(1.0 + delta) / (1.0 - delta) ** 3, pk / 2.0, e_hi)", "(1.0 + delta) / (1.0 - delta), pk / 2.0, e_hi)"),
     ("bound-overflow-raises", "oracle_diagnostics.py",
@@ -63,13 +62,17 @@ DEFECTS = [
     ("ingest-without-finiteness-check", "cli.py",
      "if values is None or not np.isfinite(values).all():", "if values is None:"),
     ("pair-rows-B-offset-off-by-one", "fll_selector.py",
-     "B[:, a:b, i, j, None]", "B[:, a + 1 : b + 1, i, j, None]"),
+     "for forms, k in ((upper, l), (lower, m)):", "for forms, k in ((upper, l + 1), (lower, m)):"),
+    ("pair-lower-triangle-smaller-scale-B", "fll_selector.py",
+     "for forms, k in ((upper, l), (lower, m)):", "for forms, k in ((upper, l), (lower, l)):"),
+    ("pair-block-reads-next-block-B", "fll_selector.py",
+     "np.copyto(Bb, B[b : b + w].transpose(2, 3, 1, 0))", "np.copyto(Bb, B[b + w : b + 2 * w].transpose(2, 3, 1, 0))"),
     ("accept-on-equality", "fll_selector.py",
      "viol = T[:m, m] > zv[:m, None]", "viol = T[:m, m] >= zv[:m, None]"),
     ("B-weighted-by-1/sigma", "local_model.py",
      "(W / sigma[:, None, :] ** 2)", "(W / sigma[:, None, :])"),
     ("gap-forms-off-by-one", "calibration.py",
-     "np.where(khat > k, 0.0,", "np.where(khat >= k, 0.0,"),
+     "np.flatnonzero(khat <= k)", "np.flatnonzero(khat < k)"),
     ("replicate-j-from-stream-j+1", "calibration.py",
      '_check_index("replicate", replicate)]', '_check_index("replicate", replicate) + 1]'),
     ("ladder-without-finiteness-check", "local_model.py",
