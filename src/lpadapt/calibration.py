@@ -558,6 +558,22 @@ class PcReport:
         return all(e.passed for e in self.entries)
 
 
+def pc_report(cv: CriticalValues, ens: SelectionEnsemble) -> PcReport:
+    """The moment condition of each scale k = 2..K under thresholds cv, on the ensemble ens.
+
+    An entry passes when moment <= alpha C(p,r) (1 + 3 rel_se) with
+    rel_se = std_error / moment, so zero-moment rows pass trivially.
+    """
+    mom, se = ens.pc_moments(_thresholds(cv, ens.K), cv.r)
+    bound = cv.alpha * chi_square_moment(ens.ld.basis.p, cv.r)
+    entries = []
+    for k in range(2, ens.K + 1):
+        m, s = float(mom[k - 1]), float(se[k - 1])
+        rel = s / m if m > 0 else 0.0
+        entries.append(PcEntry(k=k, moment=m, std_error=s, bound=bound, passed=m <= bound * (1.0 + 3.0 * rel)))
+    return PcReport(entries=entries)
+
+
 def validate_pc(
     cv: CriticalValues,
     basis: Basis,
@@ -568,23 +584,11 @@ def validate_pc(
     mc_size: int,
     seed: int,
 ) -> PcReport:
-    """Estimate every moment condition on a fresh pure-noise ensemble and report pass/fail.
+    """pc_report of thresholds cv on a fresh pure-noise ensemble of mc_size replicates at seed.
 
     The ensemble is SelectionEnsemble.pure_noise on the full design, so it
-    draws on design indices.  An entry passes when
-    moment <= alpha C(p,r) (1 + 3 rel_se) with rel_se = std_error / moment,
-    so zero-moment rows pass trivially.  mc_size must reach MIN_MC_SIZE.
+    draws on design indices.  mc_size must reach MIN_MC_SIZE.
     """
     check_mc_size(mc_size)
     ld = LadderDesign(basis, ladder, design_points, x, sigma_model)
-    K = ld.K_eff
-    z = _thresholds(cv, K)
-    ens = SelectionEnsemble.pure_noise(ld, mc_size, seed)
-    mom, se = ens.pc_moments(z, cv.r)
-    bound = cv.alpha * chi_square_moment(basis.p, cv.r)
-    entries = []
-    for k in range(2, K + 1):
-        m, s = float(mom[k - 1]), float(se[k - 1])
-        rel = s / m if m > 0 else 0.0
-        entries.append(PcEntry(k=k, moment=m, std_error=s, bound=bound, passed=m <= bound * (1.0 + 3.0 * rel)))
-    return PcReport(entries=entries)
+    return pc_report(cv, SelectionEnsemble.pure_noise(ld, mc_size, seed))

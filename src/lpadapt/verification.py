@@ -1,9 +1,11 @@
 """Numerical verification of the structural identities and tail bounds.
 
-Each check builds a small synthetic scene, runs a seeded Monte-Carlo
-experiment where needed, and compares against the closed-form side within
-an explicit tolerance.  These are the suites behind the `verify` command;
-the package test suite calls them as well.
+Each check builds a small synthetic scene, runs a Monte-Carlo experiment
+where needed, and compares against the closed-form side within an explicit
+tolerance.  A Monte-Carlo check takes its standard normals from its caller
+as a table, one replicate per row in window coordinates (_shared_rows);
+the other checks are seeded.  These are the suites behind the `verify`
+command; the package test suite calls them as well.
 
 The tail checks bound by the chi-square tail with p = 1 or 2 degrees of
 freedom, P{chi^2_1 >= x} = erfc(sqrt(x / 2)), which `math.erfc` evaluates,
@@ -21,10 +23,11 @@ import numpy as np
 from .calibration import (
     SelectionEnsemble,
     _check_index,
+    check_mc_size,
     chi_square_moment,
     noise_matrix,
+    pc_report,
     theoretical_cv,
-    validate_pc,
 )
 from .dataset import Dataset
 from .exceptions import ParameterDomainError
@@ -74,10 +77,8 @@ def _unit_design(p: int, n: int, K: int, growth: float, kernel: str = "boxcar"):
     The design is built on all n points and then restricted to the m points
     of its largest window (LadderDesign.restrict), which it returns with
     their coordinates.  Its support is then arange(m), so every Monte-Carlo
-    check draws in window coordinates: replicate j is
-    replicate_noise(seed, j, m), its i-th value on the i-th window point.
-    Every scale of these ladders is accepted, so validate_pc, which rebuilds
-    the design from the window points and the ladder, sees the same scales.
+    check reads its noise in window coordinates: row j of its table is
+    replicate j, its i-th value on the i-th window point.
     """
     pts = np.linspace(0.0, 1.0, n)
     ladder = ScaleLadder.geometric(default_h1(n, p), K, growth=growth, kernel=kernel)
@@ -141,58 +142,47 @@ def check_covariance_sandwich(seed: int = 12, trials: int = 12) -> CheckResult:
     return _result("covariance_sandwich", worst <= 1e-9 and dense_gap <= 1e-12, detail)
 
 
-def _shared_rows(noise: np.ndarray, replicates: int, m: int) -> np.ndarray:
-    """Rows 0..replicates-1 of a shared draw in window coordinates, on its first m columns.
+def _shared_rows(noise: np.ndarray, m: int) -> np.ndarray:
+    """Every row of a Monte-Carlo check's noise table, on its first m columns.
 
     Row j of noise must be the first values of replicate j's stream, as
     noise_matrix(seed, rows, W, arange(W)) gives them; by the prefix property
-    its first m columns are then the draw of a check on a window of m points.
-    ParameterDomainError when the draw has fewer rows or columns: it is never
-    padded or broadcast.
+    its first m columns are then replicate j on a window of m points.
+    ParameterDomainError when the table is not 2-D, is narrower than m or
+    has fewer than MIN_MC_SIZE rows (check_mc_size): it is never padded or
+    broadcast.
     """
-    if noise.shape[0] < replicates or noise.shape[1] < m:
-        raise ParameterDomainError(
-            f"the shared draw {noise.shape} is smaller than {replicates} replicates on a window of {m} points"
-        )
-    return noise[:replicates, :m]
+    if np.ndim(noise) != 2 or noise.shape[1] < m:
+        raise ParameterDomainError(f"a noise table needs 2 dimensions and at least {m} columns, one per window point; "
+                                   f"got shape {np.shape(noise)}")
+    check_mc_size(noise.shape[0])
+    return noise[:, :m]
 
 
-def _wilks_forms(
-    ld: LadderDesign, sigma_true: np.ndarray, k: int, replicates: int, seed: int, noise: np.ndarray | None = None
-) -> np.ndarray:
-    """MC draws of the quadratic form (theta_k - theta_bar_k)^T B_k (...).
+def _wilks_forms(ld: LadderDesign, sigma_true: np.ndarray, k: int, noise: np.ndarray) -> np.ndarray:
+    """MC draws of the quadratic form (theta_k - theta_bar_k)^T B_k (...), one per row of noise.
 
-    The standard normals are drawn at seed on the design's support, or,
-    given a shared draw noise, taken from its rows (_shared_rows); the
-    design must then be restricted to its window, as _unit_design's are.
+    The design must be restricted to its window, as _unit_design's are, so
+    that the rows of noise (_shared_rows) are on its points.
     """
-    cols = ld.support
-    A = ld.D_list[k - 1][:, cols] * sigma_true[cols]  # maps standard normals to theta - theta_bar
-    if noise is None:
-        eps = noise_matrix(seed, replicates, ld.points.shape[0], cols)
-    else:
-        eps = _shared_rows(noise, replicates, ld.points.shape[0])
-    g = eps @ A.T
+    A = ld.D_list[k - 1] * sigma_true  # maps standard normals to theta - theta_bar
+    g = _shared_rows(noise, ld.points.shape[0]) @ A.T
     return np.maximum(np.einsum("ri,ij,rj->r", g, ld.B_list[k - 1], g), 0.0)
 
 
-def check_wilks(
-    p: int = 2, replicates: int = 20000, seed: int = 13, kernel: str = "boxcar", noise: np.ndarray | None = None
-) -> CheckResult:
+def check_wilks(noise: np.ndarray, p: int = 2, kernel: str = "boxcar") -> CheckResult:
     """Known noise, boxcar: spectrum is p ones within 1e-10, and the MC mean
     of the likelihood-ratio form matches its trace within 4 standard errors.
 
-    Given a shared draw noise, the forms come from its rows and seed is not
-    read; so for every Monte-Carlo check below.
-    test_A3_wilks_identity runs it for p = 1, 2, 3 with 100,000 replicates
-    and seed 160 + p.
+    The forms are those of the rows of noise, as for every Monte-Carlo check below.
+    test_A3_wilks_identity runs it for p = 1, 2, 3 on 100,000 rows at seed 160 + p.
     """
     ld, _ = _unit_design(p, 120, 3, 1.6, kernel)
     k, sigma = ld.K_eff, ld.sigma_model
     lam = wilks_spectrum(ld, k, sigma)
     spectrum_ok = bool(np.max(np.abs(lam - 1.0)) <= 1e-10) if kernel == "boxcar" else bool(lam[0] <= 1.0 + 1e-10)
-    forms = _wilks_forms(ld, sigma, k, replicates, seed, noise)
-    se = forms.std(ddof=1) / math.sqrt(replicates)
+    forms = _wilks_forms(ld, sigma, k, noise)
+    se = forms.std(ddof=1) / math.sqrt(forms.size)
     mean_ok = abs(forms.mean() - lam.sum()) <= 4.0 * se
     return _result(
         f"wilks_p{p}_{kernel}",
@@ -201,36 +191,32 @@ def check_wilks(
     )
 
 
-def check_domination(
-    delta: float = 0.2, replicates: int = 20000, seed: int = 14, noise: np.ndarray | None = None, p: int = 1
-) -> CheckResult:
+def check_domination(noise: np.ndarray, delta: float = 0.2, p: int = 1) -> CheckResult:
     """P{form >= z} <= P{chi^2_p >= z/(1+delta)} + 3 SE for z = 1, 2, 4, 8, 16, with p = 1 or 2 parameters.
 
     run_all runs p = 1; test_A4_chi_square_domination runs p = 1 and 2.
     """
     ld, pts = _unit_design(p, 150, 3, 1.6)
     sigma0 = SigmaSpec("sine", 1.0, delta, 0.3).values(pts)
-    forms = _wilks_forms(ld, sigma0, ld.K_eff, replicates, seed, noise)
+    forms = _wilks_forms(ld, sigma0, ld.K_eff, noise)
     worst = -1.0
     for z in (1.0, 2.0, 4.0, 8.0, 16.0):
         emp = float(np.mean(forms >= z))
         bound = chi_square_tail(z / (1.0 + delta), p)
-        se = math.sqrt(max(bound * (1.0 - bound), 1e-12) / replicates)
+        se = math.sqrt(max(bound * (1.0 - bound), 1e-12) / forms.size)
         worst = max(worst, emp - bound - 3.0 * se)
     name = f"chi2_domination_d{delta:g}" if p == 1 else f"chi2_domination_p{p}_d{delta:g}"
     return _result(name, worst <= 0.0, f"worst excess over bound {worst:.3e}")
 
 
-def check_quasi_parametric_moment(
-    replicates: int = 20000, seed: int = 15, noise: np.ndarray | None = None
-) -> CheckResult:
+def check_quasi_parametric_moment(noise: np.ndarray) -> CheckResult:
     """E|form|^r <= (1+delta)^r C(p,r) within 3 relative standard errors (delta 0.2, p 2, r 1)."""
     delta, p, r = 0.2, 2, 1.0
     ld, pts = _unit_design(p, 150, 3, 1.6)
     sigma0 = SigmaSpec("sine", 1.0, delta).values(pts)
-    powered = _wilks_forms(ld, sigma0, ld.K_eff, replicates, seed, noise) ** r
+    powered = _wilks_forms(ld, sigma0, ld.K_eff, noise) ** r
     mean = powered.mean()
-    rel_se = powered.std(ddof=1) / math.sqrt(replicates) / mean
+    rel_se = powered.std(ddof=1) / math.sqrt(powered.size) / mean
     bound = (1.0 + delta) ** r * chi_square_moment(p, r)
     ok = mean <= bound * (1.0 + 3.0 * rel_se)
     return _result("quasi_parametric_moment", ok, f"moment {mean:.4f} vs bound {bound:.4f} (rel_se {rel_se:.3g})")
@@ -292,25 +278,31 @@ def check_kl_sandwich(seed: int = 16, trials: int = 40) -> CheckResult:
     return _result("kl_sandwich", worst <= 1e-10 and second_order <= 1e-10 and dense_gap <= 1e-10, detail)
 
 
-def check_pc_theoretical(mc_size: int = 10000, seed: int = 17) -> CheckResult:
-    """Analytic thresholds satisfy the empirical moment conditions (p 1, K 4, alpha 1, r 0.5)."""
-    ld, pts = _unit_design(1, 200, 4, 1.5)
+def check_pc_theoretical(noise: np.ndarray) -> CheckResult:
+    """Analytic thresholds satisfy the empirical moment conditions (p 1, K 4, alpha 1, r 0.5).
+
+    The conditions are pc_report's, on the pure-noise ensemble of the rows of
+    noise (the design has unit model noise).  The detail also gives the share
+    of replicates that stop before the largest scale: where it is 0, every
+    gap form is 0 and the check cannot fail.
+    """
+    ld, _ = _unit_design(1, 200, 4, 1.5)
     _, u_hat = ld.growth_bounds()
     cv = theoretical_cv(1, 0.5, ld.K_eff, 1.0, u_hat)
-    report = validate_pc(cv, ld.basis, ld.ladder, ld.sigma_model, pts, 0.5, mc_size, seed)
+    ens = SelectionEnsemble(ld, ld.fit_stacked(_shared_rows(noise, ld.points.shape[0])))
+    report = pc_report(cv, ens)
+    stopped = float(np.mean(ens.k_hat(np.asarray(cv.z)) < ens.K))
     detail = "; ".join(f"k={e.k}: {e.moment:.4f}<= {e.bound:.4f}" for e in report.entries)
-    return _result("pc_theoretical", report.passed, detail)
+    return _result("pc_theoretical", report.passed, f"{detail}; stopped before k={ens.K}: {stopped:.4f}")
 
 
-def check_pair_bounds(
-    replicates: int = 20000, seed: int = 18, noise: np.ndarray | None = None
-) -> tuple[CheckResult, CheckResult]:
+def check_pair_bounds(noise: np.ndarray) -> tuple[CheckResult, CheckResult]:
     """Tail and moment bounds for the pairwise statistics, on one ensemble (delta 0.1, p 1, r 1).
 
     The ensemble has p 1, n 150, K 4 and sine noise sigma0 of amplitude
-    delta; it is SelectionEnsemble.draw at seed, or, given a shared draw
-    noise, the fits of its rows.  For each pair l < k of its scales, T_lk is
-    bounded at the scale t0 = 2 (1+delta) (1 + u0_hat^{-(k-l)}) and T_kl at
+    delta; its replicates are the fits of the rows of noise.  For each pair
+    l < k of its scales, T_lk is bounded at the scale
+    t0 = 2 (1+delta) (1 + u0_hat^{-(k-l)}) and T_kl at
     t1 = 2 (1+delta) (1 + u_hat^{k-l}).  Returns the chi^2 tail check at
     z = 2, 4, 8, 16 and the moment check: the exponential and polynomial
     moment bounds, and each Monte-Carlo mean of T_lk and T_kl within 5 SE of
@@ -322,10 +314,8 @@ def check_pair_bounds(
     ld, pts = _unit_design(1, 150, 4, 1.5)
     u0_hat, u_hat = ld.growth_bounds()
     sd = SigmaSpec("sine", 1.0, delta).values(pts)
-    if noise is None:
-        ens = SelectionEnsemble.draw(ld, replicates, seed, sd)
-    else:
-        ens = SelectionEnsemble(ld, ld.fit_stacked(_shared_rows(noise, replicates, pts.size) * sd))
+    ens = SelectionEnsemble(ld, ld.fit_stacked(_shared_rows(noise, pts.size) * sd))
+    replicates = ens.mc
     c = 2.0 * (1.0 + delta)
     tail, moment, mean_dev = -1.0, -math.inf, 0.0
     for l, k in itertools.combinations(range(1, ld.K_eff + 1), 2):
@@ -354,19 +344,15 @@ def check_pair_bounds(
                     f"worst excess over bound {moment:.3e}; worst pair-mean deviation {mean_dev:.2f} SE (tol 5)"))
 
 
-def check_stacked_covariance(
-    replicates: int = 20000, seed: int = 20, noise: np.ndarray | None = None
-) -> CheckResult:
+def check_stacked_covariance(noise: np.ndarray) -> CheckResult:
     """Empirical covariance of the stacked estimators matches the joint law (delta 0.15, p 2, n 120)."""
     delta = 0.15
     ld, pts = _unit_design(2, 120, 3, 1.6)
     n = ld.points.shape[0]
     sigma0 = SigmaSpec("sine", 1.0, delta, 0.5).values(pts)
     S0 = joint_covariance(ld.D_list, sigma0**2)
-    if noise is None:
-        eps = noise_matrix(seed, replicates, n, np.arange(n))  # the design holds its window only
-    else:
-        eps = _shared_rows(noise, replicates, n)
+    eps = _shared_rows(noise, n)
+    replicates = eps.shape[0]
     draws = ld.fit_stacked(eps * sigma0).reshape(replicates, -1)  # rows (theta_1, ..., theta_K)
     emp = np.cov(draws, rowvar=False)
     dg = np.diag(S0)
@@ -388,7 +374,7 @@ def check_noise_model(dataset: Dataset, delta_declared: float | None = None) -> 
     return _result("noise_model_a4", True, f"realized delta {realized:.4f}; {budget}")
 
 
-#: width of run_all's shared draw: the widest window of the checks that take it, check_pair_bounds' 26 points
+#: width of run_all's noise table: the widest window of its Monte-Carlo checks, 26 points
 _SHARED_WIDTH = 26
 
 
@@ -400,17 +386,14 @@ def run_all(
 ) -> list[CheckResult]:
     """Run the full verification suite; quick mode shrinks MC sizes only.
 
-    seed must be a non-negative integer.  The eight Monte-Carlo checks of
-    the Wilks forms, chi^2 domination, the quasi-parametric moment, the
-    pair bounds and the stacked covariance share one draw,
-    noise_matrix(seed + 3, mc, _SHARED_WIDTH, arange(_SHARED_WIDTH)): each
-    takes the first mc rows on the first m columns for its window of m
-    points, so each sees the noise it would draw itself at seed + 3.  Their
-    outcomes are therefore correlated, while each one's false-alarm rate is
-    that of its own draw.  The determinant and covariance sandwich checks
-    are seeded with seed + 1 and seed + 2, the KL check with seed + 9, and
-    check_pc_theoretical keeps its own draw through validate_pc at
-    seed + 10; the other offsets are unused.
+    seed must be a non-negative integer.  The determinant and covariance
+    sandwich checks are seeded with seed + 1 and seed + 2, the KL check with
+    seed + 9.  The nine Monte-Carlo checks share one draw,
+    noise_matrix(seed + 3, mc, _SHARED_WIDTH, arange(_SHARED_WIDTH)):
+    check_pc_theoretical takes its first pc_mc rows, every other one all of
+    them, and each reads the first m columns for its window of m points.
+    Their outcomes are therefore correlated, while each one's false-alarm
+    rate is that of its own draw.  The other offsets are unused.
     """
     seed = _check_index("seed", seed)
     mc = 4000 if quick else 20000
@@ -420,16 +403,16 @@ def run_all(
     results = [
         check_determinant_identity(seed=seed + 1, trials=trials),
         check_covariance_sandwich(seed=seed + 2, trials=max(trials // 2, 4)),
-        check_wilks(p=1, replicates=mc, noise=noise),
-        check_wilks(p=2, replicates=mc, noise=noise),
-        check_wilks(p=2, replicates=mc, kernel="epanechnikov", noise=noise),
-        check_domination(delta=0.05, replicates=mc, noise=noise),
-        check_domination(delta=0.2, replicates=mc, noise=noise),
-        check_quasi_parametric_moment(replicates=mc, noise=noise),
+        check_wilks(noise, p=1),
+        check_wilks(noise, p=2),
+        check_wilks(noise, p=2, kernel="epanechnikov"),
+        check_domination(noise, delta=0.05),
+        check_domination(noise, delta=0.2),
+        check_quasi_parametric_moment(noise),
         check_kl_sandwich(seed=seed + 9, trials=2 * trials),
-        check_pc_theoretical(mc_size=pc_mc, seed=seed + 10),
-        *check_pair_bounds(replicates=mc, noise=noise),
-        check_stacked_covariance(replicates=mc, noise=noise),
+        check_pc_theoretical(noise[:pc_mc]),
+        *check_pair_bounds(noise),
+        check_stacked_covariance(noise),
     ]
     if dataset is not None:
         results.append(check_noise_model(dataset, delta_declared))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from lpadapt.calibration import noise_matrix
 from lpadapt.exceptions import MissingColumnError, ParameterDomainError, ParseError
 from lpadapt.local_model import Basis, LadderDesign, ScaleLadder
 
@@ -38,6 +39,18 @@ def standard_scene():
 def standard_ladder_design(standard_scene):
     basis, ladder, points, sigma = standard_scene
     return LadderDesign(basis, ladder, points, 0.5, sigma)
+
+
+def mc_noise(seed: int, rows: int, width: int = 26) -> np.ndarray:
+    """A noise table for a Monte-Carlo check of lpadapt.verification: replicates 0..rows-1 at seed.
+
+    Row j is replicate j's first width values, as run_all draws them 26 wide.
+    A check reads the first m columns for its window of m points, which by
+    the prefix property are noise_matrix(seed, rows, m, arange(m)).  Windows
+    wider than 26 points (check_wilks at p = 3, 30 points, or with a
+    truncated Gaussian kernel, 60) need a wider table.
+    """
+    return noise_matrix(seed, rows, width, np.arange(width))
 
 
 def poly_design(pts, x, degree):

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import mc_noise
 from lpadapt.calibration import (
     SelectionEnsemble,
     chi_square_moment,
@@ -75,14 +76,14 @@ def test_A3_wilks_identity():
     for p in (1, 2, 3):
         ld, _ = _unit_design(p, 120, 3, 1.6)  # the design check_wilks builds
         assert wilks_spectrum(ld, ld.K_eff, ld.sigma_model).size == p
-        results.append(check_wilks(p=p, replicates=100000, seed=160 + p))
+        results.append(check_wilks(mc_noise(160 + p, 100000, 30), p=p))  # p = 3's window has 30 points
     _report("A3", all(r.passed for r in results), "; ".join(f"p={p}: {r.detail}" for p, r in zip((1, 2, 3), results)))
 
 
 def test_A4_chi_square_domination():
     # P{form >= z} against the chi^2_p tail at z/(1+delta), for p = 1 and 2 and delta = 0.05 and 0.2
     results = [
-        check_domination(delta=delta, replicates=20000, seed=int(1000 * delta) + p, p=p)
+        check_domination(mc_noise(int(1000 * delta) + p, 20000), delta=delta, p=p)
         for p in (1, 2)
         for delta in (0.05, 0.2)
     ]

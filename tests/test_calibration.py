@@ -10,6 +10,7 @@ from lpadapt.calibration import (
     SelectionEnsemble,
     chi_square_moment,
     mc_calibrate,
+    pc_report,
     replicate_noise,
     theoretical_cv,
     threshold_constant,
@@ -258,6 +259,26 @@ class TestSelectionEnsemble:
 
 
 class TestValidatePc:
+    def test_is_pc_report_on_its_pure_noise_ensemble(self, calib_scene):
+        # the pass rule is stated once, in pc_report; thresholds low enough that the moments are not all 0
+        basis, ladder, points, sigma = calib_scene
+        cv = CriticalValues(z=(3.0, 2.0, 1.5), method="monte_carlo", alpha=1.0, r=0.5, p=1, K=4)
+        ens = SelectionEnsemble.pure_noise(LadderDesign(basis, ladder, points, 0.5, sigma), 2000, 31)
+        report = validate_pc(cv, basis, ladder, sigma, points, 0.5, 2000, 31)
+        assert report == pc_report(cv, ens)
+        assert min(e.moment for e in report.entries) > 0
+
+    @pytest.mark.parametrize("excess,passed", [(2.0, True), (10.0, False)])
+    def test_allowance_is_three_standard_errors(self, calib_scene, excess, passed):
+        # the bound set to m / (1 + excess rel_se) below the k = 4 moment m: an entry passes for excess <= 3 only
+        basis, ladder, points, sigma = calib_scene
+        ens = SelectionEnsemble.pure_noise(LadderDesign(basis, ladder, points, 0.5, sigma), 2000, 31)
+        z, r = (3.0, 2.0, 1.5), 0.5
+        mom, se = ens.pc_moments(np.array(z), r)
+        alpha = float(mom[-1] / ((1.0 + excess * se[-1] / mom[-1]) * chi_square_moment(1, r)))
+        cv = CriticalValues(z=z, method="monte_carlo", alpha=alpha, r=r, p=1, K=4)
+        assert pc_report(cv, ens).entries[-1].passed is passed
+
     def test_halved_first_threshold_violates(self):
         # frozen fixture: tight budget (r = 0.1, alpha = 0.1) where cutting z_1
         # in half breaks the k = 4 moment condition on a fresh large ensemble

@@ -7,7 +7,8 @@ import pytest
 from scipy.stats import chi2
 
 import lpadapt.verification as verification
-from lpadapt.calibration import noise_matrix
+from conftest import mc_noise
+from lpadapt.calibration import MIN_MC_SIZE, noise_matrix
 from lpadapt.dataset import Dataset
 from lpadapt.exceptions import ParameterDomainError
 from lpadapt.verification import (
@@ -32,21 +33,28 @@ from lpadapt.verification import (
     [
         (check_determinant_identity, {"trials": 8}),
         (check_covariance_sandwich, {"trials": 6}),
-        (check_wilks, {"p": 1, "replicates": 6000}),
-        (check_wilks, {"p": 3, "replicates": 6000}),
-        (check_wilks, {"p": 2, "replicates": 6000, "kernel": "truncated_gaussian"}),
-        (check_domination, {"delta": 0.05, "replicates": 8000}),
-        (check_domination, {"delta": 0.2, "replicates": 8000}),
-        (check_quasi_parametric_moment, {"replicates": 8000}),
+        (check_wilks, {"p": 1, "table": (13, 6000)}),
+        (check_wilks, {"p": 3, "table": (13, 6000, 30)}),  # a 30-point window
+        (check_wilks, {"p": 2, "kernel": "truncated_gaussian", "table": (13, 6000, 60)}),  # a 60-point window
+        (check_domination, {"delta": 0.05, "table": (14, 8000)}),
+        (check_domination, {"delta": 0.2, "table": (14, 8000)}),
+        (check_quasi_parametric_moment, {"table": (15, 8000)}),
         (check_kl_sandwich, {"trials": 15}),
-        (check_pc_theoretical, {"mc_size": 3000}),
-        (check_pair_bounds, {"replicates": 8000}),
-        (check_stacked_covariance, {"replicates": 8000}),
+        (check_pc_theoretical, {"table": (17, 3000)}),
+        (check_pair_bounds, {"table": (18, 8000)}),
+        (check_stacked_covariance, {"table": (20, 8000)}),
     ],
 )
 def test_individual_checks_pass(check, kwargs):
-    for result in _results(check(**kwargs)):
+    for result in _results(_run(check, kwargs)):
         assert result.passed, f"{result.name}: {result.detail}"
+
+
+def _run(check, kwargs):
+    """check(**kwargs); a Monte-Carlo check gets mc_noise(*table) as its noise, table = (seed, rows[, width])."""
+    kwargs = dict(kwargs)
+    table = kwargs.pop("table", None)
+    return check(**kwargs) if table is None else check(mc_noise(*table), **kwargs)
 
 
 def _results(results) -> tuple:
@@ -71,7 +79,7 @@ def _kl_with_log_det_ratio_negated(kl_joint):
         ("joint_covariance", lambda f: lambda d_blocks, var: f(d_blocks, np.asarray(var) ** 2),
          check_covariance_sandwich, {"seed": 20240817, "trials": 10}),
         ("wilks_spectrum", lambda f: lambda *a: f(*a) * (1.0 + 1e-9),
-         check_wilks, {"p": 2, "replicates": 100000, "seed": 162}),
+         check_wilks, {"p": 2, "table": (162, 100000)}),
         ("kl_joint", _kl_with_log_det_ratio_negated, check_kl_sandwich, {"seed": 707, "trials": 100}),
         ("bias_profile", lambda f: lambda *a: (f(*a)[0] * (1.0 + 1e-8), f(*a)[1]),
          check_kl_sandwich, {"seed": 707, "trials": 100}),
@@ -82,30 +90,31 @@ def _kl_with_log_det_ratio_negated(kl_joint):
 def test_a_wrong_library_function_fails_its_check(monkeypatch, name, wrong, check, kwargs):
     """The acceptance and oracle tests that delegate to a check still fail when the function it verifies is wrong."""
     monkeypatch.setattr(verification, name, wrong(getattr(verification, name)))
-    assert check(**kwargs).passed is False
+    assert _run(check, kwargs).passed is False
 
 
 SHARED_SEED, SHARED_ROWS = 31, 3000
 
-# every check that run_all hands its shared draw
+# every Monte-Carlo check as run_all calls it, with the width m of its window
 MC_CHECKS = [
-    (check_wilks, {"p": 1}),
-    (check_wilks, {"p": 2}),
-    (check_wilks, {"p": 2, "kernel": "epanechnikov"}),
-    (check_domination, {"delta": 0.05}),
-    (check_domination, {"delta": 0.2}),
-    (check_quasi_parametric_moment, {}),
-    (check_pair_bounds, {}),
-    (check_stacked_covariance, {}),
+    (check_wilks, {"p": 1}, 20),
+    (check_wilks, {"p": 2}, 20),
+    (check_wilks, {"p": 2, "kernel": "epanechnikov"}, 20),
+    (check_domination, {"delta": 0.05}, 20),
+    (check_domination, {"delta": 0.2}, 20),
+    (check_quasi_parametric_moment, {}, 20),
+    (check_pair_bounds, {}, 26),
+    (check_stacked_covariance, {}, 20),
+    (check_pc_theoretical, {}, 26),
 ]
 MC_IDS = ["wilks-p1", "wilks-p2", "wilks-p2-epanechnikov", "domination-0.05", "domination-0.2", "quasi-moment",
-          "pair-bounds", "stacked-covariance"]
+          "pair-bounds", "stacked-covariance", "pc-theoretical"]
 
 
 @pytest.fixture(scope="module")
 def shared_noise():
-    """A shared draw as run_all makes it, 26 values wide, at SHARED_SEED."""
-    return noise_matrix(SHARED_SEED, SHARED_ROWS, 26, np.arange(26))
+    """A noise table as run_all draws it, 26 values wide, at SHARED_SEED."""
+    return mc_noise(SHARED_SEED, SHARED_ROWS)
 
 
 def _record_mc_quantities(monkeypatch) -> list:
@@ -124,23 +133,24 @@ def _record_mc_quantities(monkeypatch) -> list:
             kept(self.T)
 
     monkeypatch.setattr(verification, "_wilks_forms", lambda *a, **kw: kept(forms(*a, **kw)))
-    monkeypatch.setattr(verification, "SelectionEnsemble", RecordedEnsemble)  # draw builds cls(...) too
+    monkeypatch.setattr(verification, "SelectionEnsemble", RecordedEnsemble)
     monkeypatch.setattr(np, "cov", lambda *a, **kw: kept(cov(*a, **kw)))
     return seen
 
 
-@pytest.mark.parametrize("check,kwargs", MC_CHECKS, ids=MC_IDS)
-def test_shared_draw_gives_a_check_its_own_draw(monkeypatch, shared_noise, check, kwargs):
-    """Given the shared draw of seed s, a check computes what it computes from its own draw at seed s.
+@pytest.mark.parametrize("check,kwargs,m", MC_CHECKS, ids=MC_IDS)
+def test_shared_draw_gives_a_check_its_own_draw(monkeypatch, shared_noise, check, kwargs, m):
+    """Given run_all's 26-wide table at seed s, a check computes what it computes from the table of its own width m.
 
+    That narrower table is noise_matrix(s, rows, m, arange(m)), so a check
+    reads replicate j of seed s on its window whatever the table's width.
     The forms, T table or covariance agree within 1e-12 relative to their
     largest entry (the products may round differently on a slice of a
-    wider draw), and so do the pass flags.  The shared call keeps the check's
-    default seed, which it must not read.
+    wider table), and so do the pass flags.
     """
     seen = _record_mc_quantities(monkeypatch)
-    own = _results(check(replicates=SHARED_ROWS, seed=SHARED_SEED, **kwargs))
-    shared = _results(check(replicates=SHARED_ROWS, noise=shared_noise, **kwargs))
+    own = _results(check(noise_matrix(SHARED_SEED, SHARED_ROWS, m, np.arange(m)), **kwargs))
+    shared = _results(check(shared_noise, **kwargs))
     assert [r.passed for r in shared] == [r.passed for r in own]
     assert len(seen) == 2
     want, got = seen
@@ -148,13 +158,26 @@ def test_shared_draw_gives_a_check_its_own_draw(monkeypatch, shared_noise, check
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.nanmax(np.abs(want)))
 
 
-@pytest.mark.parametrize("check,kwargs", MC_CHECKS, ids=MC_IDS)
-def test_a_draw_smaller_than_a_check_needs_raises(shared_noise, check, kwargs):
-    """Too few columns for the window, or too few rows for the replicates: an error, never padding or broadcasting."""
-    with pytest.raises(ParameterDomainError, match="smaller than"):
-        check(replicates=SHARED_ROWS, noise=shared_noise[:, :19], **kwargs)  # every window has 20 points or more
-    with pytest.raises(ParameterDomainError, match="smaller than"):
-        check(replicates=SHARED_ROWS + 1, noise=shared_noise, **kwargs)
+@pytest.mark.parametrize("check,kwargs,m", MC_CHECKS, ids=MC_IDS)
+def test_a_draw_smaller_than_a_check_needs_raises(shared_noise, check, kwargs, m):
+    """A table narrower than the check's window, or not 2-D: an error, never padding or broadcasting."""
+    check(shared_noise[:, :m], **kwargs)
+    with pytest.raises(ParameterDomainError, match=f"2 dimensions and at least {m} columns"):
+        check(shared_noise[:, : m - 1], **kwargs)
+    with pytest.raises(ParameterDomainError, match="2 dimensions"):
+        check(shared_noise[0], **kwargs)
+
+
+@pytest.mark.parametrize("rows", [0, 1, MIN_MC_SIZE - 1])
+@pytest.mark.parametrize("check,kwargs,m", MC_CHECKS, ids=MC_IDS)
+def test_a_table_below_the_row_floor_raises(shared_noise, check, kwargs, m, rows):
+    """Fewer than MIN_MC_SIZE rows is an error, as for mc_calibrate and validate_pc.
+
+    One row gives NaN standard errors, under which a pair check passes, and
+    no rows a division by zero.
+    """
+    with pytest.raises(ParameterDomainError, match=f"mc_size must be >= {MIN_MC_SIZE}, got {rows}"):
+        check(shared_noise[:rows], **kwargs)
 
 
 def test_chi_square_tail_matches_scipy_stats():

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from lpadapt import calibration
-from lpadapt.calibration import SelectionEnsemble, mc_calibrate, noise_matrix, replicate_noise
+from lpadapt.calibration import MIN_MC_SIZE, SelectionEnsemble, mc_calibrate, noise_matrix, replicate_noise
 from lpadapt.exceptions import ParameterDomainError
 from lpadapt.local_model import KERNELS, Basis, LadderDesign, ScaleLadder, default_h1
 from lpadapt.verification import _unit_design, _wilks_forms, run_all
@@ -303,11 +303,10 @@ class TestVerifyWindow:
 
         monkeypatch.setattr(calibration, "_noise_blocks", _noise_blocks)
         assert all(result.passed for result in run_all(quick=True, seed=2024))
-        assert len(calls) == 2  # the draw the eight Monte-Carlo checks share, and validate_pc's
-        assert [seed for seed, _, _ in calls] == [2024 + 3, 2024 + 10]
-        assert calls[0][1] == 26  # the widest window among the checks that share the draw
-        for _, n, cols in calls:
-            assert n == len(cols) and np.array_equal(cols, np.arange(n)), (n, cols)
+        assert len(calls) == 1  # the one table that every Monte-Carlo check reads
+        seed, n, cols = calls[0]
+        assert seed == 2024 + 3 and n == 26  # 26: the widest window among the checks
+        assert np.array_equal(cols, np.arange(n)), cols
 
     @pytest.mark.parametrize("design", [
         (1, 120, 3, 1.6, "boxcar"), (2, 120, 3, 1.6, "epanechnikov"), (1, 150, 3, 1.6, "boxcar"),
@@ -323,8 +322,8 @@ class TestVerifyWindow:
         assert m == support.size < support[-1] and np.array_equal(pts, full.points[support, 0])
         for D, D_full in zip(ld.D_list, full.D_list):
             assert np.array_equal(D, D_full[:, support])
-        sigma, k, rows, seed = 1.0 + 0.2 * np.sin(7.0 * pts), ld.K_eff, 300, 23
+        sigma, k, rows, seed = 1.0 + 0.2 * np.sin(7.0 * pts), ld.K_eff, MIN_MC_SIZE, 23
         eps = np.stack([replicate_noise(seed, j, m) for j in range(rows)])  # value i on window point i
         g = eps @ (ld.D_list[k - 1] * sigma).T
         want = np.maximum(np.einsum("ri,ij,rj->r", g, ld.B_list[k - 1], g), 0.0)
-        assert np.array_equal(_wilks_forms(ld, sigma, k, rows, seed), want)
+        assert np.array_equal(_wilks_forms(ld, sigma, k, eps), want)
