@@ -45,8 +45,8 @@ def check_mc_size(mc_size: int):
 
 
 def check_r(r: float):
-    """ParameterDomainError naming the moment power r unless it is a finite positive number."""
-    if not (isinstance(r, numbers.Real) and math.isfinite(r) and r > 0):
+    """ParameterDomainError naming the moment power r unless it is a finite positive number (a bool is not one)."""
+    if isinstance(r, bool) or not (isinstance(r, numbers.Real) and math.isfinite(r) and r > 0):
         raise ParameterDomainError(f"r={r!r} must be finite and positive")
 
 
@@ -72,7 +72,7 @@ def threshold_constant(p: int, r: float) -> float:
 
 
 def _check_alpha_r(alpha: float, r: float):
-    if not (isinstance(alpha, numbers.Real) and 0.0 < alpha <= 1.0):
+    if isinstance(alpha, bool) or not (isinstance(alpha, numbers.Real) and 0.0 < alpha <= 1.0):
         raise ParameterDomainError(f"alpha={alpha!r} outside (0, 1]")
     check_r(r)
 

@@ -174,16 +174,28 @@ def _section(cfg: dict, key: str) -> dict:
     return value
 
 
-def _option(cfg: dict, key: str, default, cast=float, flag=None):
-    """The flag's value when given, else cfg[key] unless null, else default; None stays None.
+def _integer(value) -> int:
+    """value if it is a JSON integer; JSON's true and false are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError("expected an integer")
+    return value
+
+
+def _real(value) -> float:
+    """value as a float if it is a JSON number; JSON's true and false are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError("expected a number")
+    return float(value)
+
+
+def _option(cfg: dict, key: str, default, cast=_real, flag=None):
+    """cast of the flag's value when given, else of cfg[key] unless null, else default as it is.
 
     A value that cast rejects is a configuration error naming the key.
     """
     value = flag if flag is not None else cfg.get(key)
     if value is None:
-        value = default
-    if value is None:
-        return None
+        return default
     try:
         return cast(value)
     except (TypeError, ValueError) as exc:
@@ -193,7 +205,7 @@ def _option(cfg: dict, key: str, default, cast=float, flag=None):
 def _numbers(value) -> tuple[float, ...]:
     if not isinstance(value, list):
         raise TypeError("expected a list of numbers")
-    return tuple(float(v) for v in value)
+    return tuple(map(_real, value))
 
 
 def _design(data: Dataset) -> np.ndarray:
@@ -214,7 +226,7 @@ def _provenance_line(cfg: dict, seed) -> str:
 
 
 def _basis_from_config(cfg: dict, dim: int = 1) -> Basis:
-    return Basis.polynomial(_option(_section(cfg, "basis"), "degree", 1, int), dim=dim)
+    return Basis.polynomial(_option(_section(cfg, "basis"), "degree", 1, _integer), dim=dim)
 
 
 def _ladder_from_config(cfg: dict, p: int, args, span: float = 1.0, n: int = 200, default_K: int | None = None,
@@ -233,7 +245,7 @@ def _ladder_from_config(cfg: dict, p: int, args, span: float = 1.0, n: int = 200
         return ScaleLadder(bandwidths, kernel=kernel)
     growth = _option(lcfg, "growth", 1.25, flag=args.u)
     h1 = _option(lcfg, "h1", default_h1(n, p, span, d))
-    K = _option(lcfg, "K", default_K, int, args.K)
+    K = _option(lcfg, "K", default_K, _integer, args.K)
     if K is None:
         ScaleLadder.geometric(h1, 1, growth=growth)  # rejects a bad h1 or growth before the count below uses them
         K = max(2, min(8, int(math.floor(math.log(max(span / 2.0 / h1, growth)) / math.log(growth))) + 1))
@@ -243,7 +255,7 @@ def _ladder_from_config(cfg: dict, p: int, args, span: float = 1.0, n: int = 200
 def _data_ladder(cfg: dict, data: Dataset | None, p: int, args) -> ScaleLadder:
     """Ladder for a dataset, from its n, its dimension and the range of its first coordinate; without data, the unit interval with cfg's n."""
     if data is None:
-        return _ladder_from_config(cfg, p, args, n=_option(cfg, "n", 200, int))
+        return _ladder_from_config(cfg, p, args, n=_option(cfg, "n", 200, _integer))
     x1 = _design(data)[:, 0]
     return _ladder_from_config(cfg, p, args, span=float(np.max(x1) - np.min(x1)), n=data.n, d=data.d)
 
@@ -261,10 +273,10 @@ def _scene_from_config(cfg: dict) -> Scene:
     sigma_true = _section(cfg, "sigma_true")
     return Scene(
         f=_option(cfg, "f", "constant", str),
-        n=_option(cfg, "n", 200, int),
+        n=_option(cfg, "n", 200, _integer),
         sigma_model=_sigma_spec(_section(cfg, "sigma_model")),
         sigma_true=_sigma_spec(sigma_true) if sigma_true else None,
-        seed=_option(cfg, "seed", 0, int),
+        seed=_option(cfg, "seed", 0, _integer),
         f_scale=_option(cfg, "f_scale", 1.0),
         design=_option(cfg, "design", None, _numbers),
     )
@@ -281,8 +293,8 @@ def _write_text(path: str | None, text: str):
 def cmd_calibrate(args) -> int:
     cfg = _load_config(args.config)
     alpha, r = _option(cfg, "alpha", 1.0, flag=args.alpha), _option(cfg, "r", 0.5, flag=args.r)
-    seed = _option(cfg, "seed", 0, int, args.seed)
-    mc = _option(cfg, "mc_size", 20000, int, args.mc)
+    seed = _option(cfg, "seed", 0, _integer, args.seed)
+    mc = _option(cfg, "mc_size", 20000, _integer, args.mc)
     method = _option(cfg, "method", "monte_carlo", str)
     if method not in ("monte_carlo", "theoretical"):
         raise ParameterDomainError(f"unknown calibration method {method!r}; choose monte_carlo or theoretical")
@@ -290,10 +302,11 @@ def cmd_calibrate(args) -> int:
     if args.data:
         data = ingest_csv(args.data)
         points, sigma, dim = data.x, data.sigma, data.d
-        x_ref = _option(cfg, "x", np.median(_design(data), axis=0), lambda v: np.asarray(v, dtype=float))
+        x_ref = _option(cfg, "x", np.median(_design(data), axis=0),
+                        lambda v: np.asarray(_numbers(v) if isinstance(v, list) else _real(v)))
     else:
         data = None
-        n = _option(cfg, "n", 200, int)
+        n = _option(cfg, "n", 200, _integer)
         points, sigma, dim = np.linspace(0.0, 1.0, n), np.full(n, _option(cfg, "sigma", 1.0)), 1
         x_ref = _option(cfg, "x", 0.5)
 
@@ -327,7 +340,7 @@ def _critical_values(args, cfg: dict, basis: Basis, ladder: ScaleLadder, sigma, 
                                        f"and the ladder K={ladder.K} scales")
         return cv
     alpha, r = _option(cfg, "alpha", 1.0, flag=args.alpha), _option(cfg, "r", 0.5, flag=args.r)
-    return mc_calibrate(basis, ladder, sigma, points, x_ref, alpha, r, _option(cfg, "mc_size", 5000, int, args.mc), seed)
+    return mc_calibrate(basis, ladder, sigma, points, x_ref, alpha, r, _option(cfg, "mc_size", 5000, _integer, args.mc), seed)
 
 
 def cmd_fit(args) -> int:
@@ -344,7 +357,7 @@ def cmd_fit(args) -> int:
     check_noise(data.sigma, data.sigma_true, _option(cfg, "delta", None))  # sigma_true against the declared delta
 
     x_ref = np.median(_design(data), axis=0)  # coordinatewise median
-    cv = _critical_values(args, cfg, basis, ladder, data.sigma, data.x, x_ref, _option(cfg, "seed", 0, int, args.seed))
+    cv = _critical_values(args, cfg, basis, ladder, data.sigma, data.x, x_ref, _option(cfg, "seed", 0, _integer, args.seed))
 
     points = fit_curve(data, data.x, ladder, basis, cv)
     x_names = ["x"] if data.d == 1 else [f"x{i + 1}" for i in range(data.d)]
@@ -387,7 +400,7 @@ def cmd_simulate(args) -> int:
     basis = _basis_from_config(cfg)
     ladder = _ladder_from_config(cfg, basis.p, args, n=scene.n, default_K=4)  # the scene lives on [0, 1]
     r = _option(cfg, "r", 0.5, flag=args.r)
-    replicates = _option(cfg, "replicates", 2000, int)
+    replicates = _option(cfg, "replicates", 2000, _integer)
     seed = scene.seed
     x_ref = _option(cfg, "x", 0.5)
 
@@ -409,7 +422,7 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     cfg = _load_config(args.config)
     dataset = ingest_csv(args.data) if args.data else None
-    seed = _option(cfg, "seed", 2024, int, args.seed)
+    seed = _option(cfg, "seed", 2024, _integer, args.seed)
     delta = _option(cfg, "delta", None)
     if delta is not None:  # checked as fit checks it, with or without --data
         _check_delta(delta)
@@ -436,7 +449,7 @@ def cmd_diagnose(args) -> int:
     seed = args.seed if args.seed is not None else scene.seed
     if seed < 0:  # checked here: validate_pc is handed seed + 1
         raise ParameterDomainError(f"seed must be a non-negative integer, got {seed}")
-    mc = _option(cfg, "mc_size", 5000, int, args.mc)
+    mc = _option(cfg, "mc_size", 5000, _integer, args.mc)
     check_mc_size(mc)  # here too, so that a small size fails before any calibration or report work
     cv = _critical_values(args, cfg, basis, ladder, scene.sigma_model_values(), scene.design_points(), x_ref, seed)
     report = build_oracle_report(

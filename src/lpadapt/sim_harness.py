@@ -16,17 +16,11 @@ from typing import Callable
 
 import numpy as np
 
-from .calibration import CriticalValues, SelectionEnsemble, check_r, mc_calibrate, replicate_noise
+from .calibration import CriticalValues, SelectionEnsemble, check_r, replicate_noise
 from .dataset import Dataset
 from .exceptions import ParameterDomainError, SingularJointCovarianceError
-from .local_model import Basis, LadderDesign, ScaleLadder, default_h1, relative_gap
-from .oracle_diagnostics import (
-    componentwise_scale,
-    oracle_diagnostics,
-    oracle_index,
-    propagation_bound,
-    z_moment_bounds,
-)
+from .local_model import Basis, LadderDesign, ScaleLadder, relative_gap
+from .oracle_diagnostics import componentwise_scale, oracle_diagnostics, oracle_index
 
 TEST_FUNCTIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "constant": lambda t: np.ones_like(t),
@@ -143,12 +137,6 @@ class RiskTable:
             )
         return buf.getvalue()
 
-    def lookup(self, statistic: str, k: int | None = None) -> RiskRow:
-        for row in self.rows:
-            if row.statistic == statistic and row.k == k:
-                return row
-        raise KeyError(f"no row for statistic={statistic!r}, k={k}")
-
 
 def _moment_row(scene: str, k, name: str, values: np.ndarray, replicates: int) -> RiskRow:
     est = float(values.mean())
@@ -239,85 +227,3 @@ def risk_experiment(
         "excluded": 0,
     }
     return RiskTable(rows=rows, meta=meta)
-
-
-@dataclass
-class SweepCell:
-    n: int
-    delta_nominal: float
-    delta_effective: float
-    risk: float
-    std_error: float
-    inflation: float
-    bound_factor: float
-    z2_upper: float
-    within_bound: bool
-
-
-def delta_sweep(
-    deltas,
-    ns,
-    basis: Basis,
-    K: int = 4,
-    r: float = 0.5,
-    alpha: float = 1.0,
-    replicates: int = 2000,
-    mc_size: int = 4000,
-    seed: int = 101,
-    x: float = 0.5,
-) -> list[SweepCell]:
-    """Risk inflation under growing misspecification, against the predicted factor.
-
-    For each sample size the thresholds are calibrated once on the model
-    side (they do not depend on the true noise), then each delta cell
-    multiplies the true variance by 1 + delta.  The tracked risk is the
-    quadratic-form risk of the adaptive estimator against the true
-    parameter of the (parametric) scene; its inflation relative to the
-    delta = 0 cell is compared with the ratio of the closed-form
-    stopped-risk bounds at delta and at zero.
-    """
-    deltas = list(deltas)
-    if not deltas or not list(ns):
-        raise ParameterDomainError("delta and n grids must be nonempty")
-    if deltas[0] != 0.0:
-        deltas = [0.0] + [d for d in deltas if d != 0.0]
-    cells: list[SweepCell] = []
-    for n in ns:
-        ladder = ScaleLadder.geometric(default_h1(n, basis.p), K, growth=1.5)
-        grid = np.linspace(0.0, 1.0, n)
-        sig_model = np.ones(n)
-        cv = mc_calibrate(basis, ladder, sig_model, grid, x, alpha, r, mc_size, seed)
-        base_risk = None
-        for d in deltas:
-            scene = Scene(
-                f="constant",
-                n=n,
-                sigma_model=SigmaSpec("constant", 1.0),
-                sigma_true=SigmaSpec("constant", math.sqrt(1.0 + d)),
-                seed=seed + n,
-            )
-            table = risk_experiment(scene, ladder, basis, cv, r, replicates, x=x)
-            row = table.lookup("adaptive_truth_pow_r2", k=table.meta["K"])
-            if d == 0.0:
-                base_risk = row.estimate
-            inflation = row.estimate / base_risk if base_risk and base_risk > 0 else float("nan")
-            p, Keff = table.meta["p"], table.meta["K"]
-            factor = (
-                propagation_bound(p, Keff, d, 0.0, r, alpha, homogeneous=True)
-                / propagation_bound(p, Keff, 0.0, 0.0, r, alpha, homogeneous=True)
-            )
-            z2_upper = z_moment_bounds(p, Keff, d, 0.0, homogeneous=True)[1]
-            cells.append(
-                SweepCell(
-                    n=n,
-                    delta_nominal=d,
-                    delta_effective=scene.delta,
-                    risk=row.estimate,
-                    std_error=row.std_error,
-                    inflation=inflation,
-                    bound_factor=factor,
-                    z2_upper=z2_upper,
-                    within_bound=bool(inflation <= factor + 1e-12),
-                )
-            )
-    return cells

@@ -53,6 +53,12 @@ def mc_noise(seed: int, rows: int, width: int = 26) -> np.ndarray:
     return noise_matrix(seed, rows, width, np.arange(width))
 
 
+def risk_row(table, statistic: str, k: int | None = None):
+    """The row of a sim_harness.RiskTable for statistic at scale k (None for the rows without a scale)."""
+    (row,) = [row for row in table.rows if row.statistic == statistic and row.k == k]
+    return row
+
+
 def poly_design(pts, x, degree):
     """(n, degree + 1) design with columns (t - x)^j / j!, built without lpadapt."""
     u = np.asarray(pts, dtype=float) - x

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import mc_noise
+from conftest import mc_noise, risk_row
 from lpadapt.calibration import (
     SelectionEnsemble,
     chi_square_moment,
@@ -20,7 +20,7 @@ from lpadapt.calibration import (
 )
 from lpadapt.local_model import Basis, LadderDesign, ScaleLadder, default_h1
 from lpadapt.oracle_diagnostics import oracle_risk_bound, wilks_spectrum
-from lpadapt.sim_harness import Scene, SigmaSpec, delta_sweep, risk_experiment
+from lpadapt.sim_harness import Scene, SigmaSpec, risk_experiment
 from lpadapt.verification import (
     _unit_design,
     check_determinant_identity,
@@ -106,13 +106,13 @@ def test_A5_oracle_bound_domination(jump_setup):
     K, p = table.meta["K"], table.meta["p"]
     k_star = table.meta["k_star"]
     z_star = cv.z[min(k_star, K - 1) - 1]
-    emp = table.lookup("oracle_gap_pow_r2", k_star)
+    emp = risk_row(table, "oracle_gap_pow_r2", k_star)
     bound = oracle_risk_bound(z_star, p, k_star, 0.0, 1.0, r, alpha, homogeneous=True)
     ok_total = emp.estimate <= bound
 
     j = 1
     k_star_j = table.meta["k_star_j"][j - 1]
-    comp = table.lookup(f"component_{j}_gap_pow_r_scaled", k_star_j)
+    comp = risk_row(table, f"component_{j}_gap_pow_r_scaled", k_star_j)
     z_star_j = cv.z[min(k_star_j, K - 1) - 1]
     bound_j = oracle_risk_bound(z_star_j, p, k_star_j, 0.0, 1.0, r, alpha, homogeneous=True)
     ok_comp = comp.estimate <= bound_j
@@ -162,23 +162,6 @@ def test_A8_pivotality():
         f"100 seeded trials: max |T shift-gap| {worst_stat:.2e}, max |moment gap| {worst_moment:.2e}, "
         f"k_hat mismatches {khat_mismatch} (tol 1e-9)",
     )
-
-
-def test_A9_misspecification_trend():
-    basis = Basis.polynomial(0)
-    cells = delta_sweep([0.0, 0.05, 0.1, 0.2, 0.3], [100, 400, 1600], basis, replicates=2000, mc_size=4000, seed=909)
-    byn = {}
-    for c in cells:
-        byn.setdefault(c.n, []).append(c)
-    monotone = all(
-        all(b.inflation > a.inflation for a, b in zip(group, group[1:])) for group in byn.values()
-    )
-    bounded = all(c.within_bound for c in cells)
-    summary = "; ".join(
-        f"n={n}: inflation {[round(c.inflation, 4) for c in group]} vs factors {[round(c.bound_factor, 3) for c in group]}"
-        for n, group in sorted(byn.items())
-    )
-    _report("A9", monotone and bounded, summary)
 
 
 def test_A10_moment_function():

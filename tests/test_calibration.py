@@ -54,6 +54,8 @@ class TestChiSquareMoment:
             chi_square_moment(0, 1.0)
         with pytest.raises(ParameterDomainError):
             chi_square_moment(2, 0.0)
+        with pytest.raises(ParameterDomainError, match="r=True"):  # a bool is not a number
+            chi_square_moment(2, True)
 
 
 class TestTheoreticalCv:
@@ -89,6 +91,10 @@ class TestTheoreticalCv:
             theoretical_cv(1, 0.5, 3, 1.5, 1.5)
         with pytest.raises(ParameterDomainError):
             theoretical_cv(1, -0.5, 3, 1.0, 1.5)
+        with pytest.raises(ParameterDomainError, match="alpha=True"):
+            theoretical_cv(1, 0.5, 3, True, 1.5)
+        with pytest.raises(ParameterDomainError, match="r=True"):
+            theoretical_cv(1, True, 3, 1.0, 1.5)
 
 
 class TestCriticalValuesType:
@@ -125,8 +131,8 @@ class TestCriticalValuesType:
             CriticalValues(z=(math.inf, 2.0), method="monte_carlo", alpha=1.0, r=0.5, p=1, K=3)
 
     @pytest.mark.parametrize("field,value", [
-        ("alpha", "1"), ("alpha", 1.5), ("alpha", 0), ("alpha", -0.5), ("alpha", None),
-        ("r", "0.5"), ("r", 0), ("r", -1.0), ("r", None),
+        ("alpha", "1"), ("alpha", 1.5), ("alpha", 0), ("alpha", -0.5), ("alpha", None), ("alpha", True),
+        ("r", "0.5"), ("r", 0), ("r", -1.0), ("r", None), ("r", True),
         ("p", 0), ("p", 1.5), ("p", "1"), ("K", 0), ("K", 3.0), ("K", "3"),
     ])
     def test_metadata_validation(self, field, value):
@@ -179,6 +185,12 @@ class TestMcCalibrate:
         basis, ladder, points, sigma = calib_scene
         with pytest.raises(ParameterDomainError):
             mc_calibrate(basis, ladder, sigma, points, 0.5, 1.0, 0.5, 500, 7)
+
+    @pytest.mark.parametrize("alpha,r,named", [(True, 0.5, "alpha=True"), (1.0, True, "r=True")])
+    def test_rejects_a_bool_alpha_or_r(self, calib_scene, alpha, r, named):
+        basis, ladder, points, sigma = calib_scene
+        with pytest.raises(ParameterDomainError, match=named):
+            mc_calibrate(basis, ladder, sigma, points, 0.5, alpha, r, 1000, 7)
 
     def test_stagnant_ladder_fails(self):
         # two bandwidths capturing identical point sets: windows do not grow

@@ -672,12 +672,37 @@ class TestConfigValues:
         ("calibrate", [1, 2], "JSON object"),
         ("diagnose", {**SCENE, "ladder": "x"}, "'ladder'"),
         ("simulate", {**SCENE, "n": "many"}, "'n'"),
-    ], ids=["verify_seed", "calibrate_list", "diagnose_ladder", "simulate_n"])
+        # integer keys take JSON integers only, real keys JSON numbers; a boolean is never a number
+        ("calibrate", {"seed": 2.7}, "'seed'"),
+        ("calibrate", {"mc_size": 1500.9}, "'mc_size'"),
+        ("calibrate", {"mc_size": True}, "'mc_size'"),
+        ("calibrate", {"n": "150"}, "'n'"),
+        ("calibrate", {"n": 150.0}, "'n'"),
+        ("calibrate", {"basis": {"degree": 1.9}}, "'degree'"),
+        ("calibrate", {"ladder": {"K": 3.9}}, "'K'"),
+        ("calibrate", {"alpha": True}, "'alpha'"),
+        ("calibrate", {"r": "0.5"}, "'r'"),
+        ("calibrate", {"sigma": False}, "'sigma'"),
+        ("calibrate", {"x": True}, "'x'"),
+        ("calibrate --data", {"x": [True]}, "'x'"),
+        ("calibrate", {"ladder": {"h1": "0.05"}}, "'h1'"),
+        ("calibrate", {"ladder": {"bandwidths": [0.05, True]}}, "'bandwidths'"),
+        ("simulate", {**SCENE, "replicates": 400.5}, "'replicates'"),
+        ("simulate", {**SCENE, "design": [0.1, "0.5", 0.9]}, "'design'"),
+        ("simulate", {**SCENE, "sigma_model": {"level": True}}, "'level'"),
+        ("diagnose", {**SCENE, "seed": True}, "'seed'"),
+        ("verify", {"seed": 5.0}, "'seed'"),
+        ("verify", {"delta": True}, "'delta'"),
+    ], ids=["verify_seed", "calibrate_list", "diagnose_ladder", "simulate_n",
+            "seed_real", "mc_size_real", "mc_size_bool", "n_text", "n_real", "degree_real", "K_real", "alpha_bool",
+            "r_text", "sigma_bool", "x_bool", "x_list_bool", "h1_text", "bandwidths_bool", "replicates_real",
+            "design_text", "level_bool", "diagnose_seed_bool", "verify_seed_real", "delta_bool"])
     def test_malformed_value_exit_code(self, tmp_path, capsys, command, cfg, named):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg), encoding="utf-8")
         out = tmp_path / "out.json"
-        assert main([command, "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        data = ["--data", str(_write_dataset(tmp_path / "d.csv"))] if command.endswith("--data") else []
+        assert main([command.split()[0], "--config", str(path), *data, "--out", str(out)]) == EXIT_CONFIG
         errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
         assert len(errors) == 1 and named in errors[0], errors
         assert not out.exists()

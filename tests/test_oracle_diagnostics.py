@@ -256,6 +256,11 @@ class TestBounds:
         grid_b = np.linspace(0.0, 3.0, 7)
         vals = [propagation_bound(1, 4, 0.1, Dk, 0.5, 1.0) for Dk in grid_b]
         assert all(b > a for a, b in zip(vals, vals[1:]))
+        # sigma_true^2 = (1 + delta) sigma^2 scales every pair statistic by 1 + delta, so with thresholds
+        # that never bind the risk at power r/2 inflates by (1 + delta)^{r/2}: the bound's ratio covers it
+        base = propagation_bound(1, 4, 0.0, 0.0, 0.5, 1.0, homogeneous=True)
+        for d in grid_d[1:]:
+            assert propagation_bound(1, 4, d, 0.0, 0.5, 1.0, homogeneous=True) / base >= (1.0 + d) ** 0.25
 
     def test_delta_domain(self):
         with pytest.raises(ParameterDomainError):
@@ -288,6 +293,7 @@ class TestBounds:
                 assert lo_h - 1e-12 <= exact_hi <= hi_h + 1e-12
                 assert lo_g - 1e-12 <= exact_hi <= hi_g + 1e-12
                 assert hi_h <= hi_g + 1e-12  # homogeneous path is the tighter bound
+                assert hi_h >= 1.0  # E Z^2 >= (E Z)^2 = 1
                 sigma0 = math.sqrt(1.0 - delta)
                 exact_lo = z_second_moment_homogeneous(1, 3, 1.0, sigma0, Dk)
                 assert lo_h - 1e-12 <= exact_lo <= hi_h + 1e-12

@@ -3,16 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from conftest import risk_row
 from lpadapt.calibration import CriticalValues, chi_square_moment, mc_calibrate
 from lpadapt.exceptions import ParameterDomainError
 from lpadapt.local_model import Basis, ScaleLadder, check_noise, default_h1
-from lpadapt.sim_harness import (
-    Scene,
-    SigmaSpec,
-    delta_sweep,
-    generate,
-    risk_experiment,
-)
+from lpadapt.sim_harness import Scene, SigmaSpec, generate, risk_experiment
 
 
 class TestSceneAndGenerate:
@@ -72,19 +67,19 @@ class TestRiskExperiment:
         table = risk_experiment(scene, ladder, basis, cv, 0.5, 3000, x=0.5)
         bound = chi_square_moment(1, 0.5)
         for k in range(2, table.meta["K"] + 1):
-            row = table.lookup("adaptive_gap_pow_r", k)
+            row = risk_row(table, "adaptive_gap_pow_r", k)
             assert row.estimate <= bound + 3.0 * row.std_error
         assert table.meta["excluded"] == 0
         # parametric-scene sanity: the procedure almost never stops early
-        assert table.lookup("k_hat_mean").estimate >= table.meta["K"] - 0.01
+        assert risk_row(table, "k_hat_mean").estimate >= table.meta["K"] - 0.01
 
     def test_huge_thresholds_zero_gap_risk(self, parametric_setup):
         basis, scene, ladder, _ = parametric_setup
         huge = CriticalValues(z=(1e15, 1e15, 1e15), method="theoretical", alpha=1.0, r=0.5, p=1, K=4, mu=0.125)
         table = risk_experiment(scene, ladder, basis, huge, 0.5, 500, x=0.5)
         for k in range(2, 5):
-            assert table.lookup("adaptive_gap_pow_r", k).estimate == 0.0
-        assert table.lookup("k_hat_mean").estimate == 4.0
+            assert risk_row(table, "adaptive_gap_pow_r", k).estimate == 0.0
+        assert risk_row(table, "k_hat_mean").estimate == 4.0
 
     def test_jump_scene_adaptive_beats_worst_fixed(self):
         # seeded fixture: near the jump the adaptive fit error is below the
@@ -94,8 +89,8 @@ class TestRiskExperiment:
         ladder = ScaleLadder.geometric(default_h1(200, 1), 6, growth=1.5)
         cv = mc_calibrate(basis, ladder, scene.sigma_model_values(), scene.design_points(), 0.47, 1.0, 0.5, 4000, 3)
         table = risk_experiment(scene, ladder, basis, cv, 0.5, 3000, x=0.47)
-        fixed = [table.lookup("fit_sqerr_fixed", k).estimate for k in range(1, 7)]
-        adaptive = table.lookup("fit_sqerr_adaptive").estimate
+        fixed = [risk_row(table, "fit_sqerr_fixed", k).estimate for k in range(1, 7)]
+        adaptive = risk_row(table, "fit_sqerr_adaptive").estimate
         assert adaptive < max(fixed)
         assert max(fixed) == fixed[-1]  # largest window carries the jump bias
 
@@ -116,23 +111,5 @@ class TestRiskExperiment:
         assert len(rows) == len(table.rows)
         assert {r["statistic"] for r in rows} >= {"adaptive_gap_pow_r", "oracle_gap_pow_r2", "fit_sqerr_adaptive"}
         byk = {(r["statistic"], r["k"]): float(r["estimate"]) for r in rows}
-        assert byk[("k_hat_mean", "")] == table.lookup("k_hat_mean").estimate
+        assert byk[("k_hat_mean", "")] == risk_row(table, "k_hat_mean").estimate
 
-
-class TestDeltaSweep:
-    def test_inflation_monotone_and_bounded(self):
-        basis = Basis.polynomial(0)
-        cells = delta_sweep([0.0, 0.1, 0.3], [100, 400], basis, replicates=800, mc_size=2000, seed=11)
-        byn = {}
-        for c in cells:
-            byn.setdefault(c.n, []).append(c)
-        for n, group in byn.items():
-            infl = [c.inflation for c in group]
-            assert infl[0] == pytest.approx(1.0)
-            assert all(b > a for a, b in zip(infl, infl[1:]))
-            assert all(c.within_bound for c in group)
-            assert all(c.z2_upper >= 1.0 for c in group)
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ParameterDomainError):
-            delta_sweep([], [100], Basis.polynomial(0))

@@ -21,7 +21,6 @@ ALLOWED = {
     "LadderDesign.fit": _TRACER,
     "select_adaptive": _TRACER,
     "adaptive_estimate": _TRACER,
-    "delta_sweep": "the misspecification sweep of ROADMAP item 6, which has no command yet",
 }
 
 

@@ -112,6 +112,12 @@ DEFECTS = [
      "((T_kl, t0, ld.B_list[l - 1]), (T_lk, t1, ld.B_list[k - 1]))"),
     ("kl-second-order-interval-delta-half", "verification.py",
      "psi = -delta - math.log1p(-delta)", "psi = -delta / 2 - math.log1p(-delta / 2)"),
+    ("config-integer-truncated", "cli.py",
+     '    if isinstance(value, bool) or not isinstance(value, int):\n        raise TypeError("expected an integer")\n'
+     "    return value\n",
+     "    return int(value)\n"),
+    ("r-accepts-bool", "calibration.py",
+     "if isinstance(r, bool) or not (isinstance(r, numbers.Real)", "if not (isinstance(r, numbers.Real)"),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
