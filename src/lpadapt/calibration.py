@@ -436,13 +436,13 @@ class SelectionEnsemble:
         gap[stopped] = self.T[k, khat[stopped] - 1, stopped]
         return gap
 
-    def gap_forms(self, z: np.ndarray) -> np.ndarray:
-        """(K, mc) quadratic forms (theta_k - theta_hat_k)^T B_k (...); zero row for k=1.
+    def gap_forms(self, khat: np.ndarray) -> np.ndarray:
+        """(K, mc) quadratic forms (theta_k - theta_hat_k)^T B_k (...) for the selected indices khat; zero row for k=1.
 
         Row k-1 is T[k-1, k_hat-1] where k_hat < k, and 0 where the sweep
-        went on to scale k, so that theta_hat_k = theta_k.
+        went on to scale k, so that theta_hat_k = theta_k.  khat is k_hat's
+        result, so a caller that needs both sweeps once.
         """
-        khat = self.k_hat(z)
         return np.stack([self._gap(khat, k) for k in range(self.K)])
 
     def pc_moments(self, z: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:

@@ -181,6 +181,13 @@ def _integer(value) -> int:
     return value
 
 
+def _count(value) -> int:
+    """value if it is a positive JSON integer."""
+    if _integer(value) < 1:
+        raise ValueError("expected a positive integer")
+    return value
+
+
 def _real(value) -> float:
     """value as a float if it is a JSON number; JSON's true and false are not numbers."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -255,7 +262,7 @@ def _ladder_from_config(cfg: dict, p: int, args, span: float = 1.0, n: int = 200
 def _data_ladder(cfg: dict, data: Dataset | None, p: int, args) -> ScaleLadder:
     """Ladder for a dataset, from its n, its dimension and the range of its first coordinate; without data, the unit interval with cfg's n."""
     if data is None:
-        return _ladder_from_config(cfg, p, args, n=_option(cfg, "n", 200, _integer))
+        return _ladder_from_config(cfg, p, args, n=_option(cfg, "n", 200, _count))
     x1 = _design(data)[:, 0]
     return _ladder_from_config(cfg, p, args, span=float(np.max(x1) - np.min(x1)), n=data.n, d=data.d)
 
@@ -273,7 +280,7 @@ def _scene_from_config(cfg: dict) -> Scene:
     sigma_true = _section(cfg, "sigma_true")
     return Scene(
         f=_option(cfg, "f", "constant", str),
-        n=_option(cfg, "n", 200, _integer),
+        n=_option(cfg, "n", 200, _count),
         sigma_model=_sigma_spec(_section(cfg, "sigma_model")),
         sigma_true=_sigma_spec(sigma_true) if sigma_true else None,
         seed=_option(cfg, "seed", 0, _integer),
@@ -306,7 +313,7 @@ def cmd_calibrate(args) -> int:
                         lambda v: np.asarray(_numbers(v) if isinstance(v, list) else _real(v)))
     else:
         data = None
-        n = _option(cfg, "n", 200, _integer)
+        n = _option(cfg, "n", 200, _count)
         points, sigma, dim = np.linspace(0.0, 1.0, n), np.full(n, _option(cfg, "sigma", 1.0)), 1
         x_ref = _option(cfg, "x", 0.5)
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .exceptions import ParameterDomainError
-from .local_model import Basis, LocalFit, ScaleLadder, stacked_designs, stacked_solve
+from .local_model import Basis, LocalFit, ScaleLadder, gate_count, stacked_designs, stacked_solve
 
 
 #: byte budget of the temporaries of pair_statistics; sets how many replicates one block holds
@@ -180,6 +180,39 @@ class CurveFit:
 _LANES = 8
 #: grid points whose designs fit_curve builds in one stack; bounds its temporaries
 _CHUNK = 64
+#: grid points that fit_curve passes through the conditioning gate at once
+_GATE_BLOCK = 4 * _CHUNK
+
+
+def _gated_fits(basis: Basis, ladder: ScaleLadder, xs, y, sigma, centres, lo, width):
+    """fit_curve's fits theta (G, K, p), NaN from each point's k_eff on, the grid's B (G, K, p, p) and k_eff (G,).
+
+    Point g's slab is rows lo[g] .. lo[g] + width[g] of the sorted data.
+    Every scale of a chunk is solved with its own pivots; the conditioning
+    gate then runs over the grid in blocks of _GATE_BLOCK points, and k_eff
+    is the smaller of the pivot count and the gate count.  The chunks'
+    temporaries and the weight counts are gone on return.
+    """
+    G, K, p = len(centres), ladder.K, basis.p
+    theta = np.empty((G, K, p))
+    B = np.empty((G, K, p, p))
+    active = np.empty((G, K), dtype=np.intp)
+    k_eff = np.empty(G, dtype=int)
+    by_width = np.argsort(width, kind="stable")
+    bounds = np.append(np.flatnonzero(np.diff(width[by_width], prepend=-1)), G)
+    for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        for c in range(a, b, _CHUNK):
+            idx = by_width[c : min(c + _CHUNK, b)]
+            rows = lo[idx, None] + np.arange(width[idx[0]])
+            _, _, PW, Bc, active[idx] = stacked_designs(basis, ladder, xs[rows], centres[idx], sigma[rows])
+            D, k_eff[idx] = stacked_solve(Bc, PW)
+            theta[idx] = (D @ y[rows][:, None, :, None])[..., 0]  # one gemv per (point, scale), as D_k @ y
+            B[idx] = Bc
+    for c in range(0, G, _GATE_BLOCK):
+        blk = slice(c, c + _GATE_BLOCK)
+        np.minimum(k_eff[blk], gate_count(B[blk], active[blk], p), out=k_eff[blk])
+    theta[np.arange(K) >= k_eff[:, None]] = np.nan
+    return theta, B, k_eff
 
 
 def fit_curve(data: Dataset, x_grid, ladder: ScaleLadder, basis: Basis, cv) -> CurveFit:
@@ -199,13 +232,15 @@ def fit_curve(data: Dataset, x_grid, ladder: ScaleLadder, basis: Basis, cv) -> C
     that fit bit for bit.
 
     Points whose slabs have the same width are processed in chunks of up to
-    _CHUNK: stacked_designs builds the chunk's weights, B_k and conditioning
-    gate in one set of array operations, one stacked_solve call gives every
-    propagator D_k of the chunk, and one stacked product gives every
-    theta_k = D_k y (NaN beyond each point's accepted scales).  The grid's
-    B_k are kept, and one pair_statistics call then forms every point's
-    T_lm, and one selection_sweep selects every point.
-    Each point's arithmetic is that of LadderDesign on its slab, so results
+    _CHUNK: stacked_designs builds the chunk's weights and B_k in one set of
+    array operations, one stacked_solve call gives every propagator D_k of
+    the chunk, every scale solved with its own pivots, and one stacked
+    product gives every theta_k = D_k y.  The grid's B_k are kept.  After
+    the chunks, gate_count gates the grid in blocks of _GATE_BLOCK points,
+    k_eff is the smaller of each point's gate and pivot counts, and the
+    fits from k_eff on become NaN in one write.  One pair_statistics call
+    then forms every point's T_lm, and one selection_sweep selects every
+    point.  Each point's arithmetic is that of LadderDesign on its slab, so results
     do not depend on the grid's order or on the other points, nor on the
     order of the data rows when their first coordinates have no ties.
 
@@ -234,22 +269,8 @@ def fit_curve(data: Dataset, x_grid, ladder: ScaleLadder, basis: Basis, cv) -> C
     hi = -(-np.searchsorted(key, centres[:, 0] + reach, side="right") // _LANES) * _LANES
     width = np.minimum(hi, data.n) - lo
 
-    G, K, p = len(centres), ladder.K, basis.p
-    theta = np.full((G, K, p), np.nan)
-    B = np.empty((G, K, p, p))
-    k_eff = np.zeros(G, dtype=int)
-    by_width = np.argsort(width, kind="stable")
-    bounds = np.append(np.flatnonzero(np.diff(width[by_width], prepend=-1)), G)
-    for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        for c in range(a, b, _CHUNK):
-            idx = by_width[c : min(c + _CHUNK, b)]
-            rows = lo[idx, None] + np.arange(width[idx[0]])
-            _, _, PW, B[idx], k_gate = stacked_designs(basis, ladder, xs[rows], centres[idx], sigma[rows])
-            D, k_gate = stacked_solve(B[idx], PW, k_gate)
-            fits = (D @ y[rows][:, None, :, None])[..., 0]  # one gemv per (point, scale), as D_k @ y
-            fits[np.arange(K) >= k_gate[:, None]] = np.nan
-            k_eff[idx] = k_gate
-            theta[idx] = fits
+    theta, B, k_eff = _gated_fits(basis, ladder, xs, y, sigma, centres, lo, width)
+    G = len(centres)
     T = pair_statistics(theta, B)
     K_max = int(k_eff.max(initial=0))
     k_hat, first = selection_sweep(T[:K_max, :K_max], zv, k_eff) if K_max else (k_eff.copy(), np.zeros((G, 2), dtype=int))

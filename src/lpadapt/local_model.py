@@ -81,7 +81,6 @@ class Basis:
             key=lambda a: (sum(a), tuple(reversed(a))),
         )
         inv_fact = np.array([1.0 / math.prod(math.factorial(ai) for ai in a) for a in alphas])
-        expo = np.array(alphas)  # (p, dim)
 
         def evaluate(offsets: np.ndarray) -> np.ndarray:
             # offsets: (n, dim) -> (p, n).  Powers are repeated products, which round every
@@ -89,8 +88,13 @@ class Basis:
             table = [np.ones_like(offsets)]
             for _ in range(degree):
                 table.append(table[-1] * offsets)
-            powers = np.stack(table)[expo, :, np.arange(dim)]  # (p, dim, n): u_j^alpha_j
-            return powers.prod(axis=1) * inv_fact[:, None]
+            out = np.empty((len(alphas), offsets.shape[0]))
+            for row, a in zip(out, alphas):  # u_1^a_1 u_2^a_2 ..., multiplied in coordinate order
+                np.copyto(row, table[a[0]][:, 0])
+                for j in range(1, dim):
+                    row *= table[a[j]][:, j]
+            out *= inv_fact[:, None]
+            return out
 
         return cls(p=len(alphas), dim=dim, _evaluate=evaluate)
 
@@ -230,8 +234,6 @@ def _conditioned(B: np.ndarray, active, p: int) -> np.ndarray:
     scale too.  Only the other scales with at least p active points go to
     eigvalsh.
     """
-    if not np.all(np.isfinite(B)):
-        raise ParameterDomainError("information matrix is not finite; design points and sigma_model must be finite")
     diag = np.diagonal(B, axis1=-2, axis2=-1)
     s = 1.0 / np.sqrt(np.where(diag > 0, diag, np.inf))
     S = s[..., :, None] * B * s[..., None, :]
@@ -265,8 +267,9 @@ def stacked_designs(basis: Basis, ladder: ScaleLadder, points, centres, sigma):
     (G, d) the reference points and sigma (G, L) the model standard
     deviations.  Returns psi (G, p, L), the weights W (G, K, L), PW (G, K, p, L)
     with PW_k = Psi W_k / sigma^2, the symmetrised B_k = PW_k Psi^T (G, K, p, p)
-    as one stacked product, and per reference point the number of leading
-    scales that pass the conditioning gate (one batched eigenvalue call).
+    as one stacked product, and each scale's count of points with nonzero
+    weight (G, K), which gate_count reads.  Nothing is gated here; a B_k
+    that is not finite raises ParameterDomainError.
     Each slab's arithmetic is the same whatever G is, so the results for
     a reference point do not depend on the others.
     """
@@ -275,35 +278,51 @@ def stacked_designs(basis: Basis, ladder: ScaleLadder, points, centres, sigma):
         raise ParameterDomainError(f"basis has dim={basis.dim}, points have dim={d}")
     offsets = points - centres[:, None, :]
     psi = np.ascontiguousarray(basis._evaluate(offsets.reshape(G * L, d)).reshape(basis.p, G, L).transpose(1, 0, 2))
-    dist = np.linalg.norm(offsets, axis=-1)
+    dist = np.sqrt(np.add.reduce(offsets * offsets, axis=-1))  # np.linalg.norm's arithmetic
     W = kernel_profile(ladder.kernel, dist[:, None, :] / np.asarray(ladder.bandwidths)[:, None])
     PW = psi[:, None] * (W / sigma[:, None, :] ** 2)[:, :, None, :]
     B = PW @ psi.transpose(0, 2, 1)[:, None]
     B = 0.5 * (B + B.swapaxes(-1, -2))
-    passed = _conditioned(B, np.count_nonzero(W > 0, axis=-1), basis.p)
-    return psi, W, PW, B, np.where(passed.all(axis=-1), ladder.K, passed.argmin(axis=-1))
+    if not np.all(np.isfinite(B)):
+        raise ParameterDomainError("information matrix is not finite; design points and sigma_model must be finite")
+    return psi, W, PW, B, np.count_nonzero(W, axis=-1)
 
 
-def stacked_solve(B: np.ndarray, PW: np.ndarray, k_gate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def gate_count(B: np.ndarray, active: np.ndarray, p: int) -> np.ndarray:
+    """Per ladder, the number of leading scales that pass the conditioning gate (_conditioned).
+
+    B (..., K, p, p) and active (..., K) are stacked_designs' matrices and
+    counts; a ladder's count is the index of its first failing scale, K
+    when none fails.
+    """
+    passed = _conditioned(B, active, p)
+    return np.where(passed.all(axis=-1), B.shape[-3], passed.argmin(axis=-1))
+
+
+def stacked_solve(B: np.ndarray, PW: np.ndarray, k_gate: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Every propagator D_k = B_k^{-1} PW_k of a stack of ladders, by Cholesky factorization.
 
     B (..., K, p, p) and PW (..., K, p, L) are stacked_designs' matrices and
-    k_gate (...) its count of leading scales that pass the conditioning gate.
+    k_gate (...), when given, the count of leading scales to solve (gate_count);
+    without it every scale is solved with its own pivots.
     B_k = C C^T is factored from its lower triangle, then C Y = PW_k and
     C^T D_k = Y are solved.  Each is a loop over p whose steps are
     elementwise array operations over all (ladder, scale) pairs, in the
     order of LAPACK's potf2 and OpenBLAS's trsm: a pivot is a square root,
     and columns and solves multiply by its reciprocal.  So each slice rounds
-    the same whatever else is in the stack.  Every solve step writes its
-    result straight into D (out=), through one scratch (..., K, L) product.
+    the same whatever else is in the stack, and a scale solved beyond the
+    gate leaves the others' bits alone.  Every solve step writes its result
+    straight into D (out=), through one scratch (..., K, L) product.
 
     Returns D (..., K, p, L), each (p, L) slice in Fortran order as LAPACK's
-    potrs leaves it, and k_gate lowered to the first scale whose pivot is not
-    > 0 (NaN included): B_k is not positive definite after all.  Scales from
-    the gate on are carried through with unit pivots; their D is not used.
+    potrs leaves it, and per ladder the count of leading scales solved whose
+    pivots are all > 0 (NaN fails): k_gate, or K, lowered to the first scale
+    whose B_k is not positive definite after all.  Scales from that count
+    on are carried through with unit pivots from the failing one; their D is
+    not used.
     """
     K, p = B.shape[-3], B.shape[-1]
-    ok = np.arange(K) < k_gate[..., None]
+    ok = np.ones(B.shape[:-2], dtype=bool) if k_gate is None else np.arange(K) < k_gate[..., None]
     C = np.zeros(B.shape)
     rinv = np.empty(B.shape[:-1])  # reciprocal pivots
     for j in range(p):
@@ -337,9 +356,9 @@ class LadderDesign:
     lambda_min > MIN_EIG_RATIO lambda_max), so selection indices stay
     contiguous.
 
-    The design is stacked_designs and stacked_solve with a batch of one,
-    the builder and solver that fit_curve runs on whole chunks of grid
-    points; a scale whose Cholesky pivot is not positive also truncates the
+    The design is stacked_designs, gate_count and stacked_solve with a
+    batch of one, the builder, gate and solver that fit_curve runs on the
+    grid; a scale whose Cholesky pivot is not positive also truncates the
     ladder, and no Cholesky factor is kept.
     """
 
@@ -359,9 +378,9 @@ class LadderDesign:
             raise ParameterDomainError("sigma_model and design_points must have equal length")
         if np.any(self.sigma_model <= 0):
             raise ParameterDomainError("sigma_model entries must be positive")
-        psi, W, PW, B, k_gate = stacked_designs(basis, ladder, self.points[None], self.x[None], self.sigma_model[None])
+        psi, W, PW, B, active = stacked_designs(basis, ladder, self.points[None], self.x[None], self.sigma_model[None])
         self.psi = psi[0]
-        D, k_gate = stacked_solve(B, PW, k_gate)
+        D, k_gate = stacked_solve(B, PW, gate_count(B, active, basis.p))
         K_eff = int(k_gate[0])
         self.D_list: list[np.ndarray] = list(D[0, :K_eff])
         self.truncated_at: int | None = K_eff + 1 if K_eff < ladder.K else None  # first rejected 1-indexed scale

@@ -175,7 +175,7 @@ def risk_experiment(
     ens = SelectionEnsemble.draw(ld, replicates, scene.seed, scene.sigma_true_values(), mean=scene.f_values())
     z = np.asarray(cv.z, dtype=float)
     khat = ens.k_hat(z)
-    gaps = ens.gap_forms(z)
+    gaps = ens.gap_forms(khat)
 
     f_at_x = float(scene.f_values(np.asarray([x]))[0])
     theta_hat = ens.theta_tilde[np.arange(replicates), khat - 1, :]

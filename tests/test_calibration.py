@@ -207,8 +207,9 @@ class TestSelectionEnsemble:
         ld = LadderDesign(basis, ladder, points, 0.5, sigma)
         ens = SelectionEnsemble.pure_noise(ld, 500, 3)
         z = np.full(3, np.inf)
-        assert np.all(ens.k_hat(z) == 4)
-        assert np.all(ens.gap_forms(z) == 0.0)
+        khat = ens.k_hat(z)
+        assert np.all(khat == 4)
+        assert np.all(ens.gap_forms(khat) == 0.0)
 
     def test_zero_thresholds_always_stop(self, calib_scene):
         # frozen "too small" fixture: k_hat = 1 a.s., last-step moment strictly positive; 1e-300 stands for
@@ -229,7 +230,8 @@ class TestSelectionEnsemble:
         ld = LadderDesign(basis, ladder, points, 0.5, sigma)
         ens = SelectionEnsemble.pure_noise(ld, 500, 3)
         z = np.array([3.0, 2.0, 1.0])
-        khat, gaps = ens.k_hat(z), ens.gap_forms(z)
+        khat = ens.k_hat(z)
+        gaps = ens.gap_forms(khat)
         assert khat.min() < 4 == khat.max()
         assert np.all(np.any(gaps[1:] > 0, axis=1))
         powered = np.abs(gaps) ** r
@@ -256,7 +258,7 @@ class TestSelectionEnsemble:
         ens = SelectionEnsemble.pure_noise(ld, 200, 29)
         z = np.array([3.0, 2.0, 1.0])  # small enough to trigger plenty of stops
         khat = ens.k_hat(z)
-        gaps = ens.gap_forms(z)
+        gaps = ens.gap_forms(khat)
         assert khat.min() < 4 and khat.max() == 4
         for j in range(200):
             Yj = ld.psi.T @ np.zeros(basis.p) + replicate_noise(29, j, points.size) * sigma

@@ -678,6 +678,10 @@ class TestConfigValues:
         ("calibrate", {"mc_size": True}, "'mc_size'"),
         ("calibrate", {"n": "150"}, "'n'"),
         ("calibrate", {"n": 150.0}, "'n'"),
+        ("calibrate", {"n": 0}, "'n'"),
+        ("calibrate", {"n": -5}, "'n'"),
+        ("simulate", {**SCENE, "n": 0}, "'n'"),
+        ("diagnose", {**SCENE, "n": -5}, "'n'"),
         ("calibrate", {"basis": {"degree": 1.9}}, "'degree'"),
         ("calibrate", {"ladder": {"K": 3.9}}, "'K'"),
         ("calibrate", {"alpha": True}, "'alpha'"),
@@ -694,7 +698,8 @@ class TestConfigValues:
         ("verify", {"seed": 5.0}, "'seed'"),
         ("verify", {"delta": True}, "'delta'"),
     ], ids=["verify_seed", "calibrate_list", "diagnose_ladder", "simulate_n",
-            "seed_real", "mc_size_real", "mc_size_bool", "n_text", "n_real", "degree_real", "K_real", "alpha_bool",
+            "seed_real", "mc_size_real", "mc_size_bool", "n_text", "n_real", "n_zero", "n_negative",
+            "simulate_n_zero", "diagnose_n_negative", "degree_real", "K_real", "alpha_bool",
             "r_text", "sigma_bool", "x_bool", "x_list_bool", "h1_text", "bandwidths_bool", "replicates_real",
             "design_text", "level_bool", "diagnose_seed_bool", "verify_seed_real", "delta_bool"])
     def test_malformed_value_exit_code(self, tmp_path, capsys, command, cfg, named):

@@ -565,7 +565,9 @@ class TestGershgorinAccept:
         ladder = ScaleLadder.geometric(0.002, 6, growth=2.0)
         centres = pts[::3, None]
         points = np.broadcast_to(pts[None, :, None], (len(centres), 60, 1))
-        _, W, _, B, k_gate = stacked_designs(basis, ladder, points, centres, np.ones((len(centres), 60)))
-        plain = _plain_gate(B, np.count_nonzero(W > 0, axis=-1), basis.p)
+        _, W, _, B, active = stacked_designs(basis, ladder, points, centres, np.ones((len(centres), 60)))
+        assert np.array_equal(active, np.count_nonzero(W > 0, axis=-1))
+        k_gate = lm.gate_count(B, active, basis.p)
+        plain = _plain_gate(B, active, basis.p)
         assert np.array_equal(k_gate, np.where(plain.all(axis=-1), ladder.K, plain.argmin(axis=-1)))
         assert 0 < np.count_nonzero(k_gate < ladder.K)

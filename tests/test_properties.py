@@ -323,7 +323,7 @@ def test_gathers_equal_the_scale_loops(problem, seed):
     # realised statistics as thresholds: ties for some replicates
     z = np.random.default_rng(seed).choice(upper[upper > 0], ens.K - 1)
     khat = ens.k_hat(z)
-    assert same(ens.gap_forms(z), scale_loop_gap_forms(ens, khat))
+    assert same(ens.gap_forms(khat), scale_loop_gap_forms(ens, khat))
 
     cv = CriticalValues(z=tuple(z.tolist()), method="fixed", alpha=1.0, r=r, p=basis.p, K=ens.K)
     rows = {}

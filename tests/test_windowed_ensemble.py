@@ -56,7 +56,7 @@ def assert_matches_full_n(ld, seed, theta=None):
     khat = win.k_hat(Z)
     assert np.array_equal(khat, full.k_hat(Z))
     assert 1 < len(np.unique(khat))  # the thresholds exercise both stopping and passing
-    got, want = win.gap_forms(Z), full.gap_forms(Z)
+    got, want = win.gap_forms(khat), full.gap_forms(khat)
     assert np.array_equal(got == 0.0, want == 0.0)
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-10)
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import lpadapt.fll_selector as fll
+import lpadapt.local_model as lm
 from lpadapt.dataset import Dataset
 from lpadapt.fll_selector import adaptive_estimate, fit_curve, select_adaptive
 from lpadapt.local_model import (
@@ -151,9 +152,9 @@ def test_one_solve_per_chunk(monkeypatch):
         designs.append(out[3].shape[:2])
         return out
 
-    def recording_solve(B, PW, k_gate):
+    def recording_solve(B, PW, *args):
         solves.append(B.shape[:2])
-        return stacked_solve(B, PW, k_gate)
+        return stacked_solve(B, PW, *args)
 
     monkeypatch.setattr(fll, "stacked_designs", recording_designs)
     monkeypatch.setattr(fll, "stacked_solve", recording_solve)
@@ -162,6 +163,54 @@ def test_one_solve_per_chunk(monkeypatch):
     assert solves == designs and sum(g for g, _ in solves) == n
     assert all(k == ladder.K for _, k in solves)
     assert len(solves) < n // 10
+
+
+@pytest.mark.parametrize("eig_ratio", [lm.MIN_EIG_RATIO, -1.0], ids=["gate", "pivot"])
+def test_duplicated_points_cut_ladders_as_per_point_designs(monkeypatch, eig_ratio):
+    """The conditioning gate and the Cholesky pivots cut a curve's ladders as one LadderDesign per point does.
+
+    Ten equal points sit at 0.5 with no other point within 0.027, so the
+    windows that hold only them have a singular B.  With the gate as it is,
+    it cuts the ladders of grid points just off the cluster, whose pivots all
+    pass, inside chunks whose other points keep every scale.  With a gate
+    that accepts any eigenvalue ratio (MIN_EIG_RATIO = -1), the points on the
+    cluster pass it, and their zero pivot cuts their ladders below it.
+    Every scale is solved with its own pivots, gated or not, and no step may
+    raise a floating-point warning.
+    """
+    monkeypatch.setattr(lm, "MIN_EIG_RATIO", eig_ratio)
+    x = np.linspace(0.0, 1.0, 200)
+    x[95:105] = 0.5
+    data = Dataset(x=x, y=np.sin(5.0 * x), sigma=np.full(200, 0.1))
+    grid = np.concatenate([x[16:-16], 0.5 + np.array([-0.004, 0.003, 0.0021, 0.001, -0.0005])])  # off the data's ends
+    ladder, basis, z = ScaleLadder.geometric(0.012, 6, growth=1.5), Basis.polynomial(1), np.full(5, 3.0)
+    chunks = []
+
+    def recording_designs(basis, ladder, points, centres, sigma):
+        chunks.append(centres[:, 0].copy())
+        return stacked_designs(basis, ladder, points, centres, sigma)
+
+    monkeypatch.setattr(fll, "stacked_designs", recording_designs)
+    with np.errstate(all="raise"):
+        out = fit_curve(data, grid, ladder, basis, z)
+        _, _, PW, B, active = stacked_designs(basis, ladder, np.broadcast_to(x[None, :, None], (grid.size, 200, 1)),
+                                              grid[:, None], np.broadcast_to(data.sigma, (grid.size, 200)))
+        gate, pivots = lm.gate_count(B, active, basis.p), stacked_solve(B, PW)[1]
+        refs = [full_n_fit(data, g, ladder, basis, data.sigma, z) for g in grid]
+    assert np.array_equal(out.k_eff, np.minimum(gate, pivots))
+    cut = out.k_eff < ladder.K
+    if eig_ratio > 0:
+        assert np.any(gate < pivots) and np.array_equal(cut, gate < ladder.K)
+    else:
+        assert np.any(pivots < gate) and np.all(gate == ladder.K)
+    by_point = {float(g): k for g, k in zip(grid, out.k_eff)}
+    assert any(len({by_point[float(g)] < ladder.K for g in c}) == 2 for c in chunks)  # a chunk with cut and whole ladders
+    for g, (k_hat, k_eff, theta) in enumerate(refs):
+        assert (out.k_hat[g], out.k_eff[g]) == (k_hat, k_eff)
+        assert np.array_equal(out.theta_hat[g], theta) if k_eff else np.all(np.isnan(out.theta_hat[g]))
+    l, m = np.meshgrid(np.arange(ladder.K), np.arange(ladder.K), indexing="ij")
+    outside = (l == m)[..., None] | (np.maximum(l, m)[..., None] >= out.k_eff)
+    assert np.array_equal(np.isnan(out.T), outside)
 
 
 def test_designs_hold_only_their_window(monkeypatch):

@@ -84,8 +84,11 @@ DEFECTS = [
     ("declared-budget-unchecked", "local_model.py",
      "realized > declared + 1e-12", "False"),
     ("truncated-ladder-keeps-rejected-scale", "local_model.py",
-     "np.where(passed.all(axis=-1), ladder.K, passed.argmin(axis=-1))",
-     "np.where(passed.all(axis=-1), ladder.K, passed.argmin(axis=-1) + 1)"),
+     "np.where(passed.all(axis=-1), B.shape[-3], passed.argmin(axis=-1))",
+     "np.where(passed.all(axis=-1), B.shape[-3], passed.argmin(axis=-1) + 1)"),
+    ("k-eff-from-gate-alone", "fll_selector.py",
+     "np.minimum(k_eff[blk], gate_count(B[blk], active[blk], p), out=k_eff[blk])",
+     "k_eff[blk] = gate_count(B[blk], active[blk], p)"),
     ("chunk-start-zeroes-block-first-row", "calibration.py",
      "                states, layout = _chunk_states(seed, seed_words, a, min(a + _STATE_CHUNK, rows))\n",
      "                states, layout = _chunk_states(seed, seed_words, a, min(a + _STATE_CHUNK, rows))\n"
