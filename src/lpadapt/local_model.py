@@ -11,7 +11,8 @@ a stack of ladders is solved at once for its propagator
 D_k = B_k^{-1} Psi W_k by stacked_solve: a Cholesky factorization of B_k and
 two triangular solves, written as loops over p whose every step is one
 elementwise array operation over all (point, scale) pairs.  The factor is
-not kept, and no explicit inverse is formed.
+not kept, and no explicit inverse is formed.  Every caller solves every
+scale, then keeps a ladder's leading min(pivot count, gate_count) scales.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ from .exceptions import ParameterDomainError
 MIN_EIG_RATIO = 1e-10
 #: relative margin by which _conditioned's Gershgorin bounds must clear MIN_EIG_RATIO to skip eigvalsh
 _GATE_MARGIN = 1e-12
+#: smallest sigma whose square is a normal float; 1 / sigma^2 is then at most 4.5e307
+SIGMA_MIN = math.sqrt(np.finfo(float).tiny)
 
 
 def kernel_profile(kind: str, t: np.ndarray) -> np.ndarray:
@@ -158,17 +161,27 @@ def relative_gap(sigma_model, sigma_true) -> float:
     return float(np.max(np.abs(ratio**2 - 1.0)))
 
 
+def check_sigma(sigma, name: str = "sigma_model") -> np.ndarray:
+    """sigma as a float array, after checking that every entry is finite and at least SIGMA_MIN.
+
+    The designs weight by 1 / sigma^2.  Only comparisons are made, so a bad
+    sigma raises ParameterDomainError naming `name`, never a numpy warning.
+    """
+    sigma = np.asarray(sigma, dtype=float)
+    if not np.all((sigma >= SIGMA_MIN) & (sigma < math.inf)):  # NaN fails too
+        raise ParameterDomainError(f"{name} must be positive and finite, and its square must not underflow")
+    return sigma
+
+
 def check_noise(sigma_model, sigma_true=None, declared: float | None = None) -> float:
     """The gap delta of a noise model, after checking the model's domain.
 
-    sigma_model must be positive and finite, and sigma_true, when given,
+    sigma_model must pass check_sigma, and sigma_true, when given, be
     positive and of the same shape, with a relative_gap at most the
     declared budget.  Returns the declared budget when one is given, else
     the realized gap, else 0; it must lie in [0, 1).
     """
-    sigma_model = np.asarray(sigma_model, dtype=float)
-    if np.any(sigma_model <= 0) or not np.all(np.isfinite(sigma_model)):
-        raise ParameterDomainError("model standard deviations must be positive and finite")
+    sigma_model = check_sigma(sigma_model)
     realized = 0.0
     if sigma_true is not None:
         sigma_true = np.asarray(sigma_true, dtype=float)
@@ -299,30 +312,25 @@ def gate_count(B: np.ndarray, active: np.ndarray, p: int) -> np.ndarray:
     return np.where(passed.all(axis=-1), B.shape[-3], passed.argmin(axis=-1))
 
 
-def stacked_solve(B: np.ndarray, PW: np.ndarray, k_gate: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def stacked_solve(B: np.ndarray, PW: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every propagator D_k = B_k^{-1} PW_k of a stack of ladders, by Cholesky factorization.
 
-    B (..., K, p, p) and PW (..., K, p, L) are stacked_designs' matrices and
-    k_gate (...), when given, the count of leading scales to solve (gate_count);
-    without it every scale is solved with its own pivots.
+    B (..., K, p, p) and PW (..., K, p, L) are stacked_designs' matrices.
     B_k = C C^T is factored from its lower triangle, then C Y = PW_k and
     C^T D_k = Y are solved.  Each is a loop over p whose steps are
     elementwise array operations over all (ladder, scale) pairs, in the
     order of LAPACK's potf2 and OpenBLAS's trsm: a pivot is a square root,
     and columns and solves multiply by its reciprocal.  So each slice rounds
-    the same whatever else is in the stack, and a scale solved beyond the
-    gate leaves the others' bits alone.  Every solve step writes its result
-    straight into D (out=), through one scratch (..., K, L) product.
+    the same whatever else is in the stack.  Every solve step writes its
+    result straight into D (out=), through one scratch (..., K, L) product.
 
     Returns D (..., K, p, L), each (p, L) slice in Fortran order as LAPACK's
-    potrs leaves it, and per ladder the count of leading scales solved whose
-    pivots are all > 0 (NaN fails): k_gate, or K, lowered to the first scale
-    whose B_k is not positive definite after all.  Scales from that count
-    on are carried through with unit pivots from the failing one; their D is
-    not used.
+    potrs leaves it, and per ladder the pivot count, the number of leading
+    scales whose pivots are all > 0 (NaN fails).  Every scale is solved; one
+    whose pivot fails goes on with a unit pivot, and its D is not used.
     """
     K, p = B.shape[-3], B.shape[-1]
-    ok = np.ones(B.shape[:-2], dtype=bool) if k_gate is None else np.arange(K) < k_gate[..., None]
+    ok = np.ones(B.shape[:-2], dtype=bool)
     C = np.zeros(B.shape)
     rinv = np.empty(B.shape[:-1])  # reciprocal pivots
     for j in range(p):
@@ -350,16 +358,12 @@ class LadderDesign:
     """All per-scale design objects for one reference point.
 
     Builds weights, information matrices B_k and the propagators
-    D_k = B_k^{-1} Psi W_k for k = 1..K.  Scales are accepted in order and
-    the ladder is truncated at the first scale that fails the conditioning
-    gate (at least p weighted points and, after Jacobi scaling of B_k,
-    lambda_min > MIN_EIG_RATIO lambda_max), so selection indices stay
-    contiguous.
-
-    The design is stacked_designs, gate_count and stacked_solve with a
-    batch of one, the builder, gate and solver that fit_curve runs on the
-    grid; a scale whose Cholesky pivot is not positive also truncates the
-    ladder, and no Cholesky factor is kept.
+    D_k = B_k^{-1} Psi W_k for k = 1..K by stacked_designs and stacked_solve
+    on a batch of one, as fit_curve does on the grid.  Every scale is
+    solved, then the ladder is cut at the first scale whose Cholesky pivot
+    is not positive or that fails the conditioning gate (at least p weighted
+    points and, after Jacobi scaling of B_k, lambda_min > MIN_EIG_RATIO
+    lambda_max): K_eff = min(pivot count, gate_count).
     """
 
     def __init__(self, basis: Basis, ladder: ScaleLadder, design_points, x, sigma_model):
@@ -373,15 +377,13 @@ class LadderDesign:
         self.x = np.atleast_1d(np.asarray(x, dtype=float))
         if self.x.shape != (d,):
             raise ParameterDomainError(f"reference point has dimension {self.x.shape}, expected ({d},)")
-        self.sigma_model = np.asarray(sigma_model, dtype=float)
+        self.sigma_model = check_sigma(sigma_model)
         if self.sigma_model.shape != (self.points.shape[0],):
             raise ParameterDomainError("sigma_model and design_points must have equal length")
-        if np.any(self.sigma_model <= 0):
-            raise ParameterDomainError("sigma_model entries must be positive")
         psi, W, PW, B, active = stacked_designs(basis, ladder, self.points[None], self.x[None], self.sigma_model[None])
         self.psi = psi[0]
-        D, k_gate = stacked_solve(B, PW, gate_count(B, active, basis.p))
-        K_eff = int(k_gate[0])
+        D, pivots = stacked_solve(B, PW)
+        K_eff = int(min(pivots[0], gate_count(B, active, basis.p)[0]))
         self.D_list: list[np.ndarray] = list(D[0, :K_eff])
         self.truncated_at: int | None = K_eff + 1 if K_eff < ladder.K else None  # first rejected 1-indexed scale
         self.weights_list: list[np.ndarray] = list(W[0, :K_eff])

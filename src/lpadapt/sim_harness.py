@@ -48,8 +48,7 @@ class SigmaSpec:
     phase: float = 0.0
 
     def values(self, t: np.ndarray) -> np.ndarray:
-        # level 0 is allowed here so noiseless scenes can be generated;
-        # local_model.check_noise still rejects nonpositive levels where it matters
+        # level 0 is allowed so noiseless scenes can be generated; local_model.check_sigma rejects it where it matters
         if self.level < 0:
             raise ParameterDomainError("sigma level must be nonnegative")
         if self.pattern == "constant":

@@ -279,6 +279,21 @@ class TestCalibrateFit:
         assert "unknown calibration method 'theoretic'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("tiny", ["1e-200", "1e-160"])
+    @pytest.mark.parametrize("command", ["fit", "calibrate"])
+    def test_sigma_whose_square_underflows_exit_code(self, tmp_path, capsys, command, tiny):
+        data = tmp_path / "d.csv"
+        lines = _write_dataset(data, noise=0.1).read_text(encoding="utf-8").splitlines()
+        lines[40] = lines[40].rsplit(",", 1)[0] + "," + tiny
+        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        with np.errstate(all="raise"):
+            code = main([command, "--data", str(data), "--mc", "1000", "--out", str(out)])
+        errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+        assert code == EXIT_CONFIG
+        assert len(errors) == 1 and errors[0].startswith("error: sigma"), errors
+        assert not out.exists()
+
     def test_bad_csv_exit_code(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("x,y,sigma\n0,nan,1\n", encoding="utf-8")

@@ -5,11 +5,13 @@ import pytest
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigvalsh as scipy_eigvalsh
 
 from lpadapt import local_model as lm
+from lpadapt.calibration import mc_calibrate
 from lpadapt.dataset import Dataset
 from lpadapt.exceptions import ParameterDomainError
 from lpadapt.fll_selector import fit_curve
 from lpadapt.local_model import (
     MIN_EIG_RATIO,
+    SIGMA_MIN,
     Basis,
     LadderDesign,
     ScaleLadder,
@@ -320,11 +322,65 @@ class TestNoiseModel:
     def test_rejects_bad_inputs(self):
         with pytest.raises(ParameterDomainError):
             check_noise(np.array([1.0, 0.0]))
+        with pytest.raises(ParameterDomainError, match="sigma_model must be positive and finite"):
+            check_noise(np.array([1.0, np.nan]))
         with pytest.raises(ParameterDomainError):
             check_noise(np.ones(3), 2.0 * np.ones(3))  # delta = 3 >= 1
 
 
+@pytest.mark.parametrize("tiny", [1e-200, 1e-160], ids=["square_zero", "inverse_square_inf"])
+def test_sigma_whose_square_underflows_is_named(tiny):
+    """One sigma whose square underflows is rejected, before any weight is formed, by every entry point.
+
+    At 1e-200 sigma^2 is 0; at 1e-160 it is subnormal and 1 / sigma^2
+    overflows.  Under errstate(all="raise") a weight formed first would
+    raise FloatingPointError instead.
+    """
+    x = np.linspace(0.0, 1.0, 40)
+    sigma = np.full(40, 0.1)
+    sigma[17] = tiny
+    basis, ladder = Basis.polynomial(1), ScaleLadder.geometric(0.1, 3)
+    calls = [
+        lambda: fit_curve(Dataset(x=x, y=np.sin(x), sigma=sigma), x, ladder, basis, [4.0, 4.0]),
+        lambda: LadderDesign(basis, ladder, x, 0.45, sigma),
+        lambda: mc_calibrate(basis, ladder, sigma, x, 0.45, 1.0, 0.5, 1000, 0),
+        lambda: check_noise(sigma),
+    ]
+    for call in calls:
+        with np.errstate(all="raise"), pytest.raises(ParameterDomainError, match=r"^sigma(_model)? must be positive"):
+            call()
+    sigma[17] = SIGMA_MIN  # its square is the smallest normal float
+    with np.errstate(all="raise"):
+        assert check_noise(sigma) == 0.0
+
+
 class TestLadderDesign:
+    def test_k_eff_is_the_smaller_of_pivot_and_gate_counts(self, monkeypatch):
+        """K_eff = min(pivot count, gate count); the pivots bind at x = 0.2 and the gate at x = 0.5.
+
+        A B_k that passes the gate has positive pivots, so stacked_solve is
+        given a negative-pivot matrix at scale 4 while the gate sees the
+        design's own B.  A point of weight 1e14 at 0.56 makes B_3 at x = 0.5
+        nearly rank one, and the gate stops there after 2 scales.
+        """
+        basis, ladder = Basis.polynomial(1), ScaleLadder.geometric(0.03, 6, growth=1.5)
+        pts, sigma = np.linspace(0.0, 1.0, 101), np.ones(101)
+        sigma[56] = 1e-7
+        solve = lm.stacked_solve
+
+        def planted(B, PW):
+            B = B.copy()
+            B[:, 3] = _bad_matrix("negative", 2)
+            return solve(B, PW)
+
+        monkeypatch.setattr(lm, "stacked_solve", planted)
+        counts = []
+        for x in (0.2, 0.5):
+            _, _, PW, B, active = stacked_designs(basis, ladder, pts[None, :, None], np.array([[x]]), sigma[None])
+            ld = LadderDesign(basis, ladder, pts, x, sigma)
+            counts.append((int(lm.gate_count(B, active, 2)[0]), int(planted(B, PW)[1][0]), ld.K_eff, ld.truncated_at))
+        assert counts == [(6, 3, 3, 4), (2, 3, 2, 3)]
+
     def test_monotone_information(self, rng):
         basis, ladder, pts, x, sigma = _random_boxcar_scene(rng, 2, 4, n=60)
         ld = LadderDesign(basis, ladder, pts, x, sigma)
@@ -456,8 +512,8 @@ class TestStackedSolve:
     @pytest.mark.parametrize("p", range(1, 7))
     def test_matches_scipy_cholesky_slice_by_slice(self, rng, p):
         B, PW = _spd_stack(rng, p, 24)
-        D, k_gate = stacked_solve(B.reshape(4, 6, p, p), PW.reshape(4, 6, p, 30), np.full(4, 6))
-        assert k_gate.tolist() == [6] * 4
+        D, pivots = stacked_solve(B.reshape(4, 6, p, p), PW.reshape(4, 6, p, 30))
+        assert pivots.tolist() == [6] * 4
         assert all(d.flags.f_contiguous for d in D.reshape(24, p, 30))  # as LAPACK's potrs leaves it
         for b, pw, d in zip(B, PW, D.reshape(24, p, 30)):
             ref = cho_solve(cho_factor(b, lower=True), pw)
@@ -473,23 +529,17 @@ class TestStackedSolve:
             B[3 * i + 1] = _bad_matrix(kind, p)
         raises = np.array([_cho_fails(b) for b in B])
         assert raises.sum() == 3
-        _, k_gate = stacked_solve(B[:, None], PW[:, None], np.ones(12, dtype=int))
-        assert np.array_equal(k_gate == 0, raises)
-
-    def test_gate_lowered_to_the_first_failing_scale(self, rng):
-        B, PW = _spd_stack(rng, 2, 6)
-        B[3] = _bad_matrix("negative", 2)
-        _, k_gate = stacked_solve(B[None].repeat(3, axis=0), PW[None].repeat(3, axis=0), np.array([6, 3, 2]))
-        assert k_gate.tolist() == [3, 3, 2]
+        _, pivots = stacked_solve(B[:, None], PW[:, None])
+        assert np.array_equal(pivots == 0, raises)
 
     @pytest.mark.parametrize("kind", ["nan", "zero", "negative"])
     def test_bad_slice_leaves_its_neighbours_bit_identical(self, rng, kind):
         p = 3
         B, PW = _spd_stack(rng, p, 20)
-        clean, gate = stacked_solve(B.reshape(4, 5, p, p), PW.reshape(4, 5, p, 30), np.full(4, 5))
+        clean, clean_pivots = stacked_solve(B.reshape(4, 5, p, p), PW.reshape(4, 5, p, 30))
         B[7] = _bad_matrix(kind, p)  # ladder 1, scale 2
-        D, k_gate = stacked_solve(B.reshape(4, 5, p, p), PW.reshape(4, 5, p, 30), np.full(4, 5))
-        assert k_gate.tolist() == [5, 2, 5, 5] and gate.tolist() == [5] * 4
+        D, pivots = stacked_solve(B.reshape(4, 5, p, p), PW.reshape(4, 5, p, 30))
+        assert pivots.tolist() == [5, 2, 5, 5] and clean_pivots.tolist() == [5] * 4
         keep = np.ones((4, 5), dtype=bool)
         keep[1, 2] = False
         assert np.array_equal(D[keep], clean[keep])

@@ -117,6 +117,38 @@ def test_sorted_degree_one_is_bitwise_equal():
         assert np.array_equal(theta_hat, theta)
 
 
+def test_each_point_is_ladder_design_on_its_slab(monkeypatch):
+    """At every point, the ends of the data included, fit_curve's fits are those of LadderDesign on its slab.
+
+    The slab is the aligned run of rows fit_curve hands stacked_designs.  A
+    fit over all n observations differs in the last bits at 10 of these
+    200 points, all near the ends.  With thresholds of +inf every point
+    selects its largest accepted scale, and T compares the fits of the
+    smaller ones.
+    """
+    x = np.linspace(0.0, 1.0, 200)
+    data = Dataset(x=x, y=np.sin(5.0 * x), sigma=np.full(200, 0.1))
+    ladder, basis, z = ScaleLadder.geometric(0.012, 6, growth=1.5), Basis.polynomial(1), np.full(5, np.inf)
+    slabs = {}
+
+    def recording_designs(basis, ladder, points, centres, sigma):
+        for c, rows in zip(centres[:, 0].tolist(), points[:, :, 0]):
+            start = int(np.searchsorted(x, rows[0]))
+            slabs[c] = slice(start, start + rows.size)
+        return stacked_designs(basis, ladder, points, centres, sigma)
+
+    monkeypatch.setattr(fll, "stacked_designs", recording_designs)
+    out = fit_curve(data, x, ladder, basis, z)
+    for g, xi in enumerate(x.tolist()):
+        rows = slabs[xi]
+        assert rows.start % fll._LANES == 0 and (rows.stop - rows.start) % fll._LANES == 0
+        ld = LadderDesign(basis, ladder, x[rows], xi, data.sigma[rows])
+        fits = ld.fit(data.y[rows])
+        assert (out.k_eff[g], out.k_hat[g]) == (ld.K_eff, ld.K_eff) == (6, 6)
+        assert np.array_equal(out.theta_hat[g], fits[-1].theta)
+        assert np.array_equal(out.T[..., g], select_adaptive(fits, z).statistics, equal_nan=True)
+
+
 def test_fit_dense_reference_at_seed_0():
     """The benchmark's seed-0 fit_dense pass, in process, against its recorded fit.csv.
 
@@ -152,9 +184,9 @@ def test_one_solve_per_chunk(monkeypatch):
         designs.append(out[3].shape[:2])
         return out
 
-    def recording_solve(B, PW, *args):
+    def recording_solve(B, PW):
         solves.append(B.shape[:2])
-        return stacked_solve(B, PW, *args)
+        return stacked_solve(B, PW)
 
     monkeypatch.setattr(fll, "stacked_designs", recording_designs)
     monkeypatch.setattr(fll, "stacked_solve", recording_solve)
@@ -211,6 +243,24 @@ def test_duplicated_points_cut_ladders_as_per_point_designs(monkeypatch, eig_rat
     l, m = np.meshgrid(np.arange(ladder.K), np.arange(ladder.K), indexing="ij")
     outside = (l == m)[..., None] | (np.maximum(l, m)[..., None] >= out.k_eff)
     assert np.array_equal(np.isnan(out.T), outside)
+
+
+def test_ladder_design_solves_every_scale_of_duplicated_points_quietly():
+    """LadderDesign solves every scale, singular ones included, with no floating-point warning, and keeps fit_curve's k_eff.
+
+    Ten equal points sit at 0.5.  There and at two points just off it the
+    smallest window's B has a zero pivot; at three others every pivot
+    passes and the gate alone cuts the ladder.
+    """
+    x = np.linspace(0.0, 1.0, 200)
+    x[95:105] = 0.5
+    data = Dataset(x=x, y=np.sin(5.0 * x), sigma=np.full(200, 0.1))
+    grid = 0.5 + np.array([0.0, -0.004, 0.003, 0.0021, 0.001, -0.0005, 0.1, -0.2])
+    ladder, basis = ScaleLadder.geometric(0.012, 6, growth=1.5), Basis.polynomial(1)
+    with np.errstate(all="raise"):
+        k_eff = [LadderDesign(basis, ladder, x, g, data.sigma).K_eff for g in grid]
+        out = fit_curve(data, grid, ladder, basis, np.full(5, 3.0))
+    assert k_eff == out.k_eff.tolist() == [0] * 6 + [ladder.K] * 2
 
 
 def test_designs_hold_only_their_window(monkeypatch):

@@ -86,9 +86,15 @@ DEFECTS = [
     ("truncated-ladder-keeps-rejected-scale", "local_model.py",
      "np.where(passed.all(axis=-1), B.shape[-3], passed.argmin(axis=-1))",
      "np.where(passed.all(axis=-1), B.shape[-3], passed.argmin(axis=-1) + 1)"),
-    ("k-eff-from-gate-alone", "fll_selector.py",
+    ("curve-k-eff-from-gate-alone", "fll_selector.py",
      "np.minimum(k_eff[blk], gate_count(B[blk], active[blk], p), out=k_eff[blk])",
      "k_eff[blk] = gate_count(B[blk], active[blk], p)"),
+    ("ladder-design-k-eff-from-pivots-alone", "local_model.py",
+     "K_eff = int(min(pivots[0], gate_count(B, active, basis.p)[0]))", "K_eff = int(pivots[0])"),
+    ("ladder-design-k-eff-from-gate-alone", "local_model.py",
+     "K_eff = int(min(pivots[0], gate_count(B, active, basis.p)[0]))", "K_eff = int(gate_count(B, active, basis.p)[0])"),
+    ("sigma-square-may-underflow", "local_model.py",
+     "(sigma >= SIGMA_MIN) & (sigma < math.inf)", "(sigma > 0) & (sigma < math.inf)"),
     ("chunk-start-zeroes-block-first-row", "calibration.py",
      "                states, layout = _chunk_states(seed, seed_words, a, min(a + _STATE_CHUNK, rows))\n",
      "                states, layout = _chunk_states(seed, seed_words, a, min(a + _STATE_CHUNK, rows))\n"
