@@ -50,44 +50,31 @@ def _open_utf8(path: str, newline: str | None = None):
             raise ParameterDomainError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
-#: data rows that ingest_csv holds and converts at a time
-_ROWS = 1024
-
-
 def ingest_csv(path: str) -> Dataset:
     """Read a UTF-8 CSV with columns x (or x1..xd), y, sigma[, sigma_true].
 
     A leading byte-order mark is skipped, and rows whose cells are all
     blank are ignored.  A cell is a number when Python's float reads it.
-    The rows are converted _ROWS at a time: one float call per cell through
-    map, then one finiteness check over the block.  Only a block that fails
-    is read again cell by cell, to name its first bad cell.
+    One streaming pass drops the rows whose cells are all empty, fills one
+    array with one float call per needed cell, and checks it for finiteness
+    once.  A file that this pass cannot convert, or that holds a non-finite
+    value, is read once more cell by cell (_cells), which also skips
+    whitespace-only rows and names the first bad cell; so a file with a
+    whitespace-only row is read twice.
 
     Non-finite or unparseable cells raise ParseError with the 1-based data
-    row number (blank rows included); absent required columns, or x columns
-    other than x1..xd, raise MissingColumnError.
+    row number (blank rows included).  Absent required columns, x columns
+    other than x1..xd, x beside x1..xd, or a column that is read appearing
+    twice raise MissingColumnError.  A row that the csv module cannot split
+    raises ParameterDomainError naming the file and line.
     """
-    with _open_utf8(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise MissingColumnError("empty file: no header row") from None
-        x_cols = _x_columns(header)
-        for required in ("y", "sigma"):
-            if required not in header:
-                raise MissingColumnError(f"missing required column {required!r}")
-        has_true = "sigma_true" in header
-        names = x_cols + ["y", "sigma"] + (["sigma_true"] if has_true else [])
-        cols = [header.index(name) for name in names]
-        blocks, start = [], 0
-        while rows := list(itertools.islice(reader, _ROWS)):
-            blocks.append(_convert(rows, start, names, cols))
-            start += len(rows)
-    if not sum(map(len, blocks)):
+    names, values = _read_csv(path, _stream)
+    if values is None or not np.isfinite(values).all():
+        names, values = _read_csv(path, _cells)
+    if not values.size:
         raise MissingColumnError("no data rows")
-    values = np.concatenate(blocks).T  # (len(names), n)
-    d = len(x_cols)
+    values = values.reshape(-1, len(names)).T  # (len(names), n)
+    d, has_true = names.index("y"), names[-1] == "sigma_true"
     return Dataset(
         x=values[0].copy() if d == 1 else values[:d].T.copy(),
         y=values[d].copy(),
@@ -96,59 +83,67 @@ def ingest_csv(path: str) -> Dataset:
     )
 
 
+def _read_csv(path: str, convert):
+    """The columns that path's header asks to read (design columns, y, sigma[, sigma_true]), and convert of its data rows."""
+    with _open_utf8(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise MissingColumnError("empty file: no header row")
+            header = [h.strip() for h in header]
+            names = _x_columns(header) + ["y", "sigma"] + (["sigma_true"] if "sigma_true" in header else [])
+            for name in names:
+                if name not in header:
+                    raise MissingColumnError(f"missing required column {name!r}")
+                if header.count(name) > 1:
+                    raise MissingColumnError(f"column {name!r} appears {header.count(name)} times in the header")
+            return names, convert(reader, names, [header.index(name) for name in names])
+        except csv.Error as exc:
+            raise ParameterDomainError(f"{path}, line {reader.line_num}: {exc}") from exc
+
+
 def _x_columns(header: list[str]) -> list[str]:
-    """The design columns of a header: x, or else x1..xd, which must all be there."""
+    """The design columns of a header: x alone, or else x1..xd, which must all be there."""
+    numbered = sorted({h for h in header if h.startswith("x") and h[1:].isdecimal()}, key=lambda h: int(h[1:]))
     if "x" in header:
+        if numbered:
+            raise MissingColumnError(f"column 'x' appears beside {numbered}: give x alone or x1..xd")
         return ["x"]
-    x_cols = sorted((h for h in header if h.startswith("x") and h[1:].isdigit()), key=lambda h: int(h[1:]))
-    if not x_cols:
+    if not numbered:
         raise MissingColumnError("need column 'x' or columns 'x1'..'xd'")
-    numbers = {int(h[1:]) for h in x_cols}
-    for j in range(1, len(x_cols) + 1):
+    numbers = {int(h[1:]) for h in numbered}
+    for j in range(1, len(numbered) + 1):
         if j not in numbers:
-            raise MissingColumnError(f"missing column 'x{j}': the x columns must be x1..xd without a gap, got {x_cols}")
-    return x_cols
+            raise MissingColumnError(f"missing column 'x{j}': the x columns must be x1..xd without a gap, got {numbered}")
+    return numbered
 
 
-def _convert(rows: list[list[str]], start: int, names: list[str], cols: list[int]) -> np.ndarray:
-    """(m, len(names)) values of the cells cols of the m non-blank rows; rows are data rows start + 1, ...
-
-    A blank row fails the first conversion, so the blank rows are dropped
-    and the rest converted again.  When a conversion still fails, or a
-    value is not finite, the per-cell pass of _bad_cell names the error.
-    """
+def _stream(rows, names: list[str], cols: list[int]) -> np.ndarray | None:
+    """The cells cols of the rows not all empty, row after row, as one array; None if a row is short or a cell not a number."""
     pick = operator.itemgetter(*cols)  # at least x, y and sigma, so always a tuple
-    values = _floats(rows, pick)
-    if values is None:
-        values = _floats([row for row in rows if any(cell.strip() for cell in row)], pick)
-    if values is None or not np.isfinite(values).all():
-        raise _bad_cell(rows, start, names, cols)
-    return values.reshape(-1, len(cols))
-
-
-def _floats(rows: list[list[str]], pick) -> np.ndarray | None:
-    """The cells pick of rows, row after row, as one float array; None when a row is short or a cell is not a number."""
     try:
-        return np.array(list(map(float, itertools.chain.from_iterable(map(pick, rows)))))
+        return np.fromiter(map(float, itertools.chain.from_iterable(map(pick, filter(any, rows)))), float)
     except (IndexError, ValueError):
         return None
 
 
-def _bad_cell(rows: list[list[str]], start: int, names: list[str], cols: list[int]) -> ParseError:
-    """The ParseError of the first bad cell of rows in reading order, the rows numbered from start + 1."""
-    for rownum, row in enumerate(rows, start=start + 1):
+def _cells(rows, names: list[str], cols: list[int]) -> np.ndarray:
+    """The cells cols of the non-blank rows, one at a time; ParseError at the first bad cell, rows numbered from 1."""
+    values = []
+    for rownum, row in enumerate(rows, start=1):
         if not any(cell.strip() for cell in row):
             continue
         for name, idx in zip(names, cols):
             if idx >= len(row):
-                return ParseError(rownum, name, "missing value")
+                raise ParseError(rownum, name, "missing value")
             try:
-                val = float(row[idx])
+                values.append(float(row[idx]))
             except ValueError:
-                return ParseError(rownum, name, f"not a number: {row[idx]!r}")
-            if not math.isfinite(val):
-                return ParseError(rownum, name, f"non-finite value {row[idx]!r}")
-    raise AssertionError("a block that failed to convert has no bad cell")
+                raise ParseError(rownum, name, f"not a number: {row[idx]!r}") from None
+            if not math.isfinite(values[-1]):
+                raise ParseError(rownum, name, f"non-finite value {row[idx]!r}")
+    return np.array(values)
 
 
 def _load_config(path: str | None) -> dict:

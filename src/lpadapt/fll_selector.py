@@ -106,22 +106,22 @@ class SelectionTrace:
         return np.minimum(np.arange(1, self.K + 1), self.k_hat)
 
 
-def selection_sweep(T: np.ndarray, z, k_eff=None) -> tuple[np.ndarray, np.ndarray]:
+def selection_sweep(T: np.ndarray, z) -> tuple[np.ndarray, np.ndarray]:
     """The selection rule for every column of a (K, K, N) statistics table.
 
     Scale m is reachable only if every pair (l, m') with l < m' <= m passed,
     so each column stops at the first m with a violated pair T_lm > z_l, and
-    k_hat = m - 1.  Only entries l < m are read, and NaN entries never
-    violate, so ladders shorter than K are padded with NaN; k_eff (N,) gives
-    their length, the k_hat of a column without a violation (K when omitted).
-    The sweep runs over the K - 1 columns m, each vectorised over N.
+    k_hat = m - 1; a column without a violation gets K.  Only entries l < m
+    are read, and NaN entries never violate, so a ladder shorter than K,
+    padded with NaN, gets K where its own length is meant.  The sweep runs
+    over the K - 1 columns m, each vectorised over N.
 
     Returns k_hat (N,) and the first violated pair (N, 2) as 1-indexed (l, m),
     the smallest l at the first m, or (0, 0) where none is violated.
     """
     K, N = T.shape[0], T.shape[-1]
     zv = _thresholds(z, K)
-    k_hat = np.full(N, K) if k_eff is None else np.array(k_eff)
+    k_hat = np.full(N, K)
     first = np.zeros((N, 2), dtype=int)
     alive = np.ones(N, dtype=bool)
     for m in range(1, K):  # 0-based scale index; its pairs are (l, m), l < m
@@ -238,10 +238,11 @@ def fit_curve(data: Dataset, x_grid, ladder: ScaleLadder, basis: Basis, cv) -> C
     B_k are kept.  After the chunks, gate_count gates the grid in blocks of
     _GATE_BLOCK points, k_eff is the smaller of each point's gate and pivot
     counts, and the fits from k_eff on become NaN in one write.  One
-    pair_statistics call then forms every point's T_lm, and one
-    selection_sweep selects every point.  Results therefore do not depend
-    on the grid's order or on the other points, nor on the order of the
-    data rows when their first coordinates have no ties.
+    pair_statistics call then forms every point's T_lm, one
+    selection_sweep selects every point, and each k_hat is capped at its
+    k_eff.  Results therefore do not depend on the grid's order or on the
+    other points, nor on the order of the data rows when their first
+    coordinates have no ties.
 
     A point with no usable scale gets k_eff = k_hat = 0 and NaN estimates
     in the returned CurveFit rather than aborting the grid.
@@ -253,7 +254,6 @@ def fit_curve(data: Dataset, x_grid, ladder: ScaleLadder, basis: Basis, cv) -> C
     if not np.all(np.isfinite(centres)):
         raise ParameterDomainError("grid has non-finite entries")
     check_sigma(data.sigma, "sigma")
-    zv = _thresholds(cv, 1)  # checked here too, for a grid where no point reaches the sweep
 
     xs, y, sigma = data.x, data.y, data.sigma
     key = xs if xs.ndim == 1 else xs[:, 0]
@@ -271,7 +271,8 @@ def fit_curve(data: Dataset, x_grid, ladder: ScaleLadder, basis: Basis, cv) -> C
     G = len(centres)
     T = pair_statistics(theta, B)
     K_max = int(k_eff.max(initial=0))
-    k_hat, first = selection_sweep(T[:K_max, :K_max], zv, k_eff) if K_max else (k_eff.copy(), np.zeros((G, 2), dtype=int))
+    k_hat, first = selection_sweep(T[:K_max, :K_max], cv)
+    k_hat = np.minimum(k_hat, k_eff)  # a ladder cut at k_eff has NaN pairs beyond it, which never violate
     theta_hat = theta[np.arange(G), k_hat - 1]
     psi0 = basis.evaluate(np.zeros(basis.dim))
     fitted = (theta_hat[:, None, :] @ psi0[:, None])[:, 0, 0]  # stacked one-row products

@@ -1,10 +1,10 @@
 """CSV input and output of the command line, against the per-cell code they replaced.
 
-ingest_csv converts its rows a block at a time and cmd_fit writes one
-template per row.  conftest keeps the per-cell reader (ingest_cells) and
-the per-cell row formatters (fit_lines_cells, grid_lines_cells) as
-oracles: a valid file must give the same bits, a malformed one the same
-ParseError, and fit's output the same bytes.
+ingest_csv converts a file in one streaming pass, or else cell by cell,
+and cmd_fit writes one template per row.  conftest keeps the per-cell
+reader (ingest_cells) and the per-cell row formatters (fit_lines_cells,
+grid_lines_cells) as oracles: a valid file must give the same bits, a
+malformed one the same ParseError, and fit's output the same bytes.
 """
 
 import json
@@ -14,7 +14,7 @@ import pytest
 
 from lpadapt import cli
 from lpadapt.cli import EXIT_CONFIG, EXIT_OK, ingest_csv, main
-from lpadapt.exceptions import MissingColumnError, ParseError
+from lpadapt.exceptions import MissingColumnError, ParameterDomainError, ParseError
 
 from conftest import fit_lines_cells, grid_lines_cells, ingest_cells
 
@@ -64,14 +64,33 @@ class TestIngestMatchesPerCellReader:
         _assert_same_arrays(path)
 
     def test_blank_rows_across_blocks(self, tmp_path, rng):
-        """Several blocks of rows, with blank rows throughout and at block edges."""
-        lines = _repr_rows(rng, 5 * cli._ROWS // 2).splitlines()
-        for at in sorted({0, 97, cli._ROWS - 1, cli._ROWS, 2 * cli._ROWS + 1, len(lines)}, reverse=True):
+        """A long file with blank rows throughout, past row 2048 too, and at 1024-row edges."""
+        lines = _repr_rows(rng, 2560).splitlines()
+        for at in sorted({0, 97, 1023, 1024, 2049, len(lines)}, reverse=True):
             lines[at:at] = ["", " , ,"]
         path = tmp_path / "d.csv"
         path.write_text("x,y,sigma\n" + "\n".join(lines) + "\n", encoding="utf-8")
         _assert_same_arrays(path)
-        assert ingest_csv(str(path)).n == 5 * cli._ROWS // 2
+        assert ingest_csv(str(path)).n == 2560
+
+    def test_empty_and_comma_only_rows_stay_in_the_streaming_pass(self, tmp_path, rng, monkeypatch):
+        lines = _repr_rows(rng, 2560).splitlines()
+        for at in (2500, 1024, 3, 0):
+            lines[at:at] = ["", ",,", ",,,,"]
+        path = tmp_path / "d.csv"
+        path.write_text("x,y,sigma\n" + "\n".join(lines) + "\n", encoding="utf-8")
+        want = ingest_cells(str(path))
+
+        def per_cell_pass(*args):
+            raise AssertionError("the per-cell pass was reached")
+
+        monkeypatch.setattr(cli, "_cells", per_cell_pass)
+        got = ingest_csv(str(path))
+        assert got.n == 2560
+        assert all(a.tobytes() == b.tobytes() for a, b in zip((got.x, got.y, got.sigma), want))
+        path.write_text("x,y,sigma\n1,2,3\n  \n", encoding="utf-8")  # a whitespace-only row needs the per-cell pass
+        with pytest.raises(AssertionError, match="per-cell pass"):
+            ingest_csv(str(path))
 
     @pytest.mark.parametrize("body", [
         "0,1,1\n0.5,oops,1\n",  # a text cell
@@ -94,9 +113,9 @@ class TestIngestMatchesPerCellReader:
 
     @pytest.mark.parametrize("bad", ["abc", "nan", "", None])
     def test_malformed_row_in_a_later_block(self, tmp_path, rng, bad):
-        lines = _repr_rows(rng, 3 * cli._ROWS).splitlines()
+        lines = _repr_rows(rng, 3072).splitlines()
         lines[5:5] = ["", "   "]
-        at = 2 * cli._ROWS + 17
+        at = 2065
         x, y, sigma = lines[at].split(",")
         lines[at] = f"{x},{y}" if bad is None else f"{x},{y},{bad}"
         path = tmp_path / "d.csv"
@@ -148,6 +167,64 @@ class TestXColumns:
         path = tmp_path / "d.csv"
         path.write_text("x3,y,x1,sigma,x2\n3,0,1,1,2\n6,0,4,1,5\n", encoding="utf-8")
         assert ingest_csv(str(path)).x.tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+
+
+class TestHeader:
+    @pytest.mark.parametrize("header, named", [
+        ("x,y,sigma,y", "'y'"),
+        ("x,x,y,sigma", "'x'"),
+        ("x,y,sigma,sigma", "'sigma'"),
+        ("x,y,sigma,sigma_true,sigma_true", "'sigma_true'"),
+        ("x1,x2,x1,y,sigma", "'x1'"),
+        ("x,x1,y,sigma", "'x1'"),
+        ("x2,y,x,x1,sigma", "'x1', 'x2'"),
+    ])
+    def test_a_column_that_is_read_twice_or_x_beside_x1_is_an_error(self, tmp_path, capsys, header, named):
+        path = tmp_path / "d.csv"
+        path.write_text(header + "\n" + ",".join(["1"] * (header.count(",") + 1)) + "\n", encoding="utf-8")
+        with pytest.raises(MissingColumnError, match=named):
+            ingest_csv(str(path))
+        assert main(["fit", "--data", str(path)]) == EXIT_CONFIG
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error:") and named in errors[0]
+
+    def test_columns_that_are_not_read_may_repeat(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("id,x,id,y,sigma,x_note,x_note\na,1,b,2,3,,\n", encoding="utf-8")
+        data = ingest_csv(str(path))
+        assert (data.x.tolist(), data.y.tolist(), data.sigma.tolist()) == ([1.0], [2.0], [3.0])
+
+    @pytest.mark.parametrize("header", ["x\u00b2,y,sigma", "x1,x\u00b2,y,sigma"])
+    def test_x_with_a_superscript_is_not_a_design_column(self, tmp_path, header):
+        """'\u00b2'.isdigit() holds but int() refuses it; the header is read as if the column were text."""
+        path = tmp_path / "d.csv"
+        path.write_text(header + "\n" + ",".join(["1"] * (header.count(",") + 1)) + "\n", encoding="utf-8")
+        if header.startswith("x1"):
+            assert ingest_csv(str(path)).x.tolist() == [1.0]
+        else:
+            with pytest.raises(MissingColumnError, match="need column 'x'"):
+                ingest_csv(str(path))
+
+
+class TestCsvModuleErrors:
+    """A row that the csv module cannot split names the file and line, in either reading pass, and exits 2."""
+
+    @pytest.mark.parametrize("where", ["header", "streaming pass", "per-cell pass"])
+    def test_cell_over_the_field_limit(self, tmp_path, capsys, where):
+        big = "1" * 200_000
+        lines = ["x,y,sigma", "0,1,1", "  ", "1,2,1", f"2,{big},1", "3,4,1"]
+        if where == "header":
+            lines[0] = f"x,y,sigma,{big}"
+        elif where == "streaming pass":
+            del lines[2]
+        path = tmp_path / "d.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        line = 1 if where == "header" else lines.index(f"2,{big},1") + 1
+        with pytest.raises(ParameterDomainError, match=f"line {line}: field larger than field limit"):
+            ingest_csv(str(path))
+        assert main(["fit", "--data", str(path)]) == EXIT_CONFIG
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith(f"error: {path}, line {line}:")
 
 
 def _fixed_cv(p, K):

@@ -15,7 +15,8 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "lpadapt").glob("*.py"))
 PROGRAM = PACKAGE + sorted((ROOT / "perfbench").glob("*.py"))
 
-_TRACER = "bound by name in perfbench/tracing.py's spans; goes when the tracer is retargeted (ROADMAP item 3)"
+_TRACER = ("bound by name in perfbench/tracing.py's spans, so its deletion waits on a change to the benchmark "
+           "that retargets the tracer (ROADMAP item 4)")
 
 ALLOWED = {
     "LadderDesign.fit": _TRACER,

@@ -63,6 +63,12 @@ DEFECTS = [
      "sum(np.abs(S[..., i, j]) for j in range(p) if j != i)", "0.0"),
     ("ingest-without-finiteness-check", "cli.py",
      "if values is None or not np.isfinite(values).all():", "if values is None:"),
+    ("stream-without-empty-row-filter", "cli.py",
+     "map(pick, filter(any, rows))", "map(pick, rows)"),
+    ("cells-keep-whitespace-only-rows", "cli.py",
+     "if not any(cell.strip() for cell in row):", "if not any(row):"),
+    ("csv-error-unmapped", "cli.py",
+     "except csv.Error as exc:", "except ZeroDivisionError as exc:"),
     ("pair-rows-B-offset-off-by-one", "fll_selector.py",
      "for forms, k in ((upper, l), (lower, m)):", "for forms, k in ((upper, l + 1), (lower, m)):"),
     ("pair-lower-triangle-smaller-scale-B", "fll_selector.py",
@@ -86,6 +92,8 @@ DEFECTS = [
     ("truncated-ladder-keeps-rejected-scale", "local_model.py",
      "np.where(passed.all(axis=-1), B.shape[-3], passed.argmin(axis=-1))",
      "np.where(passed.all(axis=-1), B.shape[-3], passed.argmin(axis=-1) + 1)"),
+    ("curve-without-k-eff-cap", "fll_selector.py",
+     "    k_hat = np.minimum(k_hat, k_eff)", "    pass"),
     ("curve-k-eff-from-gate-alone", "fll_selector.py",
      "np.minimum(k_eff[blk], gate_count(B[blk], active[blk], p), out=k_eff[blk])",
      "k_eff[blk] = gate_count(B[blk], active[blk], p)"),
