@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import CalibrationFailedError, LpAdaptError, ParameterDomainError
-from .fll_selector import _thresholds, pair_statistics, selection_sweep
+from .fll_selector import _thresholds, pair_forms, pair_statistics, selection_sweep
 from .local_model import Basis, LadderDesign, ScaleLadder
 
 DEFAULT_MU = 0.125
@@ -307,7 +307,9 @@ def _noise_blocks(seed: int, rows: int, n: int, cols) -> tuple[int, Iterator[tup
     b..b+R-1 (fewer in the last block) on the columns cols and is reused by
     the next block.  Only the first cols[-1] + 1 values of each replicate
     are drawn, into a buffer of R = max(1, _BLOCK_BYTES // (8 (cols[-1] + 1)))
-    rows, so R depends on the drawn width and never on rows.  The generator
+    rows, so R depends on the drawn width and never on rows.  When cols is
+    the prefix arange(cols[-1] + 1), block is a view of that buffer;
+    otherwise its columns cols are taken into a second buffer of R rows.  The generator
     states of up to _STATE_CHUNK rows are computed together and written in
     turn into the memory of one reused generator, after a read-only check
     against numpy's own seeding of the chunk's first row (_chunk_states).
@@ -330,7 +332,8 @@ def _blocks(seed: int, rows: int, cols: np.ndarray, width: int, R: int) -> Itera
     bitgen = np.random.PCG64()
     gen = np.random.Generator(bitgen)
     memory = _state_memory(bitgen)  # its has_uint32 stays 0: it only draws doubles
-    block, taken = np.empty((R, width)), np.empty((R, cols.size))
+    block = np.empty((R, width))
+    taken = None if cols.size == width else np.empty((R, cols.size))  # strictly increasing, so width columns are all
     seed_words = _uint32_words(seed)
     for b in range(0, rows, R):
         e = min(b + R, rows)
@@ -347,7 +350,7 @@ def _blocks(seed: int, rows: int, cols: np.ndarray, width: int, R: int) -> Itera
                     bitgen.state = _state_spec(states[k : k + 32])
                 gen.standard_normal(out=row)
             j = stop
-        yield b, block[: e - b].take(cols, axis=1, out=taken[: e - b])
+        yield b, block[: e - b] if taken is None else block[: e - b].take(cols, axis=1, out=taken[: e - b])
 
 
 def noise_matrix(seed: int, rows: int, n: int, cols) -> np.ndarray:
@@ -366,15 +369,44 @@ def noise_matrix(seed: int, rows: int, n: int, cols) -> np.ndarray:
     return out
 
 
+def _design_values(name: str, values, n: int) -> np.ndarray:
+    """values as a float array of shape (n,); ParameterDomainError naming it unless it has that shape and is finite."""
+    v = np.asarray(values, dtype=float)
+    if v.shape != (n,) or not np.all(np.isfinite(v)):
+        raise ParameterDomainError(f"{name} must hold {n} finite values, one per design point; got shape {v.shape}")
+    return v
+
+
+def _fitted_draws(sub: LadderDesign, n: int, cols: np.ndarray, mc_size: int, seed: int, sd, shift) -> np.ndarray:
+    """SelectionEnsemble.draw's fits (mc_size, K, p) on sub, its design restricted to cols of n points.
+
+    sd and shift are given on cols.  The noise blocks, Y and the generator die on return.
+    """
+    R, blocks = _noise_blocks(seed, mc_size, n, cols)
+    Y = np.zeros((R, cols.size))
+    theta_tilde = np.empty((mc_size, sub.K_eff, sub.basis.p))
+    for b, eps in blocks:
+        rows = len(eps)
+        np.multiply(eps, sd, out=Y[:rows])
+        if shift is not None:
+            Y[:rows] += shift
+        Y[rows:] = 0.0  # the last block's padding
+        theta_tilde[b : b + rows] = sub.fit_stacked(Y)[:rows]
+    return theta_tilde
+
+
 class SelectionEnsemble:
-    """Per-scale fits and the pairwise table T for a batch of replicates.
+    """Per-scale fits and the packed selection statistics T for a batch of replicates.
 
     Built from the fits theta_tilde (mc, K, p) of design ld; the
-    observations themselves are not kept.  T is the pair_statistics table
-    of every replicate: its upper triangle holds the selection statistics
-    (weighted by the smaller-scale B), its lower triangle the
-    moment-condition forms (weighted by the larger-scale B).  Selection
-    under any thresholds is then a cheap sweep.
+    observations themselves are not kept.  T is the (K (K - 1) / 2, mc)
+    pair_statistics table of every replicate: the selection statistics T_lm,
+    l < m, weighted by the smaller scale's B, T_lm in row pair_row(l, m).
+    Selection under any thresholds is then a cheap sweep.  The
+    moment-condition forms, weighted by the larger scale's B, are formed
+    from theta_tilde by pair_forms where they are read (_gap), for the
+    stopped replicates only.  An ensemble holds 8 (K (K - 1) / 2 + K p)
+    bytes per replicate: 216 at K = 6 and p = 2, 1,360 at K = 17.
     """
 
     def __init__(self, ld: LadderDesign, theta_tilde: np.ndarray):
@@ -382,9 +414,9 @@ class SelectionEnsemble:
             raise CalibrationFailedError("no usable scale at the calibration point")
         self.ld = ld
         self.K = ld.K_eff
-        self.theta_tilde = theta_tilde  # (mc, K, p)
+        self.theta_tilde = np.ascontiguousarray(theta_tilde)  # (mc, K, p); _gap reads it as (mc K, p) rows
         self.mc = theta_tilde.shape[0]
-        self.T = pair_statistics(theta_tilde, np.stack(ld.B_list)[None])  # (K, K, mc)
+        self.T = pair_statistics(theta_tilde, np.stack(ld.B_list)[None])  # (K (K - 1) / 2, mc)
         # the two names perfbench/tracing.py reads; both are the one table
         self.T_small = self.T_large = self.T
 
@@ -392,29 +424,24 @@ class SelectionEnsemble:
     def draw(cls, ld: LadderDesign, mc_size: int, seed: int, sd, mean=None) -> "SelectionEnsemble":
         """Ensemble of the observations mean + sd * eps with eps from _noise_blocks, fitted block by block.
 
-        sd and mean are given at all n design points.  Every D_k is zero
-        outside ld.support, so only those columns are drawn.  Each block of
-        R noise rows is scaled and shifted, zero-padded to R rows and fitted
-        by one fit_stacked call, so every GEMM has the same shape and
-        replicate j's fits depend on (seed, j) and R, not on mc_size (with
-        one BLAS thread, bit for bit).  Only the fits and T are kept: memory
-        is O(R x len(support) + mc_size x K^2), whatever n is.
+        sd and mean are given at all n design points: ParameterDomainError
+        unless each has shape (n,) and finite values, and sd is >= 0 (0 is a
+        noiseless truth).  Every D_k is zero outside ld.support, so only
+        those columns are drawn.  Each block of R noise rows is scaled and
+        shifted, zero-padded to R rows and fitted by one fit_stacked call,
+        so every GEMM has the same shape and replicate j's fits depend on
+        (seed, j) and R, not on mc_size (with one BLAS thread, bit for bit).
+        The blocks die before T is formed, and only the fits and T are kept:
+        memory is O(R x len(support) + mc_size x K^2), whatever n is.
         """
+        n = ld.points.shape[0]
+        sd = _design_values("sd", sd, n)
+        if np.any(sd < 0):
+            raise ParameterDomainError("sd must be >= 0 at every design point")
         cols = ld.support
+        shift = None if mean is None else _design_values("mean", mean, n)[cols]
         sub = ld.restrict(cols)
-        R, blocks = _noise_blocks(seed, mc_size, ld.points.shape[0], cols)
-        sd = np.asarray(sd, dtype=float)[cols]
-        shift = None if mean is None else np.asarray(mean, dtype=float)[cols]
-        Y = np.zeros((R, cols.size))
-        theta_tilde = np.empty((mc_size, sub.K_eff, sub.basis.p))
-        for b, eps in blocks:
-            rows = len(eps)
-            np.multiply(eps, sd, out=Y[:rows])
-            if shift is not None:
-                Y[:rows] += shift
-            Y[rows:] = 0.0  # the last block's padding
-            theta_tilde[b : b + rows] = sub.fit_stacked(Y)[:rows]
-        return cls(sub, theta_tilde)
+        return cls(sub, _fitted_draws(sub, n, cols, mc_size, seed, sd[cols], shift))
 
     @classmethod
     def pure_noise(cls, ld: LadderDesign, mc_size: int, seed: int) -> "SelectionEnsemble":
@@ -430,18 +457,27 @@ class SelectionEnsemble:
         return selection_sweep(self.T, z)[0]
 
     def _gap(self, khat: np.ndarray, k: int) -> np.ndarray:
-        """Scale k+1's gap forms for the selected indices khat: T[k, k_hat-1] where k_hat <= k, else 0."""
+        """Scale k+1's gap forms for the selected indices khat, 0 where k_hat > k.
+
+        Where k_hat <= k the form is (theta_{k_hat} - theta_{k+1})^T B_{k+1} (...),
+        formed by pair_forms for those replicates only.
+        """
         gap = np.zeros(self.mc)
         stopped = np.flatnonzero(khat <= k)
-        gap[stopped] = self.T[k, khat[stopped] - 1, stopped]
+        if stopped.size:
+            fits = self.theta_tilde.reshape(-1, self.theta_tilde.shape[-1])  # row j K + i: replicate j's theta_{i+1}
+            at = stopped * self.K
+            selected = fits.take(at + khat[stopped] - 1, axis=0)
+            gap[stopped] = pair_forms(selected, fits.take(at + k, axis=0), self.ld.B_list[k])
         return gap
 
     def gap_forms(self, khat: np.ndarray) -> np.ndarray:
         """(K, mc) quadratic forms (theta_k - theta_hat_k)^T B_k (...) for the selected indices khat; zero row for k=1.
 
-        Row k-1 is T[k-1, k_hat-1] where k_hat < k, and 0 where the sweep
-        went on to scale k, so that theta_hat_k = theta_k.  khat is k_hat's
-        result, so a caller that needs both sweeps once.
+        Row k-1 is the form of theta_{k_hat} - theta_k under B_k where
+        k_hat < k, and 0 where the sweep went on to scale k, so that
+        theta_hat_k = theta_k.  khat is k_hat's result, so a caller that
+        needs both sweeps once.
         """
         return np.stack([self._gap(khat, k) for k in range(self.K)])
 

@@ -29,54 +29,95 @@ _PAIR_BYTES = 2**20
 _UFUNC_BUFFERS = 3 * 8 * np.getbufsize()
 
 
-def pair_statistics(theta: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Every pairwise form from fits theta (N, K, p) and matrices B (N or 1, K, p, p).
+def pair_row(l: int, m: int) -> int:
+    """Row of the pair of 0-based scales l < m in a packed pair table: m (m - 1) / 2 + l.
 
-    Returns (K, K, N) with T[l-1, m-1] = max(d^T B_l d, 0), d = theta_l - theta_m,
-    for every l != m, and NaN on the diagonal: the selection statistics above
-    it (B of the smaller scale), the moment-condition forms below it (B of
-    the larger scale).  Each form is the double sum of d_i B_ij d_j over i,
-    then j, from 0, in elementwise arithmetic, so it rounds the same for any
-    N, any block size and a shared (N = 1) or a stacked B.
+    The rows are packed column by column, so column m's pairs (0, m) .. (m - 1, m)
+    are contiguous, and the first pair_row(0, k) rows are the table of the first
+    k scales.
+    """
+    return m * (m - 1) // 2 + l
+
+
+def _ladder_size(P: int) -> int:
+    """K of a packed pair table of P = K (K - 1) / 2 rows (1 for none)."""
+    K = (1 + round((1 + 8 * P) ** 0.5)) // 2  # exact: a perfect square's root rounds to itself
+    if pair_row(0, K) != P:
+        raise ParameterDomainError(f"a pair table has K (K - 1) / 2 rows for some K, got {P}")
+    return K
+
+
+def _double_sum(d: np.ndarray, B: np.ndarray, k, out: np.ndarray, prod: np.ndarray) -> np.ndarray:
+    """out = max(sum_i sum_j d[i] B[i, j, k] d[j], 0): the arithmetic of every pairwise form.
+
+    The terms d[i] B[i, j, k] d[j] are added to 0 over i, then j, from 0, one
+    elementwise ufunc call each, so a form rounds the same whatever the shape
+    of d and whether B[i, j, k] is one entry or an array of them.  prod is
+    scratch of out's shape.
+    """
+    out[...] = 0.0
+    for i in range(len(d)):
+        for j in range(len(d)):
+            np.multiply(d[i], B[i, j, k], out=prod)
+            prod *= d[j]
+            out += prod
+    return np.maximum(out, 0.0, out=out)
+
+
+def pair_forms(theta_a: np.ndarray, theta_b: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """max(d^T B d, 0) for each row d of theta_a - theta_b (n, p) and one matrix B (p, p).
+
+    The forms are pair_statistics' own arithmetic (_double_sum), so with
+    theta_l, theta_m and B_l they are its T_lm bit for bit, and swapping
+    theta_a and theta_b changes no bit.  The forms that pair_statistics does
+    not keep are formed with it where they are read: the moment-condition
+    forms (theta_l - theta_m)^T B_m (...), weighted by the larger scale, and
+    the oracle comparison of risk_experiment.
+    """
+    d = np.subtract(theta_a.T, theta_b.T, out=np.empty(theta_a.shape[::-1]))
+    out = np.empty(d.shape[1:])
+    return _double_sum(d, B[..., None], 0, out, np.empty_like(out))
+
+
+def pair_statistics(theta: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The selection statistics of fits theta (N, K, p) under matrices B (N or 1, K, p, p).
+
+    Returns the packed (K (K - 1) / 2, N) table whose row pair_row(l, m)
+    holds T_lm = max(d^T B_l d, 0), d = theta_l - theta_m, for the 0-based
+    scales l < m: column m's pairs are contiguous rows, and a row prefix is
+    the table of a shorter ladder.  That is 8 K (K - 1) / 2 bytes per
+    replicate.  Each form is _double_sum's double sum of d_i B_ij d_j over
+    i, then j, from 0, in elementwise arithmetic, so it rounds the same for
+    any N, any block size and a shared (N = 1) or a stacked B; pair_forms
+    forms any other pair, such as the moment-condition forms weighted by
+    B_m, in the same arithmetic.
 
     The replicates are taken n at a time.  A block copies its theta
-    replicate-last, as (p, K, n), and a stacked B as (p, p, K, n), forms each
-    difference theta_l - theta_m with l < m once, and weights it by B_l above
-    the diagonal and by B_m below it, since (-d)_i B_ij (-d)_j rounds as
-    d_i B_ij d_j.  n is the most replicates whose temporaries fit in
-    _PAIR_BYTES, with _UFUNC_BUFFERS of it set aside, so the memory beyond
-    the returned table does not grow with N.
+    replicate-last, as (p, K, n), and a stacked B as (p, p, K, n), forms
+    every difference theta_l - theta_m with l < m, and sums its weighted
+    products into the returned table.  n is the most replicates whose
+    temporaries fit in _PAIR_BYTES, with _UFUNC_BUFFERS of it set aside, so
+    the memory beyond the returned table does not grow with N.
     """
     N, K, p = theta.shape
-    T = np.empty((K, K, N))
-    T[np.arange(K), np.arange(K)] = np.nan
-    l, m = np.triu_indices(K, 1)  # the pairs l < m, 0-based, in row order
+    m, l = np.tril_indices(K, -1)  # the pairs l < m, 0-based, column by column
     P, shared = l.size, B.shape[0] == 1
-    sizes = (p * K, p * P, P, P, P, 0 if shared else p * p * K)  # theta, differences, two forms, product, B
+    T = np.empty((P, N))
+    sizes = (p * K, p * P, P, 0 if shared else p * p * K)  # theta, differences, product, B
     n = max(1, min(N, (_PAIR_BYTES - _UFUNC_BUFFERS) // (8 * (sum(sizes) + P))))  # + P: one gathered B entry
-    th_buf, d_buf, upper_buf, lower_buf, prod_buf, B_buf = (np.empty(size * n) for size in sizes)
+    th_buf, d_buf, prod_buf, B_buf = (np.empty(size * n) for size in sizes)
     Bb = B.transpose(2, 3, 1, 0)  # (p, p, K, 1) when shared
     for b in range(0, N, n):
         w = min(n, N - b)  # a block works on contiguous views of the buffers' first entries
         th, d = th_buf[: p * K * w].reshape(p, K, w), d_buf[: p * P * w].reshape(p, P, w)
-        upper, lower, prod = (buf[: P * w].reshape(P, w) for buf in (upper_buf, lower_buf, prod_buf))
         np.copyto(th, theta[b : b + w].transpose(2, 1, 0))
         if not shared:
             Bb = B_buf[: p * p * K * w].reshape(p, p, K, w)
             np.copyto(Bb, B[b : b + w].transpose(2, 3, 1, 0))
-        for a in range(K - 1):  # the pairs of l = a: d = theta_a - theta_m for m > a
-            s = P - (K - a) * (K - a - 1) // 2
-            np.subtract(th[:, a, None], th[:, a + 1 :], out=d[:, s : s + K - a - 1])
-        upper[:] = 0.0
-        lower[:] = 0.0
-        for i in range(p):
-            for j in range(p):
-                for forms, k in ((upper, l), (lower, m)):
-                    np.multiply(d[i], Bb[i, j, k], out=prod)
-                    prod *= d[j]
-                    forms += prod
-        T[l, m, b : b + w] = np.maximum(upper, 0.0, out=upper)
-        T[m, l, b : b + w] = np.maximum(lower, 0.0, out=lower)
+        for c in range(1, K):  # column c: d = theta_l - theta_c for l < c
+            s = pair_row(0, c)
+            np.subtract(th[:, :c], th[:, c, None], out=d[:, s : s + c])
+        _double_sum(d, Bb, l, T[:, b : b + w], prod_buf[: P * w].reshape(P, w))
     return T
 
 
@@ -91,15 +132,19 @@ def _thresholds(z, K: int) -> np.ndarray:
 
 @dataclass
 class SelectionTrace:
-    """Outcome of the selection sweep at one reference point."""
+    """Outcome of the selection sweep at one reference point.
+
+    statistics is the point's column of pair_statistics' packed table,
+    8 K (K - 1) / 2 bytes: T_lm in row pair_row(l, m) for 0-based l < m.
+    """
 
     k_hat: int
-    statistics: np.ndarray  # (K, K) pair_statistics table: T[l-1, m-1] for l != m, NaN diagonal
+    statistics: np.ndarray  # (K (K - 1) / 2,) packed pair_statistics column: T_lm in row pair_row(l, m), 0-based l < m
     first_violation: tuple[int, int] | None  # 1-indexed (l, m), None if fully accepted
 
     @property
     def K(self) -> int:
-        return self.statistics.shape[0]
+        return _ladder_size(self.statistics.shape[0])
 
     def stepwise_indices(self) -> np.ndarray:
         """min(k, k_hat) for k = 1..K, the scale used after each step."""
@@ -107,25 +152,27 @@ class SelectionTrace:
 
 
 def selection_sweep(T: np.ndarray, z) -> tuple[np.ndarray, np.ndarray]:
-    """The selection rule for every column of a (K, K, N) statistics table.
+    """The selection rule for every column of a packed (K (K - 1) / 2, N) pair_statistics table.
 
     Scale m is reachable only if every pair (l, m') with l < m' <= m passed,
     so each column stops at the first m with a violated pair T_lm > z_l, and
-    k_hat = m - 1; a column without a violation gets K.  Only entries l < m
-    are read, and NaN entries never violate, so a ladder shorter than K,
-    padded with NaN, gets K where its own length is meant.  The sweep runs
-    over the K - 1 columns m, each vectorised over N.
+    k_hat = m - 1; a column without a violation gets K.  NaN entries never
+    violate, so a ladder shorter than K, padded with NaN, gets K where its
+    own length is meant.  The sweep runs over the K - 1 scales m, reading
+    their contiguous rows pair_row(0, m) .. pair_row(m - 1, m), each
+    vectorised over N.
 
     Returns k_hat (N,) and the first violated pair (N, 2) as 1-indexed (l, m),
     the smallest l at the first m, or (0, 0) where none is violated.
     """
-    K, N = T.shape[0], T.shape[-1]
+    K, N = _ladder_size(T.shape[0]), T.shape[-1]
     zv = _thresholds(z, K)
     k_hat = np.full(N, K)
     first = np.zeros((N, 2), dtype=int)
     alive = np.ones(N, dtype=bool)
     for m in range(1, K):  # 0-based scale index; its pairs are (l, m), l < m
-        viol = T[:m, m] > zv[:m, None]
+        s = pair_row(0, m)
+        viol = T[s : s + m] > zv[:m, None]
         stop = alive & viol.any(axis=0)
         k_hat[stop] = m
         first[stop, 0] = viol[:, stop].argmax(axis=0) + 1
@@ -165,6 +212,8 @@ class CurveFit:
     """The adaptive fits of every grid point, as whole-grid arrays.
 
     A point without a usable scale has k_eff = k_hat = 0 and NaN estimates.
+    T is pair_statistics' packed table, 8 K (K - 1) / 2 bytes per point:
+    T_lm of point g is T[pair_row(l, m), g] for 0-based scales l < m.
     """
 
     x: np.ndarray  # (G, d) grid points
@@ -172,7 +221,7 @@ class CurveFit:
     k_hat: np.ndarray  # (G,)
     theta_hat: np.ndarray  # (G, p) the fit at scale k_hat
     fitted_values: np.ndarray  # (G,) theta_hat @ psi(0)
-    T: np.ndarray  # (K, K, G) pair_statistics tables, NaN on the diagonal and outside each point's ladder
+    T: np.ndarray  # (K (K - 1) / 2, G) packed pair_statistics table, NaN outside each point's ladder
     first: np.ndarray  # (G, 2) first violated pair (l, m), 1-indexed, (0, 0) where none
 
 
@@ -239,10 +288,10 @@ def fit_curve(data: Dataset, x_grid, ladder: ScaleLadder, basis: Basis, cv) -> C
     _GATE_BLOCK points, k_eff is the smaller of each point's gate and pivot
     counts, and the fits from k_eff on become NaN in one write.  One
     pair_statistics call then forms every point's T_lm, one
-    selection_sweep selects every point, and each k_hat is capped at its
-    k_eff.  Results therefore do not depend on the grid's order or on the
-    other points, nor on the order of the data rows when their first
-    coordinates have no ties.
+    selection_sweep on the rows of the longest ladder selects every point,
+    and each k_hat is capped at its k_eff.  Results therefore do not depend
+    on the grid's order or on the other points, nor on the order of the
+    data rows when their first coordinates have no ties.
 
     A point with no usable scale gets k_eff = k_hat = 0 and NaN estimates
     in the returned CurveFit rather than aborting the grid.
@@ -271,7 +320,7 @@ def fit_curve(data: Dataset, x_grid, ladder: ScaleLadder, basis: Basis, cv) -> C
     G = len(centres)
     T = pair_statistics(theta, B)
     K_max = int(k_eff.max(initial=0))
-    k_hat, first = selection_sweep(T[:K_max, :K_max], cv)
+    k_hat, first = selection_sweep(T[: pair_row(0, K_max)], cv)
     k_hat = np.minimum(k_hat, k_eff)  # a ladder cut at k_eff has NaN pairs beyond it, which never violate
     theta_hat = theta[np.arange(G), k_hat - 1]
     psi0 = basis.evaluate(np.zeros(basis.dim))

@@ -19,6 +19,7 @@ import numpy as np
 from .calibration import CriticalValues, SelectionEnsemble, check_r, replicate_noise
 from .dataset import Dataset
 from .exceptions import ParameterDomainError, SingularJointCovarianceError
+from .fll_selector import pair_forms
 from .local_model import Basis, LadderDesign, ScaleLadder, relative_gap
 from .oracle_diagnostics import componentwise_scale, oracle_diagnostics, oracle_index
 
@@ -184,8 +185,9 @@ def risk_experiment(
         rows.append(_moment_row(scene.f, k, "adaptive_gap_pow_r", gaps[k - 1] ** r, replicates))
         rows.append(_moment_row(scene.f, k, "adaptive_gap_pow_r2", gaps[k - 1] ** (r / 2.0), replicates))
 
-    # oracle comparison: quadratic form between scales k_star and k_hat, B from k_star (the row of T)
-    oracle_vals = np.where(khat == k_star, 0.0, ens.T[k_star - 1, khat - 1, np.arange(replicates)])
+    # oracle comparison: quadratic form between scales k_star and k_hat, B from k_star
+    theta_star = ens.theta_tilde[:, k_star - 1]
+    oracle_vals = np.where(khat == k_star, 0.0, pair_forms(theta_star, theta_hat, ld.B_list[k_star - 1]))
     rows.append(_moment_row(scene.f, k_star, "oracle_gap_pow_r2", oracle_vals ** (r / 2.0), replicates))
 
     for k in range(1, K + 1):

@@ -31,6 +31,7 @@ from .calibration import (
 )
 from .dataset import Dataset
 from .exceptions import ParameterDomainError
+from .fll_selector import pair_forms, pair_row
 from .local_model import Basis, LadderDesign, ScaleLadder, check_noise, default_h1, generalized_eigvalsh, relative_gap
 from .oracle_diagnostics import bias_profile, boxcar_determinant, joint_covariance, kl_joint, wilks_spectrum
 from .sim_harness import SigmaSpec
@@ -168,6 +169,15 @@ def _wilks_forms(ld: LadderDesign, sigma_true: np.ndarray, k: int, noise: np.nda
     A = ld.D_list[k - 1] * sigma_true  # maps standard normals to theta - theta_bar
     g = _shared_rows(noise, ld.points.shape[0]) @ A.T
     return np.maximum(np.einsum("ri,ij,rj->r", g, ld.B_list[k - 1], g), 0.0)
+
+
+def _scaled_fits(ld: LadderDesign, noise: np.ndarray, sd: np.ndarray) -> np.ndarray:
+    """The fits (rows, K, p) of the observations sd * eps, one per row eps of noise, on a design restricted to its window.
+
+    sd scales each propagator (D_k * sd, as _wilks_forms does), so the noise table is not copied.
+    """
+    eps = _shared_rows(noise, ld.points.shape[0])
+    return np.stack([eps @ (D * sd).T for D in ld.D_list], axis=1)
 
 
 def check_wilks(noise: np.ndarray, p: int = 2, kernel: str = "boxcar") -> CheckResult:
@@ -314,13 +324,14 @@ def check_pair_bounds(noise: np.ndarray) -> tuple[CheckResult, CheckResult]:
     ld, pts = _unit_design(1, 150, 4, 1.5)
     u0_hat, u_hat = ld.growth_bounds()
     sd = SigmaSpec("sine", 1.0, delta).values(pts)
-    ens = SelectionEnsemble(ld, ld.fit_stacked(_shared_rows(noise, pts.size) * sd))
-    replicates = ens.mc
+    ens = SelectionEnsemble(ld, _scaled_fits(ld, noise, sd))
+    theta, replicates = ens.theta_tilde, ens.mc
     c = 2.0 * (1.0 + delta)
     tail, moment, mean_dev = -1.0, -math.inf, 0.0
     for l, k in itertools.combinations(range(1, ld.K_eff + 1), 2):
         t0, t1 = c * (1.0 + u0_hat ** (-(k - l))), c * (1.0 + u_hat ** (k - l))
-        T_lk, T_kl = ens.T[l - 1, k - 1], ens.T[k - 1, l - 1]
+        T_lk = ens.T[pair_row(l - 1, k - 1)]
+        T_kl = pair_forms(theta[:, l - 1], theta[:, k - 1], ld.B_list[k - 1])
         for table, t in ((T_lk, t0), (T_kl, t1)):
             for z in (2.0, 4.0, 8.0, 16.0):
                 emp = float(np.mean(table >= z))
@@ -348,12 +359,11 @@ def check_stacked_covariance(noise: np.ndarray) -> CheckResult:
     """Empirical covariance of the stacked estimators matches the joint law (delta 0.15, p 2, n 120)."""
     delta = 0.15
     ld, pts = _unit_design(2, 120, 3, 1.6)
-    n = ld.points.shape[0]
     sigma0 = SigmaSpec("sine", 1.0, delta, 0.5).values(pts)
     S0 = joint_covariance(ld.D_list, sigma0**2)
-    eps = _shared_rows(noise, n)
-    replicates = eps.shape[0]
-    draws = ld.fit_stacked(eps * sigma0).reshape(replicates, -1)  # rows (theta_1, ..., theta_K)
+    fits = _scaled_fits(ld, noise, sigma0)
+    replicates = fits.shape[0]
+    draws = fits.reshape(replicates, -1)  # rows (theta_1, ..., theta_K)
     emp = np.cov(draws, rowvar=False)
     dg = np.diag(S0)
     se = np.sqrt((np.outer(dg, dg) + S0**2) / replicates)

@@ -18,6 +18,7 @@ from lpadapt.calibration import (
     theoretical_cv,
     validate_pc,
 )
+from lpadapt.fll_selector import pair_forms
 from lpadapt.local_model import Basis, LadderDesign, ScaleLadder, default_h1
 from lpadapt.oracle_diagnostics import oracle_risk_bound, wilks_spectrum
 from lpadapt.sim_harness import Scene, SigmaSpec, risk_experiment
@@ -134,6 +135,13 @@ def test_A7_kl_sandwich():
     _report("A7", result.passed, f"100 random scenes, delta in [0, 0.3]; {result.detail}")
 
 
+def _both_triangles(ens):
+    """The packed selection statistics T_lm, then every moment-condition form (theta_l - theta_m)^T B_m (...), l < m."""
+    th = ens.theta_tilde
+    moment = [pair_forms(th[:, l], th[:, m], ens.ld.B_list[m]) for m in range(ens.K) for l in range(m)]
+    return np.concatenate([ens.T, np.reshape(moment, (-1, ens.mc))])
+
+
 def test_A8_pivotality():
     n, p, K = 120, 2, 4
     basis = Basis.polynomial(p - 1)
@@ -148,8 +156,7 @@ def test_A8_pivotality():
         theta = rng.normal(size=p) * 5.0
         base = SelectionEnsemble.pure_noise(ld, 50, seed=trial)
         shifted = SelectionEnsemble.draw(ld, 50, trial, ld.sigma_model, mean=ld.psi.T @ theta)
-        mask = ~np.isnan(base.T)
-        worst_stat = max(worst_stat, float(np.max(np.abs(base.T[mask] - shifted.T[mask]))))
+        worst_stat = max(worst_stat, float(np.max(np.abs(_both_triangles(base) - _both_triangles(shifted)))))
         if not np.array_equal(base.k_hat(z), shifted.k_hat(z)):
             khat_mismatch += 1
         mb, _ = base.pc_moments(z, 0.5)

@@ -10,6 +10,8 @@ from lpadapt.exceptions import ParameterDomainError
 from lpadapt.fll_selector import (
     adaptive_estimate,
     fit_curve,
+    pair_forms,
+    pair_row,
     pair_statistics,
     select_adaptive,
     selection_sweep,
@@ -26,8 +28,11 @@ def _fits_from_thetas(thetas, B=None):
     return [LocalFit(theta=np.asarray(t, dtype=float), B=B, k=i + 1) for i, t in enumerate(thetas)]
 
 
-def _pair_statistics_by_row(theta, B):
-    """pair_statistics as it was before rows were grouped: one row l of the table per pass."""
+def _full_table_by_row(theta, B):
+    """Every form T[l, m] = max(d^T B_l d, 0), d = theta_l - theta_m, (K, K, N), one row l per pass.
+
+    The entries l < m are the selection statistics, those l > m the moment-condition forms.
+    """
     N, K, p = theta.shape
     T = np.empty((K, K, N))
     for l in range(K):
@@ -37,8 +42,13 @@ def _pair_statistics_by_row(theta, B):
             for j in range(p):
                 forms += d[..., i] * B[:, l, i, j, None] * d[..., j]
         T[l] = np.maximum(forms, 0.0).T
-    T[np.arange(K), np.arange(K)] = np.nan
     return T
+
+
+def _pair_statistics_by_row(theta, B):
+    """pair_statistics as it was before rows were grouped: the entries l < m of _full_table_by_row, column by column."""
+    m, l = np.tril_indices(theta.shape[1], -1)
+    return _full_table_by_row(theta, B)[l, m]
 
 
 def _pair_inputs(rng, N, K, p, shared):
@@ -75,7 +85,7 @@ class TestPairStatisticsBlocks:
             for extra in (0, 3000, 20000, 2**20):  # beyond the set-aside ufunc buffers
                 monkeypatch.setattr(fll_selector, "_PAIR_BYTES", fll_selector._UFUNC_BUFFERS + extra)
                 T, blocks = _blocks(theta, B)
-                assert T.shape == (K, K, N) and np.array_equal(T, want, equal_nan=True)
+                assert T.shape == (K * (K - 1) // 2, N) and np.array_equal(T, want, equal_nan=True)
                 starts, stops = [b for b, _ in blocks], [e for _, e in blocks]
                 assert [0, *stops] == [*starts, N]  # contiguous blocks that cover the replicates in order
                 if extra == 0:
@@ -114,14 +124,43 @@ class TestPairStatisticsBlocks:
         assert peak - T.nbytes <= fll_selector._PAIR_BYTES
 
 
+class TestPackedLayout:
+    def test_rows_are_packed_column_by_column(self):
+        K = 7
+        assert [pair_row(l, m) for m in range(K) for l in range(m)] == list(range(K * (K - 1) // 2))
+
+    def test_a_row_prefix_is_the_table_of_a_shorter_ladder(self, rng):
+        theta, B = _pair_inputs(rng, 9, 6, 2, False)
+        T = pair_statistics(theta, B)
+        for k in range(1, 7):
+            assert np.array_equal(T[: pair_row(0, k)], pair_statistics(theta[:, :k], B[:, :k]))
+
+    @pytest.mark.parametrize("rows", [2, 4, 5, 7])
+    def test_sweep_rejects_a_table_of_no_ladder(self, rows):
+        with pytest.raises(ParameterDomainError, match=r"K \(K - 1\) / 2 rows"):
+            selection_sweep(np.zeros((rows, 3)), np.ones(5))
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_pair_forms_are_both_triangles_bit_for_bit(self, rng, p):
+        """With B_l the forms are T_lm, with B_m the moment-condition forms, in either order of the fits."""
+        theta, B = _pair_inputs(rng, 300, 5, p, True)
+        full = _full_table_by_row(theta, B)
+        T = pair_statistics(theta, B)
+        for m in range(5):
+            for l in range(m):
+                for a, b in ((l, m), (m, l)):
+                    assert np.array_equal(pair_forms(theta[:, a], theta[:, b], B[0, l]), T[pair_row(l, m)])
+                    assert np.array_equal(pair_forms(theta[:, a], theta[:, b], B[0, m]), full[m, l])
+
+
 class TestFllStatistic:
     def test_zero_difference(self):
         T = pair_statistics(np.array([[[1.0, 2.0], [1.0, 2.0]]]), np.stack([np.eye(2)] * 2)[None])
-        assert T[0, 1, 0] == 0.0
+        assert T.shape == (1, 1) and T[0, 0] == 0.0
 
     def test_scalar_case(self):
         T = pair_statistics(np.array([[[1.0], [0.5]]]), np.array([[[[4.0]], [[9.0]]]]))
-        assert T[0, 1, 0] == pytest.approx(1.0)  # 4 * 0.25, B from the smaller scale
+        assert T[pair_row(0, 1), 0] == pytest.approx(1.0)  # 4 * 0.25, B from the smaller scale
 
     def test_matches_direct_likelihood_difference(self, rng):
         # oracle: T = 2 (L(W_l, theta_l) - L(W_l, theta_m)) evaluated from raw data,
@@ -142,8 +181,8 @@ class TestFllStatistic:
         for l in range(1, 4):
             for m in range(l + 1, 4):
                 oracle = 2.0 * (loglik(l, thetas[l - 1]) - loglik(l, thetas[m - 1]))
-                assert T[l - 1, m - 1] == pytest.approx(oracle, abs=1e-8)
-                assert T_curve[l - 1, m - 1] == pytest.approx(oracle, abs=1e-8)
+                assert T[pair_row(l - 1, m - 1)] == pytest.approx(oracle, abs=1e-8)
+                assert T_curve[pair_row(l - 1, m - 1)] == pytest.approx(oracle, abs=1e-8)
 
 
 class TestSelectAdaptive:
@@ -173,7 +212,7 @@ class TestSelectAdaptive:
             accepted = [
                 k
                 for k in range(1, K + 1)
-                if all(T[l - 1, m - 1] <= z[l - 1] for m in range(2, k + 1) for l in range(1, m))
+                if all(T[pair_row(l - 1, m - 1)] <= z[l - 1] for m in range(2, k + 1) for l in range(1, m))
             ]
             assert trace.k_hat == max(accepted)
 
@@ -292,7 +331,7 @@ class TestFitCurve:
         pts = np.linspace(0.0, 1.0, 40)
         data = Dataset(x=pts, y=np.sin(pts), sigma=np.ones(40))
         out = fit_curve(data, grid, ScaleLadder.geometric(0.1, 3, growth=1.5), Basis.polynomial(1), np.full(2, 1.0))
-        assert out.T.shape == (3, 3, 0) and out.first.shape == (0, 2) and out.theta_hat.shape == (0, 2)
+        assert out.T.shape == (3, 0) and out.first.shape == (0, 2) and out.theta_hat.shape == (0, 2)
         for arr in (out.k_eff, out.k_hat, out.fitted_values):
             assert arr.shape == (0,)
 

@@ -264,6 +264,25 @@ def test_scratch_memory_does_not_grow_with_rows():
     assert peak < out.nbytes + 2 * 2**20, peak
 
 
+def test_prefix_columns_are_yielded_from_the_drawn_rows():
+    """cols = arange(width) takes no second R x width buffer: the blocks are views of the drawn rows.
+
+    One block of R = _BLOCK_BYTES / (8 width) rows takes _BLOCK_BYTES; a copy of its columns would double that.
+    """
+    width = 4096
+    R = calibration._BLOCK_BYTES // (8 * width)
+    noise_matrix(0, 2, width, np.arange(width))  # first-call imports and caches stay out of the peak
+    tracemalloc.start()
+    try:
+        _, blocks = calibration._noise_blocks(3, R, width, np.arange(width))
+        ((b, block),) = list(blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert b == 0 and np.array_equal(block, numpy_rows(3, range(R), width, np.arange(width)))
+    assert calibration._BLOCK_BYTES <= peak < 1.5 * calibration._BLOCK_BYTES, peak
+
+
 def test_rows_past_two_to_the_32_rejected_before_allocating():
     tracemalloc.start()
     try:

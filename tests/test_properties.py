@@ -4,10 +4,11 @@ fit_curve builds grid points in stacked chunks; each point's result must be
 the one-point fit bit for bit, whatever else is in its chunk and in whatever
 order the grid comes.  The selection sweep shared by single points and by
 Monte-Carlo ensembles must follow the literal rule: stop at the first m with
-a pair T_lm > z_l, accepting on equality.  pair_statistics, the one place a
-pairwise form is computed, must be the written-out double sum in both
-triangles, for any batch, and the ensembles' gathers from its table must
-equal the loops over scales they replace.  mc_calibrate draws its noise in
+a pair T_lm > z_l, accepting on equality.  Every pairwise form must be the
+written-out double sum, for any batch: pair_statistics' packed selection
+statistics and pair_forms' moment-condition forms alike, and the ensembles'
+gap and oracle forms must equal loops over the scales of the written-out
+(K, K) table.  mc_calibrate draws its noise in
 window coordinates, so design points outside the largest window leave its
 thresholds unchanged.  A change of the unit of x, or of y and sigma, changes
 no selection, and neither does adding to y a polynomial in the span of the
@@ -25,7 +26,7 @@ import lpadapt.fll_selector as fll
 import lpadapt.sim_harness as sim_harness
 from lpadapt.calibration import CriticalValues, SelectionEnsemble, mc_calibrate
 from lpadapt.dataset import Dataset
-from lpadapt.fll_selector import fit_curve, pair_statistics, select_adaptive, selection_sweep
+from lpadapt.fll_selector import fit_curve, pair_forms, pair_row, pair_statistics, select_adaptive, selection_sweep
 from lpadapt.local_model import (
     KERNEL_RADIUS,
     KERNELS,
@@ -72,7 +73,7 @@ def same(a, b):
     return np.array_equal(a, b, equal_nan=True)
 
 
-#: the (G, ...) arrays of a CurveFit; T is (K, K, G)
+#: the (G, ...) arrays of a CurveFit; T is (K (K - 1) / 2, G)
 ROWS = ("x", "k_eff", "k_hat", "first", "theta_hat", "fitted_values")
 
 
@@ -196,27 +197,26 @@ def test_stacked_design_weights_are_nested_for_every_kernel(seed, d, K):
 
 
 def literal_rule(T, z, K):
-    """The selection rule as written: (k_hat, first violated (l, m) or None) for one (K, K) table."""
+    """The selection rule as written: (k_hat, first violated (l, m) or None) for one packed column of a pair table."""
     for m in range(2, K + 1):
         for l in range(1, m):
-            if T[l - 1, m - 1] > z[l - 1]:
+            if T[pair_row(l - 1, m - 1)] > z[l - 1]:
                 return m - 1, (l, m)
     return K, None
 
 
 @st.composite
 def tables(draw):
-    """(K, K, N) statistics with NaN beyond each column's ladder, thresholds hit exactly by some entries."""
+    """Packed (K (K - 1) / 2, N) statistics with NaN beyond each column's ladder, thresholds hit exactly by some entries."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     K, N = draw(st.integers(1, 7)), draw(st.integers(1, 40))
-    T = rng.choice([0.0, 1.0, 2.0, 4.0], (K, K, N)) * rng.uniform(0.5, 1.5, (1, 1, N))
-    T[np.tril_indices(K)] = np.nan
+    m, l = np.tril_indices(K, -1)  # the pair of each row
+    T = rng.choice([0.0, 1.0, 2.0, 4.0], (l.size, N)) * rng.uniform(0.5, 1.5, (1, N))
     z = rng.choice([1.0, 2.0, 4.0], max(K - 1, 0))
-    ties = rng.random((K, K, N)) < 0.3  # T == z_l exactly
-    T = np.where(ties & ~np.isnan(T), np.append(z, 0.0)[:, None, None], T)
+    ties = rng.random((l.size, N)) < 0.3  # T == z_l exactly
+    T = np.where(ties, z[l][:, None], T)
     k_eff = rng.integers(1, K + 1, N)
-    scale = np.arange(K)
-    T[(scale[:, None, None] >= k_eff) | (scale[:, None] >= k_eff)] = np.nan
+    T[m[:, None] >= k_eff] = np.nan
     return T, z, k_eff
 
 
@@ -228,7 +228,7 @@ def test_sweep_follows_the_literal_rule(table):
     k_hat, first = selection_sweep(T, z)
     k_hat = np.minimum(k_hat, k_eff)
     for i in range(T.shape[-1]):
-        expected_k, expected_first = literal_rule(T[:, :, i], z, int(k_eff[i]))
+        expected_k, expected_first = literal_rule(T[:, i], z, int(k_eff[i]))
         assert k_hat[i] == expected_k
         assert (tuple(first[i]) if first[i, 1] else None) == expected_first
 
@@ -259,17 +259,18 @@ def fit_batches(draw):
 @SETTINGS
 @given(fit_batches())
 def test_pair_statistics_is_the_double_sum_in_both_triangles(batch):
+    """T_lm, B of the smaller scale, in pair_statistics' packed rows; the forms under B_m from pair_forms."""
     theta, B = batch
     N, K, _ = theta.shape
     T = pair_statistics(theta, B)
-    assert T.shape == (K, K, N)
+    assert T.shape == (K * (K - 1) // 2, N)
     for g in range(N):
         Bg = B[g % B.shape[0]]
-        for l in range(K):
-            assert np.isnan(T[l, l, g])
-            for m in range(K):
-                if l != m:
-                    assert T[l, m, g] == double_sum(theta[g, l] - theta[g, m], Bg[l])
+        for m in range(K):
+            for l in range(m):
+                d = theta[g, l] - theta[g, m]
+                assert T[pair_row(l, m), g] == double_sum(d, Bg[l])
+                assert pair_forms(theta[g : g + 1, l], theta[g : g + 1, m], Bg[m])[0] == double_sum(d, Bg[m])
 
 
 @SETTINGS
@@ -282,20 +283,38 @@ def test_pair_statistics_of_a_batch_are_those_of_its_items(batch):
         assert same(T[..., g : g + 1], one)
 
 
-def scale_loop_gap_forms(ens, khat):
-    """SelectionEnsemble.gap_forms as a loop over the scales, reading the lower triangle of T."""
-    vals = np.zeros((ens.K, ens.mc))
-    for k in range(2, ens.K + 1):
+def written_out_table(ens):
+    """(K, K, mc): entry [l, m] is double_sum(theta_l - theta_m, B_l) for l != m, NaN on the diagonal.
+
+    Above the diagonal the selection statistics, below it the moment-condition forms (B of the larger scale).
+    """
+    full = np.full((ens.K, ens.K, ens.mc), np.nan)
+    for g in range(ens.mc):
+        for l in range(ens.K):
+            for m in range(ens.K):
+                if l != m:
+                    full[l, m, g] = double_sum(ens.theta_tilde[g, l] - ens.theta_tilde[g, m], ens.ld.B_list[l])
+    return full
+
+
+def scale_loop_gap_forms(full, khat):
+    """SelectionEnsemble.gap_forms as a loop over the scales, reading the lower triangle of the written-out table."""
+    K = full.shape[0]
+    vals = np.zeros((K, khat.size))
+    for k in range(2, K + 1):
         mstep = np.minimum(k, khat)
         for m in range(1, k):
             idx = mstep == m
             if np.any(idx):
-                vals[k - 1, idx] = ens.T[k - 1, m - 1, idx]
+                vals[k - 1, idx] = full[k - 1, m - 1, idx]
     return vals
 
 
 def scale_loop_oracle_gaps(T, khat, k_star):
-    """risk_experiment's oracle comparison as a loop over the selected scales: B from k_star, in either triangle."""
+    """risk_experiment's oracle comparison as a loop over the selected scales: row k_star of the written-out table.
+
+    Its B is B_{k_star} in either triangle.
+    """
     vals = np.zeros(khat.size)
     for m in range(1, T.shape[0] + 1):
         idx = khat == m
@@ -321,11 +340,14 @@ def test_gathers_equal_the_scale_loops(problem, seed):
     ld = LadderDesign(basis, ladder, scene.design_points(), x, scene.sigma_model_values())
     reps, r = 80, 0.5
     ens = SelectionEnsemble.draw(ld, reps, scene.seed, scene.sigma_true_values(), mean=scene.f_values())
-    upper = ens.T[np.triu_indices(ens.K, 1)].ravel()
+    full = written_out_table(ens)
+    m, l = np.tril_indices(ens.K, -1)
+    assert same(ens.T, full[l, m])  # the packed upper triangle, bit for bit
+    upper = ens.T.ravel()
     # realised statistics as thresholds: ties for some replicates
     z = np.random.default_rng(seed).choice(upper[upper > 0], ens.K - 1)
     khat = ens.k_hat(z)
-    assert same(ens.gap_forms(khat), scale_loop_gap_forms(ens, khat))
+    assert same(ens.gap_forms(khat), scale_loop_gap_forms(full, khat))
 
     cv = CriticalValues(z=tuple(z.tolist()), method="fixed", alpha=1.0, r=r, p=basis.p, K=ens.K)
     rows = {}
@@ -333,7 +355,7 @@ def test_gathers_equal_the_scale_loops(problem, seed):
         table = risk_experiment(scene, ladder, basis, cv, r, reps, x=x, delta_budget=budget)
         for call in spy.call_args_list:
             rows[call.args[2]] = call.args[3]
-    expected = scale_loop_oracle_gaps(ens.T, khat, table.meta["k_star"]) ** (r / 2.0)
+    expected = scale_loop_oracle_gaps(full, khat, table.meta["k_star"]) ** (r / 2.0)
     assert same(rows["oracle_gap_pow_r2"], expected)
 
 
@@ -346,12 +368,15 @@ def test_select_adaptive_is_the_sweep_on_one_column(seed, K, p):
     fits = [LocalFit(theta=t, B=A @ A.T + np.eye(p), k=k + 1) for k, t in enumerate(thetas)]
     T = select_adaptive(fits, np.full(max(K - 1, 0), np.inf)).statistics
     # thresholds equal to realised statistics, so T == z ties occur; thresholds must be positive
-    pool = np.append(T[np.triu_indices(K, 1)], [0.5, 2.0])
+    pool = np.append(T, [0.5, 2.0])
     z = rng.choice(pool[pool > 0], max(K - 1, 0))
     trace = select_adaptive(fits, z)
     assert (trace.k_hat, trace.first_violation) == literal_rule(trace.statistics, z, K)
-    for l, m in zip(*np.nonzero(~np.eye(K, dtype=bool))):
-        assert trace.statistics[l, m] == double_sum(fits[l].theta - fits[m].theta, fits[l].B)  # bit for bit
+    for m in range(K):
+        for l in range(m):  # bit for bit: the statistic under B_l, the moment-condition form under B_m
+            d = fits[l].theta - fits[m].theta
+            assert trace.statistics[pair_row(l, m)] == double_sum(d, fits[l].B)
+            assert pair_forms(fits[l].theta[None], fits[m].theta[None], fits[m].B)[0] == double_sum(d, fits[m].B)
 
 
 @SETTINGS
@@ -364,10 +389,10 @@ def test_ensemble_selection_is_the_literal_rule(seed, degree):
     ld = LadderDesign(Basis.polynomial(degree), ScaleLadder.geometric(0.06, 4, growth=1.5), points, 0.5, sigma)
     ens = SelectionEnsemble.pure_noise(ld, 60, seed % 1000)
     T = ens.T
-    pool = T[np.triu_indices(ens.K, 1)].ravel()
+    pool = T.ravel()
     z = rng.choice(pool[pool > 0], ens.K - 1)  # realised positive statistics: ties for some replicates
     k_hat = ens.k_hat(z)
-    assert [literal_rule(T[:, :, j], z, ens.K)[0] for j in range(ens.mc)] == k_hat.tolist()
+    assert [literal_rule(T[:, j], z, ens.K)[0] for j in range(ens.mc)] == k_hat.tolist()
 
 
 def test_tie_cases_from_the_selector_suite():
@@ -375,7 +400,7 @@ def test_tie_cases_from_the_selector_suite():
     tie = [LocalFit(theta=np.array([0.0]), B=unit, k=1), LocalFit(theta=np.array([2.0]), B=unit, k=2)]  # T = 4
     assert select_adaptive(tie, np.array([4.0])).k_hat == 2
     assert select_adaptive(tie, np.array([3.999])).first_violation == (1, 2)
-    T = np.array([[np.nan, 4.0], [np.nan, np.nan]])[..., None]
+    T = np.array([[4.0]])  # the one pair of two scales, one column
     assert selection_sweep(T, [4.0])[0].tolist() == [2]
     assert selection_sweep(T, [np.nextafter(4.0, 0.0)])[1].tolist() == [[1, 2]]
 

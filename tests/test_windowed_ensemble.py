@@ -21,7 +21,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from lpadapt import calibration
+from lpadapt import calibration, fll_selector
 from lpadapt.calibration import MIN_MC_SIZE, SelectionEnsemble, mc_calibrate, noise_matrix, replicate_noise
 from lpadapt.exceptions import ParameterDomainError
 from lpadapt.local_model import KERNELS, Basis, LadderDesign, ScaleLadder, default_h1
@@ -187,15 +187,40 @@ def test_ensemble_holds_support_columns_only(draw_sizes):
 
     # the K = 17 ladder at n = 32000 (h_K about 0.08) in window coordinates, as mc_calibrate draws:
     # its mc x m observations alone take 85 MB, but the ensemble streams them in blocks and keeps
-    # only theta_tilde and T
+    # only theta_tilde and the packed T
     ld = one_d_ld("boxcar", 1, n=32000, x=0.5, K=17)
     win = ld.restrict(ld.support)
     assert win.K_eff == 17 and 5000 < win.points.shape[0] < 6000
-    ens, peak = _traced_pure_noise(win, mc)
+    held = 8 * mc * (17 * 16 // 2 + 17 * 2)  # 1,360 bytes a replicate
     design = sum(a.nbytes for a in (*win.D_list, *win.weights_list, win.psi))  # the copy that draw restricts
-    bound = ens.T.nbytes + ens.theta_tilde.nbytes + design + 8 * calibration._BLOCK_BYTES
+    bound = held + design + 8 * calibration._BLOCK_BYTES
     assert bound < mc * win.points.shape[0] * 8 / 5
+    ens, peak = _traced_pure_noise(win, mc)
+    assert ens.theta_tilde.nbytes + ens.T.nbytes == held
     assert peak < bound, (peak, bound)
+
+
+#: traced memory of SelectionEnsemble.pure_noise beyond its fits, T, the pair and two block budgets:
+#: the restricted design, index arrays and small temporaries
+_ENSEMBLE_SLACK = 64 * 2**10
+
+
+def test_ensemble_peak_is_its_packed_table_its_fits_and_the_budgets():
+    """K = 6, p = 2 and 20000 replicates: 216 bytes a replicate, and a peak within them plus the budgets.
+
+    8 (K (K - 1) / 2 + K p) bytes a replicate are kept, 4.3 MB; a (K, K, mc) table would keep 384 bytes a
+    replicate, 7.7 MB.  While the fits are drawn, the block of drawn rows, its taken columns and the
+    scaled observations are at most _BLOCK_BYTES each, and they die before pair_statistics' temporaries,
+    at most _PAIR_BYTES, are made.
+    """
+    mc, K, p = 20000, 6, 2
+    held = 8 * mc * (K * (K - 1) // 2 + K * p)
+    assert held == 216 * mc
+    bound = held + fll_selector._PAIR_BYTES + 2 * calibration._BLOCK_BYTES + _ENSEMBLE_SLACK
+    ens, peak = _traced_pure_noise(one_d_ld("boxcar", 1, n=2000, x=0.5, K=K), mc)
+    assert (ens.K, ens.ld.basis.p) == (K, p)
+    assert ens.theta_tilde.nbytes + ens.T.nbytes == held
+    assert peak <= bound, (peak, bound)
 
 
 def test_replicate_fits_do_not_depend_on_mc_size():
@@ -229,6 +254,29 @@ print(json.dumps({"R": R, "chunk": calibration._STATE_CHUNK, "same": same}))
     result = json.loads(run.stdout)
     assert 1 < result["R"] < 3 * result["R"] + 5 < result["chunk"]
     assert result["same"] == [[mc, True, True] for mc, _, _ in result["same"]]
+
+
+@pytest.mark.parametrize("name", ["sd", "mean"])
+@pytest.mark.parametrize("bad", ["longer", "shorter", "matrix", "nan", "inf"])
+def test_draw_rejects_values_that_are_not_one_finite_value_per_design_point(name, bad):
+    """ParameterDomainError naming the argument, not a run on a truncated sd, an IndexError or NaN fits."""
+    ld = one_d_ld("boxcar", 1)
+    n = ld.points.shape[0]
+    value = {"longer": np.ones(n + 7), "shorter": np.ones(n - 1), "matrix": np.ones((1, n)),
+             "nan": np.full(n, np.nan), "inf": np.where(np.arange(n) == ld.support[0], np.inf, 1.0)}[bad]
+    args = (value, None) if name == "sd" else (np.ones(n), value)
+    with pytest.raises(ParameterDomainError, match=f"^{name} must hold {n} finite values"):
+        SelectionEnsemble.draw(ld, MIN_MC_SIZE, 0, *args)
+
+
+def test_draw_rejects_a_negative_sd_and_takes_a_noiseless_truth():
+    ld = one_d_ld("boxcar", 1)
+    n = ld.points.shape[0]
+    with pytest.raises(ParameterDomainError, match="sd must be >= 0"):
+        SelectionEnsemble.draw(ld, MIN_MC_SIZE, 0, np.where(np.arange(n) == 0, -1e-3, 1.0))  # outside the support too
+    f = np.sin(4.0 * ld.points[:, 0])
+    ens = SelectionEnsemble.draw(ld, 30, 0, np.zeros(n), mean=f)
+    np.testing.assert_allclose(ens.theta_tilde, np.broadcast_to(ld.pseudo_true(f), ens.theta_tilde.shape), rtol=1e-12)
 
 
 class TestCalibrationWindow:

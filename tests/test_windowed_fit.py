@@ -240,9 +240,8 @@ def test_duplicated_points_cut_ladders_as_per_point_designs(monkeypatch, eig_rat
     for g, (k_hat, k_eff, theta) in enumerate(refs):
         assert (out.k_hat[g], out.k_eff[g]) == (k_hat, k_eff)
         assert np.array_equal(out.theta_hat[g], theta) if k_eff else np.all(np.isnan(out.theta_hat[g]))
-    l, m = np.meshgrid(np.arange(ladder.K), np.arange(ladder.K), indexing="ij")
-    outside = (l == m)[..., None] | (np.maximum(l, m)[..., None] >= out.k_eff)
-    assert np.array_equal(np.isnan(out.T), outside)
+    m = np.tril_indices(ladder.K, -1)[0]  # the larger scale of each packed row
+    assert np.array_equal(np.isnan(out.T), m[:, None] >= out.k_eff)  # NaN exactly where a pair leaves its ladder
 
 
 def test_ladder_design_solves_every_scale_of_duplicated_points_quietly():

@@ -38,7 +38,7 @@ DEFECTS = [
     ("pc_report-allowance-30-se", "calibration.py",
      "passed=m <= bound * (1.0 + 3.0 * rel)", "passed=m <= bound * (1.0 + 30.0 * rel)"),
     ("gap-forms-smaller-scale-B", "calibration.py",
-     "self.T[k, khat[stopped] - 1, stopped]", "self.T[khat[stopped] - 1, k, stopped]"),
+     "fits.take(at + k, axis=0), self.ld.B_list[k])", "fits.take(at + k, axis=0), self.ld.B_list[k - 1])"),
     ("analytic-cv-without-log-K-alpha", "calibration.py",
      "        math.log(K / alpha)\n", "        0.0\n"),
     ("M5-moments-power-r-half", "calibration.py",
@@ -70,13 +70,16 @@ DEFECTS = [
     ("csv-error-unmapped", "cli.py",
      "except csv.Error as exc:", "except ZeroDivisionError as exc:"),
     ("pair-rows-B-offset-off-by-one", "fll_selector.py",
-     "for forms, k in ((upper, l), (lower, m)):", "for forms, k in ((upper, l + 1), (lower, m)):"),
-    ("pair-lower-triangle-smaller-scale-B", "fll_selector.py",
-     "for forms, k in ((upper, l), (lower, m)):", "for forms, k in ((upper, l), (lower, l)):"),
+     "_double_sum(d, Bb, l, T[:, b : b + w]", "_double_sum(d, Bb, l + 1, T[:, b : b + w]"),
+    ("pair-moment-forms-smaller-scale-B", "verification.py",
+     "T_kl = pair_forms(theta[:, l - 1], theta[:, k - 1], ld.B_list[k - 1])",
+     "T_kl = pair_forms(theta[:, l - 1], theta[:, k - 1], ld.B_list[l - 1])"),
+    ("oracle-row-previous-scale-B", "sim_harness.py",
+     "pair_forms(theta_star, theta_hat, ld.B_list[k_star - 1])", "pair_forms(theta_star, theta_hat, ld.B_list[k_star - 2])"),
     ("pair-block-reads-next-block-B", "fll_selector.py",
      "np.copyto(Bb, B[b : b + w].transpose(2, 3, 1, 0))", "np.copyto(Bb, B[b + w : b + 2 * w].transpose(2, 3, 1, 0))"),
     ("accept-on-equality", "fll_selector.py",
-     "viol = T[:m, m] > zv[:m, None]", "viol = T[:m, m] >= zv[:m, None]"),
+     "viol = T[s : s + m] > zv[:m, None]", "viol = T[s : s + m] >= zv[:m, None]"),
     ("B-weighted-by-1/sigma", "local_model.py",
      "(W / sigma[:, None, :] ** 2)", "(W / sigma[:, None, :])"),
     ("gap-forms-off-by-one", "calibration.py",

@@ -6,7 +6,10 @@ The inputs are the benchmark's own, written by perfbench/workloads.py's
 write_inputs at seed 0.  The commands are the workloads' own command lines,
 run in-process through lpadapt.cli.main with one BLAS thread, as
 perfbench/run.py runs them: calibrate, verify, simulate and diagnose
-(calibrate_verify), then fit (fit_dense).  OUTDIR then holds cv_mc.json,
+(calibrate_verify), then fit (fit_dense).  After each command it prints
+the exit code, the command's time and the process's peak resident set
+size so far (ru_maxrss), so the command that sets the peak can be named.
+OUTDIR then holds cv_mc.json,
 verify.json, simulate.json, simulate.csv, diagnose.json and fit.csv beside
 the inputs, so that the outputs of two checkouts compare with cmp:
 
@@ -20,6 +23,7 @@ as one pass of each workload, so it stays out of Tier-1.
 
 from __future__ import annotations
 
+import resource
 import sys
 from pathlib import Path
 
@@ -44,7 +48,8 @@ def main(argv: list[str]) -> int:
     failed = 0
     for command in commands:
         code, seconds = workloads.run_cli(command)
-        print(f"{command[0]:<10} exit {code}  {seconds:.3f} s", flush=True)
+        maxrss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # ru_maxrss is in KiB on Linux
+        print(f"{command[0]:<10} exit {code}  {seconds:.3f} s  maxrss {maxrss_mb:.1f} MiB", flush=True)
         failed += code != 0
     for name in OUTPUTS:
         print(out / name)
