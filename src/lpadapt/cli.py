@@ -271,16 +271,29 @@ def _sigma_spec(spec: dict) -> SigmaSpec:
     )
 
 
+def _points(value) -> tuple[float, ...]:
+    """_numbers of value if it holds at least one number."""
+    points = _numbers(value)
+    if not points:
+        raise ValueError("expected at least one point")
+    return points
+
+
 def _scene_from_config(cfg: dict) -> Scene:
+    """The scene of simulate and diagnose; n defaults to the length of an explicit design, which it must equal."""
     sigma_true = _section(cfg, "sigma_true")
+    design = _option(cfg, "design", None, _points)
+    n = _option(cfg, "n", 200 if design is None else len(design), _count)
+    if design is not None and n != len(design):
+        raise ParameterDomainError(f"config key 'n' is {n}, but 'design' holds {len(design)} points")
     return Scene(
         f=_option(cfg, "f", "constant", str),
-        n=_option(cfg, "n", 200, _count),
+        n=n,
         sigma_model=_sigma_spec(_section(cfg, "sigma_model")),
         sigma_true=_sigma_spec(sigma_true) if sigma_true else None,
         seed=_option(cfg, "seed", 0, _integer),
         f_scale=_option(cfg, "f_scale", 1.0),
-        design=_option(cfg, "design", None, _numbers),
+        design=design,
     )
 
 

@@ -69,10 +69,11 @@ def pair_forms(theta_a: np.ndarray, theta_b: np.ndarray, B: np.ndarray) -> np.nd
 
     The forms are pair_statistics' own arithmetic (_double_sum), so with
     theta_l, theta_m and B_l they are its T_lm bit for bit, and swapping
-    theta_a and theta_b changes no bit.  The forms that pair_statistics does
-    not keep are formed with it where they are read: the moment-condition
-    forms (theta_l - theta_m)^T B_m (...), weighted by the larger scale, and
-    the oracle comparison of risk_experiment.
+    theta_a and theta_b changes no bit.  It is the package's one arithmetic
+    for a quadratic form of fits: the moment-condition forms
+    (theta_l - theta_m)^T B_m (...), weighted by the larger scale, the
+    oracle and truth forms of risk_experiment, and the verify checks' forms
+    (theta_b a single row, such as zeros((1, p))) are all formed with it.
     """
     d = np.subtract(theta_a.T, theta_b.T, out=np.empty(theta_a.shape[::-1]))
     out = np.empty(d.shape[1:])

@@ -198,8 +198,7 @@ def risk_experiment(
 
     # quadratic-form risk of the adaptive estimator against the reference
     # parameter, weighted by the largest-scale information matrix
-    dref = theta_hat - theta_ref[None, :]
-    truth_form = np.maximum(np.einsum("ri,ij,rj->r", dref, ld.B_list[K - 1], dref), 0.0)
+    truth_form = pair_forms(theta_hat, theta_ref[None], ld.B_list[K - 1])
     rows.append(_moment_row(scene.f, K, "adaptive_truth_pow_r2", truth_form ** (r / 2.0), replicates))
 
     for j in range(1, p + 1):

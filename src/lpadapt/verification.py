@@ -3,9 +3,10 @@
 Each check builds a small synthetic scene, runs a Monte-Carlo experiment
 where needed, and compares against the closed-form side within an explicit
 tolerance.  A Monte-Carlo check takes its standard normals from its caller
-as a table, one replicate per row in window coordinates (_shared_rows);
-the other checks are seeded.  These are the suites behind the `verify`
-command; the package test suite calls them as well.
+as a table, one replicate per row in window coordinates (_window_fits),
+and forms its quadratic forms with pair_forms, the package's one arithmetic
+for them; the other checks are seeded.  These are the suites behind the
+`verify` command; the package test suite calls them as well.
 
 The tail checks bound by the chi-square tail with p = 1 or 2 degrees of
 freedom, P{chi^2_1 >= x} = erfc(sqrt(x / 2)), which `math.erfc` evaluates,
@@ -72,19 +73,30 @@ def _random_boxcar_scene(rng: np.random.Generator, p: int, k: int, n: int = 60):
     return basis, ladder, pts, x, sigma
 
 
-def _unit_design(p: int, n: int, K: int, growth: float, kernel: str = "boxcar"):
-    """The ladder design at 0.5 of n equidistant points on [0, 1] with unit model noise, on its window.
+def _window_fits(noise: np.ndarray, p: int, n: int, K: int, growth: float, sd: SigmaSpec | None = None,
+                 kernel: str = "boxcar") -> tuple[LadderDesign, np.ndarray, np.ndarray]:
+    """A Monte-Carlo check's design, its noise sd and the fits (rows, K, p) of sd * eps, eps a row of noise.
 
-    The design is built on all n points and then restricted to the m points
-    of its largest window (LadderDesign.restrict), which it returns with
-    their coordinates.  Its support is then arange(m), so every Monte-Carlo
-    check reads its noise in window coordinates: row j of its table is
-    replicate j, its i-th value on the i-th window point.
+    The design is the ladder design at 0.5 of n equidistant points on [0, 1]
+    with unit model noise, restricted to the m points of its largest window.
+    Row j of noise is replicate j's stream, as noise_matrix(seed, rows, W,
+    arange(W)) draws it; by the prefix property its first m columns are its
+    values on the window points.  sd is the SigmaSpec's values there, or the
+    unit model noise; it scales each propagator, noise[:, :m] @ (D_k * sd)^T,
+    so the table is not copied.  ParameterDomainError unless noise is 2-D with
+    at least m columns and MIN_MC_SIZE rows: it is never padded or broadcast.
     """
     pts = np.linspace(0.0, 1.0, n)
     ladder = ScaleLadder.geometric(default_h1(n, p), K, growth=growth, kernel=kernel)
-    ld = LadderDesign(Basis.polynomial(p - 1, dim=1), ladder, pts, 0.5, np.ones(n))
-    return ld.restrict(ld.support), pts[ld.support]
+    full = LadderDesign(Basis.polynomial(p - 1, dim=1), ladder, pts, 0.5, np.ones(n))
+    ld = full.restrict(full.support)
+    m = ld.points.shape[0]
+    if np.ndim(noise) != 2 or noise.shape[1] < m:
+        raise ParameterDomainError(f"a noise table needs 2 dimensions and at least {m} columns, one per window point; "
+                                   f"got shape {np.shape(noise)}")
+    check_mc_size(noise.shape[0])
+    sd = ld.sigma_model if sd is None else sd.values(ld.points[:, 0])
+    return ld, sd, np.stack([noise[:, :m] @ (D * sd).T for D in ld.D_list], axis=1)
 
 
 def check_determinant_identity(seed: int = 11, trials: int = 20) -> CheckResult:
@@ -143,43 +155,6 @@ def check_covariance_sandwich(seed: int = 12, trials: int = 12) -> CheckResult:
     return _result("covariance_sandwich", worst <= 1e-9 and dense_gap <= 1e-12, detail)
 
 
-def _shared_rows(noise: np.ndarray, m: int) -> np.ndarray:
-    """Every row of a Monte-Carlo check's noise table, on its first m columns.
-
-    Row j of noise must be the first values of replicate j's stream, as
-    noise_matrix(seed, rows, W, arange(W)) gives them; by the prefix property
-    its first m columns are then replicate j on a window of m points.
-    ParameterDomainError when the table is not 2-D, is narrower than m or
-    has fewer than MIN_MC_SIZE rows (check_mc_size): it is never padded or
-    broadcast.
-    """
-    if np.ndim(noise) != 2 or noise.shape[1] < m:
-        raise ParameterDomainError(f"a noise table needs 2 dimensions and at least {m} columns, one per window point; "
-                                   f"got shape {np.shape(noise)}")
-    check_mc_size(noise.shape[0])
-    return noise[:, :m]
-
-
-def _wilks_forms(ld: LadderDesign, sigma_true: np.ndarray, k: int, noise: np.ndarray) -> np.ndarray:
-    """MC draws of the quadratic form (theta_k - theta_bar_k)^T B_k (...), one per row of noise.
-
-    The design must be restricted to its window, as _unit_design's are, so
-    that the rows of noise (_shared_rows) are on its points.
-    """
-    A = ld.D_list[k - 1] * sigma_true  # maps standard normals to theta - theta_bar
-    g = _shared_rows(noise, ld.points.shape[0]) @ A.T
-    return np.maximum(np.einsum("ri,ij,rj->r", g, ld.B_list[k - 1], g), 0.0)
-
-
-def _scaled_fits(ld: LadderDesign, noise: np.ndarray, sd: np.ndarray) -> np.ndarray:
-    """The fits (rows, K, p) of the observations sd * eps, one per row eps of noise, on a design restricted to its window.
-
-    sd scales each propagator (D_k * sd, as _wilks_forms does), so the noise table is not copied.
-    """
-    eps = _shared_rows(noise, ld.points.shape[0])
-    return np.stack([eps @ (D * sd).T for D in ld.D_list], axis=1)
-
-
 def check_wilks(noise: np.ndarray, p: int = 2, kernel: str = "boxcar") -> CheckResult:
     """Known noise, boxcar: spectrum is p ones within 1e-10, and the MC mean
     of the likelihood-ratio form matches its trace within 4 standard errors.
@@ -187,11 +162,10 @@ def check_wilks(noise: np.ndarray, p: int = 2, kernel: str = "boxcar") -> CheckR
     The forms are those of the rows of noise, as for every Monte-Carlo check below.
     test_A3_wilks_identity runs it for p = 1, 2, 3 on 100,000 rows at seed 160 + p.
     """
-    ld, _ = _unit_design(p, 120, 3, 1.6, kernel)
-    k, sigma = ld.K_eff, ld.sigma_model
-    lam = wilks_spectrum(ld, k, sigma)
+    ld, sigma, fits = _window_fits(noise, p, 120, 3, 1.6, kernel=kernel)
+    lam = wilks_spectrum(ld, ld.K_eff, sigma)
     spectrum_ok = bool(np.max(np.abs(lam - 1.0)) <= 1e-10) if kernel == "boxcar" else bool(lam[0] <= 1.0 + 1e-10)
-    forms = _wilks_forms(ld, sigma, k, noise)
+    forms = pair_forms(fits[:, -1], np.zeros((1, p)), ld.B_list[-1])
     se = forms.std(ddof=1) / math.sqrt(forms.size)
     mean_ok = abs(forms.mean() - lam.sum()) <= 4.0 * se
     return _result(
@@ -206,9 +180,8 @@ def check_domination(noise: np.ndarray, delta: float = 0.2, p: int = 1) -> Check
 
     run_all runs p = 1; test_A4_chi_square_domination runs p = 1 and 2.
     """
-    ld, pts = _unit_design(p, 150, 3, 1.6)
-    sigma0 = SigmaSpec("sine", 1.0, delta, 0.3).values(pts)
-    forms = _wilks_forms(ld, sigma0, ld.K_eff, noise)
+    ld, _, fits = _window_fits(noise, p, 150, 3, 1.6, SigmaSpec("sine", 1.0, delta, 0.3))
+    forms = pair_forms(fits[:, -1], np.zeros((1, p)), ld.B_list[-1])
     worst = -1.0
     for z in (1.0, 2.0, 4.0, 8.0, 16.0):
         emp = float(np.mean(forms >= z))
@@ -222,9 +195,8 @@ def check_domination(noise: np.ndarray, delta: float = 0.2, p: int = 1) -> Check
 def check_quasi_parametric_moment(noise: np.ndarray) -> CheckResult:
     """E|form|^r <= (1+delta)^r C(p,r) within 3 relative standard errors (delta 0.2, p 2, r 1)."""
     delta, p, r = 0.2, 2, 1.0
-    ld, pts = _unit_design(p, 150, 3, 1.6)
-    sigma0 = SigmaSpec("sine", 1.0, delta).values(pts)
-    powered = _wilks_forms(ld, sigma0, ld.K_eff, noise) ** r
+    ld, _, fits = _window_fits(noise, p, 150, 3, 1.6, SigmaSpec("sine", 1.0, delta))
+    powered = pair_forms(fits[:, -1], np.zeros((1, p)), ld.B_list[-1]) ** r
     mean = powered.mean()
     rel_se = powered.std(ddof=1) / math.sqrt(powered.size) / mean
     bound = (1.0 + delta) ** r * chi_square_moment(p, r)
@@ -296,10 +268,10 @@ def check_pc_theoretical(noise: np.ndarray) -> CheckResult:
     of replicates that stop before the largest scale: where it is 0, every
     gap form is 0 and the check cannot fail.
     """
-    ld, _ = _unit_design(1, 200, 4, 1.5)
+    ld, _, fits = _window_fits(noise, 1, 200, 4, 1.5)
     _, u_hat = ld.growth_bounds()
     cv = theoretical_cv(1, 0.5, ld.K_eff, 1.0, u_hat)
-    ens = SelectionEnsemble(ld, ld.fit_stacked(_shared_rows(noise, ld.points.shape[0])))
+    ens = SelectionEnsemble(ld, fits)
     report = pc_report(cv, ens)
     stopped = float(np.mean(ens.k_hat(np.asarray(cv.z)) < ens.K))
     detail = "; ".join(f"k={e.k}: {e.moment:.4f}<= {e.bound:.4f}" for e in report.entries)
@@ -321,10 +293,9 @@ def check_pair_bounds(noise: np.ndarray) -> tuple[CheckResult, CheckResult]:
     theta_l - theta_k.
     """
     delta, p, r = 0.1, 1, 1.0
-    ld, pts = _unit_design(1, 150, 4, 1.5)
+    ld, sd, fits = _window_fits(noise, p, 150, 4, 1.5, SigmaSpec("sine", 1.0, delta))
     u0_hat, u_hat = ld.growth_bounds()
-    sd = SigmaSpec("sine", 1.0, delta).values(pts)
-    ens = SelectionEnsemble(ld, _scaled_fits(ld, noise, sd))
+    ens = SelectionEnsemble(ld, fits)
     theta, replicates = ens.theta_tilde, ens.mc
     c = 2.0 * (1.0 + delta)
     tail, moment, mean_dev = -1.0, -math.inf, 0.0
@@ -358,10 +329,8 @@ def check_pair_bounds(noise: np.ndarray) -> tuple[CheckResult, CheckResult]:
 def check_stacked_covariance(noise: np.ndarray) -> CheckResult:
     """Empirical covariance of the stacked estimators matches the joint law (delta 0.15, p 2, n 120)."""
     delta = 0.15
-    ld, pts = _unit_design(2, 120, 3, 1.6)
-    sigma0 = SigmaSpec("sine", 1.0, delta, 0.5).values(pts)
+    ld, sigma0, fits = _window_fits(noise, 2, 120, 3, 1.6, SigmaSpec("sine", 1.0, delta, 0.5))
     S0 = joint_covariance(ld.D_list, sigma0**2)
-    fits = _scaled_fits(ld, noise, sigma0)
     replicates = fits.shape[0]
     draws = fits.reshape(replicates, -1)  # rows (theta_1, ..., theta_K)
     emp = np.cov(draws, rowvar=False)

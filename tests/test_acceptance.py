@@ -23,7 +23,7 @@ from lpadapt.local_model import Basis, LadderDesign, ScaleLadder, default_h1
 from lpadapt.oracle_diagnostics import oracle_risk_bound, wilks_spectrum
 from lpadapt.sim_harness import Scene, SigmaSpec, risk_experiment
 from lpadapt.verification import (
-    _unit_design,
+    _window_fits,
     check_determinant_identity,
     check_domination,
     check_kl_sandwich,
@@ -75,9 +75,10 @@ def test_A2_theoretical_conservative(a1_setup):
 def test_A3_wilks_identity():
     results = []
     for p in (1, 2, 3):
-        ld, _ = _unit_design(p, 120, 3, 1.6)  # the design check_wilks builds
+        noise = mc_noise(160 + p, 100000, 30)  # p = 3's window has 30 points
+        ld, _, _ = _window_fits(noise, p, 120, 3, 1.6)  # the design check_wilks builds
         assert wilks_spectrum(ld, ld.K_eff, ld.sigma_model).size == p
-        results.append(check_wilks(mc_noise(160 + p, 100000, 30), p=p))  # p = 3's window has 30 points
+        results.append(check_wilks(noise, p=p))
     _report("A3", all(r.passed for r in results), "; ".join(f"p={p}: {r.detail}" for p, r in zip((1, 2, 3), results)))
 
 

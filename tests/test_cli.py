@@ -448,6 +448,39 @@ class TestSimulateDiagnose:
         else:
             assert max(row["k"] or 0 for row in rep["rows"]) == len(bandwidths)
 
+    def _design_scene(self, tmp_path, capsys, command, **cfg):
+        """Run command on a jump scene over an explicit 21-point design; (exit code, error lines, output path)."""
+        path, out = tmp_path / "scene.json", tmp_path / f"{command}.json"
+        path.write_text(json.dumps({
+            "f": "jump", "x": 0.47, "design": np.linspace(0.0, 1.0, 21).tolist(),
+            "sigma_model": {"pattern": "constant", "level": 0.25},
+            "seed": 5, "replicates": 400, "mc_size": 1000, "basis": {"degree": 0}, **cfg,
+        }), encoding="utf-8")
+        out.unlink(missing_ok=True)
+        code = main([command, "--config", str(path), "--out", str(out)])
+        return code, [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")], out
+
+    @pytest.mark.parametrize("command", ["simulate", "diagnose"])
+    def test_n_defaults_to_the_length_of_the_design(self, tmp_path, capsys, command):
+        """Without n, the default ladder is built for the design's 21 points, as with "n": 21 (K = 4)."""
+        reports = []
+        for cfg in ({}, {"n": 21}):
+            code, errors, out = self._design_scene(tmp_path, capsys, command, **cfg)
+            assert (code, errors) == (EXIT_OK, [])
+            report = json.loads(out.read_text(), parse_constant=str)
+            del report["provenance"]  # the config hash differs
+            reports.append(report)
+        assert reports[0] == reports[1]
+        assert (reports[0]["meta"] if command == "simulate" else reports[0])["K"] == 4
+
+    @pytest.mark.parametrize("command", ["simulate", "diagnose"])
+    @pytest.mark.parametrize("n", [5, 200])
+    def test_n_that_disagrees_with_the_design_exit_code(self, tmp_path, capsys, command, n):
+        code, errors, out = self._design_scene(tmp_path, capsys, command, n=n)
+        assert code == EXIT_CONFIG
+        assert errors == [f"error: config key 'n' is {n}, but 'design' holds 21 points"]
+        assert not out.exists()
+
     def test_simulate_negative_seed_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "scenario.json"
         cfg.write_text(json.dumps({
@@ -708,6 +741,7 @@ class TestConfigValues:
         ("calibrate", {"ladder": {"bandwidths": [0.05, True]}}, "'bandwidths'"),
         ("simulate", {**SCENE, "replicates": 400.5}, "'replicates'"),
         ("simulate", {**SCENE, "design": [0.1, "0.5", 0.9]}, "'design'"),
+        ("simulate", {**SCENE, "design": []}, "'design'"),
         ("simulate", {**SCENE, "sigma_model": {"level": True}}, "'level'"),
         ("diagnose", {**SCENE, "seed": True}, "'seed'"),
         ("verify", {"seed": 5.0}, "'seed'"),
@@ -716,7 +750,7 @@ class TestConfigValues:
             "seed_real", "mc_size_real", "mc_size_bool", "n_text", "n_real", "n_zero", "n_negative",
             "simulate_n_zero", "diagnose_n_negative", "degree_real", "K_real", "alpha_bool",
             "r_text", "sigma_bool", "x_bool", "x_list_bool", "h1_text", "bandwidths_bool", "replicates_real",
-            "design_text", "level_bool", "diagnose_seed_bool", "verify_seed_real", "delta_bool"])
+            "design_text", "design_empty", "level_bool", "diagnose_seed_bool", "verify_seed_real", "delta_bool"])
     def test_malformed_value_exit_code(self, tmp_path, capsys, command, cfg, named):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg), encoding="utf-8")

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import risk_row
-from lpadapt.calibration import CriticalValues, chi_square_moment, mc_calibrate
+from lpadapt.calibration import CriticalValues, SelectionEnsemble, chi_square_moment, mc_calibrate
 from lpadapt.exceptions import ParameterDomainError
-from lpadapt.local_model import Basis, ScaleLadder, check_noise, default_h1
+from lpadapt.local_model import Basis, LadderDesign, ScaleLadder, check_noise, default_h1
 from lpadapt.sim_harness import Scene, SigmaSpec, generate, risk_experiment
 
 
@@ -93,6 +93,35 @@ class TestRiskExperiment:
         adaptive = risk_row(table, "fit_sqerr_adaptive").estimate
         assert adaptive < max(fixed)
         assert max(fixed) == fixed[-1]  # largest window carries the jump bias
+
+    def test_truth_row_recomputed_replicate_by_replicate(self):
+        """adaptive_truth_pow_r2 is the mean of (d^T B_K d)^(r/2), d = theta_hat - theta_bar_1, within 1e-12 relative.
+
+        The fits are SelectionEnsemble.draw's at the scene's seed, and each
+        form is a plain d @ B_K @ d, so the largest scale's B and the smallest
+        window's pseudo-true reference are both pinned.
+        """
+        basis, r, replicates, x = Basis.polynomial(1), 0.5, 600, 0.47
+        scene = Scene(f="jump", n=200, sigma_model=SigmaSpec("constant", 0.25),
+                      sigma_true=SigmaSpec("sine", 0.25, amplitude=0.1), seed=8)
+        ladder = ScaleLadder.geometric(default_h1(200, 2), 5, growth=1.5)
+        cv = CriticalValues(z=(20.0, 15.0, 10.0, 8.0), method="fixed", alpha=1.0, r=r, p=2, K=5)
+        table = risk_experiment(scene, ladder, basis, cv, r, replicates, x=x)
+        ld = LadderDesign(basis, ladder, scene.design_points(), x, scene.sigma_model_values())
+        K = ld.K_eff
+        ens = SelectionEnsemble.draw(ld, replicates, scene.seed, scene.sigma_true_values(), mean=scene.f_values())
+        khat = ens.k_hat(np.asarray(cv.z))
+        assert K == 5 and 0 < np.mean(khat < K) < 1  # some replicates stop early, some do not
+        ref = ld.D_list[0] @ scene.f_values()
+        powered = []
+        for j in range(replicates):
+            d = ens.theta_tilde[j, khat[j] - 1] - ref
+            powered.append(max(float(d @ ld.B_list[K - 1] @ d), 0.0) ** (r / 2.0))
+        row = risk_row(table, "adaptive_truth_pow_r2", K)
+        want = float(np.mean(powered))
+        assert abs(row.estimate - want) <= 1e-12 * want
+        want_se = float(np.std(powered, ddof=1)) / math.sqrt(replicates)
+        assert abs(row.std_error - want_se) <= 1e-12 * want_se
 
     @pytest.mark.parametrize("replicates", [0, -3])
     def test_rejects_fewer_than_one_replicate(self, parametric_setup, replicates):

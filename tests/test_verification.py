@@ -12,7 +12,7 @@ from lpadapt.calibration import MIN_MC_SIZE, noise_matrix
 from lpadapt.dataset import Dataset
 from lpadapt.exceptions import ParameterDomainError
 from lpadapt.verification import (
-    _unit_design,
+    _window_fits,
     check_covariance_sandwich,
     check_determinant_identity,
     check_domination,
@@ -118,21 +118,29 @@ def shared_noise():
 
 
 def _record_mc_quantities(monkeypatch) -> list:
-    """The Monte-Carlo quantities the checks compute, in call order: Wilks forms, T tables, covariances."""
+    """The Monte-Carlo quantities the checks compute, in call order: Wilks forms, T tables, covariances.
+
+    A Wilks form is a pair_forms call against a single row (the zero vector);
+    check_pair_bounds' T_kl, a form between two fits, is not recorded.
+    """
     seen = []
 
     def kept(value):
         seen.append(value)
         return value
 
-    forms, cov = verification._wilks_forms, np.cov
+    forms, cov = verification.pair_forms, np.cov
+
+    def recorded_forms(theta_a, theta_b, B):
+        value = forms(theta_a, theta_b, B)
+        return kept(value) if len(theta_b) == 1 else value
 
     class RecordedEnsemble(verification.SelectionEnsemble):
         def __init__(self, ld, theta_tilde):
             super().__init__(ld, theta_tilde)
             kept(self.T)
 
-    monkeypatch.setattr(verification, "_wilks_forms", lambda *a, **kw: kept(forms(*a, **kw)))
+    monkeypatch.setattr(verification, "pair_forms", recorded_forms)
     monkeypatch.setattr(verification, "SelectionEnsemble", RecordedEnsemble)
     monkeypatch.setattr(np, "cov", lambda *a, **kw: kept(cov(*a, **kw)))
     return seen
@@ -182,7 +190,7 @@ def test_a_table_below_the_row_floor_raises(shared_noise, check, kwargs, m, rows
 
 def test_chi_square_tail_matches_scipy_stats():
     """chi_square_tail(x, p) is chi2.sf(x, p) within 1e-13 relative, at every argument the tail checks pass."""
-    ld, _ = _unit_design(1, 150, 4, 1.5)  # the design of check_pair_bounds
+    ld, _, _ = _window_fits(mc_noise(18, MIN_MC_SIZE), 1, 150, 4, 1.5)  # the design of check_pair_bounds
     u0_hat, u_hat = ld.growth_bounds()
     pair_t = [2.0 * (1.0 + 0.1) * (1.0 + u) for m in range(1, 4) for u in (u0_hat ** -m, u_hat**m)]
     divisors = np.concatenate([[1.05, 1.2], pair_t, np.linspace(1.0, 10.0, 181)])

@@ -25,7 +25,8 @@ from lpadapt import calibration, fll_selector
 from lpadapt.calibration import MIN_MC_SIZE, SelectionEnsemble, mc_calibrate, noise_matrix, replicate_noise
 from lpadapt.exceptions import ParameterDomainError
 from lpadapt.local_model import KERNELS, Basis, LadderDesign, ScaleLadder, default_h1
-from lpadapt.verification import _unit_design, _wilks_forms, run_all
+from lpadapt.sim_harness import SigmaSpec
+from lpadapt.verification import _window_fits, run_all
 
 Z = np.array([3.0, 2.0, 1.5])  # low enough that many replicates stop early
 MC = 400
@@ -360,18 +361,21 @@ class TestVerifyWindow:
         (1, 120, 3, 1.6, "boxcar"), (2, 120, 3, 1.6, "epanechnikov"), (1, 150, 3, 1.6, "boxcar"),
         (2, 150, 3, 1.6, "boxcar"), (1, 200, 4, 1.5, "boxcar"), (1, 150, 4, 1.5, "boxcar"),
     ])
-    def test_wilks_forms_on_window_coordinates(self, design):
+    def test_window_fits_on_window_coordinates(self, design):
+        """_window_fits' fits of scale k are eps @ (D_k * sd)^T bit for bit, D_k the full design's on its window."""
         p, n, K, growth, kernel = design
-        ld, pts = _unit_design(*design)
         full = LadderDesign(Basis.polynomial(p - 1), ScaleLadder.geometric(default_h1(n, p), K, growth=growth,
                                                                            kernel=kernel),
                             np.linspace(0.0, 1.0, n), 0.5, np.ones(n))
-        m, support = ld.points.shape[0], full.support
-        assert m == support.size < support[-1] and np.array_equal(pts, full.points[support, 0])
-        for D, D_full in zip(ld.D_list, full.D_list):
-            assert np.array_equal(D, D_full[:, support])
-        sigma, k, rows, seed = 1.0 + 0.2 * np.sin(7.0 * pts), ld.K_eff, MIN_MC_SIZE, 23
+        m, support, rows, seed = full.support.size, full.support, MIN_MC_SIZE, 23
         eps = np.stack([replicate_noise(seed, j, m) for j in range(rows)])  # value i on window point i
-        g = eps @ (ld.D_list[k - 1] * sigma).T
-        want = np.maximum(np.einsum("ri,ij,rj->r", g, ld.B_list[k - 1], g), 0.0)
-        assert np.array_equal(_wilks_forms(ld, sigma, k, eps), want)
+        spec = SigmaSpec("sine", 1.0, 0.2, 0.7)
+        ld, sd, fits = _window_fits(eps, p, n, K, growth, spec, kernel)
+        pts = full.points[support, 0]
+        assert m == ld.points.shape[0] < support[-1] and np.array_equal(ld.points[:, 0], pts)
+        assert np.array_equal(sd, spec.values(pts))
+        assert np.array_equal(_window_fits(eps, p, n, K, growth, kernel=kernel)[1], np.ones(m))  # unit model noise
+        assert fits.shape == (rows, full.K_eff, p)
+        for k, (D, D_full) in enumerate(zip(ld.D_list, full.D_list)):
+            assert np.array_equal(D, D_full[:, support])
+            assert np.array_equal(fits[:, k], eps @ (D_full[:, support] * sd).T)

@@ -76,6 +76,8 @@ DEFECTS = [
      "T_kl = pair_forms(theta[:, l - 1], theta[:, k - 1], ld.B_list[l - 1])"),
     ("oracle-row-previous-scale-B", "sim_harness.py",
      "pair_forms(theta_star, theta_hat, ld.B_list[k_star - 1])", "pair_forms(theta_star, theta_hat, ld.B_list[k_star - 2])"),
+    ("truth-row-previous-scale-B", "sim_harness.py",
+     "pair_forms(theta_hat, theta_ref[None], ld.B_list[K - 1])", "pair_forms(theta_hat, theta_ref[None], ld.B_list[K - 2])"),
     ("pair-block-reads-next-block-B", "fll_selector.py",
      "np.copyto(Bb, B[b : b + w].transpose(2, 3, 1, 0))", "np.copyto(Bb, B[b + w : b + 2 * w].transpose(2, 3, 1, 0))"),
     ("accept-on-equality", "fll_selector.py",
@@ -124,7 +126,9 @@ DEFECTS = [
     ("pair-exp-moment-bound-exponent-sign", "verification.py",
      "(1.0 - mu0 * t0) ** (-p / 2.0)", "(1.0 - mu0 * t0) ** (p / 2.0)"),
     ("shared-draw-last-columns", "verification.py",
-     "return noise[:, :m]", "return noise[:, -m:]"),
+     "noise[:, :m] @ (D * sd).T", "noise[:, -m:] @ (D * sd).T"),
+    ("window-fits-without-sd", "verification.py",
+     "noise[:, :m] @ (D * sd).T", "noise[:, :m] @ D.T"),
     ("mc-checks-without-row-floor", "verification.py",
      "    check_mc_size(noise.shape[0])\n", ""),
     ("pair-tables-swapped-in-moment-part", "verification.py",
